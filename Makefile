@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-campaign bench-serve bench-powercap gate-search gate-powercap figures report validate campaign-demo trace-demo chaos-demo serve-demo cluster-demo watch-demo clean
+.PHONY: install test bench hostbench bench-campaign bench-serve bench-powercap gate-search gate-powercap figures report validate campaign-demo trace-demo chaos-demo serve-demo cluster-demo watch-demo clean
 
 install:
 	pip install -e . --no-build-isolation --no-deps || $(PYTHON) setup.py develop
@@ -12,6 +12,11 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Host-time benchmark of one workload (hostbench/README.md):
+# make hostbench W=paper|serve|sweep
+hostbench:
+	$(PYTHON) hostbench/run.py --workload $(or $(W),$(error set W=paper, serve or sweep))
 
 # Campaign harness overhead: fast path vs per-row path, writes
 # BENCH_campaign.json. QUICK=1 runs the small CI sizes.

@@ -11,8 +11,7 @@ from __future__ import annotations
 from repro.core.config import AMDVariant, LLMBenchmarkConfig, ResNetBenchmarkConfig
 from repro.core.llm_training import llm_result_outputs, run_llm_benchmark
 from repro.core.resnet50 import resnet_result_outputs, run_resnet_benchmark
-from repro.data.oscar import generate_oscar_subset
-from repro.data.tokenizer import BPETokenizer
+from repro.data.oscar import prepared_oscar_tokens
 from repro.errors import JubeError, OutOfMemoryError
 from repro.hardware.accelerator import Vendor
 from repro.hardware.systems import get_system
@@ -127,14 +126,11 @@ def build_operation_registry() -> OperationRegistry:
 
     @registry.register("prepare_data")
     def prepare_data(args: dict[str, str], wp: Workpackage):
-        """Download/tokenize the OSCAR subset (synthetic stand-in)."""
+        """Download/tokenize the OSCAR subset (synthetic stand-in), once
+        per process."""
         if args.get("synthetic", "false") == "true":
             return {"dataset": "synthetic", "tokens": 0}
-        subset = generate_oscar_subset(documents=40, mean_document_words=60)
-        tokenizer = BPETokenizer()
-        tokenizer.train(subset.text()[:20000], vocab_size=512)
-        tokens = len(subset.tokenize(tokenizer))
-        return {"dataset": "oscar-subset", "tokens": tokens}
+        return {"dataset": "oscar-subset", "tokens": prepared_oscar_tokens()}
 
     @registry.register("llm_train")
     def llm_train(args: dict[str, str], wp: Workpackage):

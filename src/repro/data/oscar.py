@@ -11,7 +11,8 @@ synthetic vocabulary, and multiple "languages" (disjoint vocabularies)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +47,6 @@ class OscarSubset:
     documents: list[str]
     languages: int
     seed: int
-    _token_cache: list[int] | None = field(default=None, repr=False)
 
     @property
     def num_documents(self) -> int:
@@ -63,10 +63,8 @@ class OscarSubset:
         return "\n\n".join(self.documents)
 
     def tokenize(self, tokenizer: BPETokenizer) -> list[int]:
-        """Tokenise the whole corpus (cached per subset instance)."""
-        if self._token_cache is None:
-            self._token_cache = tokenizer.encode(self.text())
-        return self._token_cache
+        """Tokenise the whole corpus with ``tokenizer``."""
+        return tokenizer.encode(self.text())
 
     def token_batches(
         self, tokenizer: BPETokenizer, seq_length: int, batch_size: int
@@ -131,3 +129,31 @@ def generate_oscar_subset(
             sentences.append(chunk[0].capitalize() + " " + " ".join(chunk[1:]) + ".")
         docs.append(" ".join(sentences))
     return OscarSubset(documents=docs, languages=languages, seed=seed)
+
+
+#: The subset the LLM benchmark's ``data`` step prepares: documents and
+#: mean words per document of the corpus, characters the tokenizer is
+#: trained on, and the vocabulary it is trained to.
+PREPARED_DOCUMENTS = 40
+PREPARED_DOCUMENT_WORDS = 60
+PREPARED_TRAIN_CHARS = 20_000
+PREPARED_VOCAB_SIZE = 512
+
+
+@functools.cache
+def prepared_oscar_tokens() -> int:
+    """Token count of the subset the LLM ``data`` step prepares.
+
+    Generates the corpus, trains a BPE tokenizer on its head and
+    tokenizes the whole corpus.  The result depends on nothing but the
+    constants above, so it is computed on the first call and reused by
+    every later one in the process, the way the real suite prepares its
+    data directory once for all runs.  Only the count is kept, never the
+    tokenizer.
+    """
+    subset = generate_oscar_subset(
+        documents=PREPARED_DOCUMENTS, mean_document_words=PREPARED_DOCUMENT_WORDS
+    )
+    tokenizer = BPETokenizer()
+    tokenizer.train(subset.text()[:PREPARED_TRAIN_CHARS], vocab_size=PREPARED_VOCAB_SIZE)
+    return len(subset.tokenize(tokenizer))

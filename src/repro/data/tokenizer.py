@@ -10,13 +10,26 @@ substrate:
 * **determinism** -- merges are learned greedily with lexicographic
   tie-breaking, so the same corpus always yields the same vocabulary.
 
-It is intentionally a compact reference implementation; tokenisation
-throughput is not the benchmark's figure of merit.
+The merge rule is the plain greedy one: count every adjacent pair
+(overlapping pairs included), merge the most frequent (the smallest
+``(a, b)`` among ties) by replacing its occurrences left to right
+without overlap, and stop at the target vocabulary or when no pair
+occurs twice.  :meth:`BPETokenizer.train` computes exactly that, but
+incrementally: token positions form a linked list, each pair keeps the
+positions it occurs at, and a lazy max-heap keyed ``(-count, a, b)``
+yields the next merge, so a merge costs time in its own occurrences
+rather than in the corpus length.  :meth:`BPETokenizer.encode` holds
+token ids as the characters ``chr(id)`` and applies each merge as one
+``str.replace``, whose left-to-right, non-overlapping replacement is
+the merge rule.  Both must give exactly the merges, vocabulary and ids
+of the greedy loop, which the test suite keeps as its differential
+oracle.  Token ids are code points, so a vocabulary holds at most
+``sys.maxunicode + 1`` tokens.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
 
 from repro.errors import DataError
 
@@ -55,50 +68,87 @@ class BPETokenizer:
             raise DataError("cannot train a tokenizer on empty text")
         self.merges = {}
         self.vocab = {i: bytes([i]) for i in range(BYTE_VOCAB)}
-        ids = list(text.encode("utf-8"))
+        tokens = list(text.encode("utf-8"))
+        n = len(tokens)
+        # Live positions form a doubly linked list (-1 ends it); a
+        # merge keeps its left position and unlinks the right one.
+        nxt = list(range(1, n + 1))
+        nxt[-1] = -1
+        prv = list(range(-1, n - 1))
+        counts: dict[tuple[int, int], int] = {}
+        # Left positions of each pair, ascending: a pair only forms in
+        # one left-to-right pass, the initial count or the merge that
+        # makes its larger id.  An entry goes stale when a neighbour
+        # merges and is checked when used.
+        where: dict[tuple[int, int], list[int]] = {}
+        for i, pair in enumerate(zip(tokens, tokens[1:])):
+            counts[pair] = counts.get(pair, 0) + 1
+            where.setdefault(pair, []).append(i)
+        # Every pair counted at least twice has an entry with its
+        # current count; entries whose count is out of date are stale.
+        heap = [(-c, a, b) for (a, b), c in counts.items() if c >= 2]
+        heapq.heapify(heap)
         next_id = BYTE_VOCAB
         while next_id < vocab_size:
-            pairs = Counter(zip(ids, ids[1:]))
-            if not pairs:
-                break
-            # Greedy most-frequent pair; deterministic tie-break on the
-            # pair value itself.
-            best, count = max(pairs.items(), key=lambda kv: (kv[1], (-kv[0][0], -kv[0][1])))
-            if count < 2:
-                break
-            self.merges[best] = next_id
-            self.vocab[next_id] = self.vocab[best[0]] + self.vocab[best[1]]
-            ids = self._merge(ids, best, next_id)
-            next_id += 1
-
-    @staticmethod
-    def _merge(ids: list[int], pair: tuple[int, int], new_id: int) -> list[int]:
-        """Replace every occurrence of ``pair`` in ``ids`` with ``new_id``."""
-        out: list[int] = []
-        i = 0
-        n = len(ids)
-        while i < n:
-            if i < n - 1 and ids[i] == pair[0] and ids[i + 1] == pair[1]:
-                out.append(new_id)
-                i += 2
+            while heap:
+                neg, a, b = heapq.heappop(heap)
+                if counts.get((a, b)) == -neg:
+                    break
             else:
-                out.append(ids[i])
-                i += 1
-        return out
+                break  # no pair occurs twice
+            pair = (a, b)
+            new_id = next_id
+            self.merges[pair] = new_id
+            self.vocab[new_id] = self.vocab[a] + self.vocab[b]
+            changed: set[tuple[int, int]] = set()
+            for i in where.pop(pair):
+                j = nxt[i]
+                if tokens[i] != a or j < 0 or tokens[j] != b:
+                    continue  # merged away since it was recorded
+                p, q = prv[i], nxt[j]
+                if p >= 0:
+                    left = (tokens[p], a)
+                    counts[left] -= 1
+                    changed.add(left)
+                    left = (tokens[p], new_id)
+                    counts[left] = counts.get(left, 0) + 1
+                    where.setdefault(left, []).append(p)
+                    changed.add(left)
+                if q >= 0:
+                    right = (b, tokens[q])
+                    counts[right] -= 1
+                    changed.add(right)
+                    right = (new_id, tokens[q])
+                    counts[right] = counts.get(right, 0) + 1
+                    where.setdefault(right, []).append(i)
+                    changed.add(right)
+                    prv[q] = i
+                tokens[i] = new_id
+                tokens[j] = -1
+                nxt[i] = q
+            # Every occurrence merged: the pair cannot form again.
+            del counts[pair]
+            changed.discard(pair)
+            for key in changed:
+                count = counts[key]
+                if count >= 2:
+                    heapq.heappush(heap, (-count, *key))
+            next_id += 1
 
     # -- encode / decode -------------------------------------------------------
 
     def encode(self, text: str) -> list[int]:
         """Tokenise a string (works even for untrained tokenizers, which
         emit raw bytes)."""
-        ids = list(text.encode("utf-8"))
+        # Latin-1 maps each byte to the code point of the same value.
+        chars = text.encode("utf-8").decode("latin-1")
         # Apply merges in learned order (lowest new-id first), the same
         # order GPT-2's encoder applies its ranked merges.
-        for pair, new_id in self.merges.items():
-            if len(ids) < 2:
+        for (a, b), new_id in self.merges.items():
+            if len(chars) < 2:
                 break
-            ids = self._merge(ids, pair, new_id)
-        return ids
+            chars = chars.replace(chr(a) + chr(b), chr(new_id))
+        return list(map(ord, chars))
 
     def decode(self, ids: list[int]) -> str:
         """Reconstruct the exact original string from token ids."""
@@ -106,7 +156,14 @@ class BPETokenizer:
             data = b"".join(self.vocab[i] for i in ids)
         except KeyError as exc:
             raise DataError(f"unknown token id {exc.args[0]}") from None
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"token ids are not UTF-8 text ({exc.reason} at byte "
+                f"{exc.start} of {len(data)}); they may stop partway "
+                f"through a multi-byte character"
+            ) from None
 
     def token_bytes(self, token_id: int) -> bytes:
         """Byte string one token decodes to."""
@@ -136,9 +193,21 @@ class BPETokenizer:
             raise DataError(f"corrupt tokenizer file: {exc}") from None
         if not isinstance(data, dict) or data.get("format") != "bpe-lite-v1":
             raise DataError("not a bpe-lite-v1 tokenizer file")
+        merges = data.get("merges", [])
+        if not isinstance(merges, list):
+            raise DataError(f"corrupt tokenizer file: merges is {merges!r}, not a list")
         tok = cls()
-        for entry in data.get("merges", []):
-            a, b, new_id = (int(v) for v in entry)
+        for index, entry in enumerate(merges):
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 3
+                and all(type(v) is int for v in entry)
+            ):
+                raise DataError(
+                    f"corrupt tokenizer file: merge entry {index} is {entry!r}, "
+                    f"not three integers [a, b, new_id]"
+                )
+            a, b, new_id = entry
             if a not in tok.vocab or b not in tok.vocab:
                 raise DataError(f"merge ({a},{b}) references unknown tokens")
             if new_id != BYTE_VOCAB + len(tok.merges):

@@ -1,10 +1,12 @@
 """Tests for the synthetic OSCAR, ImageNet and synthetic-data modules."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.data.imagenet import IMAGENET_TRAIN_IMAGES, ImageNetDataset
-from repro.data.oscar import OscarSubset, generate_oscar_subset
+from repro.data.oscar import OscarSubset, generate_oscar_subset, prepared_oscar_tokens
 from repro.data.synthetic import (
     SyntheticPlacement,
     host_transfer_bytes,
@@ -50,6 +52,39 @@ class TestOscar:
             generate_oscar_subset(documents=0)
         with pytest.raises(DataError):
             generate_oscar_subset(vocabulary_size=10, languages=3)
+
+    def test_tokenize_uses_the_tokenizer_it_is_given(self):
+        subset = generate_oscar_subset(documents=5)
+        trained = BPETokenizer()
+        trained.train(subset.text(), 400)
+        assert len(subset.tokenize(BPETokenizer())) == 2160  # raw bytes
+        assert len(subset.tokenize(trained)) == 793
+        assert subset.tokenize(trained) == trained.encode(subset.text())
+
+
+class TestPreparedOscar:
+    """The subset the LLM ``data`` step prepares, pinned."""
+
+    def test_golden(self, monkeypatch):
+        trained = []
+        train = BPETokenizer.train
+
+        def capture(self, *args, **kwargs):
+            train(self, *args, **kwargs)
+            trained.append(self)
+
+        monkeypatch.setattr(BPETokenizer, "train", capture)
+        assert prepared_oscar_tokens.__wrapped__() == 4570
+        (tokenizer,) = trained
+        assert len(tokenizer.merges) == 256
+        assert hashlib.sha256(tokenizer.to_json().encode()).hexdigest() == (
+            "016fcda0b6f5a75c5ac2cde320e17b9bb7a79873202d76b1a95fb55158a0eaf9"
+        )
+
+    def test_memoized_count_equals_a_fresh_preparation(self):
+        memoized = prepared_oscar_tokens()
+        prepared_oscar_tokens.cache_clear()
+        assert prepared_oscar_tokens() == memoized == prepared_oscar_tokens.__wrapped__()
 
 
 class TestImageNet:

@@ -69,6 +69,11 @@ class TestRoundTrip:
         with pytest.raises(DataError):
             trained.decode([10_000_000])
 
+    def test_decode_rejects_ids_ending_inside_a_character(self):
+        tok = BPETokenizer()
+        with pytest.raises(DataError, match="multi-byte character"):
+            tok.decode(tok.encode("ü")[:1])
+
     def test_token_bytes(self, trained):
         assert trained.token_bytes(97) == b"a"
         with pytest.raises(DataError):

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.suite import CaramlSuite
+from repro.data.oscar import prepared_oscar_tokens
+from repro.data.tokenizer import BPETokenizer
 from repro.hardware.systems import SYSTEM_TAGS, get_system
 from repro.jube.platform import build_scheduler, platform_for
 from repro.simcluster.slurm import JobSpec, JobState
@@ -28,6 +30,33 @@ class TestFullLLMWorkflow:
         containers = run.packages_for("container")
         assert containers
         assert containers[0].outputs["container"] == "rocm-pytorch"
+
+    def test_run_trains_the_tokenizer_once(self, suite, monkeypatch):
+        # One data workpackage per batch size; the OSCAR preparation is
+        # shared by all of them.
+        calls = []
+        train = BPETokenizer.train
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return train(self, *args, **kwargs)
+
+        monkeypatch.setattr(BPETokenizer, "train", counting)
+        prepared_oscar_tokens.cache_clear()
+        run = suite.jube_run("llm_benchmark_nvidia_amd.yaml", tags=["A100"])
+        assert len(run.packages_for("data")) == 5
+        assert len(calls) == 1
+
+    def test_prepared_data_equals_a_fresh_preparation(self, suite):
+        def outputs(run):
+            return [wp.outputs for step in ("data", "train") for wp in run.packages_for(step)]
+
+        prepared_oscar_tokens()
+        memoized = suite.jube_run("llm_benchmark_nvidia_amd.yaml", tags=["A100"])
+        prepared_oscar_tokens.cache_clear()
+        fresh = suite.jube_run("llm_benchmark_nvidia_amd.yaml", tags=["A100"])
+        assert outputs(memoized) == outputs(fresh)
+        assert {wp.outputs["tokens"] for wp in fresh.packages_for("data")} == {4570}
 
     def test_synthetic_tag_switches_dataset(self, suite):
         run = suite.jube_run(

@@ -1,6 +1,9 @@
 """Tests for custom system registration, the validation gate, and
 tokenizer persistence."""
 
+import json
+import re
+
 import pytest
 
 from repro.analysis.validate import validate_reproduction, validation_summary
@@ -119,6 +122,16 @@ class TestTokenizerPersistence:
     def test_rejects_corrupt_json(self):
         with pytest.raises(DataError, match="corrupt"):
             BPETokenizer.from_json("{nope")
+        # Malformed merges: wrong arity, a non-integer, not a list.  The
+        # error names the bad entry.
+        for merges, named in (
+            ([[1, 2]], "merge entry 0 is [1, 2]"),
+            ([[97, 98, 256], ["x", 2, 257]], "merge entry 1 is ['x', 2, 257]"),
+            (5, "merges is 5"),
+        ):
+            text = json.dumps({"format": "bpe-lite-v1", "merges": merges})
+            with pytest.raises(DataError, match=re.escape(f"corrupt tokenizer file: {named}")):
+                BPETokenizer.from_json(text)
 
     def test_rejects_wrong_format(self):
         with pytest.raises(DataError, match="bpe-lite"):
@@ -127,8 +140,6 @@ class TestTokenizerPersistence:
     def test_rejects_out_of_order_merges(self):
         tok = BPETokenizer()
         tok.train("ababab ababab", 258)
-        import json
-
         data = json.loads(tok.to_json())
         if len(data["merges"]) >= 2:
             data["merges"].reverse()
