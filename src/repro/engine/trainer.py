@@ -18,7 +18,7 @@ from repro.faults.injector import get_injector
 from repro.hardware.accelerator import Vendor
 from repro.hardware.node import NodeSpec
 from repro.jpwr.ctxmgr import MeasuredScope, get_power
-from repro.jpwr.energy import TIME_COLUMN
+from repro.jpwr.energy import TIME_COLUMN, energy_frame
 from repro.jpwr.methods.base import PowerMethod
 from repro.jpwr.methods.gcipuinfo import GcIpuInfoMethod
 from repro.jpwr.methods.gh import GraceHopperMethod
@@ -115,6 +115,20 @@ class PhaseRunner:
     Samples are taken exactly at utilisation transitions, making the
     trapezoidal energy integration exact for the piecewise-constant
     power profile the simulation produces.
+
+    While every read is a pure function of the phase utilisation, each
+    sample passes that utilisation as its key
+    (:meth:`~repro.jpwr.ctxmgr.MeasuredScope.sample`), so the sensors
+    are read once per utilisation level and later phase edges reuse
+    that row.  That holds when every sensor the scope's methods read is
+    noise-free and healthy (checked once, here) and no fault-injection
+    scope is active (checked per phase); otherwise every sample reads.
+    It also assumes that only this runner changes the utilisation of
+    those sensors while it runs, as in :func:`measure_run`, which gives
+    each run a fresh registry.  A skipped read leaves a driven device's
+    energy counter exact: the device accrues the interval at its next
+    :meth:`~repro.power.sensors.SimulatedDevice.set_utilisation`, at
+    the same instant and with the same ``dt``.
     """
 
     def __init__(
@@ -129,17 +143,27 @@ class PhaseRunner:
         self.scope = scope
         self.devices = devices
         self.steps_run = 0
+        self._reuse_rows = all(
+            dev.noise_fraction == 0 and dev.healthy
+            for method in scope.methods
+            for dev in method.devices()
+        )
 
     def run_phase(self, duration_s: float, utilisation: float) -> None:
         """One constant-utilisation phase across all active devices."""
         if duration_s <= 0:
             return
+        key = (
+            utilisation
+            if self._reuse_rows and not get_injector().enabled
+            else None
+        )
         with get_tracer().span("engine/phase", attrs={"utilisation": utilisation}):
             for dev in self.devices:
                 dev.set_utilisation(utilisation)
-            self.scope.sample()
+            self.scope.sample(key)
             self.clock.advance(duration_s)
-            self.scope.sample()
+            self.scope.sample(key)
 
     def run_step(self, step: StepBreakdown) -> None:
         """One optimizer step: a busy phase plus a low-utilisation tail.
@@ -230,8 +254,10 @@ def measure_run(
             result = body(runner, clock)
     elapsed = clock.now() - start
     # Energy per active device from the primary method's columns, which
-    # are named f"{prefix}{device_index}" (gpu0, gcd3, ipu1, ...).
-    energy_df, _ = scope.energy()
+    # are named f"{prefix}{device_index}" (gpu0, gcd3, ipu1, ...).  The
+    # frame alone is integrated: the methods' additional data would
+    # re-read sensors that a fault may still hold down.
+    energy_df = energy_frame(scope.df)
     prefix_labels = primary_energy_labels(energy_df.columns, active)
     if not prefix_labels:
         raise ConfigError("no energy columns matched the active devices")

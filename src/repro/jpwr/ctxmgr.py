@@ -20,7 +20,9 @@ for GH200, where both pynvml and sysfs methods can be used").
 
 For deterministic virtual-time simulation, pass ``manual=True`` and a
 virtual ``clock``: no thread is started and the driver (the training
-engine) calls :meth:`MeasuredScope.sample` at each simulated step.
+engine) calls :meth:`MeasuredScope.sample` at each simulated step.  A
+caller that knows which state a read depends on passes it as the
+sample's key, and the scope reads the sensors once per key.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from repro.errors import MeasurementError
 from repro.jpwr.energy import TIME_COLUMN, energy_frame
@@ -75,6 +77,7 @@ class MeasuredScope:
         self.dropped_samples = 0
         self.anomalous_samples = 0
         self._labels: list[str] = []
+        self._rows: dict[Hashable, tuple[float, ...]] = {}
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
@@ -92,6 +95,7 @@ class MeasuredScope:
                     raise MeasurementError(f"duplicate measurement label {label!r}")
                 self._labels.append(label)
         self.df = DataFrame([TIME_COLUMN, *self._labels])
+        self._rows = {}
         self.sample()  # one sample at scope entry, as the real tool does
         if not self.manual:
             self._stop.clear()
@@ -129,7 +133,7 @@ class MeasuredScope:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample(self) -> None:
+    def sample(self, key: Hashable | None = None) -> None:
         """Take one sample across all methods.
 
         A failing read (sensor dropout) either drops the whole sample
@@ -139,7 +143,21 @@ class MeasuredScope:
         paper reports — is always discarded (counted in
         :attr:`anomalous_samples`) so one bogus reading cannot poison
         the trapezoidal energy integration.
+
+        ``key`` names the state every read depends on; the caller
+        promises that reads under one key return the same values.  The
+        first sample under a key reads every method as above and keeps
+        the row if it was appended; a later sample under that key
+        appends the kept values at the current clock time without
+        reading a sensor, so the frame is the one full reads would
+        give.  ``None`` (the default) always reads.
         """
+        if key is not None:
+            values = self._rows.get(key)
+            if values is not None:
+                with self._lock:
+                    self.df.add_values((self.clock(), *values))
+                return
         row: dict[str, float] = {TIME_COLUMN: self.clock()}
         try:
             for method in self.methods:
@@ -155,6 +173,9 @@ class MeasuredScope:
                 return
         with self._lock:
             self.df.add_row(row)
+            if key is not None:
+                appended = self.df.row(-1)
+                self._rows[key] = tuple(appended[label] for label in self._labels)
 
     # -- results ---------------------------------------------------------------
 

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import MeasurementError
 
@@ -89,6 +89,19 @@ class DataFrame:
             )
         for c in self._columns:
             self._columns[c].append(float(row[c]))
+
+    def add_values(self, values: Sequence[float]) -> None:
+        """Append a row of floats given in column order.
+
+        The cheap form of :meth:`add_row` for a caller that already
+        holds a row it took from this frame: only the width is checked.
+        """
+        if len(values) != len(self._columns):
+            raise MeasurementError(
+                f"row has {len(values)} values, frame has {len(self._columns)} columns"
+            )
+        for column, value in zip(self._columns.values(), values):
+            column.append(value)
 
     # -- statistics --------------------------------------------------------------
 

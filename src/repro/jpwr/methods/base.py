@@ -52,16 +52,22 @@ def get_active_registry() -> DeviceRegistry:
 class PowerMethod(abc.ABC):
     """One measurement backend.
 
-    Subclasses define :attr:`vendor` (device filter) and may override
-    :meth:`labels_for` and :meth:`additional_data`.  ``read()`` returns
-    the instantaneous power per measured quantity, keyed by a stable
-    column label; those labels become DataFrame columns.
+    Subclasses define :attr:`vendor` (device filter), :attr:`prefixes`
+    and :meth:`read_device`, and may override :meth:`additional_data`.
+    ``read()`` returns the instantaneous power per measured quantity,
+    keyed by a stable column label; those labels become DataFrame
+    columns.  A read depends only on the sensor reads of the method's
+    devices, which is what lets a phase runner reuse a row
+    (:class:`repro.engine.trainer.PhaseRunner`).
     """
 
     #: CLI name, overridden by subclasses.
     name: str = "base"
     #: Vendor whose devices this method measures.
     vendor: Vendor | None = None
+    #: Column-label prefixes of one device, in :meth:`read_device`
+    #: order; a label is a prefix plus the device index (``gpu0``).
+    prefixes: tuple[str, ...] = ()
 
     def __init__(self, registry: DeviceRegistry | None = None) -> None:
         self._registry = registry
@@ -86,14 +92,26 @@ class PowerMethod(abc.ABC):
         if not self.devices():
             raise MeasurementError(f"method {self.name!r}: no matching devices")
 
+    def labels(self) -> list[str]:
+        """Column labels this method produces (order of ``read()``).
+
+        Named from the devices without reading a sensor, so a sensor
+        that is faulted when a scope opens costs that scope its first
+        sample, not the run.
+        """
+        return [
+            f"{prefix}{dev.index}" for dev in self.devices() for prefix in self.prefixes
+        ]
+
     @abc.abstractmethod
+    def read_device(self, device: SimulatedDevice) -> tuple[float, ...]:
+        """Instantaneous power of one device per prefix, in watts."""
+
     def read(self) -> dict[str, float]:
         """Instantaneous power per label, in watts."""
+        values = [value for dev in self.devices() for value in self.read_device(dev)]
+        return dict(zip(self.labels(), values))
 
     def additional_data(self) -> dict[str, DataFrame]:
         """Extra per-method DataFrames returned by ``scope.energy()``."""
         return {}
-
-    def labels(self) -> list[str]:
-        """Column labels this method produces (order of ``read()``)."""
-        return list(self.read())

@@ -9,6 +9,7 @@ from __future__ import annotations
 from repro.hardware.accelerator import Vendor
 from repro.jpwr.frame import DataFrame
 from repro.jpwr.methods.base import PowerMethod, quantize
+from repro.power.sensors import SimulatedDevice
 
 
 class GcIpuInfoMethod(PowerMethod):
@@ -16,13 +17,11 @@ class GcIpuInfoMethod(PowerMethod):
 
     name = "gcipuinfo"
     vendor = Vendor.GRAPHCORE
+    prefixes = ("ipu",)
 
-    def read(self) -> dict[str, float]:
-        """Per-IPU power in watts (gcipuinfo reports tenths of a watt)."""
-        out: dict[str, float] = {}
-        for dev in self.devices():
-            out[f"ipu{dev.index}"] = quantize(dev.read_power_w(), 10.0)
-        return out
+    def read_device(self, device: SimulatedDevice) -> tuple[float, ...]:
+        """One IPU's power in watts (gcipuinfo reports tenths of a watt)."""
+        return (quantize(device.read_power_w(), 10.0),)
 
     def additional_data(self) -> dict[str, DataFrame]:
         """Board temperatures -- gcipuinfo exposes them; the simulation

@@ -32,25 +32,20 @@ class GraceHopperMethod(PowerMethod):
 
     name = "gh"
     vendor = Vendor.NVIDIA
+    prefixes = ("gh_module", "gh_cpu")
 
     def devices(self) -> list[SimulatedDevice]:
         """Only superchip packages have GH hwmon nodes."""
         return [d for d in super().devices() if d.spec.form_factor == "superchip"]
 
-    def read(self) -> dict[str, float]:
-        """Module and CPU rails per superchip, in watts.
+    def read_device(self, device: SimulatedDevice) -> tuple[float, ...]:
+        """Module and CPU rails of one superchip, in watts.
 
         hwmon exposes microwatt files; the division reproduces that
         precision.
         """
-        out: dict[str, float] = {}
-        for dev in self.devices():
-            package_w = dev.read_power_w()
-            module = quantize(package_w, 1e6)
-            cpu = quantize(package_w * _CPU_SHARE, 1e6)
-            out[f"gh_module{dev.index}"] = module
-            out[f"gh_cpu{dev.index}"] = cpu
-        return out
+        package_w = device.read_power_w()
+        return quantize(package_w, 1e6), quantize(package_w * _CPU_SHARE, 1e6)
 
     def additional_data(self) -> dict[str, DataFrame]:
         """hwmon path inventory, mirroring the files jpwr reads."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 from repro.hardware.accelerator import Vendor
 from repro.jpwr.frame import DataFrame
 from repro.jpwr.methods.base import PowerMethod, quantize
+from repro.power.sensors import SimulatedDevice
 
 
 class RocmSmiMethod(PowerMethod):
@@ -17,13 +18,11 @@ class RocmSmiMethod(PowerMethod):
 
     name = "rocm"
     vendor = Vendor.AMD
+    prefixes = ("gcd",)
 
-    def read(self) -> dict[str, float]:
-        """Per-GCD average socket power in watts (microwatt precision)."""
-        out: dict[str, float] = {}
-        for dev in self.devices():
-            out[f"gcd{dev.index}"] = quantize(dev.read_power_w(), 1e6)
-        return out
+    def read_device(self, device: SimulatedDevice) -> tuple[float, ...]:
+        """One GCD's average socket power in watts (microwatt precision)."""
+        return (quantize(device.read_power_w(), 1e6),)
 
     def additional_data(self) -> dict[str, DataFrame]:
         """Per-GCD utilisation snapshot (rocm-smi exposes 'GPU use %')."""

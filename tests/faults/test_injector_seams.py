@@ -180,6 +180,42 @@ class TestSensorSeam:
             assert all(math.isfinite(v) for v in row.values())
 
 
+def _alternating_phases(runner, clock):
+    """4.2 s of simulated time: 21 busy/tail phase pairs."""
+    for _ in range(21):
+        runner.run_phase(0.15, 0.9)
+        runner.run_phase(0.05, 0.25)
+
+
+class TestDropoutAtScopeEdges:
+    """A dropout covering a scope's first or last sample degrades the
+    run like a mid-run window: samples are dropped and counted (one
+    firing per dropped sample), the run still measures energy."""
+
+    def _measure(self, tag, spec):
+        from repro.engine.trainer import measure_run
+
+        scope = scope_of(spec)
+        with activate_injection(scope):
+            _, elapsed, energy_wh, _ = measure_run(
+                get_system(tag), 1, _alternating_phases
+            )
+        assert elapsed == pytest.approx(4.2)
+        assert energy_wh > 0
+        return scope.provenance()[0]["count"]
+
+    @pytest.mark.parametrize("tag", ["A100", "MI250", "GC200"])
+    @pytest.mark.parametrize("device", [None, 1])
+    def test_dropout_at_scope_start(self, tag, device):
+        spec = FaultSpec(kind="sensor_dropout", duration_s=1.0, device=device)
+        assert self._measure(tag, spec) == 20
+
+    @pytest.mark.parametrize("tag", ["A100", "GH200", "MI250", "GC200"])
+    def test_dropout_open_at_scope_end(self, tag):
+        spec = FaultSpec(kind="sensor_dropout", at_time_s=2.0)
+        assert self._measure(tag, spec) == 44
+
+
 class TestSlurmSeam:
     def _sim(self, *faults, seed=0):
         from repro.simcluster.slurm import SlurmSimulator
