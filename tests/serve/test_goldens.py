@@ -3,8 +3,11 @@
 The differential suite proves fast == reference; these goldens prove
 *both* still equal what they produced when the fixture was last
 blessed, catching semantic drift that changes the two engines in
-lockstep (e.g. an accidental change to energy attribution or summary
-rounding).  Regenerate deliberately with::
+lockstep (e.g. an accidental change to energy attribution, summary
+rounding or the shared summariser).  Every golden is checked against
+both engines: the summary and OpenMetrics export in each percentile
+mode, and the per-request records of the exact mode.  Regenerate
+deliberately with::
 
     pytest tests/serve/test_goldens.py --update-goldens
 
@@ -23,7 +26,7 @@ from repro.hardware.systems import get_system
 from repro.models.transformer import get_gpt_preset
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.obs.telemetry import render_openmetrics
-from repro.serve import ENGINE_FAST, PoissonArrivals, SLOPolicy
+from repro.serve import ENGINE_FAST, ENGINE_REFERENCE, PoissonArrivals, SLOPolicy
 from repro.serve.cluster import ClusterSimulator
 from repro.serve.simulator import ServingSimulator
 
@@ -41,70 +44,105 @@ ARRIVALS = PoissonArrivals(
 )
 SLO = SLOPolicy(ttft_s=0.5, e2e_s=5.0)
 
+#: Engines every golden is checked against; the first one blesses.
+ENGINES = (ENGINE_FAST, ENGINE_REFERENCE)
 
-def _run_single():
+
+def _engine():
+    return InferenceEngine(get_system("GH200"), get_gpt_preset("800M"))
+
+
+def _run_single(mode, percentile_mode="exact"):
     set_metrics(MetricsRegistry())
     result = ServingSimulator(
-        InferenceEngine(get_system("GH200"), get_gpt_preset("800M")),
+        _engine(),
         batch_cap=8,
         slo=SLO,
-        engine_mode=ENGINE_FAST,
+        percentile_mode=percentile_mode,
+        engine_mode=mode,
     ).run(ARRIVALS)
     return result, render_openmetrics(get_metrics())
 
 
-def _run_cluster():
+def _run_cluster(mode, percentile_mode="exact"):
     set_metrics(MetricsRegistry())
     result = ClusterSimulator(
-        InferenceEngine(get_system("GH200"), get_gpt_preset("800M")),
+        _engine(),
         replicas=2,
         router="least-loaded",
         batch_cap=8,
         slo=SLO,
-        engine_mode=ENGINE_FAST,
+        percentile_mode=percentile_mode,
+        engine_mode=mode,
     ).run(ARRIVALS)
     return result, render_openmetrics(get_metrics())
 
 
-def _summary_text(result) -> str:
+#: Golden-name prefix -> the run it pins.
+RUNS = {"serve": _run_single, "cluster": _run_cluster}
+
+
+def _summary(result, _openmetrics: str) -> str:
     return json.dumps(result.summary.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _check(path: Path, produced: str, update: bool) -> None:
+def _openmetrics(_result, openmetrics: str) -> str:
+    return openmetrics
+
+
+def _records(result, _openmetrics: str) -> str:
+    return result.records_json() + "\n"
+
+
+def _check(name: str, run, render, update: bool, percentile_mode="exact") -> None:
+    """Compare every engine's rendered output against one golden file.
+
+    With ``--update-goldens`` the first engine's output is written and
+    the others must still match it.
+    """
+    path = GOLDEN_DIR / name
+    produced = {}
+    for mode in ENGINES:
+        result, openmetrics = run(mode, percentile_mode)
+        produced[mode] = render(result, openmetrics)
     if update:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(produced, encoding="utf-8")
-        return
+        path.write_text(produced[ENGINES[0]], encoding="utf-8")
     assert path.exists(), (
         f"golden {path.name} missing; generate it with --update-goldens"
     )
-    assert produced == path.read_text(encoding="utf-8"), (
-        f"output drifted from golden {path.name}; if the change is "
-        "intentional, regenerate with --update-goldens and review the diff"
-    )
+    golden = path.read_text(encoding="utf-8")
+    for mode, text in produced.items():
+        assert text == golden, (
+            f"{mode} output drifted from golden {path.name}; if the change "
+            "is intentional, regenerate with --update-goldens and review "
+            "the diff"
+        )
 
 
 class TestServeGoldens:
     def test_single_engine_summary(self, update_goldens):
-        result, _ = _run_single()
-        _check(
-            GOLDEN_DIR / "serve_summary.json",
-            _summary_text(result),
-            update_goldens,
-        )
+        _check("serve_summary.json", _run_single, _summary, update_goldens)
 
     def test_single_engine_openmetrics(self, update_goldens):
-        _, openmetrics = _run_single()
-        _check(GOLDEN_DIR / "serve.om", openmetrics, update_goldens)
+        _check("serve.om", _run_single, _openmetrics, update_goldens)
 
     def test_cluster_summary(self, update_goldens):
-        result, _ = _run_cluster()
-        _check(
-            GOLDEN_DIR / "cluster_summary.json",
-            _summary_text(result),
-            update_goldens,
-        )
+        _check("cluster_summary.json", _run_cluster, _summary, update_goldens)
 
     def test_cluster_openmetrics(self, update_goldens):
-        _, openmetrics = _run_cluster()
-        _check(GOLDEN_DIR / "cluster.om", openmetrics, update_goldens)
+        _check("cluster.om", _run_cluster, _openmetrics, update_goldens)
+
+    @pytest.mark.parametrize("prefix", sorted(RUNS))
+    def test_records(self, prefix, update_goldens):
+        _check(f"{prefix}_records.json", RUNS[prefix], _records, update_goldens)
+
+    @pytest.mark.parametrize("prefix", sorted(RUNS))
+    def test_p2_summary(self, prefix, update_goldens):
+        _check(
+            f"{prefix}_p2_summary.json", RUNS[prefix], _summary, update_goldens, "p2"
+        )
+
+    @pytest.mark.parametrize("prefix", sorted(RUNS))
+    def test_p2_openmetrics(self, prefix, update_goldens):
+        _check(f"{prefix}_p2.om", RUNS[prefix], _openmetrics, update_goldens, "p2")
