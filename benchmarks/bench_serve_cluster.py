@@ -17,14 +17,14 @@ A second guard times the largest fleet with live telemetry attached
 the plain run: the telemetry layer must cost less than 10% extra wall
 time, keeping ``--telemetry`` campaigns as interactive as plain ones.
 
-The third section is the fast-path headline: the heap-driven
-``engine="fast"`` loop against the retained per-event
-``engine="reference"`` loop on a matched 50k-request stream (the
-pre-refactor loop costs ~1 wall-ms per request, so a million-request
-reference run would take ~20 minutes), then the fast engine alone on
-the full **million-request** stream in p2 percentile mode for the
-scale row.  Both engines produce byte-identical outputs
-(``tests/serve/test_equivalence.py``); the fast engine must be at
+The third section is the fast-path headline: the shipped heap-driven
+loop ("fast") against the per-step reference loop of the test oracle
+``tests/serve_oracle.py`` ("reference") on a matched 50k-request
+stream (the reference costs ~1 wall-ms per request, so a
+million-request reference run would take ~20 minutes), then the
+shipped loop alone on the full **million-request** stream in p2
+percentile mode for the scale row.  Both produce byte-identical outputs
+(``tests/serve/test_equivalence.py``); the shipped loop must be at
 least 10x faster per request on the matched stream.
 
 Run directly::
@@ -49,7 +49,9 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.append(str(_ROOT / "tests"))
 
 from repro.core.provenance import provenance
 from repro.engine.inference import InferenceEngine
@@ -57,6 +59,7 @@ from repro.hardware.systems import get_system
 from repro.models.transformer import get_gpt_preset
 from repro.serve import PoissonArrivals
 from repro.serve.cluster import ClusterSimulator
+from serve_oracle import CLUSTER_SIMULATORS, ReferenceClusterSimulator
 
 REPLICA_COUNTS = (1, 4, 8)
 DEFAULT_REQUESTS = 256
@@ -83,7 +86,11 @@ GATE_REGRESSION_FRACTION = 0.20
 
 
 def _timed_engine_run(engine, mode: str, requests: int) -> dict:
-    """Wall-time one ``engine_mode`` run of the headline configuration."""
+    """Wall-time one run of the headline configuration.
+
+    ``mode`` names the simulator: ``"fast"`` (shipped) or
+    ``"reference"`` (the test oracle).
+    """
     from repro.obs.metrics import MetricsRegistry, set_metrics
 
     set_metrics(MetricsRegistry())
@@ -95,13 +102,12 @@ def _timed_engine_run(engine, mode: str, requests: int) -> dict:
         length_spread=0.25,
         seed=0,
     )
-    simulator = ClusterSimulator(
+    simulator = CLUSTER_SIMULATORS[mode](
         engine,
         replicas=4,
         router="least-loaded",
         batch_cap=16,
         percentile_mode="p2",
-        engine_mode=mode,
     )
     t0 = time.perf_counter()
     result = simulator.run(arrivals)
@@ -191,10 +197,10 @@ def run_gate(engine, report_path: Path) -> int:
 def _bench_telemetry_overhead(engine, arrivals, replicas: int) -> dict:
     """Best-of-N wall time with and without the telemetry layer.
 
-    Measured on the reference engine: the guard prices the telemetry
-    layer against the per-event loop it instruments, where per-sample
-    work amortizes over real per-step iterations.  (On the fast engine
-    the plain run is so short that the ratio is scheduler noise; its
+    Measured on the reference loop of the test oracle: the guard prices
+    the telemetry layer against a per-event loop, where per-sample work
+    amortizes over real per-step iterations.  (On the shipped loop the
+    plain run is so short that the ratio is scheduler noise; its
     telemetry cost is covered byte-for-byte by the equivalence suite.)
     """
     from repro.obs.telemetry import SLOMonitor, TelemetrySampler
@@ -203,7 +209,7 @@ def _bench_telemetry_overhead(engine, arrivals, replicas: int) -> dict:
     def timed(telemetry: bool) -> float:
         best = float("inf")
         for _ in range(TELEMETRY_OVERHEAD_REPEATS):
-            simulator = ClusterSimulator(
+            simulator = ReferenceClusterSimulator(
                 engine,
                 replicas=replicas,
                 router="least-loaded",
@@ -211,7 +217,6 @@ def _bench_telemetry_overhead(engine, arrivals, replicas: int) -> dict:
                 slo=SLOPolicy(ttft_s=0.5, e2e_s=5.0),
                 telemetry=TelemetrySampler() if telemetry else None,
                 slo_monitor=SLOMonitor() if telemetry else None,
-                engine_mode="reference",
             )
             t0 = time.perf_counter()
             simulator.run(arrivals)

@@ -215,6 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--generate-tokens", type=int, default=256)
     _add_power_cap_flag(infer)
 
+    from repro.serve.cluster.router import DEFAULT_ROUTER_POLICY, ROUTER_POLICIES
+    from repro.serve.queue import DEFAULT_QUEUE_CAPACITY
+    from repro.serve.scheduler import DEFAULT_BATCH_CAP
+
     serve = sub.add_parser(
         "serve", help="request-level serving simulation (continuous batching)"
     )
@@ -224,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate", type=float, default=8.0, help="Poisson arrival rate (req/s)"
     )
     serve.add_argument("--requests", type=int, default=64)
-    serve.add_argument("--batch-cap", type=int, default=16)
-    serve.add_argument("--queue-cap", type=int, default=256)
+    serve.add_argument("--batch-cap", type=int, default=DEFAULT_BATCH_CAP)
+    serve.add_argument("--queue-cap", type=int, default=DEFAULT_QUEUE_CAPACITY)
     serve.add_argument("--prompt-tokens", type=int, default=512)
     serve.add_argument("--generate-tokens", type=int, default=128)
     serve.add_argument(
@@ -235,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fractional uniform jitter on per-request lengths",
     )
     serve.add_argument("--seed", type=int, default=0, help="arrival-stream seed")
-    from repro.serve.cluster.router import DEFAULT_ROUTER_POLICY, ROUTER_POLICIES
-
     serve.add_argument(
         "--replicas",
         type=int,
@@ -319,16 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(PERCENTILE_MODES),
         help="latency percentile computation: exact nearest-rank over "
         "retained samples, or p2 streaming sketches (O(1) memory)",
-    )
-    from repro.serve.engines import DEFAULT_ENGINE_MODE, ENGINE_MODES
-
-    serve.add_argument(
-        "--engine",
-        default=DEFAULT_ENGINE_MODE,
-        choices=sorted(ENGINE_MODES),
-        help="simulation engine: the vectorized fast path (default) or "
-        "the per-event reference loop it is differentially tested "
-        "against (identical outputs, ~10-100x slower)",
     )
     _add_power_cap_flag(serve)
     _add_trace_flag(serve)
@@ -1049,7 +1041,6 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
                 telemetry=sampler,
                 slo_monitor=monitor,
                 percentile_mode=args.percentiles,
-                engine_mode=args.engine,
             )
         else:
             simulator = ServingSimulator(
@@ -1060,7 +1051,6 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
                 telemetry=sampler,
                 slo_monitor=monitor,
                 percentile_mode=args.percentiles,
-                engine_mode=args.engine,
             )
         with _maybe_traced(args.trace, out), activate_injection(scope):
             served = simulator.run(arrivals)

@@ -193,7 +193,13 @@ def build_operation_registry() -> OperationRegistry:
         """Serve a seeded Poisson request stream; report latency + energy."""
         from repro.engine.inference import InferenceEngine
         from repro.models.transformer import get_gpt_preset
-        from repro.serve import PoissonArrivals, ServingSimulator, SLOPolicy
+        from repro.serve import (
+            DEFAULT_BATCH_CAP,
+            DEFAULT_QUEUE_CAPACITY,
+            PoissonArrivals,
+            ServingSimulator,
+            SLOPolicy,
+        )
 
         slo_ttft_ms = float(args.get("slo-ttft-ms", "0"))
         slo_e2e_ms = float(args.get("slo-e2e-ms", "0"))
@@ -203,8 +209,8 @@ def build_operation_registry() -> OperationRegistry:
         plan, sampler, monitor = _telemetry_capture()
         simulator = ServingSimulator(
             engine,
-            batch_cap=int(args.get("batch-cap", "16")),
-            queue_capacity=int(args.get("queue-cap", "256")),
+            batch_cap=int(args.get("batch-cap", DEFAULT_BATCH_CAP)),
+            queue_capacity=int(args.get("queue-cap", DEFAULT_QUEUE_CAPACITY)),
             slo=SLOPolicy(
                 ttft_s=slo_ttft_ms / 1e3 if slo_ttft_ms > 0 else None,
                 e2e_s=slo_e2e_ms / 1e3 if slo_e2e_ms > 0 else None,
@@ -212,7 +218,6 @@ def build_operation_registry() -> OperationRegistry:
             telemetry=sampler,
             slo_monitor=monitor,
             percentile_mode=args.get("percentiles", "exact"),
-            engine_mode=args.get("engine", "fast"),
         )
         arrivals = PoissonArrivals(
             rate_per_s=float(_require(args, "rate")),
@@ -259,8 +264,15 @@ def build_operation_registry() -> OperationRegistry:
         """
         from repro.engine.inference import InferenceEngine
         from repro.models.transformer import get_gpt_preset
-        from repro.serve import PoissonArrivals, SessionArrivals, SLOPolicy
+        from repro.serve import (
+            DEFAULT_BATCH_CAP,
+            DEFAULT_QUEUE_CAPACITY,
+            PoissonArrivals,
+            SessionArrivals,
+            SLOPolicy,
+        )
         from repro.serve.cluster import (
+            DEFAULT_ROUTER_POLICY,
             AutoscalePolicy,
             ClusterSimulator,
             DisaggregationSpec,
@@ -285,9 +297,9 @@ def build_operation_registry() -> OperationRegistry:
         simulator = ClusterSimulator(
             engine,
             replicas=int(args.get("replicas", "2")),
-            router=args.get("router", "round-robin"),
-            batch_cap=int(args.get("batch-cap", "16")),
-            queue_capacity=int(args.get("queue-cap", "256")),
+            router=args.get("router", DEFAULT_ROUTER_POLICY),
+            batch_cap=int(args.get("batch-cap", DEFAULT_BATCH_CAP)),
+            queue_capacity=int(args.get("queue-cap", DEFAULT_QUEUE_CAPACITY)),
             slo=SLOPolicy(
                 ttft_s=slo_ttft_ms / 1e3 if slo_ttft_ms > 0 else None,
                 e2e_s=slo_e2e_ms / 1e3 if slo_e2e_ms > 0 else None,
@@ -297,7 +309,6 @@ def build_operation_registry() -> OperationRegistry:
             telemetry=sampler,
             slo_monitor=monitor,
             percentile_mode=args.get("percentiles", "exact"),
-            engine_mode=args.get("engine", "fast"),
         )
         sessions = int(args.get("sessions", "0"))
         if sessions > 0:

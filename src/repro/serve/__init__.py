@@ -19,13 +19,7 @@ from repro.serve.arrivals import (
     SessionArrivals,
     TraceArrivals,
 )
-from repro.serve.engines import (
-    DEFAULT_ENGINE_MODE,
-    ENGINE_FAST,
-    ENGINE_MODES,
-    ENGINE_REFERENCE,
-)
-from repro.serve.queue import AdmissionQueue
+from repro.serve.queue import DEFAULT_QUEUE_CAPACITY, AdmissionQueue
 from repro.serve.result import (
     NO_RECORDS_MESSAGE,
     PERCENTILE_MODE_EXACT,
@@ -33,6 +27,7 @@ from repro.serve.result import (
     PERCENTILE_MODES,
     LatencySummary,
     RequestRecord,
+    ServeResult,
     ServeSummary,
     SLOPolicy,
     StreamingSummarizer,
@@ -44,11 +39,7 @@ from repro.serve.scheduler import (
     ContinuousBatchScheduler,
     Sequence,
 )
-from repro.serve.simulator import (
-    DEFAULT_QUEUE_CAPACITY,
-    ServeResult,
-    ServingSimulator,
-)
+from repro.serve.simulator import ServingSimulator
 from repro.serve.streams import (
     ArrivalStreamSpec,
     FrozenStream,
@@ -65,11 +56,7 @@ __all__ = [
     "BurstArrivals",
     "ContinuousBatchScheduler",
     "DEFAULT_BATCH_CAP",
-    "DEFAULT_ENGINE_MODE",
     "DEFAULT_QUEUE_CAPACITY",
-    "ENGINE_FAST",
-    "ENGINE_MODES",
-    "ENGINE_REFERENCE",
     "FixedArrivals",
     "LatencySummary",
     "NO_RECORDS_MESSAGE",

@@ -30,11 +30,7 @@ from repro.serve.cluster.replica import (
     ReplicaState,
     ReplicaStats,
 )
-from repro.serve.cluster.result import (
-    ClusterRecord,
-    ClusterResult,
-    ClusterSummary,
-)
+from repro.serve.cluster.result import ClusterRecord, ClusterSummary
 from repro.serve.cluster.router import (
     DEFAULT_ROUTER_POLICY,
     ROUTER_POLICIES,
@@ -42,17 +38,14 @@ from repro.serve.cluster.router import (
     make_router,
     register_router,
 )
-from repro.serve.cluster.simulator import (
-    CLUSTER_TRACK,
-    ClusterSimulator,
-)
+from repro.serve.cluster.simulator import ClusterSimulator
+from repro.serve.constants import CLUSTER_TRACK
 
 __all__ = [
     "AutoscalePolicy",
     "Autoscaler",
     "CLUSTER_TRACK",
     "ClusterRecord",
-    "ClusterResult",
     "ClusterSimulator",
     "ClusterSummary",
     "DEFAULT_EVALUATE_INTERVAL_S",

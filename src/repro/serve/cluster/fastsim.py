@@ -1,53 +1,77 @@
-"""The cluster serve fast path: heap events and fused decode runs.
+"""The cluster serving event loop: heap events and fused decode runs.
 
-:class:`_FastClusterLoop` is the ``engine_mode="fast"`` implementation
-behind :class:`~repro.serve.cluster.simulator.ClusterSimulator` and the
-path that carries the million-request headline: the reference loop
-costs ~90 events per request (every decode step of every replica is a
-full-loop iteration with an O(sources) next-event scan), the fast loop
-costs ~O(1) heap events per request.
+:class:`_ClusterLoop` is the event loop behind
+:class:`~repro.serve.cluster.simulator.ClusterSimulator` and the path
+that carries the million-request headline: stepping every decode step
+of every replica as its own event, found by an O(sources) scan, costs
+~90 loop iterations per request; this loop costs ~O(1) heap events per
+request.
 
-Three mechanisms, each provably output-preserving:
+Two mechanisms, each provably output-preserving:
 
 * **Heap-based event scheduling** (:class:`~repro.serve.events.EventHeap`):
   producers push candidate event times (phase ends, arrivals, transfer
   completions, autoscaler evaluations, spin-up readiness) and the loop
-  pops the earliest, running the *same fixed handler order* the
-  reference runs per iteration — so same-time ties break identically,
-  and stale or duplicate entries are harmless no-op iterations.
+  pops the earliest, running one *fixed handler order* per event — so
+  same-time ties break deterministically, and stale or duplicate
+  entries are harmless no-op iterations.
 * **Fused decode runs**: between two queue-changing events a replica's
   batch membership is provably constant (admissions happen only in
   ``_dispatch`` at event boundaries, evictions only at completions),
-  so up to ``steps_to_next_completion`` decode steps collapse into one
+  so the decode steps up to the next completion collapse into one
   scheduled run.  Step boundaries are reproduced bit-exactly with a
   sequential ``np.add.accumulate`` (a left fold, exactly the scalar
   ``t += dt`` chain), and the per-step energy shares fold into the
   replica's incremental cursor the same way.  A run never extends past
   the first step boundary at or after the next *potential* queue
   change (next arrival, any in-flight KV-transfer completion, any
-  prefill-pool phase end), which is exactly when the reference could
-  admit new work mid-stream.
-* **Vectorized KV admission**: per-request KV reservations come from
-  one :class:`~repro.serve.soa.RequestTable` multiply, cached into
-  every replica's scheduler.
+  prefill-pool phase end), which is exactly when per-step stepping
+  could admit new work mid-stream.
 
 Telemetry equivalence: samples are taken at heap events instead of at
 every step boundary, but every probed quantity is piecewise-constant
 between heap events (a fused run presents one synthetic busy phase
-with the same utilisation), so each sample point reads the same value
-it reads under the reference.  Byte-identical outputs are asserted by
-``tests/serve/test_equivalence.py`` across the full configuration grid.
+with the same utilisation), so each sample point reads the value
+per-step stepping gives it.  The per-step loop is kept as a test-side
+differential oracle (``tests/serve_oracle.py``), and
+``tests/serve/test_equivalence.py`` asserts byte-identical outputs
+across the full configuration grid.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
+
 import numpy as np
 
+from repro.engine.inference import DECODE_UTILISATION_FRACTION, InferenceWorkload
+from repro.obs.metrics import get_metrics
+from repro.obs.trace import get_tracer
 from repro.serve.arrivals import Request
+from repro.serve.cluster.autoscaler import Autoscaler
+from repro.serve.cluster.disagg import KVTransfer, transfer_energy_wh, transfer_time_s
 from repro.serve.cluster.replica import JOULES_PER_WH, Replica, ReplicaRole, ReplicaState
-from repro.serve.cluster.simulator import _ClusterLoop
+from repro.serve.cluster.result import ClusterRecord
+from repro.serve.constants import (
+    CLUSTER_QUEUE_DEPTH_COUNTER,
+    CLUSTER_REPLICAS_COUNTER,
+    CLUSTER_REPLICAS_GAUGE,
+    CLUSTER_REPLICAS_GAUGE_HELP,
+    CLUSTER_TRACK,
+    TS_BATCH_OCCUPANCY,
+    TS_KV_UTILISATION,
+    TS_POWER_WATTS,
+    TS_QUEUE_DEPTH,
+    TS_REPLICAS_ON,
+    TS_TTFT_ROLLING_P95,
+)
 from repro.serve.events import EventHeap
-from repro.serve.soa import RequestTable
+from repro.serve.fastsim import _observe_completion
+from repro.serve.result import RequestRecord
+
+#: Phase kind of a prefill.
+_PREFILL = "prefill"
 
 #: Phase kind marking a fused multi-step decode run.
 _FUSED_DECODE = "decode-run"
@@ -61,20 +85,39 @@ _SCALAR_STEPS = 128
 _NO_BOUND = float("inf")
 
 
-class _FastClusterLoop(_ClusterLoop):
-    """The heap-driven, run-fusing drop-in for ``_ClusterLoop``."""
+class _ClusterLoop:
+    """One cluster run's mutable state and event loop."""
 
-    def __init__(
-        self, sim, requests: tuple[Request, ...], clock
-    ) -> None:
-        self.table = RequestTable(
-            requests,
-            sim.engine.model.kv_cache_bytes_per_token(sim.engine.policy),
+    def __init__(self, sim, requests: tuple[Request, ...], clock) -> None:
+        self.sim = sim
+        self.clock = clock
+        self.start_s = clock.now()
+        self.pending = deque(requests)
+        self.transfers: list[KVTransfer] = []
+        self.router = sim.make_router()
+        self.replicas = sim.make_replicas(self.start_s)
+        self.autoscaler = (
+            Autoscaler(sim.autoscale, self.replicas, start_s=self.start_s)
+            if sim.autoscale is not None
+            else None
         )
-        super().__init__(sim, requests, clock)
-        kv_cache = self.table.kv_bytes_by_index()
-        for replica in self.replicas:
-            replica.scheduler.kv_bytes_cache = kv_cache
+        self.util_prefill = sim.engine.cal.util_full_llm
+        self.util_decode = self.util_prefill * DECODE_UTILISATION_FRACTION
+        # Per-request routing/energy bookkeeping (by request index).
+        self.admitted_at: dict[int, float] = {}
+        self.prefill_replica: dict[int, int] = {}
+        self.decode_replica: dict[int, int] = {}
+        self.prefix_hit: dict[int, bool] = {}
+        self.transfer_s: dict[int, float] = {}
+        self.energy_wh: dict[int, float] = {}
+        # Incremental-attribution state: a request's prefill energy,
+        # and its decode-replica cursor snapshot taken at admission.
+        self.prefill_wh: dict[int, float] = {}
+        self.cursor_snap: dict[int, float] = {}
+        self.finished: list[tuple[object, float]] = []  # (sequence, completed_s)
+        self.transfer_energy_total_wh = 0.0
+        self.transfer_s_total = 0.0
+        self.transfer_count = 0
         self.events = EventHeap()
         self._decode_cache: dict[int, float] = {}
         #: Steps of each in-flight fused run, by replica index.
@@ -85,6 +128,87 @@ class _FastClusterLoop(_ClusterLoop):
         self._armed_eval: float | None = None
         self._armed_busy: list[float | None] = [None] * len(self.replicas)
         self._armed_ready: list[float | None] = [None] * len(self.replicas)
+        self.sampler = sim.telemetry
+        self.monitor = sim.slo_monitor
+        self._ttft_window = None
+        if self.sampler is not None:
+            self.sampler.align(self.start_s)
+            for replica in self.replicas:
+                labels = {"replica": str(replica.index)}
+                self.sampler.add_probe(
+                    TS_QUEUE_DEPTH,
+                    lambda t, r=replica: float(len(r.queue)),
+                    labels=labels,
+                )
+                self.sampler.add_probe(
+                    TS_BATCH_OCCUPANCY,
+                    lambda t, r=replica: float(r.scheduler.batch_size),
+                    labels=labels,
+                )
+                self.sampler.add_probe(
+                    TS_KV_UTILISATION,
+                    lambda t, r=replica: (
+                        r.scheduler.kv_reserved_bytes / r.scheduler.kv_budget_bytes
+                        if r.scheduler.kv_budget_bytes
+                        else 0.0
+                    ),
+                    labels=labels,
+                )
+                self.sampler.add_probe(
+                    TS_POWER_WATTS, replica.current_watts, labels=labels
+                )
+            self.sampler.add_probe(TS_REPLICAS_ON, self._replicas_on)
+            self._ttft_window = self.sampler.add_rolling(TS_TTFT_ROLLING_P95)
+
+    def _replicas_on(self, t_s: float) -> float:
+        """Fleet-level probe: powered-on replica count."""
+        return float(
+            sum(1 for r in self.replicas if r.state is not ReplicaState.STOPPED)
+        )
+
+    def _complete(self, seq, now: float, replica: Replica) -> None:
+        """Book one finished sequence: energy, SLO monitor, telemetry.
+
+        The request is charged its prefill plus the difference of its
+        decode replica's share cursor since admission.
+        """
+        replica.completed += 1
+        index = seq.request.index
+        self.energy_wh[index] = self.prefill_wh.pop(index, 0.0) + (
+            replica.decode_cursor_wh - self.cursor_snap.pop(index)
+        )
+        self.finished.append((seq, now))
+        _observe_completion(self, seq, now)
+
+    # -- routing pools -------------------------------------------------------
+
+    def _route_pool(self) -> list[Replica]:
+        """Replicas the router chooses among (prefill pool if split)."""
+        if self.sim.disaggregation is None:
+            return self.replicas
+        return [r for r in self.replicas if r.role is ReplicaRole.PREFILL]
+
+    def _decode_pool(self) -> list[Replica]:
+        return [r for r in self.replicas if r.role is ReplicaRole.DECODE]
+
+    # -- observability -------------------------------------------------------
+
+    def _observe_depth(self) -> None:
+        tracer = get_tracer()
+        if tracer.enabled:
+            waiting = sum(len(r.queue) for r in self.replicas)
+            tracer.counter(CLUSTER_QUEUE_DEPTH_COUNTER, waiting)
+
+    def _observe_replicas(self) -> None:
+        on = sum(
+            1 for r in self.replicas if r.state is not ReplicaState.STOPPED
+        )
+        get_metrics().gauge(
+            CLUSTER_REPLICAS_GAUGE, CLUSTER_REPLICAS_GAUGE_HELP
+        ).set(on, system=self.sim.engine.node.jube_tag)
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.counter(CLUSTER_REPLICAS_COUNTER, on)
 
     # -- event arming --------------------------------------------------------
 
@@ -113,15 +237,22 @@ class _FastClusterLoop(_ClusterLoop):
             events.push(self.autoscaler.next_eval_s)
             self._armed_eval = self.autoscaler.next_eval_s
 
-    def _start_transfer(self, index: int, source: Replica, now: float) -> None:
-        super()._start_transfer(index, source, now)
-        self.events.push(self.transfers[-1].done_at_s)
-
     # -- event loop ----------------------------------------------------------
 
+    def _work_remaining(self) -> bool:
+        return bool(
+            self.pending
+            or self.transfers
+            or any(
+                len(r.queue) or r.scheduler.active or r.busy_until_s is not None
+                for r in self.replicas
+            )
+        )
+
     def run(self) -> None:
-        """The reference loop's handler order, driven by the heap."""
+        """Drive the cluster until every admitted request drains."""
         self._observe_replicas()
+        # Route anything already due at t0, then iterate events.
         now = self.clock.now()
         self._ingest(now)
         self._dispatch(now)
@@ -134,6 +265,8 @@ class _FastClusterLoop(_ClusterLoop):
             if target > now:
                 self.clock.advance_to(target)
                 now = target
+            # Sample boundaries crossed by the advance see the
+            # piecewise-constant state of the interval just ended.
             if self.sampler is not None:
                 self.sampler.tick(now)
             self._replica_transitions(now)
@@ -151,6 +284,143 @@ class _FastClusterLoop(_ClusterLoop):
         for replica in self.replicas:
             replica.account_to(max(end, replica.ready_at_s))
 
+    def _ingest(self, now: float) -> None:
+        routed = False
+        while self.pending and self.pending[0].arrival_s <= now:
+            request = self.pending.popleft()
+            target = self.router.route(request, self._route_pool())
+            target.queue.offer(request)
+            routed = True
+        if routed:
+            self._observe_depth()
+
+    def _replica_transitions(self, now: float) -> None:
+        for replica in self.replicas:
+            if (
+                replica.state is ReplicaState.STARTING
+                and replica.ready_at_s <= now
+            ):
+                replica.set_running(now)
+
+    def _phase_completions(self, now: float) -> None:
+        """Finish every phase due by ``now``: fused runs and prefills."""
+        for replica in self.replicas:
+            if replica.busy_until_s is None or replica.busy_until_s > now:
+                continue
+            if replica.phase[3] == _FUSED_DECODE:
+                self._finish_run(replica)
+            else:
+                self._finish_prefill(replica)
+
+    def _finish_prefill(self, replica: Replica) -> None:
+        """Book a finished prefill's energy; hand off its KV if split."""
+        t0, t1, util, _, members = replica.finish_phase()
+        self.prefill_wh[members[0]] = replica.phase_energy_wh(util, t1 - t0)
+        if replica.role is ReplicaRole.PREFILL:
+            self._start_transfer(members[0], replica, t1)
+
+    def _start_transfer(self, index: int, source: Replica, now: float) -> None:
+        """Hand a prefilled request's KV state to the decode pool."""
+        request = source.handoff.pop(index)
+        kv_bytes = request.prompt_tokens * self.sim.engine.model.kv_cache_bytes_per_token(
+            self.sim.engine.policy
+        )
+        link = self.sim.link
+        duration = transfer_time_s(kv_bytes, link)
+        energy = transfer_energy_wh(kv_bytes)
+        decode_pool = self._decode_pool()
+        target = min(decode_pool, key=lambda r: (r.load, r.index))
+        self.transfers.append(
+            KVTransfer(
+                request_index=index,
+                source=source.index,
+                target=target.index,
+                kv_bytes=kv_bytes,
+                started_s=now,
+                done_at_s=now + duration,
+                energy_wh=energy,
+            )
+        )
+        self.events.push(now + duration)
+        self.transfer_s[index] = duration
+        self.transfer_energy_total_wh += energy
+        self.transfer_s_total += duration
+        self.transfer_count += 1
+
+    def _transfer_completions(self, now: float) -> None:
+        done = [tr for tr in self.transfers if tr.done_at_s <= now]
+        if not done:
+            return
+        self.transfers = [tr for tr in self.transfers if tr.done_at_s > now]
+        for tr in sorted(done, key=lambda t: (t.done_at_s, t.request_index)):
+            target = self.replicas[tr.target]
+            request = self.sim.requests_by_index[tr.request_index]
+            self.decode_replica[tr.request_index] = tr.target
+            # ``offer`` records the shed in the decode replica's queue
+            # when full, so conservation (completed + rejected ==
+            # offered) holds without a second ledger here.
+            target.queue.offer(request)
+
+    def _dispatch(self, now: float) -> None:
+        for replica in self.replicas:
+            if (
+                replica.busy_until_s is not None
+                or replica.state is not ReplicaState.RUNNING
+            ):
+                continue
+            self._next_action(replica, now)
+
+    def _next_action(self, replica: Replica, now: float) -> None:
+        """Give one free running replica its next phase, if any."""
+        role = replica.role
+        if role is ReplicaRole.DECODE:
+            # Admission is free (prefill already paid); batch everything
+            # that fits, then run decode.
+            while len(replica.queue) and replica.scheduler.fits(
+                replica.queue.peek()
+            ):
+                request = replica.queue.pop()
+                replica.scheduler.admit(request, now)
+                self.cursor_snap[request.index] = replica.decode_cursor_wh
+            if replica.scheduler.active:
+                self._begin_decode(replica, now)
+            return
+        if len(replica.queue) and (
+            role is ReplicaRole.PREFILL
+            or replica.scheduler.fits(replica.queue.peek())
+        ):
+            request = replica.queue.pop()
+            self.admitted_at.setdefault(request.index, now)
+            self.prefill_replica[request.index] = replica.index
+            hit = replica.note_prefill(request.session)
+            replica.prefills += 1
+            if hit:
+                replica.prefix_hits += 1
+            self.prefix_hit[request.index] = hit
+            tokens = request.prompt_tokens
+            if hit and request.prefix_tokens > 0:
+                tokens = max(1, tokens - request.prefix_tokens)
+            t_prefill = self.sim.engine.prefill_time_s(
+                InferenceWorkload(
+                    prompt_tokens=tokens,
+                    generate_tokens=request.generate_tokens,
+                    batch_size=1,
+                )
+            )
+            if role is ReplicaRole.UNIFIED:
+                replica.scheduler.admit(request, now)
+                self.cursor_snap[request.index] = replica.decode_cursor_wh
+                self.decode_replica[request.index] = replica.index
+            else:
+                replica.handoff[request.index] = request
+            replica.begin_phase(
+                now, t_prefill, self.util_prefill, _PREFILL, (request.index,)
+            )
+            self._observe_depth()
+            return
+        if role is ReplicaRole.UNIFIED and replica.scheduler.active:
+            self._begin_decode(replica, now)
+
     # -- fused decode runs ---------------------------------------------------
 
     def _run_bound(self) -> float:
@@ -160,7 +430,7 @@ class _FastClusterLoop(_ClusterLoop):
         transfer deliveries; new transfers are created only when a
         prefill-pool phase ends.  A fused run that does not extend past
         the first step boundary at or after this time can never miss a
-        mid-run admission the reference would have made.
+        mid-run admission.
         """
         bound = _NO_BOUND
         if self.pending:
@@ -179,7 +449,7 @@ class _FastClusterLoop(_ClusterLoop):
         return bound
 
     def _begin_decode(self, replica: Replica, now: float) -> None:
-        """Schedule one fused decode run instead of a single step."""
+        """Schedule one fused decode run over the replica's batch."""
         scheduler = replica.scheduler
         active = scheduler.active
         batch = len(active)
@@ -202,7 +472,7 @@ class _FastClusterLoop(_ClusterLoop):
             # Long uninterruptible run: one numpy left fold per series.
             # ``np.add.accumulate`` accumulates strictly left-to-right,
             # bit-identical to the scalar ``t += dt`` / ``x += v``
-            # chains the reference loop performs.
+            # chains of per-step stepping.
             arr = np.empty(remaining + 1, dtype=np.float64)
             arr[0] = now
             arr[1:] = step_s
@@ -221,8 +491,7 @@ class _FastClusterLoop(_ClusterLoop):
         else:
             # Scalar walk, stopping at the first step boundary at or
             # past the bound: the step in flight when the bound event
-            # fires still finishes, and admissions resume at its end,
-            # exactly like the reference.
+            # fires still finishes, and admissions resume at its end.
             busy_s = replica.busy_s
             busy_j = replica.busy_energy_j
             cursor = replica.decode_cursor_wh
@@ -253,25 +522,8 @@ class _FastClusterLoop(_ClusterLoop):
         for seq in active:
             if seq.first_token_s is None:
                 # First decode step these sequences participate in:
-                # their first token lands at its end, same stamp the
-                # reference applies inside step_completed.
+                # their first token lands at its end.
                 seq.first_token_s = first_t
-
-    def _phase_completions(self, now: float) -> None:
-        """Finish due phases: fused runs here, prefills as in reference."""
-        for replica in self.replicas:
-            if replica.busy_until_s is None or replica.busy_until_s > now:
-                continue
-            if replica.phase is not None and replica.phase[3] == _FUSED_DECODE:
-                self._finish_run(replica)
-                continue
-            # A prefill phase (the fast path never schedules bare
-            # decode steps): identical handling to the reference.
-            t0, t1, util, kind, members = replica.finish_phase()
-            phase_wh = replica.phase_energy_wh(util, t1 - t0)
-            self.prefill_wh[members[0]] = phase_wh
-            if replica.role is ReplicaRole.PREFILL:
-                self._start_transfer(members[0], replica, t1)
 
     def _finish_run(self, replica: Replica) -> None:
         """Close one fused run: bulk token bookkeeping, then evictions."""
@@ -282,20 +534,64 @@ class _FastClusterLoop(_ClusterLoop):
         for seq in replica.scheduler.active:
             seq.generated += steps
         for seq in replica.scheduler.evict_done():
-            replica.completed += 1
-            index = seq.request.index
-            self.energy_wh[index] = self.prefill_wh.pop(index, 0.0) + (
-                replica.decode_cursor_wh - self.cursor_snap.pop(index)
+            self._complete(seq, t1, replica)
+
+    # -- results -------------------------------------------------------------
+
+    def rejected(self) -> tuple[Request, ...]:
+        """Every shed request (queue overflow at either pool)."""
+        shed: list[Request] = []
+        for replica in self.replicas:
+            shed.extend(replica.queue.rejected)
+        return tuple(sorted(shed, key=lambda r: r.index))
+
+    def records(self) -> Iterator[RequestRecord]:
+        """One record per completed request, in completion order."""
+        for seq, completed_s in self.finished:
+            request = seq.request
+            yield RequestRecord(
+                index=request.index,
+                arrival_s=request.arrival_s,
+                admitted_s=self.admitted_at[request.index],
+                first_token_s=seq.first_token_s,
+                completed_s=completed_s,
+                prompt_tokens=request.prompt_tokens,
+                generate_tokens=request.generate_tokens,
+                energy_wh=self.energy_wh.get(request.index, 0.0),
             )
-            self.finished.append((seq, t1, replica.index))
-            self._observe_completion(seq, t1)
+
+    def routed_record(self, record: RequestRecord) -> ClusterRecord:
+        """``record`` with its routing detail, traced as a request span."""
+        index = record.index
+        routed = ClusterRecord(
+            record=record,
+            prefill_replica=self.prefill_replica[index],
+            decode_replica=self.decode_replica[index],
+            prefix_hit=self.prefix_hit.get(index, False),
+            transfer_s=self.transfer_s.get(index, 0.0),
+        )
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.complete_span(
+                "cluster/request",
+                record.arrival_s,
+                record.completed_s,
+                attrs={
+                    "index": index,
+                    "replica": routed.decode_replica,
+                    "ttft_s": round(record.ttft_s, 6),
+                    "prefix_hit": routed.prefix_hit,
+                },
+                track=CLUSTER_TRACK,
+            )
+        return routed
 
 
 def _fold(initial: float, values: np.ndarray) -> float:
     """Sequential left fold ``((initial + v0) + v1) + ...`` in float64.
 
-    ``np.add.accumulate`` accumulates in order, so this reproduces the
-    reference's scalar ``x += v`` chain bit-exactly (unlike ``np.sum``,
-    which may use pairwise summation).
+    ``np.add.accumulate`` accumulates in order, so this reproduces a
+    scalar ``x += v`` chain bit-exactly (unlike ``np.sum``, which may
+    use pairwise summation).
     """
     return float(np.add.accumulate(np.concatenate(([initial], values)))[-1])

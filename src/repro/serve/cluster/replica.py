@@ -27,9 +27,8 @@ from repro.engine.inference import InferenceEngine
 from repro.errors import ConfigError
 from repro.power.model import power_model_for_device
 from repro.serve.arrivals import Request
-from repro.serve.queue import AdmissionQueue
+from repro.serve.queue import DEFAULT_QUEUE_CAPACITY, AdmissionQueue
 from repro.serve.scheduler import ContinuousBatchScheduler
-from repro.serve.simulator import DEFAULT_QUEUE_CAPACITY
 
 #: Sessions one replica's prefix registry can hold (vLLM-style prefix
 #: caches are bounded by KV blocks; this models the bound at session
@@ -137,10 +136,6 @@ class Replica:
         ``STOPPED`` (autoscaled spares).
     start_s:
         Simulated time accounting starts at (the cluster run's t0).
-    kv_bytes_cache:
-        Optional precomputed request-index -> KV-bytes mapping handed
-        to the scheduler (the fast engine's vectorized admission
-        cache).
     """
 
     def __init__(
@@ -154,7 +149,6 @@ class Replica:
         prefix_cache_slots: int = DEFAULT_PREFIX_CACHE_SLOTS,
         started: bool = True,
         start_s: float = 0.0,
-        kv_bytes_cache: dict[int, float] | None = None,
     ) -> None:
         if prefix_cache_slots < 1:
             raise ConfigError("prefix cache needs at least one slot")
@@ -166,9 +160,7 @@ class Replica:
             cap_watts=engine.node.power_cap_watts,
         )
         self.queue = AdmissionQueue(queue_capacity)
-        self.scheduler = ContinuousBatchScheduler(
-            engine, batch_cap=batch_cap, kv_bytes_cache=kv_bytes_cache
-        )
+        self.scheduler = ContinuousBatchScheduler(engine, batch_cap=batch_cap)
         self.state = ReplicaState.RUNNING if started else ReplicaState.STOPPED
         self.ready_at_s = start_s
         #: End of the current busy phase, or None when free.
@@ -185,8 +177,7 @@ class Replica:
         #: Running cumulative per-member decode share, in Wh: advanced
         #: by ``phase_wh / batch`` at every decode step this replica
         #: completes.  A request's decode energy is the cursor
-        #: difference between its completion and its admission — the
-        #: incremental attribution both serve engines share.
+        #: difference between its completion and its admission.
         self.decode_cursor_wh = 0.0
         # Accumulated accounting.
         self.completed = 0

@@ -6,19 +6,17 @@ which pair), prefix-cache hits, KV-transfer time, per-replica
 utilisation/energy breakdowns, the router's **load imbalance**
 (max/mean busy utilisation across replicas), and an energy-per-request
 figure that includes idle-replica, spin-up and transfer energy — the
-MLPerf-Power framing where deployed-system overheads count.
+MLPerf-Power framing where deployed-system overheads count.  A cluster
+run returns the same :class:`~repro.serve.result.ServeResult` as a
+single engine, carrying these records and this summary.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from repro.engine.trainer import TrainResult
-from repro.errors import ConfigError
-from repro.serve.arrivals import Request
-from repro.serve.result import NO_RECORDS_MESSAGE, RequestRecord, ServeSummary
 from repro.serve.cluster.replica import ReplicaStats
+from repro.serve.result import RequestRecord, ServeSummary
 
 
 @dataclass(frozen=True)
@@ -156,61 +154,3 @@ class ClusterSummary:
         out["cluster_spinups"] = float(self.spinups)
         out["cluster_disaggregated"] = float(self.disaggregated)
         return out
-
-
-class ClusterResult:
-    """Everything one cluster serving run produced.
-
-    ``alerts`` carries the burn-rate monitor's summary when one was
-    attached to the run (``None`` otherwise — telemetry off).
-    ``records`` are available in ``percentile_mode="exact"`` only; a
-    ``"p2"`` run never materializes them (O(1) record emission) and
-    reading the property raises :class:`~repro.errors.ConfigError`.
-    """
-
-    __slots__ = ("train", "summary", "rejected", "alerts", "_records")
-
-    def __init__(
-        self,
-        *,
-        train: TrainResult,
-        summary: ClusterSummary,
-        records: tuple[ClusterRecord, ...] | None,
-        rejected: tuple[Request, ...],
-        alerts: dict | None = None,
-    ) -> None:
-        self.train = train
-        self.summary = summary
-        self.rejected = rejected
-        self.alerts = alerts
-        self._records = records
-
-    @property
-    def records(self) -> tuple[ClusterRecord, ...]:
-        """The per-request cluster records (exact mode only).
-
-        Raises :class:`~repro.errors.ConfigError` on a
-        ``percentile_mode="p2"`` run, which does not store them.
-        """
-        if self._records is None:
-            raise ConfigError(NO_RECORDS_MESSAGE)
-        return self._records
-
-    @property
-    def has_records(self) -> bool:
-        """Whether the run stored per-request records."""
-        return self._records is not None
-
-    def records_json(self) -> str:
-        """Deterministic JSON of the per-request cluster records.
-
-        Byte-identical across runs with the same seed and cluster
-        configuration — the cluster counterpart of
-        :meth:`repro.serve.simulator.ServeResult.records_json`.  Raises
-        :class:`~repro.errors.ConfigError` on a p2-mode run.
-        """
-        return json.dumps(
-            [r.to_dict() for r in self.records],
-            sort_keys=True,
-            separators=(",", ":"),
-        )

@@ -4,10 +4,6 @@ The serving simulator, the cluster simulator, the telemetry sampler and
 the test suite all refer to the same gauge/counter names; keeping the
 strings here (instead of scattered per-module literals) makes a rename
 a one-line change and lets the sampler enumerate what it may observe.
-
-The single-engine names keep their historical import locations
-(:mod:`repro.serve.simulator` re-exports them), so existing callers and
-stored traces stay valid.
 """
 
 from __future__ import annotations

@@ -1,19 +1,20 @@
-"""Heap-based event scheduling for the serve fast path.
+"""Heap-based event scheduling for the cluster serving loop.
 
-The reference cluster loop finds its next event by a linear scan over
-every replica, in-flight transfer and the arrival head on *every*
-iteration — O(sources) per event.  :class:`EventHeap` replaces the scan
-with a binary heap of candidate event *times*: producers push a time
-whenever they schedule something (a phase end, a transfer completion,
-an arrival, an autoscaler evaluation), and the loop pops the earliest.
+Finding the next event by a linear scan over every replica, in-flight
+transfer and the arrival head on *every* iteration costs O(sources)
+per event.  :class:`EventHeap` replaces the scan with a binary heap of
+candidate event *times*: producers push a time whenever they schedule
+something (a phase end, a transfer completion, an arrival, an
+autoscaler evaluation), and the loop pops the earliest.
 
-Two properties keep this equivalent to the reference scan:
+Two properties keep this equivalent to the scan (which the test-side
+oracle in ``tests/serve_oracle.py`` still runs):
 
 * **Times, not payloads.**  The heap stores only times; at each popped
-  time the loop runs the same fixed handler order the reference uses
-  per iteration (transitions, phase completions, ingest, transfers,
+  time the loop runs the fixed handler order a scanning loop runs per
+  iteration (transitions, phase completions, ingest, transfers,
   autoscale, dispatch), so same-time events are processed in exactly
-  the reference's tie-break order.
+  the scan's tie-break order.
 * **Stale entries are harmless.**  A popped time with nothing due
   makes every handler a no-op; simulator state is piecewise-constant
   between real events, so the extra iteration observes nothing new.

@@ -1,88 +1,157 @@
-"""The single-engine serve fast path.
+"""The single-engine serving event loop.
 
-:class:`_FastServeLoop` is the ``engine_mode="fast"`` implementation
-behind :class:`~repro.serve.simulator.ServingSimulator`.  It keeps the
-reference loop's *phase sequence* exactly — every ``run_phase`` /
-``idle`` call happens at the same time with the same duration and
-utilisation, so the jpwr sample frame, traces and telemetry are
-byte-identical — while removing the per-step overheads that dominate a
-million-request run:
+:class:`_ServeLoop` is the body
+:class:`~repro.serve.simulator.ServingSimulator` runs under
+``measure_run``.  Between decode steps it admits waiting requests (each
+pays its prefill at the compute-bound utilisation point); every decode
+step advances the whole batch by one token at the roofline step time of
+the *current* batch size, and finished sequences are evicted.  Every
+``run_phase`` / ``idle`` call happens at the time, with the duration
+and utilisation, that stepping each sequence through each decode step
+produces, so the jpwr sample frame, traces and telemetry equal that
+per-step model byte for byte — while the per-step overheads that
+dominate a million-request run are gone:
 
 * **memoized phase times** — prefill times keyed by (prompt, generate)
   and decode-step times keyed by batch size are computed once per
   distinct key instead of once per phase,
 * **heap-scheduled completions** — a min-heap of (completion step,
-  admission order) replaces the reference's per-step O(batch) scan for
-  finished sequences; batched ``generated`` bookkeeping replaces the
-  per-member updates,
+  admission order) replaces a per-step O(batch) scan for finished
+  sequences; ``generated`` is set once, at completion,
 * **compact attribution bookkeeping** — O(1) per step (bounds + batch
-  size) instead of an O(batch) membership tuple, feeding the shared
+  size) instead of an O(batch) membership tuple, feeding the
   incremental energy cursor
   (:func:`repro.serve.soa.attribute_request_energy_wh`),
-* **vectorized KV admission** — per-request KV reservations are
-  precomputed by one :class:`~repro.serve.soa.RequestTable` multiply
-  and served to the scheduler from a cache,
 * **deferred gauge writes** — when neither a telemetry sampler nor the
   tracer observes the run, the queue-depth gauge is written once at the
   end (same final registry state) instead of at every iteration.
 
-Equivalence with the reference loop is asserted byte-for-byte by
-``tests/serve/test_equivalence.py`` and the hypothesis differential
-fuzz suite.
+The per-step model itself is kept as a test-side differential oracle
+(``tests/serve_oracle.py``); ``tests/serve/test_equivalence.py`` and the
+Hypothesis fuzz suite assert every observable output equals it byte
+for byte.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
+from collections.abc import Iterator
 
 from repro.engine.inference import DECODE_UTILISATION_FRACTION, InferenceWorkload
+from repro.engine.trainer import primary_energy_labels
+from repro.errors import MeasurementError
 from repro.faults.injector import get_injector
+from repro.jpwr.energy import cumulative_energy_wh
+from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.serve.arrivals import Request
-from repro.serve.scheduler import ContinuousBatchScheduler
-from repro.serve.simulator import _ServeLoop
-from repro.serve.soa import RequestTable
+from repro.serve.constants import (
+    ALERT_CLEARED_EVENT,
+    ALERT_FIRED_EVENT,
+    QUEUE_DEPTH_COUNTER,
+    QUEUE_DEPTH_GAUGE,
+    QUEUE_DEPTH_GAUGE_HELP,
+    TELEMETRY_TRACK,
+    TS_BATCH_OCCUPANCY,
+    TS_KV_UTILISATION,
+    TS_QUEUE_DEPTH,
+    TS_TTFT_ROLLING_P95,
+)
+from repro.serve.queue import AdmissionQueue
+from repro.serve.result import RequestRecord
+from repro.serve.scheduler import ContinuousBatchScheduler, Sequence
+from repro.serve.soa import attribute_request_energy_wh
 
 
-class _FastServeLoop(_ServeLoop):
-    """The vectorized drop-in for the reference ``_ServeLoop``."""
+def _observe_completion(loop, seq, now: float) -> None:
+    """Feed one completion to a loop's SLO monitor and rolling TTFT."""
+    ttft_s = seq.first_token_s - seq.request.arrival_s
+    if loop.monitor is not None:
+        ok = loop.sim.slo.met_values(ttft_s, now - seq.request.arrival_s)
+        _emit_alert_transitions(loop.monitor.observe(now, ok))
+    if loop._ttft_window is not None:
+        loop._ttft_window.observe(now, ttft_s)
+
+
+def _emit_alert_transitions(transitions) -> None:
+    """Mirror burn-rate alert fire/clear transitions onto the trace."""
+    if not transitions:
+        return
+    tracer = get_tracer()
+    if not tracer.enabled:
+        return
+    for kind, alert in transitions:
+        tracer.event(
+            ALERT_FIRED_EVENT if kind == "fired" else ALERT_CLEARED_EVENT,
+            attrs={
+                "rule": alert.rule,
+                "burn_rate_short": round(alert.burn_rate_short, 4),
+                "burn_rate_long": round(alert.burn_rate_long, 4),
+            },
+            track=TELEMETRY_TRACK,
+        )
+
+
+class _ServeLoop:
+    """One single-engine run's mutable state; the body measure_run runs."""
 
     def __init__(self, sim, requests: tuple[Request, ...]) -> None:
-        # The table must exist before the base constructor builds the
-        # scheduler (``_make_scheduler`` hands it the KV cache).
-        self.table = RequestTable(
-            requests,
-            sim.engine.model.kv_cache_bytes_per_token(sim.engine.policy),
-        )
-        super().__init__(sim, requests)
-        # Compact attribution bookkeeping (O(1) per decode step).
+        self.sim = sim
+        self.pending = deque(requests)
+        self.queue = AdmissionQueue(sim.queue_capacity)
+        self.scheduler = ContinuousBatchScheduler(sim.engine, batch_cap=sim.batch_cap)
+        self.finished: list[tuple[Sequence, float]] = []  # (sequence, completed_s)
+        self.decode_steps = 0
+        #: Request index -> attributed Wh (filled by :meth:`attribute_energy`).
+        self.energy_wh: dict[int, float] = {}
+        # Attribution bookkeeping, O(1) per decode step.
         self.prefill_events: list[tuple[int, float, float]] = []
         self.step_t0: list[float] = []
         self.step_t1: list[float] = []
         self.step_batch: list[int] = []
         self.spans: list[tuple[int, int, int]] = []
         self._first_step: dict[int, int] = {}
+        self.sampler = sim.telemetry
+        self.monitor = sim.slo_monitor
+        self._ttft_window = None
+        if self.sampler is not None:
+            self.sampler.add_probe(TS_QUEUE_DEPTH, lambda t: float(len(self.queue)))
+            self.sampler.add_probe(
+                TS_BATCH_OCCUPANCY, lambda t: float(self.scheduler.batch_size)
+            )
+            self.sampler.add_probe(TS_KV_UTILISATION, self._kv_utilisation)
+            self._ttft_window = self.sampler.add_rolling(TS_TTFT_ROLLING_P95)
 
-    def _make_scheduler(self, requests: tuple[Request, ...]) -> ContinuousBatchScheduler:
-        """The scheduler, with every KV reservation precomputed."""
-        return ContinuousBatchScheduler(
-            self.sim.engine,
-            batch_cap=self.sim.batch_cap,
-            kv_bytes_cache=self.table.kv_bytes_by_index(),
-        )
+    def _kv_utilisation(self, t_s: float) -> float:
+        """Fraction of the KV budget currently reserved."""
+        budget = self.scheduler.kv_budget_bytes
+        return self.scheduler.kv_reserved_bytes / budget if budget else 0.0
 
-    def _attribution_inputs(self):
-        """The compact form, recorded directly on the hot loop."""
-        return (
-            self.prefill_events,
-            self.step_t0,
-            self.step_t1,
-            self.step_batch,
-            self.spans,
+    def _ingest(self, now: float) -> None:
+        while self.pending and self.pending[0].arrival_s <= now:
+            self.queue.offer(self.pending.popleft())
+
+    def _gauge_queue(self, tag: str) -> None:
+        get_metrics().gauge(QUEUE_DEPTH_GAUGE, QUEUE_DEPTH_GAUGE_HELP).set(
+            len(self.queue), system=tag
         )
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.counter(QUEUE_DEPTH_COUNTER, len(self.queue))
+
+    def _tick(self, now: float) -> None:
+        """Take any telemetry samples due at or before ``now``."""
+        if self.sampler is not None:
+            self.sampler.tick(now)
+
+    def _complete(self, seq, now: float) -> None:
+        """Book one finished sequence; feed SLO monitor and telemetry."""
+        self.finished.append((seq, now))
+        _observe_completion(self, seq, now)
 
     def run(self, runner, clock) -> None:
-        """The reference loop's phase sequence, on fast bookkeeping."""
+        """The scheduler loop: idle, admit+prefill, decode, evict."""
         sim = self.sim
         engine = sim.engine
         injector = get_injector()
@@ -98,7 +167,7 @@ class _FastServeLoop(_ServeLoop):
         # (completion step, admission order, sequence): a sequence
         # admitted with the step counter at s finishes when the counter
         # reaches s + generate_tokens; ties resolve in admission order,
-        # matching the reference's in-batch eviction order.
+        # the scheduler's in-batch eviction order.
         completions: list[tuple[int, int, object]] = []
         admitted = 0
         fresh: list = []  # admitted since the last decode step
@@ -180,8 +249,7 @@ class _FastServeLoop(_ServeLoop):
             self._tick(t1)
             if fresh:
                 # First decode step these sequences participate in:
-                # their first token lands at its end (same stamp the
-                # reference applies inside step_completed).
+                # their first token lands at its end.
                 for seq in fresh:
                     seq.first_token_s = t1
                 fresh.clear()
@@ -199,5 +267,42 @@ class _FastServeLoop(_ServeLoop):
             if observed:
                 self._gauge_queue(tag)
         if not observed:
-            # Same final registry state as the reference's last write.
+            # The final registry state a write per iteration leaves.
             self._gauge_queue(tag)
+
+    def attribute_energy(self, runner) -> None:
+        """Attribute the measured energy to requests (:attr:`energy_wh`).
+
+        A fault plan can leave the sample frame empty (full sensor
+        dropout); attribution then reports 0.0 Wh per request rather
+        than failing the run's latency results.
+        """
+        try:
+            labels = primary_energy_labels(runner.scope.df.columns, runner.devices)
+            times, cumulative = cumulative_energy_wh(runner.scope.df, labels)
+        except MeasurementError:
+            return
+        self.energy_wh = attribute_request_energy_wh(
+            times,
+            cumulative,
+            prefill_events=self.prefill_events,
+            step_t0=self.step_t0,
+            step_t1=self.step_t1,
+            step_batch=self.step_batch,
+            spans=self.spans,
+        )
+
+    def records(self) -> Iterator[RequestRecord]:
+        """One record per completed request, in completion order."""
+        for seq, completed_s in self.finished:
+            request = seq.request
+            yield RequestRecord(
+                index=request.index,
+                arrival_s=request.arrival_s,
+                admitted_s=seq.admitted_s,
+                first_token_s=seq.first_token_s,
+                completed_s=completed_s,
+                prompt_tokens=request.prompt_tokens,
+                generate_tokens=request.generate_tokens,
+                energy_wh=self.energy_wh.get(request.index, 0.0),
+            )

@@ -13,6 +13,9 @@ from collections import deque
 from repro.errors import ConfigError
 from repro.serve.arrivals import Request
 
+#: Default bound on the admission queue.
+DEFAULT_QUEUE_CAPACITY = 256
+
 
 class AdmissionQueue:
     """FIFO queue with a hard capacity; overflow rejects the request."""

@@ -13,12 +13,20 @@ server scenario and the DABench-style per-phase breakdown:
 each summarised as p50/p95/p99 (nearest-rank percentiles: exact,
 deterministic, no interpolation), plus SLO attainment, goodput, and the
 energy side CARAML adds: Wh per request and tokens/Wh.
+
+Both serving simulators end a run the same way:
+:func:`summarize_completions` turns the run's completion-order records
+into its summary (and, in exact mode, the index-ordered records it
+keeps), and :class:`ServeResult` carries the outcome.
 """
 
 from __future__ import annotations
 
+import json
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
+from repro.engine.trainer import TrainResult
 from repro.errors import ConfigError
 from repro.obs.telemetry.sketch import StreamingQuantiles
 
@@ -161,7 +169,7 @@ class LatencySummary:
 
         Used when a run completed no requests at all (every arrival
         shed, or an externally constructed empty
-        :class:`~repro.serve.simulator.ServeResult`): reporting zeros
+        :class:`ServeResult`): reporting zeros
         keeps downstream tables renderable instead of raising.
         """
         return cls(p50=0.0, p95=0.0, p99=0.0, mean=0.0, max=0.0)
@@ -347,7 +355,7 @@ def summarize(
 
 
 class StreamingSummarizer:
-    """O(1)-memory :class:`ServeSummary` builder fed one record at a time.
+    """O(1)-memory :class:`ServeSummary` builder fed one completion at a time.
 
     The streaming counterpart of :func:`summarize`: latency percentiles
     come from P² sketches instead of sorting stored samples, so a
@@ -369,17 +377,6 @@ class StreamingSummarizer:
         self._e2e = StreamingQuantiles(SUMMARY_PERCENTILES)
         self._queue_delay = StreamingQuantiles(SUMMARY_PERCENTILES)
 
-    def observe(self, record: RequestRecord) -> bool:
-        """Fold one completed request in; returns its SLO attainment."""
-        return self.observe_values(
-            ttft_s=record.ttft_s,
-            tpot_s=record.tpot_s,
-            e2e_s=record.e2e_s,
-            queue_delay_s=record.queue_delay_s,
-            generate_tokens=record.generate_tokens,
-            energy_wh=record.energy_wh,
-        )
-
     def observe_values(
         self,
         *,
@@ -390,12 +387,12 @@ class StreamingSummarizer:
         generate_tokens: int,
         energy_wh: float,
     ) -> bool:
-        """Fold one completion's raw latencies in, without a record.
+        """Fold one completion's latencies, tokens and energy in.
 
         The O(1)-emission path of ``percentile_mode="p2"``: million-
-        request runs stream completions straight into the sketches in
-        completion order, never materializing per-request records.
-        Returns the completion's SLO attainment.
+        request runs stream completions into the sketches in completion
+        order and store no per-request records.  Returns the
+        completion's SLO attainment.
         """
         self.completed += 1
         self.generated_tokens += generate_tokens
@@ -436,4 +433,116 @@ class StreamingSummarizer:
                 self.generated_tokens / self.energy_wh if self.energy_wh > 0 else 0.0
             ),
             percentile_mode=PERCENTILE_MODE_SKETCH,
+        )
+
+
+def summarize_completions(
+    records: Iterable[RequestRecord],
+    *,
+    percentile_mode: str,
+    slo: SLOPolicy,
+    offered: int,
+    rejected: int,
+    elapsed_s: float,
+    keep: Callable[[RequestRecord], object] | None = None,
+) -> tuple[ServeSummary, tuple | None]:
+    """A run's summary, and the records it keeps, from its completions.
+
+    ``records`` yields one record per completed request, in completion
+    order.  In ``"p2"`` mode they stream into P² sketches in that order
+    and none is kept.  In ``"exact"`` mode each record is passed through
+    ``keep`` (identity when ``None``) in completion order, the kept
+    values are ordered by request index, and the summary is nearest-rank
+    over the records in that order.  Returns ``(summary, kept)`` with
+    ``kept`` ``None`` in p2 mode.
+    """
+    if percentile_mode == PERCENTILE_MODE_SKETCH:
+        streamer = StreamingSummarizer(slo=slo)
+        for record in records:
+            streamer.observe_values(
+                ttft_s=record.ttft_s,
+                tpot_s=record.tpot_s,
+                e2e_s=record.e2e_s,
+                queue_delay_s=record.queue_delay_s,
+                generate_tokens=record.generate_tokens,
+                energy_wh=record.energy_wh,
+            )
+        summary = streamer.summary(
+            offered=offered, rejected=rejected, elapsed_s=elapsed_s
+        )
+        return summary, None
+    pairs = [(record, record if keep is None else keep(record)) for record in records]
+    pairs.sort(key=lambda pair: pair[0].index)
+    summary = summarize(
+        [record for record, _ in pairs],
+        offered=offered,
+        rejected=rejected,
+        elapsed_s=elapsed_s,
+        slo=slo,
+    )
+    return summary, tuple(kept for _, kept in pairs)
+
+
+class ServeResult:
+    """Everything one serving run produced, on one engine or a fleet.
+
+    ``train`` is the familiar result-table row (the serving summary is
+    flattened into its ``extra``).  ``summary`` is a
+    :class:`ServeSummary` for a single engine and a
+    :class:`~repro.serve.cluster.result.ClusterSummary` for a cluster;
+    ``records`` carry the per-request detail the summary was computed
+    from (:class:`RequestRecord`, or
+    :class:`~repro.serve.cluster.result.ClusterRecord` with routing
+    detail) — available in ``percentile_mode="exact"`` only.  In
+    ``"p2"`` mode the run never stores them (O(1) record emission) and
+    reading ``records`` raises :class:`~repro.errors.ConfigError`.
+    ``alerts`` is the burn-rate monitor's summary when one was attached
+    (``None`` otherwise — telemetry off).
+    """
+
+    __slots__ = ("train", "summary", "rejected", "alerts", "_records")
+
+    def __init__(
+        self,
+        *,
+        train: TrainResult,
+        summary,
+        records: tuple | None,
+        rejected: tuple,
+        alerts: dict | None = None,
+    ) -> None:
+        self.train = train
+        self.summary = summary
+        self.rejected = rejected
+        self.alerts = alerts
+        self._records = records
+
+    @property
+    def records(self) -> tuple:
+        """The per-request records (exact mode only).
+
+        Raises :class:`~repro.errors.ConfigError` on a
+        ``percentile_mode="p2"`` run, which does not store them.
+        """
+        if self._records is None:
+            raise ConfigError(NO_RECORDS_MESSAGE)
+        return self._records
+
+    @property
+    def has_records(self) -> bool:
+        """Whether the run stored per-request records."""
+        return self._records is not None
+
+    def records_json(self) -> str:
+        """Deterministic JSON of the per-request records.
+
+        Byte-identical across runs with the same seed, configuration
+        and fault plan — the serving counterpart of the campaign
+        layer's content-addressing guarantee.  Raises
+        :class:`~repro.errors.ConfigError` on a p2-mode run.
+        """
+        return json.dumps(
+            [r.to_dict() for r in self.records],
+            sort_keys=True,
+            separators=(",", ":"),
         )

@@ -24,8 +24,9 @@ from repro.engine.inference import InferenceEngine
 from repro.errors import ConfigError
 from repro.serve.arrivals import Request
 
-#: Default cap on concurrently decoding sequences.
-DEFAULT_BATCH_CAP = 32
+#: Default cap on concurrently decoding sequences (the one default the
+#: library, ``caraml serve --batch-cap`` and the serve operations share).
+DEFAULT_BATCH_CAP = 16
 
 #: Bytes per gigabyte, used when formatting KV-budget diagnostics.
 BYTES_PER_GB = 1e9
@@ -55,7 +56,6 @@ class ContinuousBatchScheduler:
         *,
         batch_cap: int = DEFAULT_BATCH_CAP,
         kv_budget_bytes: float | None = None,
-        kv_bytes_cache: dict[int, float] | None = None,
     ) -> None:
         if batch_cap < 1:
             raise ConfigError("batch cap must be >= 1")
@@ -70,24 +70,18 @@ class ContinuousBatchScheduler:
                 "exceed device memory"
             )
         self.kv_budget_bytes = float(budget)
+        #: KV-cache bytes one token of context reserves.
+        self.kv_bytes_per_token = float(
+            engine.model.kv_cache_bytes_per_token(engine.policy)
+        )
         self.active: list[Sequence] = []
         self._kv_reserved = 0.0
-        #: Optional request-index -> KV-bytes cache (the fast path
-        #: precomputes every reservation in one vectorized multiply;
-        #: values are bit-identical to the scalar computation).
-        self.kv_bytes_cache = kv_bytes_cache
 
     # -- accounting ----------------------------------------------------------
 
     def kv_bytes_for(self, request: Request) -> float:
         """KV-cache reservation of one request at full context."""
-        if self.kv_bytes_cache is not None:
-            cached = self.kv_bytes_cache.get(request.index)
-            if cached is not None:
-                return cached
-        return request.context_tokens * self.engine.model.kv_cache_bytes_per_token(
-            self.engine.policy
-        )
+        return request.context_tokens * self.kv_bytes_per_token
 
     @property
     def kv_reserved_bytes(self) -> float:
@@ -126,51 +120,14 @@ class ContinuousBatchScheduler:
         self._kv_reserved += self.kv_bytes_for(request)
         return seq
 
-    def step_completed(self, now_s: float) -> list[Sequence]:
-        """Account one finished decode step across the whole batch.
-
-        Every active sequence gains one token (stamping its first-token
-        time on the first); finished sequences are evicted and returned
-        in admission order.
-        """
-        finished: list[Sequence] = []
-        for seq in self.active:
-            seq.generated += 1
-            if seq.first_token_s is None:
-                seq.first_token_s = now_s
-            if seq.done:
-                finished.append(seq)
-        for seq in finished:
-            self.active.remove(seq)
-            self._kv_reserved -= self.kv_bytes_for(seq.request)
-        if not self.active:
-            self._kv_reserved = 0.0  # absorb float drift at empty batch
-        return finished
-
-    # -- fused-run support (fast engine) -------------------------------------
-
-    def steps_to_next_completion(self) -> int:
-        """Decode steps until the earliest active sequence finishes.
-
-        The fast engine fuses that many steps into one run: batch
-        membership is provably constant until then (admissions only
-        happen at run boundaries, evictions only at completions).
-        """
-        if not self.active:
-            raise ConfigError("no active sequences to step")
-        return min(
-            seq.request.generate_tokens - seq.generated for seq in self.active
-        )
-
     def evict_done(self) -> list[Sequence]:
         """Evict every finished sequence, in admission order.
 
-        The fused-run counterpart of the eviction half of
-        :meth:`step_completed`: the fast engine advances ``generated``
-        in bulk and stamps first-token times itself, then calls this at
-        the run boundary.  The KV release order and the empty-batch
-        drift reset match :meth:`step_completed` exactly, so reserved
-        bytes stay bit-identical between engines.
+        The serving loops advance ``generated`` and stamp first-token
+        times themselves, then call this once the step that completes
+        a sequence ends.  KV is released in admission order and reset
+        to exactly zero when the batch empties, so the reserved bytes
+        do not depend on how many steps a loop fuses.
         """
         finished = [seq for seq in self.active if seq.done]
         for seq in finished:

@@ -20,355 +20,42 @@ the training engines use:
   decode residency is priced as the difference of a running per-member
   share cursor.
 
-Two engines drive the loop (:mod:`repro.serve.engines`): the
-``reference`` per-event slow path below, and the vectorized ``fast``
-path (:mod:`repro.serve.fastsim`), byte-identical by construction and
-asserted so by the differential suite.  Runs are deterministic: the
-same arrival seed, engine and fault plan produce byte-identical
-per-request records and traces.  The fault injection seams of the
-training path (OOM at a step index, stragglers, sensor faults) apply
-unchanged.
+The event loop itself lives in :mod:`repro.serve.fastsim`.  Runs are
+deterministic: the same arrival seed and fault plan produce
+byte-identical per-request records and traces.  The fault injection
+seams of the training path (OOM at a step index, stragglers, sensor
+faults) apply unchanged.
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
-
-from repro.engine.inference import (
-    DECODE_UTILISATION_FRACTION,
-    InferenceEngine,
-    InferenceWorkload,
-)
-from repro.engine.trainer import TrainResult, measure_run, primary_energy_labels
-from repro.errors import ConfigError, MeasurementError
-from repro.faults.injector import get_injector
-from repro.jpwr.energy import cumulative_energy_wh
+from repro.engine.inference import InferenceEngine
+from repro.engine.trainer import TrainResult, measure_run
+from repro.errors import ConfigError
 from repro.obs.metrics import get_metrics
 from repro.obs.telemetry.sampler import TelemetrySampler
 from repro.obs.telemetry.slo import SLOMonitor
 from repro.obs.trace import get_tracer
 from repro.serve.arrivals import Request
-from repro.serve.constants import (  # noqa: F401  (historical import location)
-    ALERT_CLEARED_EVENT,
-    ALERT_FIRED_EVENT,
-    QUEUE_DEPTH_COUNTER,
-    QUEUE_DEPTH_GAUGE,
-    QUEUE_DEPTH_GAUGE_HELP,
-    SERVE_TRACK,
-    TELEMETRY_TRACK,
-    TS_BATCH_OCCUPANCY,
-    TS_KV_UTILISATION,
-    TS_QUEUE_DEPTH,
-    TS_TTFT_ROLLING_P95,
-)
-from repro.serve.engines import (
-    DEFAULT_ENGINE_MODE,
-    ENGINE_REFERENCE,
-    validate_engine_mode,
-)
-from repro.serve.queue import AdmissionQueue
+from repro.serve.constants import SERVE_TRACK
+from repro.serve.fastsim import _ServeLoop
+from repro.serve.queue import DEFAULT_QUEUE_CAPACITY
 from repro.serve.result import (
-    NO_RECORDS_MESSAGE,
     PERCENTILE_MODE_EXACT,
     PERCENTILE_MODE_SKETCH,
     PERCENTILE_MODES,
     RequestRecord,
+    ServeResult,
     ServeSummary,
     SLOPolicy,
-    StreamingSummarizer,
-    summarize,
+    summarize_completions,
 )
-from repro.serve.scheduler import DEFAULT_BATCH_CAP, ContinuousBatchScheduler
-from repro.serve.soa import attribute_request_energy_wh
+from repro.serve.scheduler import DEFAULT_BATCH_CAP
 from repro.serve.streams import shared_requests
-
-#: Default bound on the admission queue.
-DEFAULT_QUEUE_CAPACITY = 256
 
 #: Default jpwr sampling period for serving runs, in milliseconds
 #: (samples also land on every phase edge, so integration stays exact).
 DEFAULT_SAMPLE_INTERVAL_MS = 100.0
-
-#: Phase kinds the single-engine loops record for attribution.
-PHASE_PREFILL, PHASE_DECODE = "prefill", "decode"
-
-
-class ServeResult:
-    """Everything one serving run produced.
-
-    ``train`` is the familiar result-table row (the serving summary is
-    flattened into its ``extra``); ``records`` carry the per-request
-    latency/energy detail the summary was computed from — available in
-    ``percentile_mode="exact"`` only.  In ``"p2"`` mode the run never
-    materializes them (O(1) record emission) and reading ``records``
-    raises :class:`~repro.errors.ConfigError`.  ``alerts`` is the
-    burn-rate monitor's summary when one was attached (``None``
-    otherwise — telemetry off).
-    """
-
-    __slots__ = ("train", "summary", "rejected", "alerts", "_records")
-
-    def __init__(
-        self,
-        *,
-        train: TrainResult,
-        summary: ServeSummary,
-        records: tuple[RequestRecord, ...] | None,
-        rejected: tuple[Request, ...],
-        alerts: dict | None = None,
-    ) -> None:
-        self.train = train
-        self.summary = summary
-        self.rejected = rejected
-        self.alerts = alerts
-        self._records = records
-
-    @property
-    def records(self) -> tuple[RequestRecord, ...]:
-        """The per-request records (exact mode only).
-
-        Raises :class:`~repro.errors.ConfigError` on a
-        ``percentile_mode="p2"`` run, which does not store them.
-        """
-        if self._records is None:
-            raise ConfigError(NO_RECORDS_MESSAGE)
-        return self._records
-
-    @property
-    def has_records(self) -> bool:
-        """Whether the run stored per-request records."""
-        return self._records is not None
-
-    def records_json(self) -> str:
-        """Deterministic JSON of the per-request records.
-
-        Byte-identical across runs with the same seed, engine and fault
-        plan — the serving counterpart of the campaign layer's
-        content-addressing guarantee.  Raises
-        :class:`~repro.errors.ConfigError` on a p2-mode run.
-        """
-        return json.dumps(
-            [r.to_dict() for r in self.records],
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-
-def _emit_alert_transitions(transitions) -> None:
-    """Mirror burn-rate alert fire/clear transitions onto the trace."""
-    if not transitions:
-        return
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return
-    for kind, alert in transitions:
-        tracer.event(
-            ALERT_FIRED_EVENT if kind == "fired" else ALERT_CLEARED_EVENT,
-            attrs={
-                "rule": alert.rule,
-                "burn_rate_short": round(alert.burn_rate_short, 4),
-                "burn_rate_long": round(alert.burn_rate_long, 4),
-            },
-            track=TELEMETRY_TRACK,
-        )
-
-
-class _ServeLoop:
-    """One run's mutable state; the body executed under measure_run.
-
-    This is the **reference engine**: per-event stepping over
-    per-request objects, with per-step membership tuples.  The fast
-    engine (:class:`repro.serve.fastsim._FastServeLoop`) subclasses it
-    and overrides the hot loop; both converge on the same attribution
-    helper so per-request energies are identical by construction.
-    """
-
-    def __init__(self, sim: "ServingSimulator", requests: tuple[Request, ...]) -> None:
-        self.sim = sim
-        self.pending = deque(requests)
-        self.queue = AdmissionQueue(sim.queue_capacity)
-        self.scheduler = self._make_scheduler(requests)
-        # (t0, t1, members, kind) per phase — reference bookkeeping.
-        self.intervals: list[tuple[float, float, tuple[int, ...], str]] = []
-        self.finished: list[tuple[object, float]] = []  # (sequence, completed_s)
-        self.decode_steps = 0
-        self.sampler = sim.telemetry
-        self.monitor = sim.slo_monitor
-        self._ttft_window = None
-        if self.sampler is not None:
-            self.sampler.add_probe(TS_QUEUE_DEPTH, lambda t: float(len(self.queue)))
-            self.sampler.add_probe(
-                TS_BATCH_OCCUPANCY, lambda t: float(self.scheduler.batch_size)
-            )
-            self.sampler.add_probe(TS_KV_UTILISATION, self._kv_utilisation)
-            self._ttft_window = self.sampler.add_rolling(TS_TTFT_ROLLING_P95)
-
-    def _make_scheduler(self, requests: tuple[Request, ...]) -> ContinuousBatchScheduler:
-        """The run's scheduler (the fast engine adds its KV cache)."""
-        return ContinuousBatchScheduler(self.sim.engine, batch_cap=self.sim.batch_cap)
-
-    def _kv_utilisation(self, t_s: float) -> float:
-        """Fraction of the KV budget currently reserved."""
-        budget = self.scheduler.kv_budget_bytes
-        return self.scheduler.kv_reserved_bytes / budget if budget else 0.0
-
-    def _ingest(self, now: float) -> None:
-        while self.pending and self.pending[0].arrival_s <= now:
-            self.queue.offer(self.pending.popleft())
-
-    def _gauge_queue(self, tag: str) -> None:
-        get_metrics().gauge(QUEUE_DEPTH_GAUGE, QUEUE_DEPTH_GAUGE_HELP).set(
-            len(self.queue), system=tag
-        )
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.counter(QUEUE_DEPTH_COUNTER, len(self.queue))
-
-    def _tick(self, now: float) -> None:
-        """Take any telemetry samples due at or before ``now``."""
-        if self.sampler is not None:
-            self.sampler.tick(now)
-
-    def _complete(self, seq, now: float) -> None:
-        """Book one finished sequence; feed SLO monitor and telemetry."""
-        self.finished.append((seq, now))
-        if self.monitor is not None:
-            request = seq.request
-            ok = self.sim.slo.met_values(
-                seq.first_token_s - request.arrival_s, now - request.arrival_s
-            )
-            _emit_alert_transitions(self.monitor.observe(now, ok))
-        if self._ttft_window is not None:
-            self._ttft_window.observe(now, seq.first_token_s - seq.request.arrival_s)
-
-    def run(self, runner, clock) -> None:
-        """The scheduler loop: idle, admit+prefill, decode, evict."""
-        sim = self.sim
-        engine = sim.engine
-        injector = get_injector()
-        tag = engine.node.jube_tag
-        util_prefill = engine.cal.util_full_llm
-        util_decode = engine.cal.util_full_llm * DECODE_UTILISATION_FRACTION
-        self._ingest(clock.now())
-        self._gauge_queue(tag)
-        self._tick(clock.now())
-        while self.pending or len(self.queue) or self.scheduler.active:
-            now = clock.now()
-            if not self.scheduler.active and not len(self.queue):
-                # Batch idle and nothing queued: sleep to the next
-                # arrival, then force it in (guards against float
-                # residue leaving `now` a hair before the arrival).
-                nxt = self.pending[0]
-                if nxt.arrival_s > now:
-                    runner.idle(nxt.arrival_s - now)
-                self._tick(clock.now())
-                self._ingest(clock.now())
-                if self.pending and self.pending[0] is nxt:
-                    self.queue.offer(self.pending.popleft())
-                self._gauge_queue(tag)
-                continue
-            # Iteration boundary: admit whatever fits, paying prefill.
-            while len(self.queue) and self.scheduler.fits(self.queue.peek()):
-                request = self.queue.pop()
-                self.scheduler.admit(request, clock.now())
-                t_prefill = engine.prefill_time_s(
-                    InferenceWorkload(
-                        prompt_tokens=request.prompt_tokens,
-                        generate_tokens=request.generate_tokens,
-                        batch_size=1,
-                    )
-                )
-                factor = (
-                    injector.straggler_factor(clock.now(), self.decode_steps)
-                    if injector.enabled
-                    else 1.0
-                )
-                t0 = clock.now()
-                runner.run_phase(t_prefill * factor, util_prefill)
-                self.intervals.append(
-                    (t0, clock.now(), (request.index,), PHASE_PREFILL)
-                )
-                self._tick(clock.now())
-            self._gauge_queue(tag)
-            if not self.scheduler.active:
-                continue
-            # One decode step over the current batch.
-            now = clock.now()
-            if injector.enabled:
-                injector.check_step(now, self.decode_steps)
-            factor = (
-                injector.straggler_factor(now, self.decode_steps)
-                if injector.enabled
-                else 1.0
-            )
-            step_s = engine.decode_step_time_s(self.scheduler.batch_size) * factor
-            members = tuple(s.request.index for s in self.scheduler.active)
-            runner.run_phase(step_s, util_decode)
-            self.decode_steps += 1
-            self.intervals.append((now, clock.now(), members, PHASE_DECODE))
-            self._tick(clock.now())
-            for seq in self.scheduler.step_completed(clock.now()):
-                self._complete(seq, clock.now())
-            self._ingest(clock.now())
-            self._gauge_queue(tag)
-
-    def _attribution_inputs(self):
-        """Phase bounds, batch sizes and residency spans for attribution.
-
-        The reference loop derives them from its per-step membership
-        tuples; the fast loop records the compact form directly and
-        overrides this.  Both yield identical values, so the shared
-        cursor attribution produces identical floats.
-        """
-        prefill_events: list[tuple[int, float, float]] = []
-        step_t0: list[float] = []
-        step_t1: list[float] = []
-        step_batch: list[int] = []
-        first_seen: dict[int, int] = {}
-        last_seen: dict[int, int] = {}
-        step = 0
-        for t0, t1, members, kind in self.intervals:
-            if kind == PHASE_PREFILL:
-                prefill_events.append((members[0], t0, t1))
-                continue
-            step_t0.append(t0)
-            step_t1.append(t1)
-            step_batch.append(len(members))
-            for index in members:
-                if index not in first_seen:
-                    first_seen[index] = step
-                last_seen[index] = step
-            step += 1
-        spans = [
-            (index, first, last_seen[index]) for index, first in first_seen.items()
-        ]
-        return prefill_events, step_t0, step_t1, step_batch, spans
-
-    def request_energy_wh(self, runner) -> dict[int, float]:
-        """Measured energy attributed per request from the jpwr frame.
-
-        A fault plan can leave the sample frame empty (full sensor
-        dropout); attribution then reports 0.0 Wh per request rather
-        than failing the run's latency results.
-        """
-        try:
-            labels = primary_energy_labels(runner.scope.df.columns, runner.devices)
-            times, cumulative = cumulative_energy_wh(runner.scope.df, labels)
-        except MeasurementError:
-            return {}
-        prefill_events, step_t0, step_t1, step_batch, spans = (
-            self._attribution_inputs()
-        )
-        return attribute_request_energy_wh(
-            times,
-            cumulative,
-            prefill_events=prefill_events,
-            step_t0=step_t0,
-            step_t1=step_t1,
-            step_batch=step_batch,
-            spans=spans,
-        )
 
 
 class ServingSimulator:
@@ -402,10 +89,6 @@ class ServingSimulator:
         ``"p2"`` summarises via streaming P² sketches fed in
         completion order (O(1) memory, within the documented tolerance
         of exact) and stores **no** per-request records.
-    engine_mode:
-        ``"fast"`` (default) or ``"reference"`` — see
-        :mod:`repro.serve.engines`.  Both produce byte-identical
-        results; the reference path is the differential-test oracle.
     """
 
     def __init__(
@@ -419,7 +102,6 @@ class ServingSimulator:
         telemetry: TelemetrySampler | None = None,
         slo_monitor: SLOMonitor | None = None,
         percentile_mode: str = PERCENTILE_MODE_EXACT,
-        engine_mode: str = DEFAULT_ENGINE_MODE,
     ) -> None:
         self.engine = engine
         self.batch_cap = int(batch_cap)
@@ -434,18 +116,13 @@ class ServingSimulator:
                 f"known: {PERCENTILE_MODES}"
             )
         self.percentile_mode = percentile_mode
-        self.engine_mode = validate_engine_mode(engine_mode)
         # Validate the cap against the engine's own planner once.
         if batch_cap < 1:
             raise ConfigError("batch cap must be >= 1")
 
     def _make_loop(self, requests: tuple[Request, ...]) -> _ServeLoop:
-        """The run's loop for the configured engine mode."""
-        if self.engine_mode == ENGINE_REFERENCE:
-            return _ServeLoop(self, requests)
-        from repro.serve.fastsim import _FastServeLoop
-
-        return _FastServeLoop(self, requests)
+        """The run's event loop."""
+        return _ServeLoop(self, requests)
 
     def run(self, arrivals) -> ServeResult:
         """Serve ``arrivals.generate()`` end to end; returns the result.
@@ -465,28 +142,18 @@ class ServingSimulator:
             loop.scheduler.admissible(request)
 
         exact = self.percentile_mode != PERCENTILE_MODE_SKETCH
-        records: list[RequestRecord] = []
-        energy_by_index: dict[int, float] = {}
+        completed: list[RequestRecord] = []
 
         def body(runner, clock):
             loop.run(runner, clock)
-            energy_by_index.update(loop.request_energy_wh(runner))
+            loop.attribute_energy(runner)
             if not exact:
-                return len(loop.finished)
+                return
+            # Request spans land inside the run's span, in completion order.
+            completed.extend(loop.records())
             tracer = get_tracer()
-            for seq, completed_s in loop.finished:
-                record = RequestRecord(
-                    index=seq.request.index,
-                    arrival_s=seq.request.arrival_s,
-                    admitted_s=seq.admitted_s,
-                    first_token_s=seq.first_token_s,
-                    completed_s=completed_s,
-                    prompt_tokens=seq.request.prompt_tokens,
-                    generate_tokens=seq.request.generate_tokens,
-                    energy_wh=energy_by_index.get(seq.request.index, 0.0),
-                )
-                records.append(record)
-                if tracer.enabled:
+            if tracer.enabled:
+                for record in completed:
                     tracer.complete_span(
                         "serve/request",
                         record.arrival_s,
@@ -498,7 +165,6 @@ class ServingSimulator:
                         },
                         track=SERVE_TRACK,
                     )
-            return len(records)
 
         _, elapsed, energy_wh, mean_power = measure_run(
             self.engine.node,
@@ -514,22 +180,17 @@ class ServingSimulator:
         )
         if self.telemetry is not None:
             self.telemetry.finish(elapsed)
-        if exact:
-            records.sort(key=lambda r: r.index)
-            summary = summarize(
-                records,
-                offered=len(requests),
-                rejected=loop.queue.rejected_count,
-                elapsed_s=elapsed,
-                slo=self.slo,
-            )
-            self._observe(summary, records)
-            records_out: tuple[RequestRecord, ...] | None = tuple(records)
-        else:
-            summary = self._stream_summary(
-                loop, energy_by_index, offered=len(requests), elapsed_s=elapsed
-            )
-            records_out = None
+        summary, records = summarize_completions(
+            completed if exact else loop.records(),
+            percentile_mode=self.percentile_mode,
+            slo=self.slo,
+            offered=len(requests),
+            rejected=loop.queue.rejected_count,
+            elapsed_s=elapsed,
+        )
+        # Latency histograms observe the summary's order: request index
+        # when records are kept, completion order when streamed.
+        self._observe(summary, records if exact else loop.records())
         extra = summary.to_dict()
         extra.pop("elapsed_s", None)  # already a TrainResult field
         extra["decode_steps"] = float(loop.decode_steps)
@@ -550,61 +211,15 @@ class ServingSimulator:
         return ServeResult(
             train=train,
             summary=summary,
-            records=records_out,
+            records=records,
             rejected=loop.queue.rejected,
             alerts=(
                 self.slo_monitor.to_dict() if self.slo_monitor is not None else None
             ),
         )
 
-    def _stream_summary(
-        self,
-        loop: _ServeLoop,
-        energy_by_index: dict[int, float],
-        *,
-        offered: int,
-        elapsed_s: float,
-    ) -> ServeSummary:
-        """The p2-mode summary: stream completions, store no records.
-
-        Completions feed the sketches (and the latency histograms) in
-        **completion order** — the canonical stream order both engines
-        share, since neither materializes an index-sorted record list.
-        """
-        metrics = get_metrics()
-        tag = self.engine.node.jube_tag
-        ttft_hist = metrics.histogram("serve_ttft_s", "time to first token")
-        e2e_hist = metrics.histogram("serve_e2e_s", "end-to-end request latency")
-        streamer = StreamingSummarizer(slo=self.slo)
-        for seq, completed_s in loop.finished:
-            request = seq.request
-            ttft_s = seq.first_token_s - request.arrival_s
-            e2e_s = completed_s - request.arrival_s
-            tpot_s = (
-                (completed_s - seq.first_token_s) / (request.generate_tokens - 1)
-                if request.generate_tokens > 1
-                else 0.0
-            )
-            streamer.observe_values(
-                ttft_s=ttft_s,
-                tpot_s=tpot_s,
-                e2e_s=e2e_s,
-                queue_delay_s=seq.admitted_s - request.arrival_s,
-                generate_tokens=request.generate_tokens,
-                energy_wh=energy_by_index.get(request.index, 0.0),
-            )
-            ttft_hist.observe(ttft_s, system=tag)
-            e2e_hist.observe(e2e_s, system=tag)
-        summary = streamer.summary(
-            offered=offered,
-            rejected=loop.queue.rejected_count,
-            elapsed_s=elapsed_s,
-        )
-        self._observe_counters(summary)
-        return summary
-
-    def _observe_counters(self, summary: ServeSummary) -> None:
-        """Record the run's aggregate serving counters."""
+    def _observe(self, summary: ServeSummary, records) -> None:
+        """Record the run's serving metrics on the process registry."""
         metrics = get_metrics()
         tag = self.engine.node.jube_tag
         metrics.counter(
@@ -614,12 +229,6 @@ class ServingSimulator:
             metrics.counter(
                 "serve_requests_rejected_total", "requests shed at admission"
             ).inc(summary.rejected, system=tag)
-
-    def _observe(self, summary: ServeSummary, records: list[RequestRecord]) -> None:
-        """Record the run's serving metrics on the process registry."""
-        self._observe_counters(summary)
-        metrics = get_metrics()
-        tag = self.engine.node.jube_tag
         ttft = metrics.histogram("serve_ttft_s", "time to first token")
         e2e = metrics.histogram("serve_e2e_s", "end-to-end request latency")
         for record in records:

@@ -1,27 +1,10 @@
-"""Structure-of-arrays request state for the serve fast path.
-
-A million-request run cannot afford per-request Python objects on the
-hot loop.  :class:`RequestTable` lowers an arrival stream's per-request
-scalars into parallel numpy arrays once, up front — arrival times,
-prompt/generate token counts, full-context KV reservations — so the
-fast engines index flat float64/int64 arrays instead of chasing
-:class:`~repro.serve.arrivals.Request` dataclass attributes per decode
-step.
-
-The KV reservations are computed by one vectorized multiply and are
-bit-identical to the scalar path
-(:meth:`~repro.serve.scheduler.ContinuousBatchScheduler.kv_bytes_for`
-computes ``context_tokens * kv_cache_bytes_per_token`` per request;
-IEEE multiplication is elementwise, so the array result matches the
-scalar result exactly).
+"""Per-request energy attribution of the single-engine serving loop.
 
 :func:`attribute_request_energy_wh` is the **incremental energy
-cursor** of the single-engine path, shared by the reference and fast
-engines so their per-request energies are identical by construction:
-instead of re-slicing the jpwr cumulative curve per request (O(steps ×
-batch) interpolations), it interpolates each phase boundary once,
-builds the running cumulative-Wh cursor of per-step *shares* with one
-sequential accumulation, and charges each request the cursor
+cursor**: instead of re-slicing the jpwr cumulative curve per request
+(O(steps × batch) interpolations), it interpolates each phase boundary
+once, builds the running cumulative-Wh cursor of per-step *shares*
+with one sequential accumulation, and charges each request the cursor
 difference across its residency plus its own prefill.
 """
 
@@ -30,47 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.jpwr.energy import cumulative_at
-from repro.serve.arrivals import Request
-
-
-class RequestTable:
-    """Parallel per-request arrays over one arrival stream.
-
-    Rows follow the stream order; ``row_of`` maps a request index to
-    its row (request indices are unique but not required to be dense).
-    """
-
-    def __init__(self, requests: tuple[Request, ...], kv_bytes_per_token: float) -> None:
-        n = len(requests)
-        self.arrival_s = np.empty(n, dtype=np.float64)
-        self.prompt_tokens = np.empty(n, dtype=np.int64)
-        self.generate_tokens = np.empty(n, dtype=np.int64)
-        self.context_tokens = np.empty(n, dtype=np.int64)
-        index = np.empty(n, dtype=np.int64)
-        for row, request in enumerate(requests):
-            index[row] = request.index
-            self.arrival_s[row] = request.arrival_s
-            self.prompt_tokens[row] = request.prompt_tokens
-            self.generate_tokens[row] = request.generate_tokens
-            self.context_tokens[row] = request.context_tokens
-        self.index = index
-        #: Full-context KV reservation per row (one vectorized multiply).
-        self.kv_bytes = self.context_tokens.astype(np.float64) * float(
-            kv_bytes_per_token
-        )
-        self.row_of = {int(i): row for row, i in enumerate(index)}
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def kv_bytes_by_index(self) -> dict[int, float]:
-        """Request index -> KV reservation, as plain Python floats.
-
-        Plugged into the scheduler as its admission-time cache so the
-        hot loop never recomputes the per-request multiply.
-        """
-        kv = self.kv_bytes.tolist()
-        return {int(i): kv[row] for row, i in enumerate(self.index)}
 
 
 def attribute_request_energy_wh(
@@ -104,8 +46,8 @@ def attribute_request_energy_wh(
     Returns the request-index -> Wh mapping.  Each request is charged
     its full prefill plus the running share-cursor difference across
     its decode residency; the cursor accumulates ``step_wh / batch``
-    sequentially in execution order, so both serve engines calling this
-    with identical inputs produce identical floats.
+    sequentially in execution order, so identical inputs produce
+    identical floats however they were recorded.
     """
     n_p = len(prefill_events)
     n_s = len(step_t0)

@@ -1,8 +1,9 @@
-"""Hypothesis differential fuzz: fast vs reference serve engines.
+"""Hypothesis differential fuzz: shipped serve simulators vs the oracle.
 
 Randomized configurations (arrival seeds/rates, token lengths, batch
 and queue caps, replica counts, routers, autoscaling, disaggregation,
-percentile modes) must satisfy, on **both** engines:
+percentile modes) must satisfy, on **both** the shipped simulators and
+the per-step reference loops of ``tests/serve_oracle.py``:
 
 * byte-identical summary dictionaries (the differential property),
 * request conservation — every offered request is either completed or
@@ -27,13 +28,9 @@ from repro.engine.inference import InferenceEngine
 from repro.hardware.systems import get_system
 from repro.models.transformer import get_gpt_preset
 from repro.obs.metrics import MetricsRegistry, set_metrics
-from repro.serve import ENGINE_FAST, ENGINE_REFERENCE, PoissonArrivals
-from repro.serve.cluster import (
-    AutoscalePolicy,
-    ClusterSimulator,
-    DisaggregationSpec,
-)
-from repro.serve.simulator import ServingSimulator
+from repro.serve import PoissonArrivals
+from repro.serve.cluster import AutoscalePolicy, DisaggregationSpec
+from serve_oracle import CLUSTER_SIMULATORS, SERVING_SIMULATORS
 
 pytestmark = [pytest.mark.serve]
 
@@ -56,12 +53,12 @@ def summary_bytes(result):
     return json.dumps(result.summary.to_dict(), sort_keys=True)
 
 
-def run_pair(make_sim, arrivals):
-    """Run the same config on both engines; return (reference, fast)."""
+def run_pair(simulators, make_sim, arrivals):
+    """Run the same config on both simulators; return (reference, fast)."""
     results = []
-    for mode in (ENGINE_REFERENCE, ENGINE_FAST):
+    for name in ("reference", "fast"):
         set_metrics(MetricsRegistry())
-        results.append(make_sim(mode).run(arrivals))
+        results.append(make_sim(simulators[name]).run(arrivals))
     return results
 
 
@@ -77,12 +74,12 @@ class TestSingleEngineDifferential:
         self, arrivals, batch_cap, queue_capacity, percentiles
     ):
         ref, fast = run_pair(
-            lambda mode: ServingSimulator(
+            SERVING_SIMULATORS,
+            lambda simulator: simulator(
                 ENGINE,
                 batch_cap=batch_cap,
                 queue_capacity=queue_capacity,
                 percentile_mode=percentiles,
-                engine_mode=mode,
             ),
             PoissonArrivals(**arrivals),
         )
@@ -125,7 +122,8 @@ class TestClusterDifferential:
                 prefill_replicas=1, decode_replicas=replicas - 1
             )
         ref, fast = run_pair(
-            lambda mode: ClusterSimulator(
+            CLUSTER_SIMULATORS,
+            lambda simulator: simulator(
                 ENGINE,
                 replicas=replicas,
                 router=router,
@@ -134,7 +132,6 @@ class TestClusterDifferential:
                 autoscale=autoscale,
                 disaggregation=disagg,
                 percentile_mode=percentiles,
-                engine_mode=mode,
             ),
             PoissonArrivals(**arrivals),
         )

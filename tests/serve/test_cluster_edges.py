@@ -2,8 +2,9 @@
 
 The corners the fast path is most likely to get wrong — loops that
 never start, loops where nothing is ever admitted, autoscalers that
-power the fleet down mid-run — pinned on **both** engines so the
-behaviors can never diverge silently.
+power the fleet down mid-run — pinned on **both** the shipped
+simulator ("fast") and the per-step oracle of ``tests/serve_oracle.py``
+("reference") so the behaviors can never diverge silently.
 """
 
 from __future__ import annotations
@@ -15,16 +16,13 @@ from repro.errors import ConfigError
 from repro.hardware.systems import get_system
 from repro.models.transformer import get_gpt_preset
 from repro.obs.metrics import MetricsRegistry, set_metrics
-from repro.serve import ENGINE_FAST, ENGINE_REFERENCE, BurstArrivals
-from repro.serve.cluster import (
-    AutoscalePolicy,
-    ClusterSimulator,
-    DisaggregationSpec,
-)
+from repro.serve import BurstArrivals
+from repro.serve.cluster import AutoscalePolicy, DisaggregationSpec
+from serve_oracle import CLUSTER_SIMULATORS
 
 pytestmark = [pytest.mark.serve, pytest.mark.cluster]
 
-ENGINES = [ENGINE_REFERENCE, ENGINE_FAST]
+ENGINES = ["reference", "fast"]
 
 
 @pytest.fixture(autouse=True)
@@ -49,7 +47,7 @@ class _EmptyArrivals:
 class TestZeroArrivals:
     @pytest.mark.parametrize("mode", ENGINES)
     def test_empty_stream_is_a_config_error(self, engine, mode):
-        sim = ClusterSimulator(engine, replicas=2, engine_mode=mode)
+        sim = CLUSTER_SIMULATORS[mode](engine, replicas=2)
         with pytest.raises(ConfigError, match="no requests"):
             sim.run(_EmptyArrivals())
 
@@ -60,13 +58,12 @@ class TestTotalShed:
         # 16 requests land at t=0 on one replica with a 1-deep queue:
         # the head request is queued, everything else is shed before a
         # single decode step runs.
-        sim = ClusterSimulator(
+        sim = CLUSTER_SIMULATORS[mode](
             engine,
             replicas=1,
             batch_cap=1,
             queue_capacity=1,
-            engine_mode=mode,
-        )
+                    )
         result = sim.run(BurstArrivals(bursts=((0.0, 16),), generate_tokens=32))
         s = result.summary.serve
         assert s.offered == 16
@@ -82,13 +79,12 @@ class TestTotalShed:
         for mode in ENGINES:
             set_metrics(MetricsRegistry())
             results.append(
-                ClusterSimulator(
+                CLUSTER_SIMULATORS[mode](
                     engine,
                     replicas=1,
                     batch_cap=1,
                     queue_capacity=1,
-                    engine_mode=mode,
-                ).run(BurstArrivals(bursts=((0.0, 16),), generate_tokens=32))
+                                    ).run(BurstArrivals(bursts=((0.0, 16),), generate_tokens=32))
             )
         ref, fast = results
         assert [r.index for r in ref.rejected] == [
@@ -105,13 +101,12 @@ class TestAutoscalerDrain:
         # A burst spins the fleet up; the long quiet gap before the
         # last request must drain every replica above the floor, and
         # the floor replica must stay on to serve the straggler.
-        result = ClusterSimulator(
+        result = CLUSTER_SIMULATORS[mode](
             engine,
             replicas=4,
             batch_cap=2,
             autoscale=AutoscalePolicy(min_replicas=1),
-            engine_mode=mode,
-        ).run(self.DRAIN)
+                    ).run(self.DRAIN)
         stats = result.summary.replicas
         elapsed = result.train.elapsed_s
         assert result.summary.spinups == 3
@@ -130,13 +125,12 @@ class TestAutoscalerDrain:
         stats = []
         for mode in ENGINES:
             set_metrics(MetricsRegistry())
-            result = ClusterSimulator(
+            result = CLUSTER_SIMULATORS[mode](
                 engine,
                 replicas=4,
                 batch_cap=2,
                 autoscale=AutoscalePolicy(min_replicas=1),
-                engine_mode=mode,
-            ).run(self.DRAIN)
+                            ).run(self.DRAIN)
             stats.append(result.summary.replicas)
         assert stats[0] == stats[1]
 
@@ -152,14 +146,13 @@ class TestSingleReplicaDisaggregation:
 
     @pytest.mark.parametrize("mode", ENGINES)
     def test_minimum_viable_disaggregation_is_one_plus_one(self, engine, mode):
-        sim = ClusterSimulator(
+        sim = CLUSTER_SIMULATORS[mode](
             engine,
             replicas=2,
             disaggregation=DisaggregationSpec(
                 prefill_replicas=1, decode_replicas=1
             ),
-            engine_mode=mode,
-        )
+                    )
         result = sim.run(BurstArrivals(bursts=((0.0, 6),), generate_tokens=16))
         assert result.summary.serve.completed == 6
         assert result.summary.transfers == 6

@@ -1,52 +1,23 @@
-"""Unit coverage for the fast-path building blocks.
+"""Unit coverage for the serving loops' building blocks.
 
 The differential suite proves end-to-end equality; these tests pin the
-small seam contracts directly — mode validation, heap ordering and the
-underflow guard, and the structure-of-arrays KV precomputation.
+small contracts directly — heap ordering and the underflow guard, and
+the scheduler's KV reservation.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.engine.inference import InferenceEngine
-from repro.errors import ConfigError, MeasurementError
+from repro.errors import MeasurementError
 from repro.hardware.systems import get_system
 from repro.models.transformer import get_gpt_preset
-from repro.serve import (
-    DEFAULT_ENGINE_MODE,
-    ENGINE_FAST,
-    ENGINE_MODES,
-    ENGINE_REFERENCE,
-    PoissonArrivals,
-)
-from repro.serve.cluster import ClusterSimulator
-from repro.serve.engines import validate_engine_mode
+from repro.serve import ContinuousBatchScheduler, PoissonArrivals
 from repro.serve.events import EventHeap
-from repro.serve.simulator import ServingSimulator
-from repro.serve.soa import RequestTable
 
 pytestmark = [pytest.mark.serve]
-
-
-class TestEngineModeSeam:
-    def test_registry_shape(self):
-        assert ENGINE_MODES == (ENGINE_REFERENCE, ENGINE_FAST)
-        assert DEFAULT_ENGINE_MODE in ENGINE_MODES
-
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
-    def test_known_modes_pass_through(self, mode):
-        assert validate_engine_mode(mode) == mode
-
-    def test_unknown_mode_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="unknown serve engine mode"):
-            validate_engine_mode("warp")
-
-    @pytest.mark.parametrize("simulator", [ServingSimulator, ClusterSimulator])
-    def test_simulators_validate_at_construction(self, simulator):
-        engine = InferenceEngine(get_system("GH200"), get_gpt_preset("800M"))
-        with pytest.raises(ConfigError, match="warp"):
-            simulator(engine, engine_mode="warp")
 
 
 class TestEventHeap:
@@ -80,7 +51,7 @@ class TestEventHeap:
             EventHeap().pop_due()
 
 
-class TestRequestTable:
+class TestKVReservation:
     ARRIVALS = PoissonArrivals(
         rate_per_s=10.0,
         requests=16,
@@ -90,21 +61,19 @@ class TestRequestTable:
         seed=3,
     )
 
-    def test_rows_mirror_the_request_stream(self):
-        requests = self.ARRIVALS.generate()
-        table = RequestTable(requests, kv_bytes_per_token=4096.0)
-        assert len(table) == len(requests)
-        for row, request in enumerate(requests):
-            assert table.row_of[request.index] == row
-            assert table.arrival_s[row] == request.arrival_s
-            assert table.context_tokens[row] == request.context_tokens
-
     def test_kv_bytes_match_the_scalar_multiply_exactly(self):
+        # One multiply by the per-token bytes computed at construction,
+        # bit-identical to multiplying per request and to the vectorized
+        # multiply over the whole stream.
+        engine = InferenceEngine(get_system("GH200"), get_gpt_preset("800M"))
+        scheduler = ContinuousBatchScheduler(engine, batch_cap=8)
+        per_token = engine.model.kv_cache_bytes_per_token(engine.policy)
         requests = self.ARRIVALS.generate()
-        per_token = 40960.0
-        table = RequestTable(requests, kv_bytes_per_token=per_token)
-        by_index = table.kv_bytes_by_index()
-        for request in requests:
-            scalar = request.context_tokens * per_token
-            assert by_index[request.index] == scalar
-            assert isinstance(by_index[request.index], float)
+        vectorized = (
+            np.array([r.context_tokens for r in requests], dtype=np.float64)
+            * float(per_token)
+        ).tolist()
+        for request, expected in zip(requests, vectorized):
+            kv = scheduler.kv_bytes_for(request)
+            assert kv == request.context_tokens * per_token == expected
+            assert isinstance(kv, float)

@@ -1,13 +1,14 @@
-"""Differential equivalence: the fast engine vs the reference loop.
+"""Differential equivalence: the shipped simulators vs the oracle.
 
-The guard rail behind the vectorized serve hot path: every observable
-output of a run — the summary dict, the per-request record JSON, the
-rejected set, trace-sink records, SLO alerts, the OpenMetrics render
-and the telemetry timeseries export — must be **byte-identical**
-between ``engine_mode="fast"`` and ``engine_mode="reference"`` across
-the configuration grid (arrival processes x routers x autoscaling x
-fault plans x disaggregation x percentile modes).  Any drift, however
-small, is a bug in the fast path, never tolerance-worthy.
+The guard rail behind the serve hot path: every observable output of a
+run — the summary dict, the per-request record JSON, the rejected set,
+trace-sink records, SLO alerts, the OpenMetrics render and the
+telemetry timeseries export — must be **byte-identical** between the
+shipped simulators ("fast") and the per-step reference loops of
+``tests/serve_oracle.py`` ("reference") across the configuration grid
+(arrival processes x routers x autoscaling x fault plans x
+disaggregation x percentile modes).  Any drift, however small, is a bug
+in the shipped loop, never tolerance-worthy.
 """
 
 from __future__ import annotations
@@ -30,20 +31,16 @@ from repro.obs.telemetry import (
 )
 from repro.obs.trace import Tracer, activate
 from repro.serve import (
-    ENGINE_FAST,
-    ENGINE_REFERENCE,
     BurstArrivals,
     PoissonArrivals,
     SessionArrivals,
     SLOPolicy,
 )
-from repro.serve.cluster import (
-    AutoscalePolicy,
-    ClusterSimulator,
-    DisaggregationSpec,
-)
-from repro.serve.simulator import ServingSimulator
+from repro.serve.cluster import AutoscalePolicy, DisaggregationSpec
 from repro.simcluster.clock import VirtualClock
+from serve_oracle import CLUSTER_SIMULATORS, SERVING_SIMULATORS
+
+ENGINE_REFERENCE, ENGINE_FAST = "reference", "fast"
 
 pytestmark = [pytest.mark.serve]
 
@@ -72,6 +69,7 @@ FLOOD = PoissonArrivals(
     generate_tokens=24,
     seed=3,
 )
+LONG = BurstArrivals(bursts=((0.0, 6), (30.0, 4)), generate_tokens=300)
 ARRIVALS = {"poisson": POISSON, "bursts": BURSTS, "sessions": SESSIONS}
 
 
@@ -119,7 +117,7 @@ def run_single(
     set_metrics(MetricsRegistry())
     sampler = TelemetrySampler() if telemetry else None
     monitor = SLOMonitor() if telemetry else None
-    sim = ServingSimulator(
+    sim = SERVING_SIMULATORS[mode](
         _engine(),
         batch_cap=8,
         queue_capacity=queue_capacity,
@@ -127,7 +125,6 @@ def run_single(
         telemetry=sampler,
         slo_monitor=monitor,
         percentile_mode=percentile_mode,
-        engine_mode=mode,
     )
     scope = _fault_scope(*faults) if faults else None
     sink = InMemorySink() if traced else None
@@ -160,7 +157,7 @@ def run_cluster(
     set_metrics(MetricsRegistry())
     sampler = TelemetrySampler() if telemetry else None
     monitor = SLOMonitor() if telemetry else None
-    sim = ClusterSimulator(
+    sim = CLUSTER_SIMULATORS[mode](
         _engine(),
         replicas=replicas,
         router=router,
@@ -172,7 +169,6 @@ def run_cluster(
         telemetry=sampler,
         slo_monitor=monitor,
         percentile_mode=percentile_mode,
-        engine_mode=mode,
     )
     sink = InMemorySink() if traced else None
     if traced:
@@ -191,7 +187,7 @@ def assert_identical(ref, fast):
 
 
 class TestSingleEngineEquivalence:
-    """ServingSimulator: fast vs reference, all observables."""
+    """ServingSimulator: shipped vs oracle, all observables."""
 
     @pytest.mark.parametrize("name", sorted(ARRIVALS))
     @pytest.mark.parametrize("percentiles", ["exact", "p2"])
@@ -203,7 +199,7 @@ class TestSingleEngineEquivalence:
         )
 
     def test_untraced_run(self, tmp_path):
-        # No tracer, no sampler: the fast loop defers its gauge writes,
+        # No tracer, no sampler: the shipped loop defers its gauge writes,
         # but the final registry state must still match byte-for-byte.
         assert_identical(
             run_single(ENGINE_REFERENCE, tmp_path, traced=False),
@@ -249,7 +245,7 @@ class TestSingleEngineEquivalence:
 
 
 class TestClusterEquivalence:
-    """ClusterSimulator: fast vs reference, all observables."""
+    """ClusterSimulator: shipped vs oracle, all observables."""
 
     @pytest.mark.parametrize(
         "router,name",
@@ -282,6 +278,40 @@ class TestClusterEquivalence:
             disaggregation=DisaggregationSpec(
                 prefill_replicas=prefill, decode_replicas=decode
             ),
+            percentile_mode=percentiles,
+        )
+        assert_identical(
+            run_cluster(ENGINE_REFERENCE, tmp_path, **kw),
+            run_cluster(ENGINE_FAST, tmp_path, **kw),
+        )
+
+    @pytest.mark.parametrize("pools", [(1, 2), (2, 2)])
+    def test_disaggregated_under_burst(self, tmp_path, pools):
+        # Back-to-back prefills keep KV transfers in flight while decode
+        # replicas run: a fused decode run must stop at the first step
+        # boundary after a transfer lands, where per-step stepping
+        # admits the transferred request.
+        prefill, decode = pools
+        kw = dict(
+            arrivals=BURSTS,
+            replicas=prefill + decode,
+            disaggregation=DisaggregationSpec(
+                prefill_replicas=prefill, decode_replicas=decode
+            ),
+        )
+        assert_identical(
+            run_cluster(ENGINE_REFERENCE, tmp_path, **kw),
+            run_cluster(ENGINE_FAST, tmp_path, **kw),
+        )
+
+    @pytest.mark.parametrize("percentiles", ["exact", "p2"])
+    def test_long_decode_runs(self, tmp_path, percentiles):
+        # Generations longer than the scalar-walk threshold with no
+        # arrival pending: the shipped loop folds each run with numpy.
+        kw = dict(
+            arrivals=LONG,
+            replicas=2,
+            telemetry=True,
             percentile_mode=percentiles,
         )
         assert_identical(

@@ -1,13 +1,13 @@
 """Golden fixtures: seeded serve outputs pinned byte-for-byte.
 
-The differential suite proves fast == reference; these goldens prove
-*both* still equal what they produced when the fixture was last
-blessed, catching semantic drift that changes the two engines in
-lockstep (e.g. an accidental change to energy attribution, summary
-rounding or the shared summariser).  Every golden is checked against
-both engines: the summary and OpenMetrics export in each percentile
-mode, and the per-request records of the exact mode.  Regenerate
-deliberately with::
+The differential suite proves the shipped simulators equal the per-step
+oracle of ``tests/serve_oracle.py``; these goldens prove *both* still
+equal what they produced when the fixture was last blessed, catching
+semantic drift that changes the two in lockstep (e.g. an accidental
+change to energy attribution, summary rounding or the summariser they
+share).  Every golden is checked against both: the summary and
+OpenMetrics export in each percentile mode, and the per-request records
+of the exact mode.  Regenerate deliberately with::
 
     pytest tests/serve/test_goldens.py --update-goldens
 
@@ -26,9 +26,8 @@ from repro.hardware.systems import get_system
 from repro.models.transformer import get_gpt_preset
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.obs.telemetry import render_openmetrics
-from repro.serve import ENGINE_FAST, ENGINE_REFERENCE, PoissonArrivals, SLOPolicy
-from repro.serve.cluster import ClusterSimulator
-from repro.serve.simulator import ServingSimulator
+from repro.serve import PoissonArrivals, SLOPolicy
+from serve_oracle import CLUSTER_SIMULATORS, SERVING_SIMULATORS
 
 pytestmark = [pytest.mark.serve]
 
@@ -45,7 +44,7 @@ ARRIVALS = PoissonArrivals(
 SLO = SLOPolicy(ttft_s=0.5, e2e_s=5.0)
 
 #: Engines every golden is checked against; the first one blesses.
-ENGINES = (ENGINE_FAST, ENGINE_REFERENCE)
+ENGINES = ("fast", "reference")
 
 
 def _engine():
@@ -54,26 +53,24 @@ def _engine():
 
 def _run_single(mode, percentile_mode="exact"):
     set_metrics(MetricsRegistry())
-    result = ServingSimulator(
+    result = SERVING_SIMULATORS[mode](
         _engine(),
         batch_cap=8,
         slo=SLO,
         percentile_mode=percentile_mode,
-        engine_mode=mode,
     ).run(ARRIVALS)
     return result, render_openmetrics(get_metrics())
 
 
 def _run_cluster(mode, percentile_mode="exact"):
     set_metrics(MetricsRegistry())
-    result = ClusterSimulator(
+    result = CLUSTER_SIMULATORS[mode](
         _engine(),
         replicas=2,
         router="least-loaded",
         batch_cap=8,
         slo=SLO,
         percentile_mode=percentile_mode,
-        engine_mode=mode,
     ).run(ARRIVALS)
     return result, render_openmetrics(get_metrics())
 

