@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.engine.trainer import TrainResult
 from repro.errors import ConfigError
@@ -86,12 +87,15 @@ def percentile(values: list[float] | tuple[float, ...], q: float) -> float:
     return ordered[max(rank, PERCENTILE_MIN_RANK) - 1]
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """Lifecycle timestamps and energy of one completed request.
 
     All times are absolute simulated seconds on the run's virtual
-    clock; derived latencies are exposed as properties.
+    clock; derived latencies are exposed as properties, the one
+    definition of TTFT, TPOT, E2E and queue delay both simulators
+    summarise.  A named tuple because a run builds one per completion
+    even when it keeps none (``percentile_mode="p2"``), and a tuple is
+    cheaper to build than a frozen dataclass.
     """
 
     index: int
