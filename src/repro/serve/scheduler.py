@@ -70,8 +70,8 @@ class ContinuousBatchScheduler:
                 "exceed device memory"
             )
         self.kv_budget_bytes = float(budget)
-        #: KV-cache bytes one token of context reserves.
-        self.kv_bytes_per_token = float(
+        # KV-cache bytes one token of context reserves.
+        self._kv_bytes_per_token = float(
             engine.model.kv_cache_bytes_per_token(engine.policy)
         )
         self.active: list[Sequence] = []
@@ -81,7 +81,7 @@ class ContinuousBatchScheduler:
 
     def kv_bytes_for(self, request: Request) -> float:
         """KV-cache reservation of one request at full context."""
-        return request.context_tokens * self.kv_bytes_per_token
+        return request.context_tokens * self._kv_bytes_per_token
 
     @property
     def kv_reserved_bytes(self) -> float:
