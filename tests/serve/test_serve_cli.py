@@ -127,7 +127,7 @@ class TestDefaults:
             )[param]
         assert len(set(found.values())) == 1, found
 
-    def test_engine_flag_is_gone(self, capsys):
+    def test_engine_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(
                 ["serve", "--system", "GH200", "--engine", "fast"]
