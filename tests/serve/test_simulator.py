@@ -19,7 +19,10 @@ from repro.serve import (
     ServingSimulator,
     SLOPolicy,
     TraceArrivals,
+    percentile,
 )
+from repro.serve.cluster import ClusterSimulator
+from repro.serve.result import summarize_completions
 from repro.simcluster.clock import VirtualClock
 
 pytestmark = pytest.mark.serve
@@ -222,3 +225,63 @@ class TestContinuousBatchingAdvantage:
         assert continuous_decode < lockstep_decode + 8 * engine.prefill_time_s(
             InferenceWorkload(prompt_tokens=128, batch_size=1)
         )
+
+
+class _NoArrivals:
+    """An arrival process that generates nothing."""
+
+    def generate(self):
+        return ()
+
+
+class TestBoundaryValidation:
+    """Bad serving input fails with a ConfigError before any run."""
+
+    @pytest.mark.parametrize("simulator", [ServingSimulator, ClusterSimulator])
+    def test_unknown_percentile_mode(self, engine, simulator):
+        with pytest.raises(ConfigError, match="unknown percentile mode 'p3'"):
+            simulator(engine, percentile_mode="p3")
+
+    def test_batch_cap_below_one(self, engine):
+        with pytest.raises(ConfigError, match="batch cap must be >= 1"):
+            ServingSimulator(engine, batch_cap=0)
+
+    def test_empty_stream(self, engine):
+        with pytest.raises(ConfigError, match="no requests"):
+            ServingSimulator(engine).run(_NoArrivals())
+
+    @pytest.mark.parametrize(
+        "values,q,match",
+        [
+            ((), 50.0, "empty sample"),
+            ((1.0, 2.0), 0.0, "must be in"),
+            ((1.0,), 101.0, "must be in"),
+        ],
+    )
+    def test_percentile_domain(self, values, q, match):
+        with pytest.raises(ConfigError, match=match):
+            percentile(values, q)
+
+    @pytest.mark.parametrize("bound", ["ttft_s", "e2e_s"])
+    def test_slo_bounds_must_be_positive(self, bound):
+        with pytest.raises(ConfigError, match=f"SLO {bound} must be positive"):
+            SLOPolicy(**{bound: 0.0})
+
+    def test_slo_e2e_bound_is_enforced(self):
+        slo = SLOPolicy(e2e_s=1.0)
+        assert slo.met_values(0.1, 1.0)
+        assert not slo.met_values(0.1, 1.5)
+
+    @pytest.mark.parametrize("mode", ["exact", "p2"])
+    def test_no_completions_summarise_to_zeros(self, mode):
+        summary, kept = summarize_completions(
+            (),
+            percentile_mode=mode,
+            slo=SLOPolicy(),
+            offered=3,
+            rejected=3,
+            elapsed_s=1.0,
+        )
+        assert (summary.completed, summary.rejected) == (0, 3)
+        assert summary.ttft.p99 == summary.energy_per_request_wh == 0.0
+        assert kept == (() if mode == "exact" else None)
