@@ -3,11 +3,11 @@
 The parent-process half of the sweep fast path
 (:mod:`repro.serve.streams` is the worker half):
 
-* :func:`stream_spec_for_item` inspects a planned workpackage's
-  substituted serve operation and recovers the
-  :class:`~repro.serve.streams.ArrivalStreamSpec` it will consume —
-  mirroring exactly how ``llm_serve`` / ``llm_serve_cluster`` build
-  their generators, so the parent can know a stream without running
+* :func:`stream_spec_for_item` parses a planned workpackage's
+  substituted serve operation through the operation's option table and
+  builds the arrivals ``llm_serve`` / ``llm_serve_cluster`` would, so
+  the parent knows the
+  :class:`~repro.serve.streams.ArrivalStreamSpec` without running
   anything.
 * :func:`plan_streams` generates each distinct stream family **once**
   (at the longest request count any item needs) and freezes it; the
@@ -22,16 +22,11 @@ The parent-process half of the sweep fast path
 
 from __future__ import annotations
 
-import shlex
-
+from repro.core.options import OPERATION_OPTIONS, parse_options
+from repro.core.registry import serve_arrivals
 from repro.jube.parameters import substitute
-from repro.jube.runner import WorkItem, WorkResult
-from repro.serve.streams import (
-    KIND_POISSON,
-    KIND_SESSION,
-    ArrivalStreamSpec,
-    FrozenStream,
-)
+from repro.jube.runner import WorkItem, WorkResult, parse_operation
+from repro.serve.streams import ArrivalStreamSpec, FrozenStream
 
 #: Operations whose arrival streams the campaign layer can pre-generate.
 SERVE_OPERATIONS = ("llm_serve", "llm_serve_cluster")
@@ -40,80 +35,25 @@ SERVE_OPERATIONS = ("llm_serve", "llm_serve_cluster")
 DEFAULT_BATCH_SIZE = 16
 
 
-def parse_operation(command: str) -> tuple[str, dict[str, str]]:
-    """Split a substituted ``opname --key value ...`` command.
-
-    The same grammar :meth:`OperationRegistry.dispatch` uses; bare
-    ``--flag`` tokens become ``"true"``.
-    """
-    tokens = shlex.split(command)
-    name, rest = tokens[0], tokens[1:]
-    args: dict[str, str] = {}
-    i = 0
-    while i < len(rest):
-        token = rest[i]
-        if not token.startswith("--"):
-            raise ValueError(f"unexpected token {token!r} in {command!r}")
-        key = token[2:]
-        if i + 1 < len(rest) and not rest[i + 1].startswith("--"):
-            args[key] = rest[i + 1]
-            i += 2
-        else:
-            args[key] = "true"
-            i += 1
-    return name, args
-
-
-def _spec_from_args(name: str, args: dict[str, str]) -> ArrivalStreamSpec:
-    """The stream spec a serve operation builds from these arguments.
-
-    Field for field the same defaults the registry operations apply;
-    the session process deliberately carries no length spread (the
-    operation never passes one, keeping shared prefixes exact).
-    """
-    sessions = int(args.get("sessions", "0")) if name == "llm_serve_cluster" else 0
-    if sessions > 0:
-        return ArrivalStreamSpec(
-            kind=KIND_SESSION,
-            rate_per_s=float(args["rate"]),
-            requests=int(args.get("requests", "32")),
-            prompt_tokens=int(args.get("prompt-tokens", "512")),
-            generate_tokens=int(args.get("generate-tokens", "128")),
-            length_spread=0.0,
-            seed=int(args.get("seed", "0")),
-            sessions=sessions,
-            prefix_tokens=int(args.get("prefix-tokens", "384")),
-        )
-    return ArrivalStreamSpec(
-        kind=KIND_POISSON,
-        rate_per_s=float(args["rate"]),
-        requests=int(args.get("requests", "32")),
-        prompt_tokens=int(args.get("prompt-tokens", "512")),
-        generate_tokens=int(args.get("generate-tokens", "128")),
-        length_spread=float(args.get("spread", "0")),
-        seed=int(args.get("seed", "0")),
-    )
-
-
 def stream_spec_for_item(item: WorkItem) -> ArrivalStreamSpec | None:
     """The arrival stream a planned workpackage will consume, or None.
 
-    Returns None for items with no serve operation, for serve
-    operations with malformed arguments (execution will surface the
-    real error), and never raises: stream planning is an optimization
-    and must not fail a campaign.
+    The spec of the arrivals the serve operation builds from the same
+    command.  Returns None for items with no serve operation and for
+    serve operations with malformed arguments (execution will surface
+    the real error), and never raises: stream planning is an
+    optimization and must not fail a campaign.
     """
     for template in item.step.operations:
         try:
-            command = substitute(template, item.parameters)
-            name, args = parse_operation(command)
+            name, args = parse_operation(substitute(template, item.parameters))
+            if name in SERVE_OPERATIONS:
+                options = parse_options(
+                    name, OPERATION_OPTIONS[name], args, partial=True
+                )
+                return ArrivalStreamSpec.for_arrivals(serve_arrivals(options))
         except Exception:  # noqa: BLE001 — planning is best-effort
             return None
-        if name in SERVE_OPERATIONS:
-            try:
-                return _spec_from_args(name, args)
-            except Exception:  # noqa: BLE001
-                return None
     return None
 
 

@@ -25,7 +25,8 @@ import argparse
 import sys
 from contextlib import contextmanager
 
-from repro.core.config import AMDVariant
+from repro.core.config import LLMBenchmarkConfig, ResNetBenchmarkConfig, capped_node
+from repro.core.options import LLM_SERVE_CLUSTER, LLM_TRAIN, POWER_CAP, RESNET_TRAIN
 from repro.core.suite import SHIPPED_SCRIPTS, CaramlSuite
 from repro.errors import ReproError
 from repro.hardware.systems import SYSTEM_TAGS, get_system
@@ -62,25 +63,32 @@ def _add_faults_flag(parser) -> None:
     )
 
 
-def _add_power_cap_flag(parser) -> None:
-    parser.add_argument(
-        "--power-cap",
-        type=float,
-        default=0.0,
-        metavar="WATTS",
-        help="per-device power cap in watts (0 = uncapped; derates "
-        "clocks through the DVFS model — see 'caraml powercap')",
-    )
+def _add_option_flags(parser, options, **overrides) -> None:
+    """Flags for operation options, declared by the operation's table.
+
+    ``overrides`` maps a flag's destination to argparse keywords that
+    replace the table's (the CLI-only defaults and choices); every
+    ``--system`` takes one of the Table I tags.
+    """
+    overrides.setdefault("system", {"choices": SYSTEM_TAGS})
+    for option in options:
+        if option.type is bool:
+            kwargs = {"action": "store_true"}
+        else:
+            kwargs = {"type": option.type, "default": option.default}
+            if option.choices:
+                kwargs["choices"] = option.choices
+            if option.metavar:
+                kwargs["metavar"] = option.metavar
+        kwargs.update(help=option.help, **overrides.get(option.dest, {}))
+        if kwargs.get("default", False) is None:
+            kwargs["required"] = True
+        parser.add_argument(f"--{option.name}", **kwargs)
 
 
-def _capped_system(tag: str, power_cap_watts: float):
-    """The system's node spec, derated when a cap was requested."""
-    node = get_system(tag)
-    if power_cap_watts > 0:
-        from repro.power.dvfs import apply_power_cap
-
-        node = apply_power_cap(node, power_cap_watts)
-    return node
+def _option_values(args, options) -> dict:
+    """The parsed flags of ``options``, keyed like the operations key them."""
+    return {o.field: getattr(args, o.dest) for o in options if hasattr(args, o.dest)}
 
 
 def _add_campaign_verb_args(cp, verb: str) -> None:
@@ -178,30 +186,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("systems", help="list the Table I systems")
 
     llm = sub.add_parser("run-llm", help="run one LLM benchmark point")
-    llm.add_argument("--system", required=True, choices=SYSTEM_TAGS)
-    llm.add_argument("--model", default="800M")
-    llm.add_argument("--gbs", type=int, default=256)
-    llm.add_argument("--mbs", type=int, default=4)
-    llm.add_argument("--duration", type=float, default=120.0, help="seconds")
-    llm.add_argument("--amd-variant", default="gcd", choices=["gcd", "gpu"])
-    _add_power_cap_flag(llm)
+    _add_option_flags(
+        llm,
+        [option for option in LLM_TRAIN if option.name != "synthetic"],
+        gbs={"default": LLMBenchmarkConfig.global_batch_size},
+    )
     _add_trace_flag(llm)
     _add_faults_flag(llm)
 
     cnn = sub.add_parser("run-resnet", help="run one ResNet benchmark point")
-    cnn.add_argument("--system", required=True, choices=SYSTEM_TAGS)
-    cnn.add_argument("--model", default="resnet50")
-    cnn.add_argument("--gbs", type=int, default=256)
-    cnn.add_argument("--devices", type=int, default=1)
-    cnn.add_argument("--amd-variant", default="gcd", choices=["gcd", "gpu"])
-    cnn.add_argument("--synthetic", action="store_true")
+    _add_option_flags(
+        cnn, RESNET_TRAIN, gbs={"default": ResNetBenchmarkConfig.global_batch_size}
+    )
     cnn.add_argument(
         "--binding",
         default="gpu-affine",
         choices=[p.value for p in BindingPolicy],
         help="CPU binding policy (paper section V-C)",
     )
-    _add_power_cap_flag(cnn)
     _add_trace_flag(cnn)
     _add_faults_flag(cnn)
 
@@ -213,87 +215,21 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--batch", type=int, default=8)
     infer.add_argument("--prompt-tokens", type=int, default=512)
     infer.add_argument("--generate-tokens", type=int, default=256)
-    _add_power_cap_flag(infer)
+    _add_option_flags(infer, (POWER_CAP,))
 
-    from repro.serve.cluster.router import DEFAULT_ROUTER_POLICY, ROUTER_POLICIES
-    from repro.serve.queue import DEFAULT_QUEUE_CAPACITY
-    from repro.serve.scheduler import DEFAULT_BATCH_CAP
+    from repro.serve.cluster.router import ROUTER_POLICIES
 
     serve = sub.add_parser(
         "serve", help="request-level serving simulation (continuous batching)"
     )
-    serve.add_argument("--system", required=True, choices=SYSTEM_TAGS)
-    serve.add_argument("--model", default="800M")
-    serve.add_argument(
-        "--rate", type=float, default=8.0, help="Poisson arrival rate (req/s)"
-    )
-    serve.add_argument("--requests", type=int, default=64)
-    serve.add_argument("--batch-cap", type=int, default=DEFAULT_BATCH_CAP)
-    serve.add_argument("--queue-cap", type=int, default=DEFAULT_QUEUE_CAPACITY)
-    serve.add_argument("--prompt-tokens", type=int, default=512)
-    serve.add_argument("--generate-tokens", type=int, default=128)
-    serve.add_argument(
-        "--spread",
-        type=float,
-        default=0.0,
-        help="fractional uniform jitter on per-request lengths",
-    )
-    serve.add_argument("--seed", type=int, default=0, help="arrival-stream seed")
-    serve.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="engine replicas; >1 serves on the multi-replica cluster",
-    )
-    serve.add_argument(
-        "--router",
-        default=DEFAULT_ROUTER_POLICY,
-        choices=sorted(ROUTER_POLICIES),
-        help="cluster routing policy (with --replicas > 1)",
-    )
-    serve.add_argument(
-        "--sessions",
-        type=int,
-        default=0,
-        help="cluster runs: >0 generates session traffic with shared "
-        "prompt prefixes instead of independent Poisson arrivals",
-    )
-    serve.add_argument(
-        "--prefix-tokens",
-        type=int,
-        default=384,
-        help="shared prefix length of session traffic (with --sessions)",
-    )
-    serve.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="scale replicas on queue depth between --min-replicas and "
-        "--replicas (spin-up delay/energy and idle power modelled)",
-    )
-    serve.add_argument(
-        "--min-replicas",
-        type=int,
-        default=1,
-        help="autoscaler floor (with --autoscale)",
-    )
-    serve.add_argument(
-        "--prefill-replicas",
-        type=int,
-        default=0,
-        help="disaggregated cluster: prefill-pool size (with "
-        "--decode-replicas; overrides --replicas)",
-    )
-    serve.add_argument(
-        "--decode-replicas",
-        type=int,
-        default=0,
-        help="disaggregated cluster: decode-pool size",
-    )
-    serve.add_argument(
-        "--slo-ttft-ms", type=float, default=0.0, help="TTFT SLO (0 disables)"
-    )
-    serve.add_argument(
-        "--slo-e2e-ms", type=float, default=0.0, help="end-to-end SLO (0 disables)"
+    # --replicas 1 selects the single engine; more serve on the cluster.
+    _add_option_flags(
+        serve,
+        LLM_SERVE_CLUSTER,
+        rate={"default": 8.0},
+        requests={"default": 64},
+        replicas={"default": 1},
+        router={"choices": sorted(ROUTER_POLICIES)},
     )
     serve.add_argument(
         "--requests-json",
@@ -313,16 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="render the live sparkline dashboard while serving",
     )
-    from repro.serve.result import PERCENTILE_MODE_EXACT, PERCENTILE_MODES
-
-    serve.add_argument(
-        "--percentiles",
-        default=PERCENTILE_MODE_EXACT,
-        choices=sorted(PERCENTILE_MODES),
-        help="latency percentile computation: exact nearest-rank over "
-        "retained samples, or p2 streaming sketches (O(1) memory)",
-    )
-    _add_power_cap_flag(serve)
     _add_trace_flag(serve)
     _add_faults_flag(serve)
 
@@ -890,39 +816,17 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
             print(file=out)
         return 0
 
-    if args.command == "run-llm":
+    if args.command in ("run-llm", "run-resnet"):
         from repro.faults import activate_injection
 
-        scope = _fault_scope(args, "run-llm")
+        scope = _fault_scope(args, args.command)
         with _maybe_traced(args.trace, out), activate_injection(scope):
-            result = suite.run_llm(
-                args.system,
-                model_size=args.model,
-                global_batch_size=args.gbs,
-                micro_batch_size=args.mbs,
-                exit_duration_s=args.duration,
-                amd_variant=AMDVariant(args.amd_variant),
-                power_cap_watts=args.power_cap,
-            )
-        _print_result_row(result, out)
-        _print_fired_faults(scope, out)
-        return 0
-
-    if args.command == "run-resnet":
-        from repro.faults import activate_injection
-
-        scope = _fault_scope(args, "run-resnet")
-        with _maybe_traced(args.trace, out), activate_injection(scope):
-            result = suite.run_resnet(
-                args.system,
-                model=args.model,
-                global_batch_size=args.gbs,
-                devices=args.devices,
-                amd_variant=AMDVariant(args.amd_variant),
-                synthetic_data=args.synthetic,
-                binding=BindingPolicy(args.binding),
-                power_cap_watts=args.power_cap,
-            )
+            if args.command == "run-llm":
+                result = suite.run_llm(**_option_values(args, LLM_TRAIN))
+            else:
+                result = suite.run_resnet(
+                    **_option_values(args, RESNET_TRAIN), binding=args.binding
+                )
         _print_result_row(result, out)
         _print_fired_faults(scope, out)
         return 0
@@ -932,7 +836,7 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
         from repro.models.transformer import get_gpt_preset
 
         engine = InferenceEngine(
-            _capped_system(args.system, args.power_cap),
+            capped_node(args.system, args.power_cap),
             get_gpt_preset(args.model),
         )
         result = engine.serve(
@@ -946,17 +850,9 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
         return 0
 
     if args.command == "serve":
-        from repro.engine.inference import InferenceEngine
-        from repro.faults import activate_injection
-        from repro.models.transformer import get_gpt_preset
-        from repro.serve import (
-            PoissonArrivals,
-            ServingSimulator,
-            SessionArrivals,
-            SLOPolicy,
-        )
-
+        from repro.core.registry import build_serving
         from repro.errors import ConfigError
+        from repro.faults import activate_injection
         from repro.serve.result import PERCENTILE_MODE_SKETCH
 
         scope = _fault_scope(args, "serve")
@@ -965,20 +861,6 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
                 "--requests-json needs per-request records, which "
                 "--percentiles p2 does not store; use --percentiles exact"
             )
-        engine = InferenceEngine(
-            _capped_system(args.system, args.power_cap),
-            get_gpt_preset(args.model),
-        )
-        slo = SLOPolicy(
-            ttft_s=args.slo_ttft_ms / 1e3 if args.slo_ttft_ms > 0 else None,
-            e2e_s=args.slo_e2e_ms / 1e3 if args.slo_e2e_ms > 0 else None,
-        )
-        clustered = (
-            args.replicas > 1
-            or args.autoscale
-            or args.prefill_replicas > 0
-            or args.decode_replicas > 0
-        )
         sampler = monitor = dashboard = None
         if args.telemetry or args.watch:
             from repro.obs.metrics import MetricsRegistry, set_metrics
@@ -994,64 +876,17 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
             if args.watch:
                 dashboard = LiveDashboard(out)
                 sampler.on_sample(dashboard.on_sample)
-        if args.sessions > 0:
-            arrivals = SessionArrivals(
-                rate_per_s=args.rate,
-                requests=args.requests,
-                sessions=args.sessions,
-                prompt_tokens=args.prompt_tokens,
-                prefix_tokens=args.prefix_tokens,
-                generate_tokens=args.generate_tokens,
-                seed=args.seed,
-            )
-        else:
-            arrivals = PoissonArrivals(
-                rate_per_s=args.rate,
-                requests=args.requests,
-                prompt_tokens=args.prompt_tokens,
-                generate_tokens=args.generate_tokens,
-                length_spread=args.spread,
-                seed=args.seed,
-            )
-        if clustered:
-            from repro.serve.cluster import (
-                AutoscalePolicy,
-                ClusterSimulator,
-                DisaggregationSpec,
-            )
-
-            disagg = None
-            if args.prefill_replicas > 0 or args.decode_replicas > 0:
-                disagg = DisaggregationSpec(
-                    args.prefill_replicas, args.decode_replicas
-                )
-            simulator = ClusterSimulator(
-                engine,
-                replicas=args.replicas,
-                router=args.router,
-                batch_cap=args.batch_cap,
-                queue_capacity=args.queue_cap,
-                slo=slo,
-                autoscale=(
-                    AutoscalePolicy(min_replicas=args.min_replicas)
-                    if args.autoscale
-                    else None
-                ),
-                disaggregation=disagg,
-                telemetry=sampler,
-                slo_monitor=monitor,
-                percentile_mode=args.percentiles,
-            )
-        else:
-            simulator = ServingSimulator(
-                engine,
-                batch_cap=args.batch_cap,
-                queue_capacity=args.queue_cap,
-                slo=slo,
-                telemetry=sampler,
-                slo_monitor=monitor,
-                percentile_mode=args.percentiles,
-            )
+        simulator, arrivals = build_serving(
+            _option_values(args, LLM_SERVE_CLUSTER),
+            cluster=(
+                args.replicas > 1
+                or args.autoscale
+                or args.prefill_replicas > 0
+                or args.decode_replicas > 0
+            ),
+            telemetry=sampler,
+            slo_monitor=monitor,
+        )
         with _maybe_traced(args.trace, out), activate_injection(scope):
             served = simulator.run(arrivals)
         if dashboard is not None:

@@ -19,18 +19,23 @@ from repro.models.transformer import GPT_PRESETS, get_gpt_preset
 from repro.simcluster.affinity import BindingPolicy
 
 
-def _resolve_node(system: str, power_cap_watts: float) -> NodeSpec:
+def capped_node(system: str, power_cap_watts: float) -> NodeSpec:
     """System tag → node spec, derated through the DVFS model if capped.
 
     A cap of 0 means "uncapped" (the sweep-friendly sentinel: campaign
-    axes are strings, so ``power_cap=0`` is the no-cap baseline point).
+    axes are strings, so ``power_cap=0`` is the no-cap baseline point);
+    a negative cap is an error.
     """
+    if power_cap_watts < 0:
+        raise ConfigError(
+            f"power cap must be >= 0 (0 = uncapped), got {power_cap_watts}"
+        )
     node = get_system(system)
-    if power_cap_watts <= 0:
-        return node
-    from repro.power.dvfs import apply_power_cap
+    if power_cap_watts > 0:
+        from repro.power.dvfs import apply_power_cap
 
-    return apply_power_cap(node, power_cap_watts)
+        node = apply_power_cap(node, power_cap_watts)
+    return node
 
 
 class AMDVariant(str, enum.Enum):
@@ -60,6 +65,7 @@ class LLMBenchmarkConfig:
     power_cap_watts: float = 0.0  # 0 = uncapped (run at TDP)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "amd_variant", AMDVariant(self.amd_variant))
         if self.model_size not in GPT_PRESETS:
             raise ConfigError(
                 f"unknown model size {self.model_size!r}; "
@@ -77,7 +83,7 @@ class LLMBenchmarkConfig:
     @property
     def node(self) -> NodeSpec:
         """The configured system's node spec (derated if capped)."""
-        return _resolve_node(self.system, self.power_cap_watts)
+        return capped_node(self.system, self.power_cap_watts)
 
     def device_count(self) -> int:
         """Devices the run occupies (per the paper's conventions)."""
@@ -119,6 +125,8 @@ class ResNetBenchmarkConfig:
     power_cap_watts: float = 0.0  # 0 = uncapped (run at TDP)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "amd_variant", AMDVariant(self.amd_variant))
+        object.__setattr__(self, "binding", BindingPolicy(self.binding))
         if self.model not in CNN_PRESETS:
             raise ConfigError(
                 f"unknown CNN model {self.model!r}; valid: {', '.join(CNN_PRESETS)}"
@@ -133,7 +141,7 @@ class ResNetBenchmarkConfig:
     @property
     def node(self) -> NodeSpec:
         """The configured system's node spec (derated if capped)."""
-        return _resolve_node(self.system, self.power_cap_watts)
+        return capped_node(self.system, self.power_cap_watts)
 
     def effective_devices(self) -> int:
         """Device count after applying the AMD variant convention."""

@@ -8,8 +8,9 @@ combining per-rank energy files.
 
 from __future__ import annotations
 
-from repro.core.config import AMDVariant, LLMBenchmarkConfig, ResNetBenchmarkConfig
+from repro.core.config import LLMBenchmarkConfig, ResNetBenchmarkConfig, capped_node
 from repro.core.llm_training import llm_result_outputs, run_llm_benchmark
+from repro.core.options import OPERATION_OPTIONS, parse_options
 from repro.core.resnet50 import resnet_result_outputs, run_resnet_benchmark
 from repro.data.oscar import prepared_oscar_tokens
 from repro.errors import JubeError, OutOfMemoryError
@@ -28,32 +29,6 @@ _IMAGE_BY_VENDOR = {
     (Vendor.GRAPHCORE, "pytorch"): "graphcore-poplar",
     (Vendor.GRAPHCORE, "tensorflow"): "graphcore-poplar",
 }
-
-
-def _require(args: dict[str, str], key: str) -> str:
-    try:
-        return args[key]
-    except KeyError:
-        raise JubeError(f"operation missing required --{key}") from None
-
-
-def _power_cap(args: dict[str, str]) -> float:
-    """The ``--power-cap`` watts of an operation (0 = uncapped)."""
-    cap = float(args.get("power-cap", "0"))
-    if cap < 0:
-        raise JubeError(f"--power-cap must be >= 0, got {cap}")
-    return cap
-
-
-def _serve_node(args: dict[str, str]):
-    """Node for a serving operation, derated when ``--power-cap`` binds."""
-    node = get_system(_require(args, "system"))
-    cap = _power_cap(args)
-    if cap > 0:
-        from repro.power.dvfs import apply_power_cap
-
-        node = apply_power_cap(node, cap)
-    return node
 
 
 def _telemetry_capture():
@@ -104,17 +79,101 @@ def _export_telemetry(plan, sampler, monitor, wp: Workpackage, out: dict) -> Non
     out["telemetry_openmetrics"] = str(om_path)
 
 
+def serve_arrivals(options: dict):
+    """The arrival process of parsed serve options.
+
+    Session traffic with shared prompt prefixes when ``sessions`` > 0
+    (``llm_serve`` has no such option), else Poisson arrivals.
+    """
+    from repro.serve import PoissonArrivals, SessionArrivals
+
+    stream = {
+        name: options[name]
+        for name in ("rate_per_s", "requests", "prompt_tokens", "generate_tokens", "seed")
+    }
+    sessions = options.get("sessions", 0)
+    if sessions > 0:
+        return SessionArrivals(
+            sessions=sessions, prefix_tokens=options["prefix_tokens"], **stream
+        )
+    return PoissonArrivals(length_spread=options["length_spread"], **stream)
+
+
+def build_serving(options: dict, *, cluster: bool, telemetry=None, slo_monitor=None):
+    """The simulator and arrival process that parsed serve options describe.
+
+    ``options`` are the fields of the ``llm_serve`` or (with ``cluster``)
+    ``llm_serve_cluster`` table.  ``caraml serve`` and both operations
+    build their runs here.
+    """
+    from repro.engine.inference import InferenceEngine
+    from repro.models.transformer import get_gpt_preset
+    from repro.serve import ServingSimulator, SLOPolicy
+
+    engine = InferenceEngine(
+        capped_node(options["system"], options["power_cap_watts"]),
+        get_gpt_preset(options["model"]),
+    )
+    ttft_ms, e2e_ms = options["slo_ttft_ms"], options["slo_e2e_ms"]
+    shared = dict(
+        batch_cap=options["batch_cap"],
+        queue_capacity=options["queue_capacity"],
+        slo=SLOPolicy(
+            ttft_s=ttft_ms / 1e3 if ttft_ms > 0 else None,
+            e2e_s=e2e_ms / 1e3 if e2e_ms > 0 else None,
+        ),
+        telemetry=telemetry,
+        slo_monitor=slo_monitor,
+        percentile_mode=options["percentile_mode"],
+    )
+    if not cluster:
+        return ServingSimulator(engine, **shared), serve_arrivals(options)
+    from repro.serve.cluster import AutoscalePolicy, ClusterSimulator, DisaggregationSpec
+
+    prefill, decode = options["prefill_replicas"], options["decode_replicas"]
+    simulator = ClusterSimulator(
+        engine,
+        replicas=options["replicas"],
+        router=options["router"],
+        autoscale=(
+            AutoscalePolicy(min_replicas=options["min_replicas"])
+            if options["autoscale"]
+            else None
+        ),
+        disaggregation=DisaggregationSpec(prefill, decode) if prefill or decode else None,
+        **shared,
+    )
+    return simulator, serve_arrivals(options)
+
+
+def _rounded(summary: dict) -> dict:
+    return {
+        k: round(v, 6) if isinstance(v, (int, float)) else v for k, v in summary.items()
+    }
+
+
 def build_operation_registry() -> OperationRegistry:
     """All operations the shipped CARAML scripts use."""
     registry = OperationRegistry()
 
-    @registry.register("pull_container")
-    def pull_container(args: dict[str, str], wp: Workpackage):
+    def operation(name: str):
+        """Register under ``name``, parsing arguments through its option table."""
+        options = OPERATION_OPTIONS[name]
+
+        def decorator(fn):
+            def parsed(args: dict[str, str], wp: Workpackage):
+                return fn(parse_options(name, options, args), wp)
+
+            registry.register(name, parsed)
+            return fn
+
+        return decorator
+
+    @operation("pull_container")
+    def pull_container(options: dict, wp: Workpackage):
         """Pull the vendor container and build the package overlay."""
-        system = _require(args, "system")
-        framework = args.get("framework", "pytorch")
-        node = get_system(system)
-        image_name = _IMAGE_BY_VENDOR[(node.accelerator.vendor, framework)]
+        node = get_system(options["system"])
+        image_name = _IMAGE_BY_VENDOR[(node.accelerator.vendor, options["framework"])]
         runtime = ContainerRuntime(VENDOR_IMAGES[image_name])
         # The CARAML overlay installs (pip --prefix --no-deps): jpwr and
         # the patched launcher.
@@ -124,29 +183,19 @@ def build_operation_registry() -> OperationRegistry:
         runtime.set_env("MASTER_ADDR_SUFFIX", "i")
         return {"container": image_name, "pythonpath": runtime.pythonpath()}
 
-    @registry.register("prepare_data")
-    def prepare_data(args: dict[str, str], wp: Workpackage):
+    @operation("prepare_data")
+    def prepare_data(options: dict, wp: Workpackage):
         """Download/tokenize the OSCAR subset (synthetic stand-in), once
         per process."""
-        if args.get("synthetic", "false") == "true":
+        if options["synthetic_data"]:
             return {"dataset": "synthetic", "tokens": 0}
         return {"dataset": "oscar-subset", "tokens": prepared_oscar_tokens()}
 
-    @registry.register("llm_train")
-    def llm_train(args: dict[str, str], wp: Workpackage):
+    @operation("llm_train")
+    def llm_train(options: dict, wp: Workpackage):
         """Train the GPT model and report throughput + energy."""
-        config = LLMBenchmarkConfig(
-            system=_require(args, "system"),
-            model_size=args.get("model", "800M"),
-            global_batch_size=int(_require(args, "gbs")),
-            micro_batch_size=int(args.get("mbs", "4")),
-            exit_duration_s=float(args.get("duration", "120")),
-            amd_variant=AMDVariant(args.get("amd-variant", "gcd")),
-            synthetic_data=args.get("synthetic", "false") == "true",
-            power_cap_watts=_power_cap(args),
-        )
         try:
-            result = run_llm_benchmark(config)
+            result = run_llm_benchmark(LLMBenchmarkConfig(**options))
         except OutOfMemoryError:
             wp.log("CUDA out of memory")
             return {"status": "OOM", "tokens_per_s": 0.0}
@@ -163,20 +212,11 @@ def build_operation_registry() -> OperationRegistry:
         out["status"] = "OK"
         return out
 
-    @registry.register("resnet_train")
-    def resnet_train(args: dict[str, str], wp: Workpackage):
+    @operation("resnet_train")
+    def resnet_train(options: dict, wp: Workpackage):
         """Train the CNN and report throughput + energy."""
-        config = ResNetBenchmarkConfig(
-            system=_require(args, "system"),
-            model=args.get("model", "resnet50"),
-            global_batch_size=int(_require(args, "gbs")),
-            devices=int(args.get("devices", "1")),
-            amd_variant=AMDVariant(args.get("amd-variant", "gcd")),
-            synthetic_data=args.get("synthetic", "false") == "true",
-            power_cap_watts=_power_cap(args),
-        )
         try:
-            result = run_resnet_benchmark(config)
+            result = run_resnet_benchmark(ResNetBenchmarkConfig(**options))
         except OutOfMemoryError:
             wp.log("Resource exhausted: OOM when allocating tensor")
             return {"status": "OOM", "images_per_s": 0.0}
@@ -188,44 +228,12 @@ def build_operation_registry() -> OperationRegistry:
         out["status"] = "OK"
         return out
 
-    @registry.register("llm_serve")
-    def llm_serve(args: dict[str, str], wp: Workpackage):
+    @operation("llm_serve")
+    def llm_serve(options: dict, wp: Workpackage):
         """Serve a seeded Poisson request stream; report latency + energy."""
-        from repro.engine.inference import InferenceEngine
-        from repro.models.transformer import get_gpt_preset
-        from repro.serve import (
-            DEFAULT_BATCH_CAP,
-            DEFAULT_QUEUE_CAPACITY,
-            PoissonArrivals,
-            ServingSimulator,
-            SLOPolicy,
-        )
-
-        slo_ttft_ms = float(args.get("slo-ttft-ms", "0"))
-        slo_e2e_ms = float(args.get("slo-e2e-ms", "0"))
-        engine = InferenceEngine(
-            _serve_node(args), get_gpt_preset(args.get("model", "800M"))
-        )
         plan, sampler, monitor = _telemetry_capture()
-        simulator = ServingSimulator(
-            engine,
-            batch_cap=int(args.get("batch-cap", DEFAULT_BATCH_CAP)),
-            queue_capacity=int(args.get("queue-cap", DEFAULT_QUEUE_CAPACITY)),
-            slo=SLOPolicy(
-                ttft_s=slo_ttft_ms / 1e3 if slo_ttft_ms > 0 else None,
-                e2e_s=slo_e2e_ms / 1e3 if slo_e2e_ms > 0 else None,
-            ),
-            telemetry=sampler,
-            slo_monitor=monitor,
-            percentile_mode=args.get("percentiles", "exact"),
-        )
-        arrivals = PoissonArrivals(
-            rate_per_s=float(_require(args, "rate")),
-            requests=int(args.get("requests", "32")),
-            prompt_tokens=int(args.get("prompt-tokens", "512")),
-            generate_tokens=int(args.get("generate-tokens", "128")),
-            length_spread=float(args.get("spread", "0")),
-            seed=int(args.get("seed", "0")),
+        simulator, arrivals = build_serving(
+            options, cluster=False, telemetry=sampler, slo_monitor=monitor
         )
         try:
             served = simulator.run(arrivals)
@@ -238,10 +246,7 @@ def build_operation_registry() -> OperationRegistry:
             f"ttft p99 (ms): {summary.ttft.p99 * 1e3:.1f} | "
             f"goodput tokens per second: {summary.goodput_tokens_per_s:.1f}"
         )
-        out = {
-            k: round(v, 6) if isinstance(v, (int, float)) else v
-            for k, v in summary.to_dict().items()
-        }
+        out = _rounded(summary.to_dict())
         out["energy_per_device_wh"] = round(served.train.energy_per_device_wh, 6)
         out["mean_power_per_device_w"] = round(
             served.train.mean_power_per_device_w, 4
@@ -251,8 +256,8 @@ def build_operation_registry() -> OperationRegistry:
         out["status"] = "OK"
         return out
 
-    @registry.register("llm_serve_cluster")
-    def llm_serve_cluster(args: dict[str, str], wp: Workpackage):
+    @operation("llm_serve_cluster")
+    def llm_serve_cluster(options: dict, wp: Workpackage):
         """Serve a request stream on a multi-replica cluster.
 
         ``--sessions N`` (N > 0) switches the arrival process to
@@ -262,74 +267,10 @@ def build_operation_registry() -> OperationRegistry:
         ``--prefill-replicas``/``--decode-replicas`` build a
         disaggregated cluster instead of ``--replicas`` unified ones.
         """
-        from repro.engine.inference import InferenceEngine
-        from repro.models.transformer import get_gpt_preset
-        from repro.serve import (
-            DEFAULT_BATCH_CAP,
-            DEFAULT_QUEUE_CAPACITY,
-            PoissonArrivals,
-            SessionArrivals,
-            SLOPolicy,
-        )
-        from repro.serve.cluster import (
-            DEFAULT_ROUTER_POLICY,
-            AutoscalePolicy,
-            ClusterSimulator,
-            DisaggregationSpec,
-        )
-
-        slo_ttft_ms = float(args.get("slo-ttft-ms", "0"))
-        slo_e2e_ms = float(args.get("slo-e2e-ms", "0"))
-        engine = InferenceEngine(
-            _serve_node(args), get_gpt_preset(args.get("model", "800M"))
-        )
-        prefill = int(args.get("prefill-replicas", "0"))
-        decode = int(args.get("decode-replicas", "0"))
-        disagg = (
-            DisaggregationSpec(prefill, decode) if prefill or decode else None
-        )
-        autoscale = (
-            AutoscalePolicy(min_replicas=int(args.get("min-replicas", "1")))
-            if args.get("autoscale", "false") == "true"
-            else None
-        )
         plan, sampler, monitor = _telemetry_capture()
-        simulator = ClusterSimulator(
-            engine,
-            replicas=int(args.get("replicas", "2")),
-            router=args.get("router", DEFAULT_ROUTER_POLICY),
-            batch_cap=int(args.get("batch-cap", DEFAULT_BATCH_CAP)),
-            queue_capacity=int(args.get("queue-cap", DEFAULT_QUEUE_CAPACITY)),
-            slo=SLOPolicy(
-                ttft_s=slo_ttft_ms / 1e3 if slo_ttft_ms > 0 else None,
-                e2e_s=slo_e2e_ms / 1e3 if slo_e2e_ms > 0 else None,
-            ),
-            autoscale=autoscale,
-            disaggregation=disagg,
-            telemetry=sampler,
-            slo_monitor=monitor,
-            percentile_mode=args.get("percentiles", "exact"),
+        simulator, arrivals = build_serving(
+            options, cluster=True, telemetry=sampler, slo_monitor=monitor
         )
-        sessions = int(args.get("sessions", "0"))
-        if sessions > 0:
-            arrivals = SessionArrivals(
-                rate_per_s=float(_require(args, "rate")),
-                requests=int(args.get("requests", "32")),
-                sessions=sessions,
-                prompt_tokens=int(args.get("prompt-tokens", "512")),
-                prefix_tokens=int(args.get("prefix-tokens", "384")),
-                generate_tokens=int(args.get("generate-tokens", "128")),
-                seed=int(args.get("seed", "0")),
-            )
-        else:
-            arrivals = PoissonArrivals(
-                rate_per_s=float(_require(args, "rate")),
-                requests=int(args.get("requests", "32")),
-                prompt_tokens=int(args.get("prompt-tokens", "512")),
-                generate_tokens=int(args.get("generate-tokens", "128")),
-                length_spread=float(args.get("spread", "0")),
-                seed=int(args.get("seed", "0")),
-            )
         served = simulator.run(arrivals)
         summary = served.summary
         wp.log(
@@ -339,10 +280,7 @@ def build_operation_registry() -> OperationRegistry:
             f"{summary.serve.goodput_tokens_per_s:.1f} | "
             f"load imbalance: {summary.load_imbalance:.3f}"
         )
-        out = {
-            k: round(v, 6) if isinstance(v, (int, float)) else v
-            for k, v in summary.to_dict().items()
-        }
+        out = _rounded(summary.to_dict())
         out["router"] = summary.router
         out["energy_per_device_wh"] = round(
             served.train.energy_per_device_wh, 6
@@ -353,8 +291,8 @@ def build_operation_registry() -> OperationRegistry:
         out["status"] = "OK"
         return out
 
-    @registry.register("analyse")
-    def analyse_op(args: dict[str, str], wp: Workpackage):
+    @operation("analyse")
+    def analyse_op(options: dict, wp: Workpackage):
         """Apply named pattern sets to the captured step log.
 
         This is JUBE's analyser: ``analyse --patterns megatron`` greps
@@ -364,7 +302,7 @@ def build_operation_registry() -> OperationRegistry:
         from repro.jube.patterns import MEGATRON_PATTERNS, TFCNN_PATTERNS, analyse
 
         known = {"megatron": MEGATRON_PATTERNS, "tf_cnn": TFCNN_PATTERNS}
-        names = _require(args, "patterns").split(",")
+        names = options["patterns"].split(",")
         try:
             sets = [known[n] for n in names]
         except KeyError as exc:
@@ -373,8 +311,8 @@ def build_operation_registry() -> OperationRegistry:
             ) from None
         return analyse(wp.stdout, sets)
 
-    @registry.register("combine_energy")
-    def combine_energy(args: dict[str, str], wp: Workpackage):
+    @operation("combine_energy")
+    def combine_energy(options: dict, wp: Workpackage):
         """Post-processing: summarise the energy columns of the run.
 
         The real suite concatenates per-rank jpwr CSVs (jube continue);

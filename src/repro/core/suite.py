@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core.config import AMDVariant, LLMBenchmarkConfig, ResNetBenchmarkConfig
+from repro.core.config import LLMBenchmarkConfig, ResNetBenchmarkConfig
 from repro.core.llm_training import run_llm_benchmark
 from repro.core.registry import build_operation_registry
 from repro.core.resnet50 import run_resnet_benchmark
@@ -52,55 +52,21 @@ class CaramlSuite:
 
     # -- direct benchmark execution -----------------------------------------
 
-    def run_llm(
-        self,
-        system: str,
-        *,
-        model_size: str = "800M",
-        global_batch_size: int = 256,
-        micro_batch_size: int = 4,
-        exit_duration_s: float = 120.0,
-        amd_variant: AMDVariant | str = AMDVariant.GCD,
-        power_cap_watts: float = 0.0,
-    ) -> TrainResult:
-        """Run one LLM benchmark point."""
-        config = LLMBenchmarkConfig(
-            system=system,
-            model_size=model_size,
-            global_batch_size=global_batch_size,
-            micro_batch_size=micro_batch_size,
-            exit_duration_s=exit_duration_s,
-            amd_variant=AMDVariant(amd_variant),
-            power_cap_watts=power_cap_watts,
-        )
-        return run_llm_benchmark(config)
+    def run_llm(self, system: str, **options) -> TrainResult:
+        """Run one LLM benchmark point.
 
-    def run_resnet(
-        self,
-        system: str,
-        *,
-        model: str = "resnet50",
-        global_batch_size: int = 256,
-        devices: int = 1,
-        amd_variant: AMDVariant | str = AMDVariant.GCD,
-        synthetic_data: bool = False,
-        binding=None,
-        power_cap_watts: float = 0.0,
-    ) -> TrainResult:
-        """Run one ResNet benchmark point."""
-        from repro.simcluster.affinity import BindingPolicy
+        ``options`` are :class:`LLMBenchmarkConfig` fields
+        (``global_batch_size=...``); the config defaults the rest.
+        """
+        return run_llm_benchmark(LLMBenchmarkConfig(system, **options))
 
-        config = ResNetBenchmarkConfig(
-            system=system,
-            model=model,
-            global_batch_size=global_batch_size,
-            devices=devices,
-            amd_variant=AMDVariant(amd_variant),
-            synthetic_data=synthetic_data,
-            binding=BindingPolicy(binding) if binding else BindingPolicy.GPU_AFFINE,
-            power_cap_watts=power_cap_watts,
-        )
-        return run_resnet_benchmark(config)
+    def run_resnet(self, system: str, **options) -> TrainResult:
+        """Run one ResNet benchmark point.
+
+        ``options`` are :class:`ResNetBenchmarkConfig` fields
+        (``global_batch_size=...``); the config defaults the rest.
+        """
+        return run_resnet_benchmark(ResNetBenchmarkConfig(system, **options))
 
     # -- JUBE workflow --------------------------------------------------------
 

@@ -26,7 +26,7 @@ from repro.jube.parameters import Parameter, ParameterSet, expand_parameter_spac
 from repro.jube.steps import Step, Workpackage, order_steps
 from repro.jube.script import BenchmarkScript, load_script, load_yaml_script, load_xml_script
 from repro.jube.result import ResultTable, render_table
-from repro.jube.runner import JubeRunner, JubeRun, OperationRegistry
+from repro.jube.runner import JubeRunner, JubeRun, OperationRegistry, parse_operation
 from repro.jube.patterns import Pattern, PatternSet, MEGATRON_PATTERNS, TFCNN_PATTERNS
 from repro.jube.builder import ScriptBuilder, script_to_yaml
 from repro.jube.rundir import save_run, load_run, resolve_run_id, run_directory_for
@@ -58,4 +58,5 @@ __all__ = [
     "JubeRunner",
     "JubeRun",
     "OperationRegistry",
+    "parse_operation",
 ]

@@ -27,6 +27,32 @@ logger = get_logger(__name__)
 Operation = Callable[[dict[str, str], Workpackage], dict | None]
 
 
+def parse_operation(command: str) -> tuple[str, dict[str, str]]:
+    """Split a substituted ``opname --key value [--flag] ...`` command.
+
+    Returns the operation name and its raw arguments; a bare ``--flag``
+    becomes ``"true"``.  Positional tokens are a :class:`JubeError`.
+    """
+    tokens = shlex.split(command)
+    if not tokens:
+        raise JubeError("empty operation command")
+    name, *rest = tokens
+    args: dict[str, str] = {}
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        if not token.startswith("--"):
+            raise JubeError(f"unexpected token {token!r} in {command!r}")
+        key = token[2:]
+        if i + 1 < len(rest) and not rest[i + 1].startswith("--"):
+            args[key] = rest[i + 1]
+            i += 2
+        else:
+            args[key] = "true"
+            i += 1
+    return name, args
+
+
 class OperationRegistry:
     """Named operations steps can invoke from their ``do`` strings."""
 
@@ -53,32 +79,16 @@ class OperationRegistry:
     def dispatch(self, command: str, wp: Workpackage) -> None:
         """Parse and execute one substituted operation command.
 
-        Command syntax: ``opname --key value [--flag] ...``; results
-        returned by the operation are recorded on the workpackage.
+        Command syntax as in :func:`parse_operation`; results returned
+        by the operation are recorded on the workpackage.
         """
-        tokens = shlex.split(command)
-        if not tokens:
-            raise JubeError("empty operation command")
-        name, *rest = tokens
+        name, args = parse_operation(command)
         try:
             op = self._ops[name]
         except KeyError:
             raise JubeError(
                 f"unknown operation {name!r}; registered: {self.names()}"
             ) from None
-        args: dict[str, str] = {}
-        i = 0
-        while i < len(rest):
-            token = rest[i]
-            if not token.startswith("--"):
-                raise JubeError(f"unexpected token {token!r} in {command!r}")
-            key = token[2:]
-            if i + 1 < len(rest) and not rest[i + 1].startswith("--"):
-                args[key] = rest[i + 1]
-                i += 2
-            else:
-                args[key] = "true"
-                i += 1
         outputs = op(args, wp)
         if outputs:
             for key, value in outputs.items():

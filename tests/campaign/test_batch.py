@@ -11,6 +11,7 @@ from repro.campaign.batch import (
     run_batches,
     stream_spec_for_item,
 )
+from repro.errors import JubeError
 from repro.jube.runner import WorkItem
 from repro.jube.steps import Step
 
@@ -49,7 +50,7 @@ class TestParseOperation:
         assert args["verbose"] == "true"
 
     def test_positional_token_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(JubeError, match="unexpected token 'oops'"):
             parse_operation("llm_serve oops --rate 8")
 
 
