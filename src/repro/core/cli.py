@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         serve,
         LLM_SERVE_CLUSTER,
         rate={"default": 8.0},
-        requests={"default": 64},
         replicas={"default": 1},
         router={"choices": sorted(ROUTER_POLICIES)},
     )
