@@ -22,7 +22,7 @@ from pathlib import Path
 import yaml
 
 from repro.errors import ConfigError
-from repro.jube.parameters import Parameter, ParameterSet
+from repro.jube.parameters import Parameter, ParameterSet, referenced
 from repro.jube.result import ResultTable
 from repro.jube.script import BenchmarkScript
 from repro.jube.steps import Step
@@ -188,7 +188,8 @@ class WorkloadSpec:
         """A built-in workload from :data:`BUILTIN_KINDS` with overrides.
 
         ``fixed`` entries override the kind's defaults; an axis on a
-        defaulted parameter replaces the default entirely.
+        defaulted parameter replaces the default entirely.  A name the
+        kind's template does not reference is a :class:`ConfigError`.
         """
         try:
             operations, defaults = BUILTIN_KINDS[kind]
@@ -197,6 +198,13 @@ class WorkloadSpec:
                 f"unknown workload kind {kind!r}; "
                 f"built-in: {sorted(BUILTIN_KINDS)}"
             ) from None
+        known = set().union(*map(referenced, operations))
+        for given in (*(axes or {}), *(fixed or {})):
+            if given not in known:
+                raise ConfigError(
+                    f"workload kind {kind!r} has no parameter {given!r}; "
+                    f"its parameters: {', '.join(sorted(known))}"
+                )
         axes = {k: _str_tuple(v) for k, v in (axes or {}).items()}
         merged_fixed = {
             k: str(v)

@@ -105,6 +105,11 @@ def expand_parameter_space(
     return [dict(zip(names, combo)) for combo in combos]
 
 
+def referenced(template: str) -> set[str]:
+    """Names of the parameters ``template`` references (``$name``/``${name}``)."""
+    return {braced or bare for braced, bare in _SUBST_RE.findall(template)}
+
+
 def substitute(template: str, values: Mapping[str, str]) -> str:
     """Resolve ``$name`` / ``${name}`` references to a fixpoint.
 

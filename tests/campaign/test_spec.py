@@ -30,6 +30,23 @@ class TestWorkloadSpec:
         with pytest.raises(ConfigError, match="unknown workload kind"):
             WorkloadSpec.of_kind("quantum")
 
+    def test_misspelled_parameter_rejected(self):
+        # A typo used to plan workpackages that all ran at the default.
+        doc = {
+            "name": "typo",
+            "systems": ["GH200"],
+            "workloads": [{"kind": "serve", "axes": {"arival_rate": [2, 40]}}],
+        }
+        with pytest.raises(ConfigError, match="'arival_rate'") as info:
+            CampaignSpec.from_dict(doc)
+        assert "arrival_rate" in str(info.value).split("parameters:")[1]
+
+    @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+    def test_unknown_fixed_name_lists_the_kinds_parameters(self, kind):
+        with pytest.raises(ConfigError, match="power_cap") as info:
+            WorkloadSpec.of_kind(kind, fixed={"powercap": "300"})
+        assert "'powercap'" in str(info.value)
+
     def test_reserved_system_parameter(self):
         with pytest.raises(ConfigError, match="system"):
             WorkloadSpec(name="w", operations=("emit",), fixed={"system": "A100"})
