@@ -19,7 +19,7 @@ from repro.hardware.interconnect import LinkSpec, LinkTechnology, LINKS, get_lin
 from repro.hardware.node import NodeSpec
 from repro.hardware.systems import SYSTEMS, SYSTEM_TAGS, get_system
 from repro.hardware.memory import MemoryPool, MemoryBudget
-from repro.hardware.topology import node_topology, numa_distance_matrix
+from repro.hardware.topology import numa_distance_matrix
 
 __all__ = [
     "AcceleratorSpec",
@@ -40,6 +40,5 @@ __all__ = [
     "get_system",
     "MemoryPool",
     "MemoryBudget",
-    "node_topology",
     "numa_distance_matrix",
 ]

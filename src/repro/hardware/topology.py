@@ -1,91 +1,26 @@
-"""Intra-node topology graphs and NUMA distance modelling.
+"""Intra-node NUMA distance modelling.
 
 The paper's §V-C describes why CPU binding and GPU affinity matter:
 EPYC nodes expose several NUMA domains, only some of which have direct
 affinity to a GPU; binding a GPU's host process to a remote domain
-costs host-to-device bandwidth.  This module builds a networkx graph of
-a node (CPU NUMA domains + logical devices + links) and derives the
-distance matrix the affinity model in :mod:`repro.simcluster.affinity`
-uses.
+costs host-to-device bandwidth.  This module places devices on their
+home NUMA domains and gives the hop distances between domains that the
+affinity model in :mod:`repro.simcluster.affinity` uses: one hop
+within a socket, two across sockets.
 """
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.hardware.node import NodeSpec
 
 
-DEVICE_PREFIX = "dev"
-NUMA_PREFIX = "numa"
-
-
-def node_topology(node: NodeSpec) -> nx.Graph:
-    """Build the intra-node topology graph of one node.
-
-    Nodes of the graph:
-
-    * ``numa{i}`` -- one per NUMA domain across all sockets,
-    * ``dev{j}`` -- one per logical accelerator device.
-
-    Edges:
-
-    * device-to-device edges carry the accelerator-accelerator link
-      bandwidth (fully connected clique, which matches NVLink switch /
-      Infinity Fabric / IPU-Link ladder topologies closely enough for
-      the cost models used here),
-    * NUMA-to-NUMA edges carry an inter-domain hop cost,
-    * each device attaches to its *home* NUMA domain via the
-      CPU-accelerator link; devices are distributed round-robin over
-      domains, mirroring the GPU-centric affinity layout of §V-C.
-    """
-    g = nx.Graph(name=node.name)
-    n_numa = node.cpu.numa_domains * node.cpu_sockets
-    n_dev = node.logical_devices_per_node
-
-    for i in range(n_numa):
-        g.add_node(f"{NUMA_PREFIX}{i}", kind="numa", socket=i // node.cpu.numa_domains)
-    for j in range(n_dev):
-        g.add_node(f"{DEVICE_PREFIX}{j}", kind="device")
-
-    # NUMA mesh: hop distance 1 inside a socket, 2 across sockets.
-    for a in range(n_numa):
-        for b in range(a + 1, n_numa):
-            same_socket = (a // node.cpu.numa_domains) == (b // node.cpu.numa_domains)
-            g.add_edge(
-                f"{NUMA_PREFIX}{a}",
-                f"{NUMA_PREFIX}{b}",
-                kind="numa-numa",
-                hops=1 if same_socket else 2,
-            )
-
-    # Device clique over the accelerator interconnect.
-    if n_dev > 1 and node.accel_accel_link.bandwidth > 0:
-        for a in range(n_dev):
-            for b in range(a + 1, n_dev):
-                g.add_edge(
-                    f"{DEVICE_PREFIX}{a}",
-                    f"{DEVICE_PREFIX}{b}",
-                    kind="device-device",
-                    bandwidth=node.accel_accel_link.bandwidth,
-                )
-
-    # Device home domains: only the first ceil(n_dev) domains that have
-    # affinity get devices, round-robin -- on EPYC-7742 (8 domains,
-    # 4 GPUs) half the domains end up GPU-less, as on the real machine.
-    for j in range(n_dev):
-        home = j % n_numa
-        g.add_edge(
-            f"{DEVICE_PREFIX}{j}",
-            f"{NUMA_PREFIX}{home}",
-            kind="numa-device",
-            bandwidth=node.cpu_accel_link.bandwidth,
-        )
-    return g
-
-
 def device_home_numa(node: NodeSpec, device_index: int) -> int:
-    """NUMA domain index that has direct affinity to a device."""
+    """NUMA domain index that has direct affinity to a device.
+
+    Devices are distributed round-robin over the domains, mirroring the
+    GPU-centric affinity layout of §V-C: on EPYC-7742 (8 domains per
+    socket, 4 GPUs) most domains end up GPU-less, as on the real machine.
+    """
     n_numa = node.cpu.numa_domains * node.cpu_sockets
     if device_index < 0 or device_index >= node.logical_devices_per_node:
         raise ValueError(
@@ -95,27 +30,18 @@ def device_home_numa(node: NodeSpec, device_index: int) -> int:
     return device_index % n_numa
 
 
-def numa_distance_matrix(node: NodeSpec) -> list[list[int]]:
-    """Hop-count distance matrix between all NUMA domains of a node.
-
-    Diagonal entries are 0; intra-socket hops count 1 and cross-socket
-    hops 2 (matching the edge attributes of :func:`node_topology`).
-    """
-    g = node_topology(node)
-    n_numa = node.cpu.numa_domains * node.cpu_sockets
-    names = [f"{NUMA_PREFIX}{i}" for i in range(n_numa)]
-    dist = [[0] * n_numa for _ in range(n_numa)]
-    for a in range(n_numa):
-        for b in range(n_numa):
-            if a == b:
-                continue
-            dist[a][b] = g.edges[names[a], names[b]]["hops"]
-    return dist
-
-
 def numa_hops(node: NodeSpec, domain_a: int, domain_b: int) -> int:
-    """Hop count between two NUMA domains of a node."""
+    """Hop count between two NUMA domains of a node.
+
+    0 to itself, 1 within a socket, 2 across sockets.
+    """
     if domain_a == domain_b:
         return 0
-    matrix = numa_distance_matrix(node)
-    return matrix[domain_a][domain_b]
+    per_socket = node.cpu.numa_domains
+    return 1 if domain_a // per_socket == domain_b // per_socket else 2
+
+
+def numa_distance_matrix(node: NodeSpec) -> list[list[int]]:
+    """Hop-count distance matrix between all NUMA domains of a node."""
+    n_numa = node.cpu.numa_domains * node.cpu_sockets
+    return [[numa_hops(node, a, b) for b in range(n_numa)] for a in range(n_numa)]

@@ -1,44 +1,20 @@
-"""Tests for intra-node topology graphs and NUMA distances."""
+"""Tests for intra-node NUMA distances and device homes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.hardware.systems import get_system
 from repro.hardware.topology import (
     device_home_numa,
-    node_topology,
     numa_distance_matrix,
     numa_hops,
 )
-
-
-class TestTopologyGraph:
-    def test_a100_node_counts(self):
-        # 2 x EPYC-7742 (8 domains each) + 4 GPUs.
-        g = node_topology(get_system("A100"))
-        kinds = [d["kind"] for _, d in g.nodes(data=True)]
-        assert kinds.count("numa") == 16
-        assert kinds.count("device") == 4
-
-    def test_device_clique_carries_nvlink_bandwidth(self):
-        g = node_topology(get_system("A100"))
-        assert g.edges["dev0", "dev1"]["bandwidth"] == 600e9
-
-    def test_single_device_node_has_no_device_edges(self):
-        g = node_topology(get_system("GH200"))
-        dev_edges = [
-            e for e in g.edges(data=True) if e[2]["kind"] == "device-device"
-        ]
-        assert dev_edges == []
-
-    def test_every_device_attached_to_a_numa_domain(self):
-        for tag in ("A100", "MI250", "H100", "JEDI"):
-            g = node_topology(get_system(tag))
-            for n, data in g.nodes(data=True):
-                if data["kind"] == "device":
-                    homes = [
-                        v for v in g.neighbors(n) if g.nodes[v]["kind"] == "numa"
-                    ]
-                    assert len(homes) == 1
 
 
 class TestNumaDistances:
@@ -76,3 +52,21 @@ class TestDeviceHomes:
     def test_out_of_range_device(self):
         with pytest.raises(ValueError):
             device_home_numa(get_system("A100"), 4)
+
+
+def test_cli_import_loads_neither_networkx_nor_scipy():
+    # Hop distances have a closed form; neither package is a dependency.
+    code = (
+        "import sys, repro.core.cli; "
+        "print(sorted({'networkx', 'scipy'} & set(sys.modules)))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "[]"
