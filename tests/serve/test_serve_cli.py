@@ -10,9 +10,13 @@ import pytest
 
 import repro.serve
 import repro.serve.cluster
+from repro.campaign.spec import BUILTIN_KINDS
 from repro.core.cli import build_parser
 from repro.core.cli import run as cli_run
+from repro.core.config import LLMBenchmarkConfig, ResNetBenchmarkConfig
+from repro.core.options import OPERATION_OPTIONS
 from repro.core.registry import build_operation_registry
+from repro.jube.runner import parse_operation
 from repro.jube.steps import Step, Workpackage
 
 pytestmark = pytest.mark.serve
@@ -100,7 +104,90 @@ def _registry_kwargs(monkeypatch, module, name: str, command: str) -> dict:
     return seen
 
 
+#: Operation -> (caraml argv that omits every optional flag, the config
+#: or simulator its options feed, the campaign kind that templates it).
+FRONT_ENDS = {
+    "llm_train": (["run-llm", "--system", "A100"], LLMBenchmarkConfig, "llm"),
+    "resnet_train": (["run-resnet", "--system", "A100"], ResNetBenchmarkConfig, "resnet"),
+    "llm_serve": (["serve", "--system", "GH200"], repro.serve.ServingSimulator, "serve"),
+    "llm_serve_cluster": (
+        ["serve", "--system", "GH200"],
+        repro.serve.cluster.ClusterSimulator,
+        "serve_cluster",
+    ),
+}
+
+#: The only defaults that differ between front ends, with the values
+#: each source resolves to (None: the operation requires the option).
+DEFAULT_EXCEPTIONS = {
+    # The operations require a batch size; the CLI uses the config's.
+    ("llm_train", "gbs"): {"operation": None, "cli": 256, "library": 256},
+    ("resnet_train", "gbs"): {"operation": None, "cli": 256, "library": 256},
+    # The operations require a rate; the CLI and the serve kinds use 8.
+    ("llm_serve", "rate"): {"operation": None, "cli": 8.0, "kind": 8.0},
+    ("llm_serve_cluster", "rate"): {"operation": None, "cli": 8.0, "kind": 8.0},
+    # caraml serve --replicas 1 selects the single engine.
+    ("llm_serve_cluster", "replicas"): {
+        "operation": 2,
+        "cli": 1,
+        "library": 2,
+        "kind": 2,
+    },
+    # The llm campaign kind runs 30 s points, not the 120 s default.
+    ("llm_train", "duration"): {
+        "operation": 120.0,
+        "cli": 120.0,
+        "library": 120.0,
+        "kind": 30.0,
+    },
+}
+
+
+def _option_defaults(operation: str, option) -> dict:
+    """What each front end resolves an omitted option to."""
+    found = {"operation": option.default}
+    if operation not in FRONT_ENDS:
+        return found
+    argv, library, kind = FRONT_ENDS[operation]
+    cli = vars(build_parser().parse_args(argv))
+    if option.dest in cli:
+        found["cli"] = cli[option.dest]
+    parameter = inspect.signature(library).parameters.get(option.field)
+    if parameter is not None and parameter.default is not inspect.Parameter.empty:
+        # A switch feeds a policy object: no object means switched off.
+        off = option.type is bool and parameter.default is None
+        found["library"] = False if off else parameter.default
+    templates, defaults = BUILTIN_KINDS[kind]
+    _, template_args = parse_operation(templates[0])
+    reference = template_args.get(option.name, "").lstrip("$")
+    if reference in defaults:
+        found["kind"] = option.parse(defaults[reference])
+    return found
+
+
 class TestDefaults:
+    @pytest.mark.parametrize(
+        "operation,flag",
+        [
+            (operation, option.name)
+            for operation, options in OPERATION_OPTIONS.items()
+            for option in options
+            if option.name != "system"  # required by every op and command
+        ],
+    )
+    def test_every_option_agrees(self, operation, flag):
+        # Each option is declared once, in its operation's table: the
+        # caraml flag, the operation, the config or simulator parameter
+        # the option feeds and the campaign kind's template string all
+        # resolve an omitted option to that default.
+        (option,) = [o for o in OPERATION_OPTIONS[operation] if o.name == flag]
+        found = _option_defaults(operation, option)
+        expected = DEFAULT_EXCEPTIONS.get((operation, flag))
+        if expected is not None:
+            assert found == expected
+            return
+        assert all(value == option.default for value in found.values()), found
+
     @pytest.mark.parametrize(
         "flag,param",
         [
