@@ -94,9 +94,8 @@ def parse_options(
                 values[option.field] = option.parse(raw)
             except ValueError:
                 expected = "|".join(option.choices) or option.type.__name__
-                _reject(
-                    operation, options, f"--{option.name} expects {expected}, got {raw!r}"
-                )
+                problem = f"--{option.name} expects {expected}, got {raw!r}"
+                _reject(operation, options, problem)
         elif option.default is not None:
             values[option.field] = option.default
         elif not partial:
@@ -177,59 +176,52 @@ _SERVE_POLICY = (
 
 LLM_SERVE = _SERVE_STREAM + _SERVE_POLICY
 
-LLM_SERVE_CLUSTER = (
-    _SERVE_STREAM
-    + (
-        Option(
-            "replicas",
-            int,
-            2,
-            help="engine replicas; >1 serves on the multi-replica cluster",
-        ),
-        # Routers are a registry users extend, so the cluster validates
-        # the name; only the caraml flag restricts it to the built-ins.
-        Option(
-            "router",
-            default=DEFAULT_ROUTER_POLICY,
-            help="cluster routing policy (with --replicas > 1)",
-        ),
-        Option(
-            "sessions",
-            int,
-            0,
-            help="cluster runs: >0 generates session traffic with shared "
-            "prompt prefixes instead of independent Poisson arrivals",
-        ),
-        Option(
-            "prefix-tokens",
-            int,
-            384,
-            help="shared prefix length of session traffic (with --sessions)",
-        ),
-        Option(
-            "autoscale",
-            bool,
-            False,
-            help="scale replicas on queue depth between --min-replicas and "
-            "--replicas (spin-up delay/energy and idle power modelled)",
-        ),
-        Option("min-replicas", int, 1, help="autoscaler floor (with --autoscale)"),
-        Option(
-            "prefill-replicas",
-            int,
-            0,
-            help="disaggregated cluster: prefill-pool size (with "
-            "--decode-replicas; overrides --replicas)",
-        ),
-        Option(
-            "decode-replicas",
-            int,
-            0,
-            help="disaggregated cluster: decode-pool size",
-        ),
-    )
-    + _SERVE_POLICY
+_CLUSTER = (
+    Option(
+        "replicas",
+        int,
+        2,
+        help="engine replicas; >1 serves on the multi-replica cluster",
+    ),
+    # Routers are a registry users extend, so the cluster validates the
+    # name; only the caraml flag restricts it to the built-in policies.
+    Option(
+        "router",
+        default=DEFAULT_ROUTER_POLICY,
+        help="cluster routing policy (with --replicas > 1)",
+    ),
+    Option(
+        "sessions",
+        int,
+        0,
+        help="cluster runs: >0 generates session traffic with shared "
+        "prompt prefixes instead of independent Poisson arrivals",
+    ),
+    Option(
+        "prefix-tokens",
+        int,
+        384,
+        help="shared prefix length of session traffic (with --sessions)",
+    ),
+    Option(
+        "autoscale",
+        bool,
+        False,
+        help="scale replicas on queue depth between --min-replicas and "
+        "--replicas (spin-up delay/energy and idle power modelled)",
+    ),
+    Option("min-replicas", int, 1, help="autoscaler floor (with --autoscale)"),
+    Option(
+        "prefill-replicas",
+        int,
+        0,
+        help="disaggregated cluster: prefill-pool size (with "
+        "--decode-replicas; overrides --replicas)",
+    ),
+    Option("decode-replicas", int, 0, help="disaggregated cluster: decode-pool size"),
 )
+
+LLM_SERVE_CLUSTER = _SERVE_STREAM + _CLUSTER + _SERVE_POLICY
 
 #: Operation name -> its option table.
 OPERATION_OPTIONS: dict[str, tuple[Option, ...]] = {

@@ -87,10 +87,8 @@ def serve_arrivals(options: dict):
     """
     from repro.serve import PoissonArrivals, SessionArrivals
 
-    stream = {
-        name: options[name]
-        for name in ("rate_per_s", "requests", "prompt_tokens", "generate_tokens", "seed")
-    }
+    names = ("rate_per_s", "requests", "prompt_tokens", "generate_tokens", "seed")
+    stream = {name: options[name] for name in names}
     sessions = options.get("sessions", 0)
     if sessions > 0:
         return SessionArrivals(
@@ -128,7 +126,11 @@ def build_serving(options: dict, *, cluster: bool, telemetry=None, slo_monitor=N
     )
     if not cluster:
         return ServingSimulator(engine, **shared), serve_arrivals(options)
-    from repro.serve.cluster import AutoscalePolicy, ClusterSimulator, DisaggregationSpec
+    from repro.serve.cluster import (
+        AutoscalePolicy,
+        ClusterSimulator,
+        DisaggregationSpec,
+    )
 
     prefill, decode = options["prefill_replicas"], options["decode_replicas"]
     simulator = ClusterSimulator(
@@ -140,7 +142,9 @@ def build_serving(options: dict, *, cluster: bool, telemetry=None, slo_monitor=N
             if options["autoscale"]
             else None
         ),
-        disaggregation=DisaggregationSpec(prefill, decode) if prefill or decode else None,
+        disaggregation=(
+            DisaggregationSpec(prefill, decode) if prefill or decode else None
+        ),
         **shared,
     )
     return simulator, serve_arrivals(options)

@@ -251,7 +251,8 @@ def test_planned_stream_is_the_one_the_operation_builds(monkeypatch, command):
     monkeypatch.setattr(ClusterSimulator, "run", run)
     with pytest.raises(_Built):
         _dispatch(command)
-    item = WorkItem(step=Step(name="serve", operations=(command,)), parameters={}, index=0)
+    step = Step(name="serve", operations=(command,))
+    item = WorkItem(step=step, parameters={}, index=0)
     assert stream_spec_for_item(item) == ArrivalStreamSpec.for_arrivals(built[0])
 
 

@@ -108,8 +108,16 @@ def _registry_kwargs(monkeypatch, module, name: str, command: str) -> dict:
 #: or simulator its options feed, the campaign kind that templates it).
 FRONT_ENDS = {
     "llm_train": (["run-llm", "--system", "A100"], LLMBenchmarkConfig, "llm"),
-    "resnet_train": (["run-resnet", "--system", "A100"], ResNetBenchmarkConfig, "resnet"),
-    "llm_serve": (["serve", "--system", "GH200"], repro.serve.ServingSimulator, "serve"),
+    "resnet_train": (
+        ["run-resnet", "--system", "A100"],
+        ResNetBenchmarkConfig,
+        "resnet",
+    ),
+    "llm_serve": (
+        ["serve", "--system", "GH200"],
+        repro.serve.ServingSimulator,
+        "serve",
+    ),
     "llm_serve_cluster": (
         ["serve", "--system", "GH200"],
         repro.serve.cluster.ClusterSimulator,
