@@ -72,17 +72,19 @@ def _add_option_flags(parser, options, **overrides) -> None:
     """
     overrides.setdefault("system", {"choices": SYSTEM_TAGS})
     for option in options:
+        kwargs = {"help": option.help}
         if option.type is bool:
-            kwargs = {"action": "store_true"}
+            kwargs["action"] = "store_true"
         else:
-            kwargs = {"type": option.type, "default": option.default}
-            if option.choices:
-                kwargs["choices"] = option.choices
-            if option.metavar:
-                kwargs["metavar"] = option.metavar
-        kwargs.update(help=option.help, **overrides.get(option.dest, {}))
-        if kwargs.get("default", False) is None:
-            kwargs["required"] = True
+            kwargs.update(
+                type=option.type,
+                default=option.default,
+                choices=option.choices or None,
+                metavar=option.metavar,
+            )
+        kwargs.update(overrides.get(option.dest, {}))
+        # Required by the operation and given no caraml default.
+        kwargs["required"] = kwargs.get("default", False) is None
         parser.add_argument(f"--{option.name}", **kwargs)
 
 

@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.hardware.node import NodeSpec
-from repro.hardware.topology import device_home_numa, numa_hops
+from repro.hardware.topology import device_home_numa, numa_distance_matrix, numa_hops
 
 
 class BindingPolicy(str, enum.Enum):
@@ -64,7 +64,6 @@ def affinity_penalty(
     GPU-affine binding is the 1.0 baseline.  The remote-domain penalty
     compounds per hop; unbound tasks see the average over all domains.
     """
-    n_numa = node.cpu.numa_domains * node.cpu_sockets
     home = device_home_numa(node, device_index)
 
     if policy is BindingPolicy.GPU_AFFINE:
@@ -78,9 +77,7 @@ def affinity_penalty(
     if policy is BindingPolicy.NONE:
         # Unbound: memory pages and the task wander; average penalty
         # over all domains the scheduler may run it on.
-        factors = [
-            _HOP_PENALTY ** numa_hops(node, d, home) for d in range(n_numa)
-        ]
+        factors = [_HOP_PENALTY**hops for hops in numa_distance_matrix(node)[home]]
         return AffinityEffect(sum(factors) / len(factors), 1.0)
 
     if policy is BindingPolicy.TOO_NARROW:
