@@ -3,7 +3,8 @@
 The shipped JUBE scripts invoke these operations from their ``do``
 strings.  Operations mirror the real suite's step contents: pulling
 containers, preprocessing data, training with jpwr measurement, and
-combining per-rank energy files.
+combining per-rank energy files.  Each parses its arguments through its
+option table in :mod:`repro.core.options`.
 """
 
 from __future__ import annotations
