@@ -85,7 +85,7 @@ def parse_options(
     names = {option.name for option in options}
     for name in args:
         if name not in names:
-            _reject(operation, options, f"unknown option --{name}")
+            raise _error(operation, options, f"unknown option --{name}")
     values: dict[str, object] = {}
     for option in options:
         if option.name in args:
@@ -95,17 +95,18 @@ def parse_options(
             except ValueError:
                 expected = "|".join(option.choices) or option.type.__name__
                 problem = f"--{option.name} expects {expected}, got {raw!r}"
-                _reject(operation, options, problem)
+                raise _error(operation, options, problem) from None
         elif option.default is not None:
             values[option.field] = option.default
         elif not partial:
-            _reject(operation, options, f"missing required option --{option.name}")
+            problem = f"missing required option --{option.name}"
+            raise _error(operation, options, problem)
     return values
 
 
-def _reject(operation: str, options: tuple[Option, ...], problem: str):
+def _error(operation: str, options: tuple[Option, ...], problem: str) -> JubeError:
     known = ", ".join(f"--{option.name}" for option in options) or "none"
-    raise JubeError(f"{operation}: {problem} (known options: {known})")
+    return JubeError(f"{operation}: {problem} (known options: {known})")
 
 
 SYSTEM = Option("system")
