@@ -39,7 +39,7 @@ BAD_COMMANDS = {
 }
 
 #: The option names each operation read before the tables existed.
-PARENT_OPTION_NAMES = {
+ACCEPTED_OPTION_NAMES = {
     "pull_container": {"system", "framework"},
     "prepare_data": {"synthetic"},
     "llm_train": {
@@ -58,13 +58,13 @@ PARENT_OPTION_NAMES = {
     "analyse": {"patterns"},
     "combine_energy": set(),
 }
-PARENT_OPTION_NAMES["llm_serve_cluster"] = PARENT_OPTION_NAMES["llm_serve"] | {
+ACCEPTED_OPTION_NAMES["llm_serve_cluster"] = ACCEPTED_OPTION_NAMES["llm_serve"] | {
     "replicas", "router", "sessions", "prefix-tokens", "autoscale",
     "min-replicas", "prefill-replicas", "decode-replicas",
 }
 
 #: The flags of the caraml commands built from the tables.
-PARENT_FLAGS = {
+COMMAND_FLAGS = {
     "run-llm": {
         "system", "model", "gbs", "mbs", "duration", "amd-variant",
         "power-cap", "trace", "faults",
@@ -73,7 +73,7 @@ PARENT_FLAGS = {
         "system", "model", "gbs", "devices", "amd-variant", "synthetic",
         "binding", "power-cap", "trace", "faults",
     },
-    "serve": PARENT_OPTION_NAMES["llm_serve_cluster"]
+    "serve": ACCEPTED_OPTION_NAMES["llm_serve_cluster"]
     | {"requests-json", "telemetry", "watch", "trace", "faults"},
 }
 
@@ -182,12 +182,12 @@ class TestOperationsRejectBadOptions:
             operation: {option.name for option in options}
             for operation, options in OPERATION_OPTIONS.items()
         }
-        assert names == PARENT_OPTION_NAMES
+        assert names == ACCEPTED_OPTION_NAMES
         assert set(build_operation_registry().names()) == set(OPERATION_OPTIONS)
 
 
 class TestCliFlags:
-    @pytest.mark.parametrize("command", sorted(PARENT_FLAGS))
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
     def test_commands_keep_their_flags(self, command):
         sub = build_parser()._subparsers._group_actions[0].choices[command]
         flags = {
@@ -196,7 +196,7 @@ class TestCliFlags:
             for opt in action.option_strings
             if opt.startswith("--") and opt != "--help"
         }
-        assert flags == PARENT_FLAGS[command]
+        assert flags == COMMAND_FLAGS[command]
 
 
 def _custom_node():
@@ -257,4 +257,4 @@ def test_planned_stream_is_the_one_the_operation_builds(monkeypatch, command):
 
 
 def test_llm_serve_has_no_cluster_options():
-    assert {option.name for option in LLM_SERVE} == PARENT_OPTION_NAMES["llm_serve"]
+    assert {option.name for option in LLM_SERVE} == ACCEPTED_OPTION_NAMES["llm_serve"]
