@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.engine.inference import InferenceEngine
+from repro.engine.inference import InferenceEngine, InferenceWorkload
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, activate_injection
 from repro.hardware.systems import get_system
 from repro.models.transformer import get_gpt_preset
@@ -35,6 +35,7 @@ from repro.serve import (
     PoissonArrivals,
     SessionArrivals,
     SLOPolicy,
+    TraceArrivals,
 )
 from repro.serve.cluster import AutoscalePolicy, DisaggregationSpec
 from repro.simcluster.clock import VirtualClock
@@ -71,10 +72,48 @@ FLOOD = PoissonArrivals(
 )
 LONG = BurstArrivals(bursts=((0.0, 6), (30.0, 4)), generate_tokens=300)
 ARRIVALS = {"poisson": POISSON, "bursts": BURSTS, "sessions": SESSIONS}
+TRACED = pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
 
 
-def _engine():
-    return InferenceEngine(get_system("GH200"), get_gpt_preset("800M"))
+def _engine(system="GH200", preset="800M"):
+    return InferenceEngine(get_system(system), get_gpt_preset(preset))
+
+
+def _kv_bound(rate_per_s):
+    """A100 / 13B traffic whose KV budget holds three sequences.
+
+    Each request reserves 3,800 tokens of context, so the fourth
+    sequence never fits while three are decoding: the queue head waits
+    with the batch below its cap of 8.
+    """
+    return PoissonArrivals(
+        rate_per_s=rate_per_s,
+        requests=40,
+        prompt_tokens=3_600,
+        generate_tokens=200,
+        seed=5,
+    )
+
+
+def _arrival_on_step_boundary(steps):
+    """Two requests; the second arrives exactly at the end of decode step
+    ``steps`` of the first, which runs alone from t=0.
+
+    The boundary is the loop's own fold: ``t += prefill``, then
+    ``t += step`` once per decode step, starting from zero.
+    """
+    engine = _engine()
+    prompt, generate = 256, 4 * steps
+    t = 0.0
+    t += engine.prefill_time_s(
+        InferenceWorkload(
+            prompt_tokens=prompt, generate_tokens=generate, batch_size=1
+        )
+    )
+    step_s = engine.decode_step_time_s(1)
+    for _ in range(steps):
+        t += step_s
+    return TraceArrivals(entries=((0.0, prompt, generate), (t, prompt, generate)))
 
 
 def _fault_scope(*faults):
@@ -112,13 +151,14 @@ def run_single(
     faults=(),
     telemetry=False,
     traced=True,
+    engine=None,
 ):
     """One single-engine run; returns its full observable payload."""
     set_metrics(MetricsRegistry())
     sampler = TelemetrySampler() if telemetry else None
     monitor = SLOMonitor() if telemetry else None
     sim = SERVING_SIMULATORS[mode](
-        _engine(),
+        engine or _engine(),
         batch_cap=8,
         queue_capacity=queue_capacity,
         slo=slo or SLOPolicy(),
@@ -191,8 +231,11 @@ class TestSingleEngineEquivalence:
 
     @pytest.mark.parametrize("name", sorted(ARRIVALS))
     @pytest.mark.parametrize("percentiles", ["exact", "p2"])
-    def test_arrival_grid(self, tmp_path, name, percentiles):
-        kw = dict(arrivals=ARRIVALS[name], percentile_mode=percentiles)
+    @TRACED
+    def test_arrival_grid(self, tmp_path, name, percentiles, traced):
+        kw = dict(
+            arrivals=ARRIVALS[name], percentile_mode=percentiles, traced=traced
+        )
         assert_identical(
             run_single(ENGINE_REFERENCE, tmp_path, **kw),
             run_single(ENGINE_FAST, tmp_path, **kw),
@@ -207,12 +250,48 @@ class TestSingleEngineEquivalence:
         )
 
     @pytest.mark.parametrize("percentiles", ["exact", "p2"])
-    def test_saturated_queue_rejections(self, tmp_path, percentiles):
+    @TRACED
+    def test_saturated_queue_rejections(self, tmp_path, percentiles, traced):
         kw = dict(
-            arrivals=FLOOD, queue_capacity=4, percentile_mode=percentiles
+            arrivals=FLOOD,
+            queue_capacity=4,
+            percentile_mode=percentiles,
+            traced=traced,
         )
         ref = run_single(ENGINE_REFERENCE, tmp_path, **kw)
         assert ref["rejected"], "flood must shed load for this test to bite"
+        assert_identical(ref, run_single(ENGINE_FAST, tmp_path, **kw))
+
+    @pytest.mark.parametrize(
+        "rate,queue_capacity", [(2.0, 256), (6.0, 256), (20.0, 4)]
+    )
+    @TRACED
+    def test_kv_bound_queue_head_waits(
+        self, tmp_path, rate, queue_capacity, traced
+    ):
+        # The batch stays below its cap while the queue head waits for
+        # KV: arrivals then change nothing until the next completion.
+        kw = dict(
+            arrivals=_kv_bound(rate),
+            queue_capacity=queue_capacity,
+            engine=_engine("A100", "13B"),
+            traced=traced,
+        )
+        ref = run_single(ENGINE_REFERENCE, tmp_path, **kw)
+        records = json.loads(ref["records"])
+        assert max(r["admitted_s"] - r["arrival_s"] for r in records) > 1.0
+        assert bool(ref["rejected"]) == (queue_capacity == 4)
+        assert_identical(ref, run_single(ENGINE_FAST, tmp_path, **kw))
+
+    @TRACED
+    def test_arrival_on_a_step_boundary(self, tmp_path, traced):
+        # The second request arrives exactly when a decode step ends;
+        # per-step stepping ingests it there (arrival <= now) and admits
+        # it before the next step.
+        kw = dict(arrivals=_arrival_on_step_boundary(5), traced=traced)
+        ref = run_single(ENGINE_REFERENCE, tmp_path, **kw)
+        (second,) = [r for r in json.loads(ref["records"]) if r["index"] == 1]
+        assert second["admitted_s"] == second["arrival_s"]
         assert_identical(ref, run_single(ENGINE_FAST, tmp_path, **kw))
 
     @pytest.mark.parametrize(
