@@ -151,8 +151,39 @@ class PhaseRunner:
 
     def run_phase(self, duration_s: float, utilisation: float) -> None:
         """One constant-utilisation phase across all active devices."""
+        self.run_phases(duration_s, utilisation, 1)
+
+    def run_phases(
+        self, duration_s: float, utilisation: float, count: int
+    ) -> list[float]:
+        """``count`` consecutive phases of one duration and utilisation.
+
+        Gives what ``count`` :meth:`run_phase` calls give: the clock
+        ends where they leave it, the frame gains the same rows and
+        every driven device's counter accrues the same intervals.
+        Returns the ``count + 1`` phase boundaries, the left fold
+        ``t += duration_s`` from the current time; a non-positive
+        duration runs nothing and returns the current time throughout.
+
+        The first and last phase edges are sampled.  Each boundary in
+        between ends one phase and starts the next, so it carries two
+        rows; while rows are reused they are all appended at once from
+        the row kept under this utilisation
+        (:meth:`~repro.jpwr.ctxmgr.MeasuredScope.repeat_row`), and the
+        devices accrue at each of those step starts
+        (:meth:`~repro.power.sensors.SimulatedDevice.set_utilisation_at`).
+        Otherwise every edge is sampled as :meth:`run_phase` does.  The
+        whole run is one ``engine/phase`` span.
+        """
+        start = self.clock.now()
         if duration_s <= 0:
-            return
+            return [start] * (count + 1)
+        bounds = [start]
+        t = start
+        for _ in range(count):
+            t += duration_s
+            bounds.append(t)
+        inner = bounds[1:-1]
         key = (
             utilisation
             if self._reuse_rows and not get_injector().enabled
@@ -162,8 +193,21 @@ class PhaseRunner:
             for dev in self.devices:
                 dev.set_utilisation(utilisation)
             self.scope.sample(key)
-            self.clock.advance(duration_s)
+            if inner and self.scope.repeat_row(
+                key, [edge for t in inner for edge in (t, t)]
+            ):
+                for dev in self.devices:
+                    dev.set_utilisation_at(utilisation, inner)
+            else:
+                for t in inner:
+                    self.clock.advance_to(t)
+                    self.scope.sample(key)
+                    for dev in self.devices:
+                        dev.set_utilisation(utilisation)
+                    self.scope.sample(key)
+            self.clock.advance_to(bounds[-1])
             self.scope.sample(key)
+        return bounds
 
     def run_step(self, step: StepBreakdown) -> None:
         """One optimizer step: a busy phase plus a low-utilisation tail.

@@ -177,6 +177,23 @@ class MeasuredScope:
                 appended = self.df.row(-1)
                 self._rows[key] = tuple(appended[label] for label in self._labels)
 
+    def repeat_row(self, key: Hashable, times: Sequence[float]) -> bool:
+        """Append the row kept under ``key`` once at each of ``times``.
+
+        The frame gains the rows that :meth:`sample` under ``key`` at
+        each of those clock times would append, in one bulk append and
+        without reading a sensor.  Returns False, appending nothing,
+        when no row is kept under ``key`` (none was read yet, or the
+        first read was dropped).
+        """
+        values = self._rows.get(key)
+        if values is None:
+            return False
+        n = len(times)
+        with self._lock:
+            self.df.extend_columns([times, *([value] * n for value in values)])
+        return True
+
     # -- results ---------------------------------------------------------------
 
     def energy(self) -> tuple[DataFrame, dict[str, DataFrame]]:

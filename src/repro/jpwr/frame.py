@@ -103,6 +103,22 @@ class DataFrame:
         for column, value in zip(self._columns.values(), values):
             column.append(value)
 
+    def extend_columns(self, columns: Sequence[Sequence[float]]) -> None:
+        """Append rows given column by column, in column order.
+
+        The bulk form of :meth:`add_values`: ``columns[j]`` holds the
+        new values of column ``j``.  Only the width and the lengths are
+        checked.
+        """
+        if len(columns) != len(self._columns):
+            raise MeasurementError(
+                f"got {len(columns)} columns, frame has {len(self._columns)}"
+            )
+        if len({len(values) for values in columns}) > 1:
+            raise MeasurementError("appended columns have unequal lengths")
+        for column, values in zip(self._columns.values(), columns):
+            column.extend(values)
+
     # -- statistics --------------------------------------------------------------
 
     def mean(self, column: str) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,6 +99,22 @@ class SimulatedDevice:
             self._accrue_locked()
             self._util = float(utilisation)
 
+    def set_utilisation_at(
+        self, utilisation: float, times: Sequence[float]
+    ) -> None:
+        """Set the utilisation at each of ``times``, oldest first.
+
+        The counter accrues exactly as one :meth:`set_utilisation` call
+        at each of those clock times would make it, so a driver that
+        advanced the clock past them in one jump keeps it exact.
+        """
+        if not 0.0 <= utilisation <= 1.0:
+            raise ValueError(f"utilisation must be in [0,1], got {utilisation}")
+        with self._lock:
+            for now in times:
+                self._accrue_to_locked(now)
+                self._util = float(utilisation)
+
     def fail(self) -> None:
         """Mark the sensor unhealthy; subsequent reads raise.
 
@@ -159,11 +175,15 @@ class SimulatedDevice:
     def _accrue_locked(self) -> float:
         """Advance the internal energy counter to 'now'; returns now."""
         now = self.clock()
+        self._accrue_to_locked(now)
+        return now
+
+    def _accrue_to_locked(self, now: float) -> None:
+        """Advance the internal energy counter to ``now``."""
         dt = now - self._last_update_s
         if dt > 0:
             self._energy_j += self.model.energy(self._util, dt)
             self._last_update_s = now
-        return now
 
 
 class DeviceRegistry:

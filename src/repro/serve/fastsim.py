@@ -64,6 +64,23 @@ from repro.serve.scheduler import ContinuousBatchScheduler, Sequence
 from repro.serve.soa import attribute_request_energy_wh
 
 
+def _steps_to_arrival(
+    now: float, step_s: float, steps: int, arrival_s: float
+) -> int:
+    """Steps of a decode run from ``now`` that ends at the first step
+    boundary at or after ``arrival_s``, at most ``steps``.
+
+    Boundaries are the fold ``now += step_s`` the phase runner makes;
+    per-step stepping ingests the arrival at that boundary and may
+    admit it before the next step.
+    """
+    for taken in range(1, steps + 1):
+        now += step_s
+        if now >= arrival_s:
+            return taken
+    return steps
+
+
 def _observe_completion(loop, seq, now: float) -> None:
     """Feed one completion to a loop's SLO monitor and rolling TTFT."""
     ttft_s = seq.first_token_s - seq.request.arrival_s
@@ -159,6 +176,7 @@ class _ServeLoop:
         util_prefill = engine.cal.util_full_llm
         util_decode = engine.cal.util_full_llm * DECODE_UTILISATION_FRACTION
         observed = self.sampler is not None or get_tracer().enabled
+        stepwise = observed or injector.enabled
         scheduler = self.scheduler
         queue = self.queue
         pending = self.pending
@@ -226,7 +244,9 @@ class _ServeLoop:
                 self._gauge_queue(tag)
             if not scheduler.active:
                 continue
-            # One decode step over the current batch.
+            # A decode run over the current batch: one step while the
+            # run is observed or faults may fire between steps, else
+            # every step until the batch can next change.
             now = clock.now()
             if injector.enabled:
                 injector.check_step(now, self.decode_steps)
@@ -240,18 +260,26 @@ class _ServeLoop:
             if base is None:
                 base = engine.decode_step_time_s(batch)
                 decode_cache[batch] = base
-            runner.run_phase(base * factor, util_decode)
-            self.decode_steps += 1
-            t1 = clock.now()
-            self.step_t0.append(now)
-            self.step_t1.append(t1)
-            self.step_batch.append(batch)
+            step_s = base * factor
+            steps = 1
+            if not stepwise:
+                steps = completions[0][0] - self.decode_steps
+                if batch < scheduler.batch_cap and not len(queue) and pending:
+                    steps = _steps_to_arrival(
+                        now, step_s, steps, pending[0].arrival_s
+                    )
+            bounds = runner.run_phases(step_s, util_decode, steps)
+            self.decode_steps += steps
+            t1 = bounds[-1]
+            self.step_t0.extend(bounds[:-1])
+            self.step_t1.extend(bounds[1:])
+            self.step_batch.extend([batch] * steps)
             self._tick(t1)
             if fresh:
                 # First decode step these sequences participate in:
                 # their first token lands at its end.
                 for seq in fresh:
-                    seq.first_token_s = t1
+                    seq.first_token_s = bounds[1]
                 fresh.clear()
             if completions and completions[0][0] == self.decode_steps:
                 while completions and completions[0][0] == self.decode_steps:

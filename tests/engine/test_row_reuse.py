@@ -4,7 +4,9 @@ While every read is a pure function of the phase utilisation, the
 phase runner reads the sensors once per utilisation level and appends
 that row again at later phase edges.  The oracle is the same run under
 an active empty fault plan: an active injection scope turns reuse off,
-so every sample reads every sensor, and nothing fires.
+so every sample reads every sensor, and nothing fires.  A run of
+phases (``PhaseRunner.run_phases``) is compared with the same phases
+run one at a time.
 
 Exact: sample frames, result rows, per-request energies and the energy
 counters of the devices the runner drives.  Approximate (1e-12
@@ -15,6 +17,8 @@ result reads them.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.core.config import LLMBenchmarkConfig, ResNetBenchmarkConfig
@@ -23,14 +27,14 @@ from repro.core.resnet50 import run_resnet_benchmark
 from repro.engine import trainer
 from repro.engine.inference import InferenceEngine
 from repro.engine.perf import StepBreakdown
-from repro.engine.trainer import PhaseRunner, measure_run
+from repro.engine.trainer import PhaseRunner, jpwr_methods_for_node, measure_run
 from repro.faults import FaultInjector, FaultPlan, activate_injection
 from repro.hardware.systems import SYSTEM_TAGS, get_system
-from repro.jpwr.ctxmgr import get_power
+from repro.jpwr.ctxmgr import MeasuredScope, get_power
 from repro.jpwr.methods.pynvml import PynvmlMethod
 from repro.models.transformer import get_gpt_preset
 from repro.power.sensors import DeviceRegistry, SimulatedDevice
-from repro.serve import PoissonArrivals, ServingSimulator
+from repro.serve import FixedArrivals, PoissonArrivals, ServingSimulator
 from repro.simcluster.clock import VirtualClock
 
 STEP = StepBreakdown(
@@ -136,18 +140,94 @@ def test_single_engine_serving(runners, tag):
     assert_equivalent(reused, read)
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """Every sensor read, by device index."""
+    calls = []
+    read = SimulatedDevice.read
+
+    def counted(self):
+        calls.append(self.index)
+        return read(self)
+
+    monkeypatch.setattr(SimulatedDevice, "read", counted)
+    return calls
+
+
+class TestRunPhases:
+    """``run_phases(d, u, k)`` against ``k`` calls of ``run_phase(d, u)``."""
+
+    DURATION_S, PHASES = 0.0371, 40
+
+    def _drive(self, reads, tag, run, *, noise_fraction=0.0, injected=False):
+        """Drive ``run`` after a first phase; returns the end time, the
+        snapshot, the sensor reads in the scope and those of one sample."""
+        node = get_system(tag)
+        clock = VirtualClock()
+        registry = DeviceRegistry.for_node(
+            node, clock=clock, noise_fraction=noise_fraction
+        )
+        active = [registry.get(i) for i in range(min(2, len(registry)))]
+        reads.clear()
+        with full_reads() if injected else nullcontext():
+            with get_power(
+                jpwr_methods_for_node(node, registry), 100, clock=clock, manual=True
+            ) as scope:
+                per_sample = len(reads)  # the scope-entry sample
+                runner = PhaseRunner(clock, scope, active)
+                runner.run_phase(0.25, 0.8)
+                run(runner)
+        in_scope = len(reads)
+        return clock.now(), snapshot(runner), in_scope, per_sample
+
+    @pytest.mark.parametrize("tag", SYSTEM_TAGS)
+    @pytest.mark.parametrize(
+        "case,utilisation,noise_fraction,injected",
+        [
+            ("reused", 0.8, 0.0, False),
+            ("first-read", 0.3, 0.0, False),
+            ("noisy", 0.8, 0.02, False),
+            ("injected", 0.8, 0.0, True),
+        ],
+    )
+    def test_equals_single_phases(
+        self, reads, tag, case, utilisation, noise_fraction, injected
+    ):
+        d, k = self.DURATION_S, self.PHASES
+        bounds = []
+
+        def fused(runner):
+            bounds.extend(runner.run_phases(d, utilisation, k))
+
+        def stepped(runner):
+            for _ in range(k):
+                runner.run_phase(d, utilisation)
+
+        kw = dict(noise_fraction=noise_fraction, injected=injected)
+        end, snap, fused_reads, per_sample = self._drive(reads, tag, fused, **kw)
+        end_stepped, snap_stepped, stepped_reads, _ = self._drive(
+            reads, tag, stepped, **kw
+        )
+        assert end == end_stepped  # bit-equal clocks
+        assert_equivalent(snap, snap_stepped)
+        assert len(bounds) == k + 1 and bounds[-1] == end
+        assert fused_reads == stepped_reads
+        if case in ("noisy", "injected"):
+            rows = len(next(iter(snap[0].values())))
+            assert rows == 2 + 2 + 2 * k
+            assert fused_reads == per_sample * rows  # every sample read
+
+    def test_non_positive_duration_runs_nothing(self):
+        clock = VirtualClock(5.0)
+        registry = DeviceRegistry.for_node(get_system("A100"), clock=clock)
+        with get_power([PynvmlMethod(registry)], 100, clock=clock, manual=True) as scope:
+            runner = PhaseRunner(clock, scope, [registry.get(0)])
+            assert runner.run_phases(0.0, 0.8, 3) == [5.0] * 4
+            assert len(scope.df) == 1
+        assert clock.now() == 5.0
+
+
 class TestReadCounts:
-    @pytest.fixture
-    def reads(self, monkeypatch):
-        calls = []
-        read = SimulatedDevice.read
-
-        def counted(self):
-            calls.append(self.index)
-            return read(self)
-
-        monkeypatch.setattr(SimulatedDevice, "read", counted)
-        return calls
 
     def _steps(self, reads, steps):
         reads.clear()
@@ -176,3 +256,26 @@ class TestReadCounts:
         assert len(scope.df) == 2 + 5 * 4
         assert len(reads) == 4 * len(scope.df)
         assert len(set(scope.df["gpu0"][1:-1])) == 5 * 4  # every row fresh
+
+    def test_serving_samples_do_not_grow_with_decode_steps(self, monkeypatch):
+        # One request decoding alone: every decode step up to its
+        # completion is one run, sampled at its first and last edge.
+        calls = []
+        sample = MeasuredScope.sample
+
+        def counted(self, key=None):
+            calls.append(key)
+            return sample(self, key)
+
+        monkeypatch.setattr(MeasuredScope, "sample", counted)
+        engine = InferenceEngine(get_system("GH200"), get_gpt_preset("800M"))
+        counts = []
+        for tokens in (10, 1000):
+            calls.clear()
+            result = ServingSimulator(engine).run(
+                FixedArrivals(requests=1, prompt_tokens=128, generate_tokens=tokens)
+            )
+            assert result.train.iterations == tokens
+            counts.append(len(calls))
+        # Scope entry and exit, the prefill's two edges, the run's two.
+        assert counts == [6, 6]
