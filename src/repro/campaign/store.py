@@ -11,7 +11,8 @@ Two on-disk backends behind one interface:
 
 * :class:`JsonlStore` — append-only JSON lines, the default; later
   lines for the same key supersede earlier ones, so retries are plain
-  appends and the file stays valid after a crash mid-campaign,
+  appends, and a line torn by a crash mid-append is dropped on load
+  and cut off before the next append,
 * :class:`SqliteStore` — a single-table SQLite database (WAL journal,
   a ``(campaign, step, status)`` index) for campaigns large enough
   that full-file scans hurt.
@@ -26,6 +27,7 @@ thousands of workpackages without paying a per-row fsync.
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +35,9 @@ from typing import Iterable, Mapping
 
 from repro.campaign.hashing import canonical_json
 from repro.errors import ConfigError
+from repro.obs.log import get_logger
+
+logger = get_logger(__name__)
 
 #: Row lifecycle states.  ``pruned`` rows are written by the search
 #: driver for configurations eliminated on screening evidence: their
@@ -313,15 +318,31 @@ class JsonlStore(ResultStore):
     memory); appends go through one lazily opened buffered handle that
     is flushed once per ``put``/``put_many`` batch, so the on-disk bytes
     after a batch are identical to per-row appends.
+
+    A row is committed when its newline is written.  A crash mid-append
+    leaves the last line unterminated: loading skips it with a warning
+    (``campaign continue`` then re-executes that workpackage), and the
+    first append cuts it off so the next row starts on its own line.
+    Opening a store never modifies the file.  Any terminated line that
+    does not parse raises :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._rows: dict[str, CampaignRow] = {}
         self._appender = None
+        self._torn_bytes = 0
         if self.path.exists():
             with self.path.open() as fh:
                 for line in fh:
+                    if not line.endswith("\n"):
+                        self._torn_bytes = len(line.encode())
+                        logger.warning(
+                            "campaign store %s: skipped an unterminated last "
+                            "line (%d bytes) left by an interrupted append",
+                            self.path, self._torn_bytes,
+                        )
+                        break
                     if not line.strip():
                         continue
                     try:
@@ -340,6 +361,10 @@ class JsonlStore(ResultStore):
             return
         if self._appender is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self._torn_bytes:
+                with self.path.open("r+b") as fh:
+                    fh.truncate(fh.seek(0, os.SEEK_END) - self._torn_bytes)
+                self._torn_bytes = 0
             self._appender = self.path.open("a")
         for row in rows:
             self._appender.write(json.dumps(row.to_dict(), default=str) + "\n")

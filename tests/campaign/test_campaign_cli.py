@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 import yaml
 
+from repro.campaign.store import JsonlStore
 from repro.core.cli import run as cli_run
 
 
@@ -118,6 +120,27 @@ class TestCampaignCli:
         )
         assert code == 1
         assert "1 executed, 1 from cache, 1 failed" in text
+
+    def test_continue_after_a_torn_append(self, spec_path, tmp_path):
+        # A crash mid-append leaves the last row's line unterminated:
+        # continue re-executes exactly that workpackage, and the file
+        # then reloads clean.
+        path = tmp_path / "rows.jsonl"
+        store = str(path)
+        invoke("campaign", "run", str(spec_path), "--store", store, "--sequential")
+        first, last = path.read_text().splitlines(keepends=True)
+        path.write_text(first + last[: len(last) // 2])
+
+        code, text = invoke(
+            "campaign", "continue", str(spec_path), "--store", store,
+            "--sequential",
+        )
+        assert code == 0
+        assert "1 executed, 1 from cache" in text
+        assert path.read_text().splitlines(keepends=True) == [first, last]
+        assert [row.key for row in JsonlStore(path).rows()] == [
+            json.loads(line)["key"] for line in (first, last)
+        ]
 
     def test_store_defaults_to_spec_entry(self, tmp_path):
         store = tmp_path / "from-spec.jsonl"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.campaign.store import (
@@ -13,6 +15,7 @@ from repro.campaign.store import (
     open_store,
 )
 from repro.errors import ConfigError
+from repro.obs.log import get_logger
 
 BACKENDS = {
     "jsonl": "store.jsonl",
@@ -216,6 +219,68 @@ def test_corrupt_jsonl_raises(tmp_path):
     path.write_text('{"key": "k1"}\nnot json\n')
     with pytest.raises(ConfigError, match="corrupt campaign store"):
         JsonlStore(path)
+
+
+class TestTornJsonl:
+    """A crash mid-append leaves the last JSONL line unterminated."""
+
+    @pytest.fixture
+    def warnings(self):
+        records: list[logging.LogRecord] = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        logger = get_logger("repro.campaign.store")
+        level = logger.level
+        logger.setLevel(logging.WARNING)
+        logger.addHandler(handler)
+        yield records
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+    @pytest.fixture
+    def torn(self, tmp_path):
+        """A store file of two rows and the first half of a third."""
+        path = tmp_path / "torn.jsonl"
+        with JsonlStore(path) as store:
+            store.put_many([_row("k1"), _row("k2"), _row("k3")])
+        text = path.read_text()
+        last = text.rstrip("\n").rsplit("\n", 1)[1]
+        path.write_text(text[: len(text) - len(last) // 2 - 1])
+        return path
+
+    def test_loads_complete_rows_and_warns(self, torn, warnings):
+        before = torn.read_bytes()
+        store = JsonlStore(torn)
+        assert [row.key for row in store.rows()] == ["k1", "k2"]
+        assert len(warnings) == 1
+        assert "unterminated last line" in warnings[0].getMessage()
+        store.close()
+        assert torn.read_bytes() == before  # reading never modifies the file
+
+    def test_first_append_cuts_the_torn_line(self, torn, warnings):
+        with JsonlStore(torn) as store:
+            store.put_many([_row("k3"), _row("k4")])
+        lines = torn.read_text().split("\n")
+        assert lines[-1] == "" and len(lines) == 5
+        warnings.clear()
+        reloaded = JsonlStore(torn)
+        assert [row.key for row in reloaded.rows()] == ["k1", "k2", "k3", "k4"]
+        assert reloaded.get("k3") == _row("k3")
+        assert warnings == []
+
+    def test_unterminated_complete_row_is_not_committed(self, tmp_path, warnings):
+        path = tmp_path / "no-newline.jsonl"
+        with JsonlStore(path) as store:
+            store.put_many([_row("k1"), _row("k2")])
+        path.write_text(path.read_text().rstrip("\n"))
+        assert [row.key for row in JsonlStore(path).rows()] == ["k1"]
+        assert len(warnings) == 1
+
+    def test_corrupt_interior_line_still_raises(self, torn):
+        text = torn.read_text()
+        torn.write_text("not json\n" + text)
+        with pytest.raises(ConfigError, match="corrupt campaign store"):
+            JsonlStore(torn)
 
 
 class TestSqliteLookupPaths:
