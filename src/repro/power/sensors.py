@@ -110,10 +110,11 @@ class SimulatedDevice:
         """
         if not 0.0 <= utilisation <= 1.0:
             raise ValueError(f"utilisation must be in [0,1], got {utilisation}")
+        util = float(utilisation)
         with self._lock:
             for now in times:
                 self._accrue_to_locked(now)
-                self._util = float(utilisation)
+                self._util = util
 
     def fail(self) -> None:
         """Mark the sensor unhealthy; subsequent reads raise.
