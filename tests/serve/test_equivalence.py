@@ -75,6 +75,17 @@ ARRIVALS = {"poisson": POISSON, "bursts": BURSTS, "sessions": SESSIONS}
 TRACED = pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
 
 
+def with_untraced(values):
+    """``(value, traced)`` cases: each value traced, then untraced.
+
+    The traced cases keep the bare value as their id, so they keep the
+    ids they had before untraced runs joined them.
+    """
+    return [pytest.param(v, True, id=str(v)) for v in values] + [
+        pytest.param(v, False, id=f"{v}-untraced") for v in values
+    ]
+
+
 def _engine(system="GH200", preset="800M"):
     return InferenceEngine(get_system(system), get_gpt_preset(preset))
 
@@ -229,9 +240,8 @@ def assert_identical(ref, fast):
 class TestSingleEngineEquivalence:
     """ServingSimulator: shipped vs oracle, all observables."""
 
-    @pytest.mark.parametrize("name", sorted(ARRIVALS))
+    @pytest.mark.parametrize("name,traced", with_untraced(sorted(ARRIVALS)))
     @pytest.mark.parametrize("percentiles", ["exact", "p2"])
-    @TRACED
     def test_arrival_grid(self, tmp_path, name, percentiles, traced):
         kw = dict(
             arrivals=ARRIVALS[name], percentile_mode=percentiles, traced=traced
@@ -249,8 +259,7 @@ class TestSingleEngineEquivalence:
             run_single(ENGINE_FAST, tmp_path, traced=False),
         )
 
-    @pytest.mark.parametrize("percentiles", ["exact", "p2"])
-    @TRACED
+    @pytest.mark.parametrize("percentiles,traced", with_untraced(["exact", "p2"]))
     def test_saturated_queue_rejections(self, tmp_path, percentiles, traced):
         kw = dict(
             arrivals=FLOOD,
