@@ -82,6 +82,18 @@ class TestMutation:
         frame.add_row({"x": 3})
         assert frame["x"] == [3.0]
 
+    def test_extend_columns_appends_rows(self, df):
+        df.extend_columns([[2.0, 3.0], [300.0, 400.0]])
+        assert [r["gpu0"] for r in df.rows()] == [100.0, 200.0, 300.0, 400.0]
+        assert df.row(-1) == {"time_s": 3.0, "gpu0": 400.0}
+
+    def test_extend_columns_checks_width_and_lengths(self, df):
+        with pytest.raises(MeasurementError, match="columns"):
+            df.extend_columns([[2.0]])
+        with pytest.raises(MeasurementError, match="unequal"):
+            df.extend_columns([[2.0, 3.0], [300.0]])
+        assert len(df) == 2
+
 
 class TestStatistics:
     def test_mean_sum_min_max(self, df):

@@ -41,6 +41,22 @@ class TestSimulatedDevice:
     def test_utilisation_validation(self, device):
         with pytest.raises(ValueError):
             device.set_utilisation(1.1)
+        with pytest.raises(ValueError):
+            device.set_utilisation_at(-0.1, [1.0])
+
+    def test_set_utilisation_at_equals_one_call_per_instant(self, clock):
+        spec = get_accelerator("A100-SXM4")
+        stepped = SimulatedDevice(0, spec, clock=clock)
+        jumped = SimulatedDevice(1, spec, clock=clock)
+        times = []
+        for _ in range(5):
+            clock.advance(0.37)
+            times.append(clock.now())
+            stepped.set_utilisation(0.6)
+        jumped.set_utilisation_at(0.6, times)
+        clock.advance(0.37)
+        assert jumped.utilisation() == 0.6
+        assert jumped.read_energy_j() == stepped.read_energy_j()
 
     def test_failure_injection(self, device):
         device.fail()
