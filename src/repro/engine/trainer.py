@@ -122,11 +122,12 @@ class PhaseRunner:
     are read once per utilisation level and later phase edges reuse
     that row.  That holds when every sensor the scope's methods read is
     noise-free and healthy (checked once, here) and no fault-injection
-    scope is active (checked per phase); otherwise every sample reads.
-    It also assumes that only this runner changes the utilisation of
-    those sensors while it runs, as in :func:`measure_run`, which gives
-    each run a fresh registry.  A skipped read leaves a driven device's
-    energy counter exact: the device accrues the interval at its next
+    scope is active (checked per :meth:`run_phases` call); otherwise
+    every sample reads.  It also assumes that only this runner changes
+    the utilisation of those sensors while it runs, as in
+    :func:`measure_run`, which gives each run a fresh registry.  A
+    skipped read leaves a driven device's energy counter exact: the
+    device accrues the interval at its next
     :meth:`~repro.power.sensors.SimulatedDevice.set_utilisation`, at
     the same instant and with the same ``dt``.
     """

@@ -6,12 +6,25 @@
 pays its prefill at the compute-bound utilisation point); every decode
 step advances the whole batch by one token at the roofline step time of
 the *current* batch size, and finished sequences are evicted.  Every
-``run_phase`` / ``idle`` call happens at the time, with the duration
-and utilisation, that stepping each sequence through each decode step
+phase the loop runs happens at the time, with the duration and
+utilisation, that stepping each sequence through each decode step
 produces, so the jpwr sample frame, traces and telemetry equal that
 per-step model byte for byte — while the per-step overheads that
 dominate a million-request run are gone:
 
+* **fused decode runs** — between two events that can change the batch
+  every decode step has the same batch, duration and utilisation, so
+  the steps up to the next completion go to one
+  :meth:`~repro.engine.trainer.PhaseRunner.run_phases` call, which
+  appends the frame rows of *k* per-step phases in bulk.  With the
+  batch below its cap, the queue empty and an arrival pending, a run
+  ends at the first step boundary at or after that arrival, where
+  per-step stepping would ingest it and may admit it.  A queue head
+  that does not fit waits for a completion whatever arrives behind it,
+  and those arrivals are offered in order at the run's end with the
+  outcomes per-step offers give.  A run is one step long while the
+  tracer, a telemetry sampler or a fault-injection scope is active:
+  each acts between steps,
 * **memoized phase times** — prefill times keyed by (prompt, generate)
   and decode-step times keyed by batch size are computed once per
   distinct key instead of once per phase,
@@ -29,7 +42,7 @@ dominate a million-request run are gone:
 The per-step model itself is kept as a test-side differential oracle
 (``tests/serve_oracle.py``); ``tests/serve/test_equivalence.py`` and the
 Hypothesis fuzz suite assert every observable output equals it byte
-for byte.
+for byte, traced and untraced.
 """
 
 from __future__ import annotations
