@@ -228,7 +228,6 @@ class TestRunPhases:
 
 
 class TestReadCounts:
-
     def _steps(self, reads, steps):
         reads.clear()
 
