@@ -10,7 +10,10 @@ arguments of every :class:`LLMBenchmarkConfig`,
 default explicitly and omitting it record the same thing).  A second
 golden pins the result keys and rows of a campaign using each built-in
 workload kind at its defaults: stored campaign rows are only reusable
-while those stay put.  Regenerate deliberately with::
+while those stay put.  The ``caraml powercap`` cases pin the
+:class:`PowercapScenario` or :class:`ServeCapScenario` each invocation
+builds and the arguments it passes to :func:`energy_aware_schedule`,
+stopping before any sweep runs.  Regenerate deliberately with::
 
     pytest tests/core/test_front_end_golden.py --update-goldens
 
@@ -28,6 +31,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import powercap
+from repro.analysis.powercap import PowercapScenario, ServeCapScenario
 from repro.campaign import CampaignRunner, CampaignSpec, IsolatingExecutor, open_store
 from repro.core.cli import run as cli_run
 from repro.core.config import LLMBenchmarkConfig, ResNetBenchmarkConfig
@@ -117,6 +122,23 @@ OPERATION_CASES = {
     "op combine_energy": "combine_energy",
 }
 
+#: ``caraml powercap`` invocations: case name -> argv (``{tmp}`` is a
+#: scratch directory for the store).
+POWERCAP_CASES = {
+    "cli powercap frontier minimal": "powercap frontier",
+    "cli powercap frontier full": (
+        "powercap frontier --system GH200 --system A100 --model 117M "
+        "--gbs 64 --gbs 512 --cap-fraction 1.0 --cap-fraction 0.6 "
+        "--duration 5 --store {tmp}/frontier.jsonl"
+    ),
+    "cli powercap schedule minimal": "powercap schedule",
+    "cli powercap schedule full": (
+        "powercap schedule --system GH200 --model 117M --rate 4 --requests 32 "
+        "--site hydro --attainment-goal 0.95 --budget 0.01 --horizon 43200 "
+        "--store {tmp}/schedule.jsonl"
+    ),
+}
+
 #: CaramlSuite calls: case name -> (method, system, keyword arguments).
 SUITE_CASES = {
     "suite run_llm minimal": ("run_llm", "A100", {}),
@@ -171,6 +193,8 @@ def _plain(value):
             f.name: _plain(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
     return type(value).__name__
 
 
@@ -218,6 +242,38 @@ def capture(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", init)
         monkeypatch.setattr(cls, "run", stop)
+
+    for cls in (PowercapScenario, ServeCapScenario):
+        original = cls.__init__
+
+        def scenario_init(self, *args, _original=original, _name=cls.__name__,
+                          **kwargs):
+            _original(self, *args, **kwargs)
+            record(_name, _plain(self))
+
+        monkeypatch.setattr(cls, "__init__", scenario_init)
+
+    def training_sweep(scenario=None, store=None, executor=None):
+        record("run_powercap_sweep", {"store": store})
+        raise _Stop
+
+    def serve_sweep(scenario=None, store=None, executor=None):
+        record("run_serve_cap_sweep", {"store": store})
+        return []
+
+    schedule_signature = inspect.signature(powercap.energy_aware_schedule)
+
+    def schedule(*args, **kwargs):
+        bound = schedule_signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        record("energy_aware_schedule", {
+            k: v for k, v in bound.arguments.items() if k != "points"
+        })
+        raise _Stop
+
+    monkeypatch.setattr(powercap, "run_powercap_sweep", training_sweep)
+    monkeypatch.setattr(powercap, "run_serve_cap_sweep", serve_sweep)
+    monkeypatch.setattr(powercap, "energy_aware_schedule", schedule)
     return seen
 
 
@@ -278,6 +334,13 @@ class TestFrontEndGolden:
     @pytest.mark.parametrize("name", sorted(CLI_CASES))
     def test_cli(self, name, capture, update_goldens):
         _golden_entry(name, _resolve_cli(CLI_CASES[name], capture), update_goldens)
+
+    @pytest.mark.parametrize("name", sorted(POWERCAP_CASES))
+    def test_powercap(self, name, capture, update_goldens, tmp_path):
+        argv = POWERCAP_CASES[name].format(tmp=tmp_path)
+        with pytest.raises(_Stop):
+            cli_run(argv.split(), stdout=io.StringIO())
+        _golden_entry(name, capture, update_goldens)
 
     @pytest.mark.parametrize("name", sorted(OPERATION_CASES))
     def test_operation(self, name, capture, update_goldens):
