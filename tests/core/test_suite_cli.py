@@ -1,18 +1,12 @@
-"""Tests for the CaramlSuite API, result helpers and the caraml CLI."""
+"""Tests for the CaramlSuite API and the caraml CLI."""
 
 import io
 
 import pytest
 
 from repro.core.cli import run as cli_run
-from repro.core.results import (
-    results_to_csv,
-    results_to_markdown,
-    results_to_rows,
-    write_results_csv,
-)
 from repro.core.suite import SHIPPED_SCRIPTS, CaramlSuite, script_path
-from repro.errors import ConfigError, JubeError
+from repro.errors import JubeError
 
 
 @pytest.fixture(scope="module")
@@ -55,36 +49,6 @@ class TestSuiteAPI:
     def test_jube_container_tag_adds_step(self, suite):
         run = suite.jube_run("resnet50_benchmark.xml", tags=["GC200", "container"])
         assert len(run.packages_for("container")) >= 1
-
-
-class TestResultsHelpers:
-    @pytest.fixture(scope="class")
-    def results(self):
-        suite = CaramlSuite()
-        return [
-            suite.run_resnet("H100", global_batch_size=b) for b in (64, 128)
-        ]
-
-    def test_rows_have_uniform_keys(self, results):
-        rows = results_to_rows(results)
-        assert set(rows[0]) == set(rows[1])
-
-    def test_csv_export(self, results):
-        text = results_to_csv(results)
-        assert text.splitlines()[0].startswith("system,")
-        assert len(text.splitlines()) == 3
-
-    def test_csv_file(self, results, tmp_path):
-        path = write_results_csv(results, tmp_path / "out" / "results.csv")
-        assert path.exists()
-
-    def test_markdown_export(self, results):
-        md = results_to_markdown(results)
-        assert md.startswith("| system |")
-
-    def test_empty_results_rejected(self):
-        with pytest.raises(ConfigError):
-            results_to_csv([])
 
 
 class TestCLI:
