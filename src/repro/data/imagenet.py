@@ -1,77 +1,11 @@
-"""ImageNet-sized dataset descriptor and loader cost model.
+"""ImageNet training-split size.
 
 The ResNet50 benchmark processes the ImageNet training split --
 1,281,167 images (the count the paper states for Figure 3's
 energy-per-epoch axis).  The actual pixels never matter to the
-performance substrate; what matters is the image count, per-image byte
-volume on the host, and the decode/augment cost that the data-loading
-model charges against host resources.
+performance substrate; the image count sets the epoch length the
+energy-per-epoch figures divide by.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.errors import DataError
 
 #: Images in the ImageNet-1k training split (paper §IV-B).
 IMAGENET_TRAIN_IMAGES = 1_281_167
-
-#: Average stored JPEG size in the training split.
-_AVG_JPEG_BYTES = 110_000
-
-
-@dataclass(frozen=True)
-class ImageNetDataset:
-    """Descriptor of an ImageNet-like image classification dataset."""
-
-    num_images: int = IMAGENET_TRAIN_IMAGES
-    height: int = 224
-    width: int = 224
-    channels: int = 3
-    classes: int = 1000
-    synthetic: bool = False
-
-    def __post_init__(self) -> None:
-        if self.num_images <= 0:
-            raise DataError("dataset needs at least one image")
-        if min(self.height, self.width, self.channels, self.classes) <= 0:
-            raise DataError("image dimensions and classes must be positive")
-
-    @property
-    def decoded_bytes_per_image(self) -> int:
-        """Bytes of one decoded uint8 image tensor."""
-        return self.height * self.width * self.channels
-
-    @property
-    def stored_bytes_per_image(self) -> int:
-        """Bytes read from storage per image (0 when synthetic)."""
-        return 0 if self.synthetic else _AVG_JPEG_BYTES
-
-    @property
-    def epoch_bytes(self) -> int:
-        """Decoded bytes the host pipeline produces per epoch."""
-        return self.num_images * self.decoded_bytes_per_image
-
-    def batches_per_epoch(self, global_batch_size: int) -> int:
-        """Optimizer steps per epoch (floor, as tf_cnn_benchmarks drops
-        the ragged tail)."""
-        if global_batch_size <= 0:
-            raise DataError("batch size must be positive")
-        return self.num_images // global_batch_size
-
-    def sample_batch(self, batch_size: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Materialise one synthetic batch (for the runnable examples).
-
-        Returns uint8 images of shape (b, h, w, c) and int labels.
-        """
-        if batch_size <= 0:
-            raise DataError("batch size must be positive")
-        rng = np.random.default_rng(seed)
-        images = rng.integers(
-            0, 256, size=(batch_size, self.height, self.width, self.channels), dtype=np.uint8
-        )
-        labels = rng.integers(0, self.classes, size=batch_size, dtype=np.int64)
-        return images, labels

@@ -6,7 +6,7 @@ we cannot ship; this module generates a deterministic synthetic
 stand-in with the statistical properties that matter to the substrate:
 documents of varying length, a Zipfian word distribution over a
 synthetic vocabulary, and multiple "languages" (disjoint vocabularies)
--- enough to train the BPE tokenizer and to fill token batches.
+-- enough to train the BPE tokenizer the LLM data step prepares.
 """
 
 from __future__ import annotations
@@ -42,21 +42,11 @@ def _make_vocabulary(rng: np.random.Generator, size: int) -> list[str]:
 
 @dataclass
 class OscarSubset:
-    """A generated corpus: documents plus derived statistics."""
+    """A generated corpus: its documents and how they were made."""
 
     documents: list[str]
     languages: int
     seed: int
-
-    @property
-    def num_documents(self) -> int:
-        """Document count."""
-        return len(self.documents)
-
-    @property
-    def total_characters(self) -> int:
-        """Character count over all documents."""
-        return sum(len(d) for d in self.documents)
 
     def text(self) -> str:
         """All documents joined with double newlines (training text)."""
@@ -65,28 +55,6 @@ class OscarSubset:
     def tokenize(self, tokenizer: BPETokenizer) -> list[int]:
         """Tokenise the whole corpus with ``tokenizer``."""
         return tokenizer.encode(self.text())
-
-    def token_batches(
-        self, tokenizer: BPETokenizer, seq_length: int, batch_size: int
-    ) -> list[np.ndarray]:
-        """Pack the corpus into (batch, seq) token arrays, dropping the
-        ragged tail, exactly like a GPT data pipeline."""
-        if seq_length <= 0 or batch_size <= 0:
-            raise DataError("sequence length and batch size must be positive")
-        ids = self.tokenize(tokenizer)
-        per_batch = seq_length * batch_size
-        n_batches = len(ids) // per_batch
-        if n_batches == 0:
-            raise DataError(
-                f"corpus too small: {len(ids)} tokens < one batch of {per_batch}"
-            )
-        batches = []
-        for i in range(n_batches):
-            chunk = np.asarray(
-                ids[i * per_batch : (i + 1) * per_batch], dtype=np.int32
-            )
-            batches.append(chunk.reshape(batch_size, seq_length))
-        return batches
 
 
 def generate_oscar_subset(

@@ -1,21 +1,17 @@
-"""Synthetic data generators (the benchmarks' ``synthetic`` tag).
+"""Synthetic data placement (the benchmarks' ``synthetic`` tag).
 
 Both benchmarks can run on synthetic data instead of OSCAR/ImageNet
 (paper Appendix: "If tag synthetic is not given, the benchmark will use
 the tokenized OSCAR data").  On Graphcore, synthetic image data can be
 "generated either on the host CPU and transferred to the IPU or
 generated directly on the IPU" -- the placement changes whether the
-host link is charged, which :mod:`repro.engine.poplar` consumes.
+host link is charged, which :mod:`repro.engine.poplar` consumes
+(``host_stream_time_s``).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterator
-
-import numpy as np
-
-from repro.errors import DataError
 
 
 class SyntheticPlacement(str, enum.Enum):
@@ -23,54 +19,3 @@ class SyntheticPlacement(str, enum.Enum):
 
     HOST = "host"  # generated on CPU, transferred over the host link
     DEVICE = "device"  # generated on the accelerator, no transfer
-
-
-def synthetic_token_batches(
-    *,
-    vocab_size: int,
-    seq_length: int,
-    batch_size: int,
-    num_batches: int,
-    seed: int = 0,
-) -> Iterator[np.ndarray]:
-    """Yield uniform-random token batches of shape (batch, seq)."""
-    if min(vocab_size, seq_length, batch_size, num_batches) <= 0:
-        raise DataError("all synthetic token parameters must be positive")
-    rng = np.random.default_rng(seed)
-    for _ in range(num_batches):
-        yield rng.integers(
-            0, vocab_size, size=(batch_size, seq_length), dtype=np.int32
-        )
-
-
-def synthetic_image_batch(
-    *,
-    batch_size: int,
-    height: int = 224,
-    width: int = 224,
-    channels: int = 3,
-    classes: int = 1000,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One random image batch plus labels (uint8 images)."""
-    if min(batch_size, height, width, channels, classes) <= 0:
-        raise DataError("all synthetic image parameters must be positive")
-    rng = np.random.default_rng(seed)
-    images = rng.integers(
-        0, 256, size=(batch_size, height, width, channels), dtype=np.uint8
-    )
-    labels = rng.integers(0, classes, size=batch_size, dtype=np.int64)
-    return images, labels
-
-
-def host_transfer_bytes(
-    batch_size: int,
-    bytes_per_sample: int,
-    placement: SyntheticPlacement,
-) -> int:
-    """Host-to-device bytes one batch costs under a placement."""
-    if batch_size <= 0 or bytes_per_sample <= 0:
-        raise DataError("batch size and sample bytes must be positive")
-    if placement is SyntheticPlacement.DEVICE:
-        return 0
-    return batch_size * bytes_per_sample

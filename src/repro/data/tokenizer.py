@@ -165,13 +165,6 @@ class BPETokenizer:
                 f"through a multi-byte character"
             ) from None
 
-    def token_bytes(self, token_id: int) -> bytes:
-        """Byte string one token decodes to."""
-        try:
-            return self.vocab[token_id]
-        except KeyError:
-            raise DataError(f"unknown token id {token_id}") from None
-
     # -- persistence -----------------------------------------------------------
 
     def to_json(self) -> str:
@@ -215,11 +208,3 @@ class BPETokenizer:
             tok.merges[(a, b)] = new_id
             tok.vocab[new_id] = tok.vocab[a] + tok.vocab[b]
         return tok
-
-    # -- stats ---------------------------------------------------------------
-
-    def compression_ratio(self, text: str) -> float:
-        """Bytes per token on a text (>= 1.0 once merges are learned)."""
-        if not text:
-            raise DataError("empty text")
-        return len(text.encode("utf-8")) / len(self.encode(text))

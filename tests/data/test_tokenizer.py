@@ -59,11 +59,8 @@ class TestRoundTrip:
         assert trained.decode(trained.encode(text)) == text
 
     def test_compression_on_training_distribution(self, trained):
-        assert trained.compression_ratio("the cat sat on the mat") > 1.5
-
-    def test_compression_ratio_rejects_empty(self, trained):
-        with pytest.raises(DataError):
-            trained.compression_ratio("")
+        text = "the cat sat on the mat"
+        assert len(text.encode("utf-8")) / len(trained.encode(text)) > 1.5
 
     def test_decode_unknown_token(self, trained):
         with pytest.raises(DataError):
@@ -73,11 +70,6 @@ class TestRoundTrip:
         tok = BPETokenizer()
         with pytest.raises(DataError, match="multi-byte character"):
             tok.decode(tok.encode("ü")[:1])
-
-    def test_token_bytes(self, trained):
-        assert trained.token_bytes(97) == b"a"
-        with pytest.raises(DataError):
-            trained.token_bytes(10_000_000)
 
     def test_merged_tokens_decode_to_multibyte_strings(self, trained):
         multis = [t for t, b in trained.vocab.items() if len(b) > 1]
