@@ -155,10 +155,6 @@ class InferenceEngine:
         )
         return max(bandwidth_time, compute_time) + DECODE_STEP_OVERHEAD_S
 
-    def decode_tokens_per_second(self, batch_size: int) -> float:
-        """Aggregate generation throughput at a batch size."""
-        return batch_size / self.decode_step_time_s(batch_size)
-
     def saturation_batch_size(self) -> float:
         """Batch where decode flips from bandwidth- to compute-bound."""
         weight_read = self.model.weight_bytes(self.policy)

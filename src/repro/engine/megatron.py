@@ -144,9 +144,3 @@ class MegatronEngine:
                 "final_loss": final_loss,
             },
         )
-
-    def energy_per_device_per_hour_wh(self, global_batch_size: int) -> float:
-        """The paper's Figure 2 middle panel: Wh per device for one hour
-        of training, derived from the modelled mean power."""
-        result = self.train(global_batch_size, exit_duration_s=60.0)
-        return result.mean_power_per_device_w * 1.0  # W * 1 h = Wh

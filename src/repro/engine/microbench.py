@@ -111,11 +111,3 @@ def allreduce_busbw_gbs(
         value=busbw / 1e9,
         unit="GB/s",
     )
-
-
-def roofline_check(node: NodeSpec, achieved_flops: float) -> bool:
-    """Whether an application-level FLOP/s figure is below the machine
-    roofline (used to validate the calibrated engines)."""
-    if achieved_flops < 0:
-        raise ConfigError("achieved FLOP/s must be >= 0")
-    return achieved_flops <= node.device_peak_flops

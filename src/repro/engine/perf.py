@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine.calibration import SystemCalibration, get_calibration
+from repro.data.imagenet import IMAGENET_TRAIN_IMAGES
 from repro.engine.efficiency import batch_efficiency
 from repro.errors import ConfigError
 from repro.hardware.accelerator import Vendor
@@ -80,17 +81,6 @@ class StepBreakdown:
     def busy_s(self) -> float:
         """Time at compute utilisation (the rest idles near base load)."""
         return self.compute_s
-
-    def scaled(self, factor: float) -> "StepBreakdown":
-        """Every component scaled by a factor (used by ablations)."""
-        return StepBreakdown(
-            self.compute_s * factor,
-            self.comm_exposed_s * factor,
-            self.host_s * factor,
-            self.overhead_s * factor,
-            self.bubble_s * factor,
-            self.utilisation,
-        )
 
 
 def _amd_derate(node: NodeSpec, devices_used: int, cal: SystemCalibration) -> float:
@@ -314,7 +304,7 @@ class CNNStepModel:
         *,
         devices: int = 1,
         nodes_used: int = 1,
-        dataset_images: int = 1_281_167,
+        dataset_images: int = IMAGENET_TRAIN_IMAGES,
         dataset_bytes_per_image: int | None = None,
         calibration: SystemCalibration | None = None,
         policy: MixedPrecisionPolicy = DEFAULT_POLICY,

@@ -63,8 +63,9 @@ class TestMegatronEngine:
             MegatronEngine(get_system("GC200"), get_gpt_preset("117M"), ParallelLayout())
 
     def test_energy_per_hour_helper(self, engine):
-        wh = engine.energy_per_device_per_hour_wh(256)
-        assert 100 < wh < 400  # an A100 at load draws a few hundred W
+        # Fig. 2's Wh per device-hour is the mean device power in W.
+        result = engine.train(256, exit_duration_s=60.0)
+        assert 100 < result.mean_power_per_device_w < 400  # a few hundred W
 
 
 class TestTFCNNEngine:

@@ -5,7 +5,6 @@ import pytest
 from repro.engine.microbench import (
     allreduce_busbw_gbs,
     gemm_tflops,
-    roofline_check,
     stream_triad_gbs,
 )
 from repro.errors import ConfigError
@@ -103,7 +102,7 @@ class TestRoofline:
             step_model = LLMStepModel(node, model, ParallelLayout(dp=1))
             rate = step_model.tokens_per_second(256)
             achieved = rate * model.flops_per_token_train
-            assert roofline_check(node, achieved), tag
+            assert achieved <= node.device_peak_flops, tag
 
     def test_describe(self):
         result = gemm_tflops(get_system("A100"), 4096)

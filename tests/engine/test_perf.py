@@ -27,12 +27,6 @@ class TestStepBreakdown:
         assert step.total_s == pytest.approx(1.5)
         assert step.busy_s == 1.0
 
-    def test_scaled(self):
-        step = StepBreakdown(1.0, 0.2, 0.1, 0.05, 0.15, 0.8)
-        doubled = step.scaled(2.0)
-        assert doubled.total_s == pytest.approx(3.0)
-        assert doubled.utilisation == 0.8
-
 
 class TestLLMStepModel:
     def test_throughput_monotone_in_batch(self, gpt800m):

@@ -86,8 +86,8 @@ def test_decode_throughput_monotone_in_batch(batch):
     """Aggregate decode tokens/s never drops with batching."""
     engine = InferenceEngine(get_system("GH200"), _GPT)
     assert (
-        engine.decode_tokens_per_second(batch + 1)
-        >= engine.decode_tokens_per_second(batch) - 1e-9
+        (batch + 1) / engine.decode_step_time_s(batch + 1)
+        >= batch / engine.decode_step_time_s(batch) - 1e-9
     )
 
 
