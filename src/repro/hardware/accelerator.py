@@ -97,25 +97,6 @@ class AcceleratorSpec:
         if self.compute_units <= 0:
             raise HardwareError(f"{self.name}: compute units must be positive")
 
-    @property
-    def total_cores(self) -> int:
-        """Total scalar cores across all compute units."""
-        return self.compute_units * self.cores_per_unit
-
-    @property
-    def flops_per_unit(self) -> float:
-        """Peak FP16 FLOP/s contributed by one compute unit."""
-        return self.peak_fp16_flops / self.compute_units
-
-    @property
-    def bytes_per_flop(self) -> float:
-        """Machine balance: memory bytes/s available per FLOP/s.
-
-        Low values indicate compute-rich, bandwidth-poor devices; the
-        ridge point of a roofline model is ``1 / bytes_per_flop``.
-        """
-        return self.memory_bandwidth / self.peak_fp16_flops
-
     def describe(self) -> str:
         """One-line human-readable summary (Fig. 1 style)."""
         return (
@@ -238,28 +219,3 @@ def get_accelerator(name: str) -> AcceleratorSpec:
     except KeyError:
         valid = ", ".join(sorted(ACCELERATORS))
         raise HardwareError(f"unknown accelerator {name!r}; valid: {valid}") from None
-
-
-def gcd_view(mi250: AcceleratorSpec) -> AcceleratorSpec:
-    """Return the single-GCD view of an MI250 MCM.
-
-    The paper reports AMD results in two normalisations (``MI250:GCD``
-    and ``MI250:GPU``); from the OS point of view each GCD is a GPU with
-    half the CUs, memory, bandwidth and TDP of the MCM.
-    """
-    if mi250.logical_devices != 2:
-        raise HardwareError(f"{mi250.name} is not a dual-die MCM")
-    return AcceleratorSpec(
-        name=f"{mi250.name}-GCD",
-        vendor=mi250.vendor,
-        kind=mi250.kind,
-        compute_units=mi250.compute_units // 2,
-        cores_per_unit=mi250.cores_per_unit,
-        matrix_units_per_unit=mi250.matrix_units_per_unit,
-        peak_fp16_flops=mi250.peak_fp16_flops / 2,
-        memory_bytes=mi250.memory_bytes // 2,
-        memory_bandwidth=mi250.memory_bandwidth / 2,
-        tdp_watts=mi250.tdp_watts / 2,
-        form_factor=mi250.form_factor,
-        logical_devices=1,
-    )

@@ -37,11 +37,6 @@ class CPUSpec:
         if self.numa_domains <= 0:
             raise HardwareError(f"{self.name}: NUMA domains must be positive")
 
-    @property
-    def threads(self) -> int:
-        """Hardware threads exposed by the socket."""
-        return self.cores * self.smt
-
 
 def _make_catalog() -> dict[str, CPUSpec]:
     specs = [

@@ -37,14 +37,6 @@ def register_system(
     CALIBRATIONS[tag] = calibration
 
 
-def unregister_system(tag: str) -> None:
-    """Remove a previously registered custom system."""
-    if tag not in SYSTEMS:
-        raise HardwareError(f"no system {tag!r} to unregister")
-    del SYSTEMS[tag]
-    CALIBRATIONS.pop(tag, None)
-
-
 @contextmanager
 def temporary_system(node: NodeSpec, calibration: SystemCalibration):
     """Context manager registering a system for the enclosed block.

@@ -28,11 +28,6 @@ class MemoryBudget:
         return sum(size for _, size in self.allocations)
 
     @property
-    def free_bytes(self) -> int:
-        """Remaining capacity (can be negative if oversubscribed)."""
-        return self.capacity_bytes - self.used_bytes
-
-    @property
     def fits(self) -> bool:
         """True when the footprint is within capacity."""
         return self.used_bytes <= self.capacity_bytes
@@ -84,11 +79,6 @@ class MemoryPool:
         """Sum of live allocations."""
         return sum(size for _, size in self._allocations)
 
-    @property
-    def free_bytes(self) -> int:
-        """Remaining capacity."""
-        return self.capacity_bytes - self.used_bytes
-
     def allocate(self, label: str, size_bytes: float) -> None:
         """Record an allocation.
 
@@ -107,16 +97,6 @@ class MemoryPool:
                 required_bytes=self.used_bytes,
                 capacity_bytes=self.capacity_bytes,
             )
-
-    def free(self, label: str) -> int:
-        """Free all allocations with the given label; returns bytes freed."""
-        freed = sum(size for lbl, size in self._allocations if lbl == label)
-        self._allocations = [(lbl, s) for lbl, s in self._allocations if lbl != label]
-        return freed
-
-    def reset(self) -> None:
-        """Drop every allocation."""
-        self._allocations.clear()
 
     def budget(self) -> MemoryBudget:
         """Immutable snapshot of the current footprint."""

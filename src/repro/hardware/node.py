@@ -133,17 +133,6 @@ class NodeSpec:
         """Package TDP attributed to one logical device."""
         return self.package_tdp_watts / self.accelerator.logical_devices
 
-    @property
-    def effective_device_power_watts(self) -> float:
-        """Power budget of one logical device after any cap.
-
-        The TDP when uncapped; the enforced cap (never above TDP)
-        otherwise.
-        """
-        if self.power_cap_watts is None:
-            return self.device_tdp_watts
-        return min(self.power_cap_watts, self.device_tdp_watts)
-
     def describe(self) -> str:
         """Multi-line Table-I-style description of the node."""
         lines = [

@@ -119,7 +119,7 @@ class TestTrainingSeam:
         scope = scope_of(FaultSpec(kind="memory_pressure", magnitude=8e9))
         with activate_injection(scope):
             pressured = check_llm_memory(node, model, layout, 4)
-        assert pressured.free_bytes == pytest.approx(clean.free_bytes - 8e9)
+        assert pressured.used_bytes == pytest.approx(clean.used_bytes + 8e9)
         assert scope.provenance()[0]["kind"] == "memory_pressure"
 
 

@@ -8,7 +8,6 @@ from repro.hardware.accelerator import (
     AcceleratorKind,
     AcceleratorSpec,
     Vendor,
-    gcd_view,
     get_accelerator,
 )
 from repro.units import tflops
@@ -58,40 +57,9 @@ class TestCatalog:
 
 
 class TestDerivedQuantities:
-    def test_total_cores(self):
-        a100 = get_accelerator("A100-SXM4")
-        assert a100.total_cores == 108 * 64
-
-    def test_flops_per_unit_sums_back(self):
-        h100 = get_accelerator("H100-SXM5")
-        assert h100.flops_per_unit * h100.compute_units == pytest.approx(
-            h100.peak_fp16_flops
-        )
-
-    def test_ipu_has_highest_machine_balance(self):
-        # Distributed SRAM gives the IPU far more bytes/FLOP than HBM GPUs.
-        ipu = get_accelerator("GC200")
-        gpus = [s for s in ACCELERATORS.values() if s.kind is AcceleratorKind.GPU]
-        assert all(ipu.bytes_per_flop > g.bytes_per_flop for g in gpus)
-
     def test_describe_mentions_key_specs(self):
         text = get_accelerator("A100-SXM4").describe()
         assert "108" in text and "312" in text and "400" in text
-
-
-class TestGcdView:
-    def test_gcd_view_halves_everything(self):
-        mcm = get_accelerator("MI250")
-        gcd = gcd_view(mcm)
-        assert gcd.peak_fp16_flops == pytest.approx(mcm.peak_fp16_flops / 2)
-        assert gcd.memory_bytes == mcm.memory_bytes // 2
-        assert gcd.tdp_watts == pytest.approx(mcm.tdp_watts / 2)
-        assert gcd.compute_units == 104
-        assert gcd.logical_devices == 1
-
-    def test_gcd_view_rejects_single_die(self):
-        with pytest.raises(HardwareError):
-            gcd_view(get_accelerator("A100-SXM4"))
 
 
 class TestValidation:

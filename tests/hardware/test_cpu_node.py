@@ -19,14 +19,10 @@ class TestCPUCatalog:
         grace = get_cpu("Grace")
         assert grace.cores == 72
         assert grace.smt == 1
-        assert grace.threads == 72
 
     def test_epyc_7742_has_8_numa_domains(self):
         # The §V-C binding complexity comes from these chiplets.
         assert get_cpu("EPYC-7742").numa_domains == 8
-
-    def test_threads_with_smt(self):
-        assert get_cpu("EPYC-7443").threads == 48
 
     def test_unknown_cpu(self):
         with pytest.raises(HardwareError):

