@@ -122,40 +122,9 @@ def cumulative_at(
     return np.interp(bounds, times, cumulative)
 
 
-def energy_in_window_wh(
-    df: DataFrame,
-    t0: float,
-    t1: float,
-    columns: list[str] | tuple[str, ...] | None = None,
-    *,
-    time_column: str = TIME_COLUMN,
-) -> float:
-    """Energy (Wh) integrated over the ``[t0, t1]`` sub-interval.
-
-    The window is clipped to the sampled span; a window entirely
-    outside it (or empty) integrates to 0.0.
-    """
-    if t1 <= t0:
-        return 0.0
-    times, cumulative = cumulative_energy_wh(df, columns, time_column=time_column)
-    lo = float(np.interp(t0, times, cumulative))
-    hi = float(np.interp(t1, times, cumulative))
-    return hi - lo
-
-
 def energy_frame(df: DataFrame, *, time_column: str = TIME_COLUMN) -> DataFrame:
     """jpwr's ``energy_df``: one row of integrated Wh per power column."""
     energies = integrate_energy_wh(df, time_column=time_column)
     out = DataFrame(energies.keys())
     out.add_row(energies)
     return out
-
-
-def average_power_w(df: DataFrame, *, time_column: str = TIME_COLUMN) -> dict[str, float]:
-    """Time-averaged power per column over the sampled span."""
-    energies = integrate_energy_wh(df, time_column=time_column)
-    t = df[time_column]
-    span = t[-1] - t[0]
-    if span <= 0:
-        raise MeasurementError("zero measurement span")
-    return {col: wh * 3600.0 / span for col, wh in energies.items()}

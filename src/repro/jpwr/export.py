@@ -110,27 +110,3 @@ def export_measurement(
             )
         )
     return paths
-
-
-def combine_energy_files(paths: list[str | Path]) -> DataFrame:
-    """Concatenate per-rank energy files into one frame.
-
-    This is the "combine the energy data into a single CSV file"
-    post-processing step of the paper's Appendix (jube continue); a
-    ``rank`` column records which file each row came from.
-    """
-    if not paths:
-        raise MeasurementError("no energy files to combine")
-    combined: DataFrame | None = None
-    for rank, path in enumerate(paths):
-        df = read_frame(path)
-        if combined is None:
-            combined = DataFrame(["rank", *df.columns])
-        if set(df.columns) != set(combined.columns) - {"rank"}:
-            raise MeasurementError(
-                f"{path}: columns {df.columns} do not match {combined.columns}"
-            )
-        for row in df.rows():
-            combined.add_row({"rank": float(rank), **row})
-    assert combined is not None
-    return combined

@@ -68,17 +68,6 @@ class DataFrame:
 
     # -- mutation -------------------------------------------------------------
 
-    def add_column(self, name: str, values: Iterable[float] | None = None) -> None:
-        """Add a column; must match the current row count if non-empty."""
-        if name in self._columns:
-            raise MeasurementError(f"column {name!r} already exists")
-        vals = [float(v) for v in (values if values is not None else [])]
-        if self._columns and len(vals) != len(self):
-            raise MeasurementError(
-                f"column {name!r} has {len(vals)} values, frame has {len(self)} rows"
-            )
-        self._columns[name] = vals
-
     def add_row(self, row: dict[str, float]) -> None:
         """Append a row; keys must exactly match the columns."""
         if set(row) != set(self._columns):

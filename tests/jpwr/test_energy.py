@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import MeasurementError
-from repro.jpwr.energy import average_power_w, energy_frame, integrate_energy_wh
+from repro.jpwr.energy import energy_frame, integrate_energy_wh
 from repro.jpwr.frame import DataFrame
 
 
@@ -62,15 +62,6 @@ class TestDerived:
         assert len(edf) == 1
         assert edf.row(0)["gpu0"] == pytest.approx(100.0)
 
-    def test_average_power(self):
-        df = make_frame([0, 10], [100, 300])
-        assert average_power_w(df)["gpu0"] == pytest.approx(200.0)
-
-    def test_average_power_rejects_zero_span(self):
-        df = make_frame([5, 5], [100, 100])
-        with pytest.raises(MeasurementError, match="span"):
-            average_power_w(df)
-
 
 class TestCumulative:
     def test_matches_total_integration(self):
@@ -105,27 +96,3 @@ class TestCumulative:
 
         with pytest.raises(MeasurementError, match="2 samples"):
             cumulative_energy_wh(make_frame([0], [100]))
-
-
-class TestWindow:
-    def test_window_slices_exactly_on_constant_power(self):
-        from repro.jpwr.energy import energy_in_window_wh
-
-        df = make_frame([0, 3600], [100, 100])
-        assert energy_in_window_wh(df, 0.0, 1800.0) == pytest.approx(50.0)
-        assert energy_in_window_wh(df, 900.0, 2700.0) == pytest.approx(50.0)
-
-    def test_windows_partition_the_total(self):
-        from repro.jpwr.energy import energy_in_window_wh
-
-        df = make_frame([0.0, 1.0, 1.0, 3.0], [100, 100, 400, 400])
-        total = integrate_energy_wh(df)["gpu0"]
-        parts = energy_in_window_wh(df, 0.0, 1.0) + energy_in_window_wh(df, 1.0, 3.0)
-        assert parts == pytest.approx(total)
-
-    def test_empty_or_reversed_window_is_zero(self):
-        from repro.jpwr.energy import energy_in_window_wh
-
-        df = make_frame([0, 10], [100, 100])
-        assert energy_in_window_wh(df, 5.0, 1.0) == 0.0
-        assert energy_in_window_wh(df, 5.0, 5.0) == 0.0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import MeasurementError
 from repro.jpwr.export import (
-    combine_energy_files,
     expand_suffix,
     export_measurement,
     read_frame,
@@ -82,29 +81,3 @@ class TestExportMeasurement:
         )
         names = sorted(p.name for p in paths)
         assert names == ["additional_nvml_energy.csv", "energy.csv", "power.csv"]
-
-
-class TestCombineEnergyFiles:
-    def test_combines_ranks(self, tmp_path):
-        paths = []
-        for rank in range(3):
-            df = DataFrame(["gpu0"])
-            df.add_row({"gpu0": float(rank)})
-            paths.append(write_frame(df, tmp_path, "energy", "csv", suffix=f"_{rank}"))
-        combined = combine_energy_files(paths)
-        assert combined["rank"] == [0.0, 1.0, 2.0]
-        assert combined["gpu0"] == [0.0, 1.0, 2.0]
-
-    def test_rejects_mismatched_columns(self, tmp_path):
-        df_a = DataFrame(["gpu0"])
-        df_a.add_row({"gpu0": 1.0})
-        df_b = DataFrame(["gpu1"])
-        df_b.add_row({"gpu1": 1.0})
-        p_a = write_frame(df_a, tmp_path, "energy", "csv", suffix="_a")
-        p_b = write_frame(df_b, tmp_path, "energy", "csv", suffix="_b")
-        with pytest.raises(MeasurementError, match="columns"):
-            combine_energy_files([p_a, p_b])
-
-    def test_rejects_empty_list(self):
-        with pytest.raises(MeasurementError):
-            combine_energy_files([])

@@ -65,18 +65,6 @@ class TestMutation:
         with pytest.raises(MeasurementError, match="mismatch"):
             df.add_row({"time_s": 2.0, "gpu0": 1.0, "gpu1": 1.0})
 
-    def test_add_column_to_populated_frame(self, df):
-        df.add_column("gpu1", [5.0, 6.0])
-        assert df["gpu1"] == [5.0, 6.0]
-
-    def test_add_column_length_mismatch(self, df):
-        with pytest.raises(MeasurementError):
-            df.add_column("gpu1", [5.0])
-
-    def test_add_existing_column(self, df):
-        with pytest.raises(MeasurementError):
-            df.add_column("gpu0")
-
     def test_values_coerced_to_float(self):
         frame = DataFrame(["x"])
         frame.add_row({"x": 3})
