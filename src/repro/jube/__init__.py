@@ -28,7 +28,6 @@ from repro.jube.script import BenchmarkScript, load_script, load_yaml_script, lo
 from repro.jube.result import ResultTable, render_table
 from repro.jube.runner import JubeRunner, JubeRun, OperationRegistry, parse_operation
 from repro.jube.patterns import Pattern, PatternSet, MEGATRON_PATTERNS, TFCNN_PATTERNS
-from repro.jube.builder import ScriptBuilder, script_to_yaml
 from repro.jube.rundir import save_run, load_run, resolve_run_id, run_directory_for
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "PatternSet",
     "MEGATRON_PATTERNS",
     "TFCNN_PATTERNS",
-    "ScriptBuilder",
-    "script_to_yaml",
     "save_run",
     "load_run",
     "resolve_run_id",

@@ -133,8 +133,3 @@ def substitute(template: str, values: Mapping[str, str]) -> str:
             return resolved
         current = resolved
     raise JubeError(f"substitution did not converge for {template!r} (cycle?)")
-
-
-def substitute_all(values: Mapping[str, str]) -> dict[str, str]:
-    """Substitute parameters into each other until all are literal."""
-    return {name: substitute(value, values) for name, value in values.items()}

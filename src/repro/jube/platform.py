@@ -25,11 +25,6 @@ class Platform:
     node: NodeSpec
     slurm_options: dict[str, str]
 
-    @property
-    def devices_per_node(self) -> int:
-        """Logical devices per node of this platform."""
-        return self.node.logical_devices_per_node
-
 
 def platform_for(tag: str) -> Platform:
     """Build the platform definition of a Table I system."""

@@ -8,7 +8,6 @@ from repro.jube.parameters import (
     ParameterSet,
     expand_parameter_space,
     substitute,
-    substitute_all,
 )
 
 
@@ -107,10 +106,6 @@ class TestSubstitution:
     def test_cycle_detected(self):
         with pytest.raises(JubeError, match="converge"):
             substitute("$a", {"a": "$b", "b": "$a"})
-
-    def test_substitute_all(self):
-        values = {"model": "800M", "cmd": "train $model"}
-        assert substitute_all(values)["cmd"] == "train 800M"
 
     def test_no_references_passthrough(self):
         assert substitute("plain text", {}) == "plain text"

@@ -14,10 +14,6 @@ class TestPlatformFor:
             assert platform.tag == tag
             assert platform.partition == f"{tag.lower()}-partition"
 
-    def test_devices_per_node(self):
-        assert platform_for("MI250").devices_per_node == 8
-        assert platform_for("GH200").devices_per_node == 1
-
     def test_slurm_options_follow_affinity_recommendations(self):
         opts = platform_for("JEDI").slurm_options
         assert opts["--ntasks"] == "4"

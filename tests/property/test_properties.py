@@ -223,7 +223,7 @@ def test_cnn_oom_monotone_in_batch(batch):
 @settings(max_examples=80, deadline=None)
 def test_substitution_idempotent_on_literal_values(values):
     """Substituting literal (reference-free) values is a fixpoint."""
-    from repro.jube.parameters import substitute_all
+    from repro.jube.parameters import substitute
 
-    resolved = substitute_all(values)
-    assert substitute_all(resolved) == resolved
+    resolved = {name: substitute(value, values) for name, value in values.items()}
+    assert {name: substitute(value, resolved) for name, value in resolved.items()} == resolved
