@@ -5,7 +5,7 @@ Megatron-LM and tf_cnn_benchmarks print a loss every iteration, and the
 paper's §IV-A discussion weighs throughput against "the potential
 drawback of slower convergence" at large batch sizes.  This module
 provides a deterministic loss curve so the simulated engines can report
-realistic per-iteration logs:
+a realistic loss after training:
 
 * LLM: the Chinchilla-style power law
   ``L(T) = L_inf + A / T^alpha`` in tokens seen ``T``, with a
@@ -83,24 +83,3 @@ GPT_LOSS = LossCurve(floor=1.7, scale=10.0, alpha=0.076, reference_batch=512)
 #: ResNet50 top-1 training error over images seen; ~0.9 at init,
 #: ~0.25 after 90 epochs of ImageNet.
 RESNET_LOSS = LossCurve(floor=0.18, scale=1.4, alpha=0.16, reference_batch=1024)
-
-
-def llm_loss_log(
-    tokens_per_iteration: int,
-    iterations: int,
-    batch_size: int,
-    *,
-    curve: LossCurve = GPT_LOSS,
-    log_every: int = 1,
-) -> list[tuple[int, float]]:
-    """Per-iteration (iteration, loss) pairs as Megatron would log them."""
-    if iterations < 1 or tokens_per_iteration < 1:
-        raise ConfigError("iterations and tokens per iteration must be >= 1")
-    if log_every < 1:
-        raise ConfigError("log_every must be >= 1")
-    out = []
-    for it in range(1, iterations + 1):
-        if it % log_every == 0 or it == iterations:
-            tokens = it * tokens_per_iteration
-            out.append((it, curve.loss(tokens, batch_size)))
-    return out

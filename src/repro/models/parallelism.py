@@ -40,11 +40,6 @@ class ParallelLayout:
         """Devices the layout occupies."""
         return self.dp * self.tp * self.pp
 
-    @property
-    def model_parallel_size(self) -> int:
-        """Devices holding one model replica."""
-        return self.tp * self.pp
-
     def validate_batch(self, global_batch_size: int, micro_batch_size: int) -> int:
         """Check divisibility and return the micro-batch count per pipeline.
 

@@ -55,12 +55,6 @@ class CNNConfig:
         """Bytes of the compute-precision weight copy."""
         return self.parameters * policy.params.bytes
 
-    def flops_per_batch(self, batch_size: int) -> float:
-        """Training FLOPs for one local batch."""
-        if batch_size <= 0:
-            raise ConfigError("batch size must be positive")
-        return batch_size * self.flops_per_image_train
-
     def describe(self) -> str:
         """One-line architecture summary."""
         return (

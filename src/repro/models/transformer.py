@@ -66,11 +66,6 @@ class GPTConfig:
     # -- parameter counts ---------------------------------------------------
 
     @property
-    def head_dim(self) -> int:
-        """Per-head dimension (flash-attention support depends on it)."""
-        return self.hidden // self.heads
-
-    @property
     def layer_parameters(self) -> int:
         """Parameters of one transformer layer.
 
@@ -109,14 +104,6 @@ class GPTConfig:
     def flops_per_token_train(self) -> float:
         """Forward+backward FLOPs per token (backward costs 2x forward)."""
         return 3.0 * self.flops_per_token_forward
-
-    def flops_per_iteration(self, global_batch_size: int) -> float:
-        """Training FLOPs of one optimizer step at a global batch size
-        (in sequences)."""
-        if global_batch_size <= 0:
-            raise ConfigError("global batch size must be positive")
-        tokens = global_batch_size * self.seq_length
-        return tokens * self.flops_per_token_train
 
     # -- memory -------------------------------------------------------------------
 

@@ -31,7 +31,7 @@ class TestLLMConfig:
     def test_13b_layout_uses_model_parallelism(self):
         cfg = LLMBenchmarkConfig(system="JEDI", model_size="13B")
         layout = cfg.layout()
-        assert layout.model_parallel_size > 1
+        assert layout.tp * layout.pp > 1
 
     def test_ipu_has_no_gpu_layout(self):
         with pytest.raises(ConfigError, match="pipeline"):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.models.lossmodel import GPT_LOSS, RESNET_LOSS, LossCurve, llm_loss_log
+from repro.models.lossmodel import GPT_LOSS, RESNET_LOSS, LossCurve
 
 
 class TestLossCurve:
@@ -69,24 +69,6 @@ class TestLossCurve:
             GPT_LOSS.loss(-1)
         with pytest.raises(ConfigError):
             GPT_LOSS.batch_discount(0)
-
-
-class TestLossLog:
-    def test_log_length_and_monotonicity(self):
-        log = llm_loss_log(2048 * 256, iterations=50, batch_size=256, log_every=10)
-        assert [it for it, _ in log] == [10, 20, 30, 40, 50]
-        losses = [loss for _, loss in log]
-        assert losses == sorted(losses, reverse=True)
-
-    def test_final_iteration_always_logged(self):
-        log = llm_loss_log(1000, iterations=7, batch_size=16, log_every=3)
-        assert log[-1][0] == 7
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            llm_loss_log(0, iterations=1, batch_size=1)
-        with pytest.raises(ConfigError):
-            llm_loss_log(10, iterations=1, batch_size=1, log_every=0)
 
 
 class TestEngineIntegration:

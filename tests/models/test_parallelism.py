@@ -15,9 +15,6 @@ class TestParallelLayout:
     def test_world_size(self):
         assert ParallelLayout(dp=2, tp=4, pp=2).world_size == 16
 
-    def test_model_parallel_size(self):
-        assert ParallelLayout(dp=2, tp=4, pp=2).model_parallel_size == 8
-
     def test_sequence_parallel_requires_tp(self):
         with pytest.raises(ConfigError, match="tensor"):
             ParallelLayout(dp=4, sequence_parallel=True)
@@ -87,7 +84,7 @@ class TestSuggestLayout:
 
     def test_13b_on_gh200_needs_model_parallelism(self):
         layout = suggest_layout(13_000_000_000, 96_000_000_000, devices=4)
-        assert layout.model_parallel_size > 1
+        assert layout.tp * layout.pp > 1
         assert layout.world_size <= 4
 
     def test_175b_needs_a_large_3d_layout(self):

@@ -35,14 +35,6 @@ class TestAccounting:
         cfg = get_cnn_preset("resnet50")
         assert cfg.flops_per_image_train == pytest.approx(3 * 4.1e9)
 
-    def test_batch_flops(self):
-        cfg = get_cnn_preset("resnet50")
-        assert cfg.flops_per_batch(32) == pytest.approx(32 * cfg.flops_per_image_train)
-
-    def test_batch_flops_validation(self):
-        with pytest.raises(ConfigError):
-            get_cnn_preset("resnet50").flops_per_batch(0)
-
     def test_weight_bytes_fp16(self):
         cfg = get_cnn_preset("resnet50")
         assert cfg.weight_bytes() == cfg.parameters * 2

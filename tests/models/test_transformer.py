@@ -66,16 +66,6 @@ class TestFlopAccounting:
         cfg = get_gpt_preset("117M")
         assert cfg.flops_per_token_train == pytest.approx(3 * cfg.flops_per_token_forward)
 
-    def test_iteration_flops_scale_with_batch(self):
-        cfg = get_gpt_preset("800M")
-        assert cfg.flops_per_iteration(64) == pytest.approx(
-            4 * cfg.flops_per_iteration(16)
-        )
-
-    def test_iteration_flops_reject_bad_batch(self):
-        with pytest.raises(ConfigError):
-            get_gpt_preset("800M").flops_per_iteration(0)
-
 
 class TestMemoryHelpers:
     def test_weight_bytes_fp16(self):
