@@ -204,10 +204,6 @@ class SLOMonitor:
             return 1.0
         return (self.total - self.violations) / self.total
 
-    def active_alerts(self) -> list[SLOAlert]:
-        """Alerts currently firing, in fire order."""
-        return [alert for alert in self.alerts if alert.active]
-
     def to_dict(self) -> dict:
         """Serializable monitor summary (the result ``alerts`` section)."""
         return {

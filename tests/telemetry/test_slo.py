@@ -28,7 +28,7 @@ class TestFiring:
         assert fired[0][1].rule == "test"
         # Budget 0.1, violation fraction 1.0 -> burn rate 10x.
         assert fired[0][1].burn_rate_short == pytest.approx(10.0)
-        assert m.active_alerts() == [fired[0][1]]
+        assert [a for a in m.alerts if a.active] == [fired[0][1]]
 
     def test_healthy_stream_never_fires(self):
         m = monitor()
@@ -65,7 +65,7 @@ class TestClearing:
         m = monitor()
         for i in range(10):
             m.observe(0.1 * i, ok=False)
-        assert len(m.active_alerts()) == 1
+        assert len([a for a in m.alerts if a.active]) == 1
         # Successes push the short-window violation fraction to zero
         # once the violations age past its 5 s span.
         transitions = []
@@ -76,7 +76,7 @@ class TestClearing:
         alert = cleared[0][1]
         assert not alert.active
         assert alert.cleared_at_s is not None
-        assert m.active_alerts() == []
+        assert not any(a.active for a in m.alerts)
 
     def test_refire_after_clear_appends_new_alert(self):
         m = monitor()
