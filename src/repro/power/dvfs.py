@@ -179,11 +179,6 @@ class PowerCapSpec:
                 f"power cap must be positive, got {self.cap_watts}"
             )
 
-    @property
-    def is_capped(self) -> bool:
-        """Whether this spec actually enforces a cap."""
-        return self.cap_watts is not None
-
     def frequency_model(self, node: NodeSpec) -> FrequencyModel:
         """The node's calibrated DVFS curve with this spec's overrides."""
         base = frequency_model_for_node(node)

@@ -73,13 +73,6 @@ class UtilisationTimeline:
             start += dur
         return out
 
-    def mean_utilisation(self) -> float:
-        """Duration-weighted mean utilisation (0 for empty timelines)."""
-        total = self.total_duration_s
-        if total == 0:
-            return 0.0
-        return sum(d * u for d, u in zip(self._durations, self._utils)) / total
-
     def to_csv(self) -> str:
         """Serialise as ``duration_s,utilisation`` CSV rows."""
         lines = ["duration_s,utilisation"]
@@ -165,10 +158,6 @@ class PowerTrace:
         if span == 0:
             return float(self.watts[0])
         return self.energy_j() / span
-
-    def max_power_w(self) -> float:
-        """Maximum sampled power (0 for empty traces)."""
-        return max(self.watts, default=0.0)
 
     @classmethod
     def from_timeline(

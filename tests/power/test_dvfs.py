@@ -132,8 +132,6 @@ class TestApplyPowerCap:
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             PowerCapSpec(cap_watts=-5.0)
-        assert not PowerCapSpec().is_capped
-        assert PowerCapSpec(cap_watts=200.0).is_capped
 
 
 class TestCappedNodeThroughput:

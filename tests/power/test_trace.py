@@ -40,15 +40,6 @@ class TestUtilisationTimeline:
         tl.append(2.0, 0.8)
         assert tl.segments() == [(5.0, 1.0, 0.2), (6.0, 2.0, 0.8)]
 
-    def test_mean_utilisation_weighted(self):
-        tl = UtilisationTimeline()
-        tl.append(1.0, 0.0)
-        tl.append(3.0, 1.0)
-        assert tl.mean_utilisation() == pytest.approx(0.75)
-
-    def test_mean_utilisation_empty(self):
-        assert UtilisationTimeline().mean_utilisation() == 0.0
-
     def test_exact_energy(self, model):
         tl = UtilisationTimeline()
         tl.append(10.0, 0.0)  # 100 W
@@ -97,7 +88,6 @@ class TestPowerTrace:
         trace.add(0.0, 100.0)
         trace.add(1.0, 300.0)
         assert trace.mean_power_w() == pytest.approx(200.0)
-        assert trace.max_power_w() == 300.0
 
     def test_from_timeline_matches_exact_for_constant_power(self, model):
         tl = UtilisationTimeline()
