@@ -7,6 +7,7 @@ paper spends its "technical challenges" section on:
 * building a Slurm scheduler with one partition per Table I system,
 * the recommended GPU-affine binding options per node type,
 * composing a vendor container with CARAML's overlay packages,
+* the MASTER_ADDR choice a naive rendezvous makes and the fixed one,
 * submitting an LLM benchmark as a batch job and reading sacct-style
   accounting.
 """
@@ -21,7 +22,7 @@ from repro.core.config import LLMBenchmarkConfig
 from repro.core.llm_training import run_llm_benchmark
 from repro.jube.platform import build_scheduler, platform_for
 from repro.simcluster.container import VENDOR_IMAGES, ContainerRuntime
-from repro.simcluster.network import ipoib_hostname
+from repro.simcluster.network import Interface, ipoib_hostname, resolve_master_addr
 from repro.simcluster.slurm import JobSpec
 
 
@@ -44,7 +45,15 @@ def main() -> None:
     print("  PMIx compatibility: OK (PMIX_SECURITY_MODE=native)")
 
     print("\nIPoIB rendezvous fix (paper §V-C):")
-    print(f"  MASTER_ADDR = {ipoib_hostname('jwb0097')}")
+    host = "jwb0097"
+    interfaces = [
+        Interface("ib0", ipoib_hostname(host), bandwidth=25e9),
+        Interface("en0", host, bandwidth=1.25e9),
+    ]
+    naive = resolve_master_addr(interfaces, prefer_ib=False)
+    fixed = resolve_master_addr(interfaces)
+    print(f"  naive first interface (en0): MASTER_ADDR = {naive}")
+    print(f"  fixed torchrun (ib0):        MASTER_ADDR = {fixed}")
 
     print("\nSubmitting the LLM benchmark as a batch job:")
     sim = build_scheduler(["WAIH100"])

@@ -6,9 +6,7 @@ from repro.simcluster.nccl import (
     allreduce_time,
     allgather_time,
     reduce_scatter_time,
-    broadcast_time,
 )
-from repro.simcluster.mpi import RankLayout, Communicator
 from repro.simcluster.slurm import SlurmSimulator, JobSpec, JobState, allocate_node
 from repro.simcluster.affinity import BindingPolicy, affinity_penalty
 from repro.simcluster.container import ContainerImage, ContainerRuntime, VENDOR_IMAGES
@@ -20,9 +18,6 @@ __all__ = [
     "allreduce_time",
     "allgather_time",
     "reduce_scatter_time",
-    "broadcast_time",
-    "RankLayout",
-    "Communicator",
     "SlurmSimulator",
     "JobSpec",
     "JobState",

@@ -148,10 +148,6 @@ class ContainerRuntime:
             raise ConfigError(f"bind source must be absolute: {host_path!r}")
         self._binds[host_path] = container_path or host_path
 
-    def is_visible(self, path: str) -> bool:
-        """Whether a host path is reachable inside the container."""
-        return any(path.startswith(src) for src in self._binds)
-
     def set_env(self, key: str, value: str) -> None:
         """Export an environment variable into the container."""
         self._env[key] = value

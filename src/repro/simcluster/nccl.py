@@ -93,24 +93,6 @@ def allgather_time(
     return reduce_scatter_time(message_bytes, ranks, link, efficiency=efficiency)
 
 
-def broadcast_time(
-    message_bytes: float,
-    ranks: int,
-    link: LinkSpec,
-    *,
-    efficiency: float = DEFAULT_EFFICIENCY,
-) -> float:
-    """Binomial-tree broadcast: ``N/B`` volume, ``log2(p)`` hops."""
-    _validate(message_bytes, ranks)
-    if ranks == 1 or message_bytes == 0:
-        return 0.0
-    bw = link.unidirectional_bandwidth * efficiency
-    if bw <= 0:
-        raise ValueError("broadcast over a zero-bandwidth link")
-    hops = max(1, math.ceil(math.log2(ranks)))
-    return message_bytes / bw + hops * link.latency_s
-
-
 @dataclass(frozen=True)
 class CollectiveModel:
     """Collective costs for one parallel job spanning possibly many nodes.
@@ -194,19 +176,6 @@ class CollectiveModel:
             )
         if self.ranks_per_node > 1:
             t += allgather_time(
-                message_bytes, self.ranks_per_node, self.intra_link, efficiency=self.efficiency
-            )
-        return t
-
-    def broadcast(self, message_bytes: float) -> float:
-        """Hierarchical broadcast time."""
-        t = 0.0
-        if self.nodes > 1:
-            t += broadcast_time(
-                message_bytes, self.nodes, self.inter_link, efficiency=self.efficiency
-            )
-        if self.ranks_per_node > 1:
-            t += broadcast_time(
                 message_bytes, self.ranks_per_node, self.intra_link, efficiency=self.efficiency
             )
         return t

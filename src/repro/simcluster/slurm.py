@@ -5,8 +5,7 @@ scheduler those submissions land on.  It models the parts of Slurm that
 CARAML's workflow actually exercises: partitions backed by the Table I
 node types, ``--ntasks/--cpus-per-task/--gpus-per-task`` resource
 requests, FIFO scheduling onto free nodes, job states, environment
-injection (``SLURM_PROCID``, ``PMIX_SECURITY_MODE``), and completion in
-virtual time.
+injection (``PMIX_SECURITY_MODE``), and completion in virtual time.
 """
 
 from __future__ import annotations
@@ -69,17 +68,6 @@ class JobContext:
     registry: DeviceRegistry
     clock: VirtualClock
     env: dict[str, str]
-
-    def task_env(self, procid: int) -> dict[str, str]:
-        """Per-task environment as Slurm/PMIx would inject it."""
-        if not 0 <= procid < self.spec.ntasks * self.spec.nodes:
-            raise SchedulerError(f"SLURM_PROCID {procid} out of range")
-        env = dict(self.env)
-        env["SLURM_PROCID"] = str(procid)
-        env["SLURM_NTASKS"] = str(self.spec.ntasks * self.spec.nodes)
-        env["SLURM_JOB_ID"] = str(self.job_id)
-        env["SLURM_LOCALID"] = str(procid % self.spec.ntasks)
-        return env
 
 
 @dataclass
@@ -172,13 +160,6 @@ class SlurmSimulator:
         self._partitions[name] = (node, node_count)
         self._free_nodes[name] = list(range(node_count))
 
-    def partition_node(self, name: str) -> NodeSpec:
-        """Node type backing a partition."""
-        try:
-            return self._partitions[name][0]
-        except KeyError:
-            raise SchedulerError(f"unknown partition {name!r}") from None
-
     # -- submission and scheduling ----------------------------------------
 
     def submit(self, spec: JobSpec) -> int:
@@ -211,15 +192,6 @@ class SlurmSimulator:
         self._jobs[job_id] = record
         self._queue.append(job_id)
         return job_id
-
-    def cancel(self, job_id: int) -> None:
-        """Cancel a pending job (scancel)."""
-        record = self.get(job_id)
-        if record.state is not JobState.PENDING:
-            raise SchedulerError(f"job {job_id} is {record.state.value}, not PENDING")
-        record.state = JobState.CANCELLED
-        record.end_time_s = self.clock.now()
-        self._queue.remove(job_id)
 
     def get(self, job_id: int) -> JobRecord:
         """Look up a job record."""
@@ -337,12 +309,3 @@ class SlurmSimulator:
             record.state = JobState.FAILED
             record.error = "TIMEOUT: exceeded time limit"
         return record
-
-    def drain(self) -> list[JobRecord]:
-        """Run every queued job to completion; returns their records."""
-        out = []
-        while True:
-            record = self.run_next()
-            if record is None:
-                return out
-            out.append(record)

@@ -40,6 +40,19 @@ def clock():
 
 
 @pytest.fixture
+def drain():
+    """Run a SlurmSimulator's queue to completion; returns the records."""
+
+    def run(sim):
+        records = []
+        while (record := sim.run_next()) is not None:
+            records.append(record)
+        return records
+
+    return run
+
+
+@pytest.fixture
 def a100_registry(a100_node, clock):
     """Device registry of an A100 node on the virtual clock."""
     return DeviceRegistry.for_node(a100_node, clock=clock)

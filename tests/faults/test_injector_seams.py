@@ -230,13 +230,13 @@ class TestSlurmSeam:
 
         return JobSpec(name=name, partition="batch", run=lambda ctx: "ok")
 
-    def test_node_crash_fails_job_with_nodefail(self):
+    def test_node_crash_fails_job_with_nodefail(self, drain):
         from repro.simcluster.slurm import JobState
 
         sim = self._sim(FaultSpec(kind="node_crash", where={"job": "victim"}))
         sim.submit(self._spec("victim"))
         sim.submit(self._spec("bystander"))
-        records = sim.drain()
+        records = drain(sim)
         by_name = {r.spec.name: r for r in records}
         assert by_name["victim"].state is JobState.FAILED
         assert "NodeFail" in by_name["victim"].error
@@ -244,7 +244,7 @@ class TestSlurmSeam:
         assert by_name["bystander"].state is JobState.COMPLETED
         assert by_name["bystander"].faults == []
 
-    def test_preemption_requeues_then_completes(self):
+    def test_preemption_requeues_then_completes(self, drain):
         from repro.simcluster.slurm import JobState
 
         sim = self._sim(
@@ -252,7 +252,7 @@ class TestSlurmSeam:
         )
         sim.submit(self._spec("victim"))
         sim.submit(self._spec("other"))
-        records = sim.drain()
+        records = drain(sim)
         # The preempted job goes to the back of the queue, so the other
         # job finishes first; the victim completes after its requeues.
         assert [r.spec.name for r in records] == ["other", "victim"]
@@ -261,7 +261,7 @@ class TestSlurmSeam:
         assert victim.requeues == 2
         assert victim.faults[0]["count"] == 2
 
-    def test_engine_faults_apply_inside_job_body(self):
+    def test_engine_faults_apply_inside_job_body(self, drain):
         seen = {}
 
         def body(ctx):
@@ -272,18 +272,18 @@ class TestSlurmSeam:
 
         sim = self._sim(FaultSpec(kind="memory_pressure", magnitude=1e9))
         sim.submit(JobSpec(name="job", partition="batch", run=body))
-        (record,) = sim.drain()
+        (record,) = drain(sim)
         assert record.state is JobState.COMPLETED
         assert seen["pressure"] == int(1e9)
         assert record.faults[0]["kind"] == "memory_pressure"
 
-    def test_uninjected_simulator_has_no_scopes(self):
+    def test_uninjected_simulator_has_no_scopes(self, drain):
         from repro.simcluster.slurm import JobState, SlurmSimulator
 
         sim = SlurmSimulator()
         sim.add_partition("batch", get_system("A100"), 1)
         sim.submit(self._spec())
-        (record,) = sim.drain()
+        (record,) = drain(sim)
         assert record.state is JobState.COMPLETED
         assert record.faults == []
 

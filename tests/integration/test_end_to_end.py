@@ -86,10 +86,17 @@ class TestFullResNetWorkflow:
 
 
 class TestSchedulerIntegration:
-    def test_build_scheduler_all_partitions(self):
+    def test_build_scheduler_all_partitions(self, drain):
         sim = build_scheduler()
         for tag in SYSTEM_TAGS:
-            assert sim.partition_node(f"{tag.lower()}-partition").jube_tag == tag
+            sim.submit(
+                JobSpec(
+                    name=tag,
+                    partition=f"{tag.lower()}-partition",
+                    run=lambda ctx: ctx.node.jube_tag,
+                )
+            )
+        assert [record.result for record in drain(sim)] == list(SYSTEM_TAGS)
 
     def test_platform_options_flow_into_jobs(self):
         platform = platform_for("JEDI")

@@ -5,6 +5,12 @@ import pytest
 from repro.errors import SchedulerError, UnknownSystemError
 from repro.hardware.systems import SYSTEM_TAGS
 from repro.jube.platform import Platform, build_scheduler, platform_for
+from repro.simcluster.slurm import JobSpec
+
+
+def _probe(partition):
+    """A job that reports the system tag of the node it lands on."""
+    return JobSpec(name="probe", partition=partition, run=lambda ctx: ctx.node.jube_tag)
 
 
 class TestPlatformFor:
@@ -32,19 +38,18 @@ class TestBuildScheduler:
     def test_default_builds_all_partitions(self):
         sim = build_scheduler()
         for tag in SYSTEM_TAGS:
-            node = sim.partition_node(f"{tag.lower()}-partition")
-            assert node.jube_tag == tag
+            sim.submit(_probe(f"{tag.lower()}-partition"))
+            assert sim.run_next().result == tag
 
     def test_subset(self):
         sim = build_scheduler(["A100"])
-        assert sim.partition_node("a100-partition").jube_tag == "A100"
+        sim.submit(_probe("a100-partition"))
+        assert sim.run_next().result == "A100"
         with pytest.raises(SchedulerError):
-            sim.partition_node("h100-partition")
+            sim.submit(_probe("h100-partition"))
 
     def test_partition_node_counts_match_max_nodes(self):
         sim = build_scheduler(["JEDI"])
-        from repro.simcluster.slurm import JobSpec
-
         # JEDI's 4 nodes can host a 4-node job; 5 cannot exist.
         sim.submit(JobSpec(name="wide", partition="jedi-partition", nodes=4))
         with pytest.raises(SchedulerError):

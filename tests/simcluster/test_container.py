@@ -53,11 +53,6 @@ class TestBindsAndEnv:
     def runtime(self):
         return ContainerRuntime(VENDOR_IMAGES["nvcr-pytorch"])
 
-    def test_binds_control_visibility(self, runtime):
-        runtime.bind("/p/project/data")
-        assert runtime.is_visible("/p/project/data/train.bin")
-        assert not runtime.is_visible("/p/scratch/other")
-
     def test_bind_requires_absolute_path(self, runtime):
         with pytest.raises(ConfigError):
             runtime.bind("data")

@@ -15,7 +15,7 @@ def sim():
 
 
 class TestAfterOk:
-    def test_dependent_runs_after_parent(self, sim):
+    def test_dependent_runs_after_parent(self, sim, drain):
         order = []
         parent = sim.submit(
             JobSpec(name="prep", partition="gpu", run=lambda ctx: order.append("prep"))
@@ -26,10 +26,10 @@ class TestAfterOk:
                 run=lambda ctx: order.append("train"),
             )
         )
-        sim.drain()
+        drain(sim)
         assert order == ["prep", "train"]
 
-    def test_out_of_order_queue_is_reordered(self, sim):
+    def test_out_of_order_queue_is_reordered(self, sim, drain):
         # Dependent submitted; then its parent runs only later because
         # of FIFO skipping.
         order = []
@@ -45,11 +45,11 @@ class TestAfterOk:
         sim.submit(
             JobSpec(name="b", partition="gpu", run=lambda ctx: order.append("b"))
         )
-        records = sim.drain()
+        records = drain(sim)
         assert order[0] == "a"
         assert len(records) == 3
 
-    def test_failed_parent_cancels_dependent(self, sim):
+    def test_failed_parent_cancels_dependent(self, sim, drain):
         def boom(ctx):
             raise RuntimeError("broken")
 
@@ -57,13 +57,13 @@ class TestAfterOk:
         child = sim.submit(
             JobSpec(name="train", partition="gpu", depends_on=(parent,))
         )
-        records = sim.drain()
+        records = drain(sim)
         assert sim.get(parent).state is JobState.FAILED
         assert sim.get(child).state is JobState.CANCELLED
         assert sim.get(child).error == "DependencyNeverSatisfied"
         assert len(records) == 2
 
-    def test_chain_of_dependencies(self, sim):
+    def test_chain_of_dependencies(self, sim, drain):
         order = []
         prev = None
         for name in ("s1", "s2", "s3"):
@@ -74,27 +74,35 @@ class TestAfterOk:
                     run=lambda ctx, n=name: order.append(n),
                 )
             )
-        sim.drain()
+        drain(sim)
         assert order == ["s1", "s2", "s3"]
 
     def test_unknown_dependency_rejected(self, sim):
         with pytest.raises(SchedulerError, match="unknown job"):
             sim.submit(JobSpec(name="x", partition="gpu", depends_on=(999,)))
 
-    def test_cancelled_parent_cancels_dependent(self, sim):
-        parent = sim.submit(JobSpec(name="prep", partition="gpu"))
+    def test_cancelled_parent_cancels_dependent(self, sim, drain):
+        def boom(ctx):
+            raise RuntimeError("broken")
+
+        # A failed grandparent leaves the parent CANCELLED, which in
+        # turn can never satisfy the child's afterok.
+        grandparent = sim.submit(JobSpec(name="fetch", partition="gpu", run=boom))
+        parent = sim.submit(
+            JobSpec(name="prep", partition="gpu", depends_on=(grandparent,))
+        )
         child = sim.submit(
             JobSpec(name="train", partition="gpu", depends_on=(parent,))
         )
-        sim.cancel(parent)
-        sim.drain()
+        drain(sim)
+        assert sim.get(parent).state is JobState.CANCELLED
         assert sim.get(child).state is JobState.CANCELLED
 
-    def test_waiting_jobs_do_not_deadlock_drain(self, sim):
+    def test_waiting_jobs_do_not_deadlock_drain(self, sim, drain):
         # A pending job waiting on a pending parent resolves as drain
         # makes progress.
         parent = sim.submit(JobSpec(name="p", partition="gpu"))
         child = sim.submit(JobSpec(name="c", partition="gpu", depends_on=(parent,)))
-        records = sim.drain()
+        records = drain(sim)
         assert {r.spec.name for r in records} == {"p", "c"}
         assert all(r.state is JobState.COMPLETED for r in records)
