@@ -38,7 +38,6 @@ from repro.campaign.hashing import (
     ResultKeyer,
     calibration_fingerprint,
     result_key,
-    script_fingerprint,
 )
 from repro.campaign.runner import (
     FLUSH_BATCH,
@@ -55,7 +54,6 @@ from repro.campaign.search import (
     SearchReport,
     SearchRunner,
     load_search_spec,
-    run_search,
 )
 from repro.campaign.spec import CampaignSpec, WorkloadSpec, load_campaign_spec
 from repro.campaign.store import (
@@ -105,7 +103,5 @@ __all__ = [
     "plan_streams",
     "result_key",
     "run_batches",
-    "run_search",
-    "script_fingerprint",
     "stream_spec_for_item",
 ]

@@ -1,7 +1,7 @@
 """Content addressing for campaign results.
 
 A campaign row is keyed by a stable hash of everything that determines
-its outcome: the benchmark script structure, the workpackage's
+its outcome: the operations its step executes, the workpackage's
 parameters (plus any state seeded from dependency packages), and the
 calibration constants the performance model runs on.  The simulation is
 bit-deterministic (no wall clock anywhere, see ARCHITECTURE.md), so an
@@ -21,7 +21,6 @@ import hashlib
 import json
 from typing import Mapping
 
-from repro.jube.script import BenchmarkScript
 from repro.jube.steps import Step
 from repro.obs.log import get_logger
 
@@ -70,42 +69,6 @@ def _flat_json(mapping: Mapping) -> str | None:
 
 def _digest(value) -> str:
     return hashlib.sha256(canonical_json(value).encode()).hexdigest()[:KEY_LENGTH]
-
-
-def script_fingerprint(script: BenchmarkScript) -> str:
-    """Hash of a benchmark script's full structure.
-
-    Covers parameter sets (names, values, tags), steps (operations,
-    dependencies, parameter sets, tags), continue steps, and result
-    tables — anything that could change which workpackages exist or
-    what they execute.
-    """
-    state = {
-        "name": script.name,
-        "parameter_sets": {
-            name: [
-                {"name": p.name, "values": list(p.values), "tags": sorted(p.tags)}
-                for p in pset.parameters
-            ]
-            for name, pset in sorted(script.parameter_sets.items())
-        },
-        "steps": [
-            {
-                "name": s.name,
-                "operations": list(s.operations),
-                "depends": list(s.depends),
-                "parameter_sets": list(s.parameter_sets),
-                "tags": sorted(s.tags),
-            }
-            for s in script.steps
-        ],
-        "continue_steps": sorted(script.continue_steps),
-        "results": [
-            {"name": t.name, "step": t.step, "columns": list(t.columns)}
-            for t in script.results
-        ],
-    }
-    return _digest(state)
 
 
 def step_fingerprint(step: Step) -> str:

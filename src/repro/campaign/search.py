@@ -549,14 +549,3 @@ class SearchRunner:
         """This rung's prefix length for a ``full_requests``-long config."""
         budget = policy.first_budget(full_requests) * (policy.growth ** rung)
         return min(budget, full_requests)
-
-
-def run_search(
-    spec: CampaignSpec,
-    store: ResultStore,
-    policy: SearchPolicy | None = None,
-    executor: WorkpackageExecutor | None = None,
-    tags: list[str] | tuple[str, ...] = (),
-) -> SearchReport:
-    """Convenience wrapper: build a :class:`SearchRunner` and search."""
-    return SearchRunner(store, executor=executor).search(spec, policy, tags)

@@ -11,7 +11,6 @@ from repro.campaign.search import (
     SearchRunner,
     _Candidate,
     load_search_spec,
-    run_search,
 )
 from repro.campaign.spec import CampaignSpec, WorkloadSpec
 from repro.campaign.store import (
@@ -192,8 +191,8 @@ class TestSearchEquivalence:
         grid_store = JsonlStore(tmp / "grid.jsonl")
         CampaignRunner(grid_store, IsolatingExecutor()).run(spec)
         search_store = JsonlStore(tmp / "search.jsonl")
-        report = run_search(
-            spec, search_store, TIGHT, executor=IsolatingExecutor()
+        report = SearchRunner(search_store, executor=IsolatingExecutor()).search(
+            spec, TIGHT
         )
         return spec, grid_store, search_store, report
 
@@ -245,7 +244,9 @@ class TestSearchEquivalence:
 
     def test_second_search_is_idempotent(self, stores):
         spec, _, search_store, report = stores
-        again = run_search(spec, search_store, TIGHT, executor=IsolatingExecutor())
+        again = SearchRunner(search_store, executor=IsolatingExecutor()).search(
+            spec, TIGHT
+        )
         assert (again.executed, again.screening_requests) == (0, 0)
         assert again.cached == report.executed
         assert again.pruned == report.pruned
@@ -311,12 +312,9 @@ class TestSearchEdges:
     def test_small_grids_skip_screening(self, tmp_path):
         # total <= min_keep: straight to full execution.
         spec = serve_search_spec(requests=16)
-        report = run_search(
-            spec,
-            JsonlStore(tmp_path / "s.jsonl"),
-            SearchPolicy(screen_requests=8, min_keep=8),
-            executor=IsolatingExecutor(),
-        )
+        report = SearchRunner(
+            JsonlStore(tmp_path / "s.jsonl"), executor=IsolatingExecutor()
+        ).search(spec, SearchPolicy(screen_requests=8, min_keep=8))
         assert (report.executed, report.pruned) == (8, 0)
         assert report.screening_requests == 0
 
