@@ -236,10 +236,6 @@ class StreamCache:
     def __len__(self) -> int:
         return len(self._streams)
 
-    def families(self) -> tuple[tuple, ...]:
-        """The stream families currently held."""
-        return tuple(self._streams)
-
     def install(self, family: tuple, stream: FrozenStream) -> None:
         """Install a pre-generated stream (longest per family wins)."""
         held = self._streams.get(family)
