@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.units import wh_to_joules
 
 
 @dataclass(frozen=True)
@@ -118,11 +117,6 @@ def full_training_estimate(
     return estimate(per_device_wh, site, devices=devices)
 
 
-def joules(estimate_result: CarbonEstimate) -> float:
-    """Site energy of an estimate in joules."""
-    return wh_to_joules(estimate_result.site_energy_wh)
-
-
 # -- time-varying grids ------------------------------------------------------
 
 
@@ -168,7 +162,8 @@ class IntensityTimeseries:
             current = p
         return current
 
-    def _mean(self, start_s: float, end_s: float, value) -> float:
+    def mean_gco2(self, start_s: float, end_s: float) -> float:
+        """Time-weighted mean intensity over ``[start_s, end_s)``."""
         if end_s <= start_s:
             raise ConfigError("window must have positive duration")
         boundaries = [
@@ -176,18 +171,10 @@ class IntensityTimeseries:
         ]
         total, t = 0.0, start_s
         for b in boundaries:
-            total += (b - t) * value(self.at(t))
+            total += (b - t) * self.at(t).gco2_per_kwh
             t = b
-        total += (end_s - t) * value(self.at(t))
+        total += (end_s - t) * self.at(t).gco2_per_kwh
         return total / (end_s - start_s)
-
-    def mean_gco2(self, start_s: float, end_s: float) -> float:
-        """Time-weighted mean intensity over ``[start_s, end_s)``."""
-        return self._mean(start_s, end_s, lambda p: p.gco2_per_kwh)
-
-    def mean_price(self, start_s: float, end_s: float) -> float:
-        """Time-weighted mean energy price over ``[start_s, end_s)``."""
-        return self._mean(start_s, end_s, lambda p: p.price_per_kwh)
 
     def lowest_window(
         self, duration_s: float, *, horizon_s: float | None = None
@@ -210,13 +197,6 @@ class IntensityTimeseries:
             if best is None or mean < best[1]:
                 best = (start, mean)
         return best
-
-    @classmethod
-    def constant(
-        cls, gco2_per_kwh: float, *, price_per_kwh: float = 0.0
-    ) -> "IntensityTimeseries":
-        """A flat grid (what :class:`SiteProfile` alone describes)."""
-        return cls(points=(IntensityPoint(0.0, gco2_per_kwh, price_per_kwh),))
 
     @classmethod
     def diurnal(

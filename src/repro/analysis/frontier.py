@@ -85,22 +85,6 @@ class FrontierPoint:
         return " ".join(parts) if parts else (self.source[:12] or "config")
 
 
-def dominates(a: FrontierPoint, b: FrontierPoint) -> bool:
-    """Whether ``a`` Pareto-dominates ``b``.
-
-    Higher attainment and lower energy are better; domination requires
-    at-least-as-good on both axes and strictly better on one.
-    """
-    if a.slo_attainment < b.slo_attainment:
-        return False
-    if a.energy_per_request_wh > b.energy_per_request_wh:
-        return False
-    return (
-        a.slo_attainment > b.slo_attainment
-        or a.energy_per_request_wh < b.energy_per_request_wh
-    )
-
-
 def pareto_frontier(points: list[FrontierPoint]) -> list[FrontierPoint]:
     """The non-dominated subset, sorted by descending attainment.
 

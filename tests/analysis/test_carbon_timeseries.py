@@ -38,9 +38,6 @@ class TestMeans:
         mean = _series().mean_gco2(1800.0, 5400.0)
         assert mean == pytest.approx(250.0)
 
-    def test_mean_price_tracks_the_same_walk(self):
-        assert _series().mean_price(1800.0, 5400.0) == pytest.approx(0.25)
-
     def test_rejects_empty_window(self):
         with pytest.raises(ConfigError):
             _series().mean_gco2(100.0, 100.0)
@@ -67,10 +64,6 @@ class TestLowestWindow:
 
 
 class TestConstructors:
-    def test_constant_is_flat(self):
-        ts = IntensityTimeseries.constant(380.0)
-        assert ts.mean_gco2(0.0, 1e6) == pytest.approx(380.0)
-
     def test_diurnal_is_deterministic(self):
         a = IntensityTimeseries.diurnal()
         b = IntensityTimeseries.diurnal()

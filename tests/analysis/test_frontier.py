@@ -6,7 +6,6 @@ from types import SimpleNamespace
 
 from repro.analysis.frontier import (
     FrontierPoint,
-    dominates,
     frontier_rows,
     pareto_frontier,
     points_from_rows,
@@ -66,22 +65,6 @@ class TestFromRow:
     def test_label_without_parameters_falls_back_to_source(self):
         assert point(1.0, 1.0, source="abcdef123456789").label() == "abcdef123456"
         assert point(1.0, 1.0).label() == "config"
-
-
-class TestDominates:
-    def test_better_on_both_axes(self):
-        assert dominates(point(0.9, 1.0), point(0.8, 2.0))
-
-    def test_equal_points_do_not_dominate(self):
-        assert not dominates(point(0.9, 1.0), point(0.9, 1.0))
-
-    def test_tradeoff_is_mutual_non_domination(self):
-        a, b = point(0.9, 1.0), point(0.95, 2.0)
-        assert not dominates(a, b) and not dominates(b, a)
-
-    def test_single_axis_improvement_suffices(self):
-        assert dominates(point(0.9, 1.0), point(0.9, 2.0))
-        assert dominates(point(0.95, 1.0), point(0.9, 1.0))
 
 
 class TestParetoFrontier:

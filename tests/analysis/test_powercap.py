@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.analysis.carbon import IntensityTimeseries, get_site
+from repro.analysis.carbon import IntensityPoint, IntensityTimeseries, get_site
 from repro.analysis.powercap import (
     CapPoint,
     PowercapScenario,
@@ -179,7 +179,9 @@ class TestEnergyAwareSchedule:
 
     def test_flat_grid_single_cap(self):
         report = energy_aware_schedule(
-            _serve_points(), IntensityTimeseries.constant(380.0), site="jsc"
+            _serve_points(),
+            IntensityTimeseries(points=(IntensityPoint(0.0, 380.0),)),
+            site="jsc",
         )
         assert len({w.cap.power_cap_w for w in report.windows}) == 1
 
@@ -195,7 +197,7 @@ class TestEnergyAwareSchedule:
     def test_site_profile_accepted_directly(self):
         report = energy_aware_schedule(
             _serve_points(),
-            IntensityTimeseries.constant(100.0),
+            IntensityTimeseries(points=(IntensityPoint(0.0, 100.0),)),
             site=get_site("hydro"),
         )
         assert report.site.name == "hydro"

@@ -4,12 +4,10 @@ import pytest
 
 from repro.analysis.carbon import (
     SITES,
-    CarbonEstimate,
     SiteProfile,
     estimate,
     full_training_estimate,
     get_site,
-    joules,
 )
 from repro.analysis.scaling import scaling_rows, strong_scaling, weak_scaling
 from repro.errors import ConfigError
@@ -97,10 +95,6 @@ class TestCarbon:
         hours = 300e9 / 190_000 / 3600
         assert result.device_energy_wh == pytest.approx(4 * 600 * hours, rel=1e-6)
         assert result.emissions_gco2 > 0
-
-    def test_joules_helper(self):
-        result = CarbonEstimate(1.0, 2.0, 3.0)
-        assert joules(result) == pytest.approx(7200.0)
 
     def test_describe(self):
         assert "gCO2e" in estimate(10.0, get_site("jsc")).describe()

@@ -52,7 +52,7 @@ class TestPlanDeferral:
     def test_flat_grid_runs_now(self, tmp_path):
         store = JsonlStore(tmp_path / "s.jsonl")
         plan = plan_deferral(
-            _spec(), store, IntensityTimeseries.constant(380.0)
+            _spec(), store, IntensityTimeseries(points=(IntensityPoint(0.0, 380.0),))
         )
         assert plan.misses == 2
         assert not plan.deferred
