@@ -21,10 +21,6 @@ MEGA = 1e6
 GIGA = 1e9
 TERA = 1e12
 
-KIB = 1024
-MIB = 1024**2
-GIB = 1024**3
-
 SECONDS_PER_HOUR = 3600.0
 JOULES_PER_WH = 3600.0
 
@@ -32,11 +28,6 @@ JOULES_PER_WH = 3600.0
 def gb(value: float) -> int:
     """Decimal gigabytes to bytes (vendors quote memory decimal)."""
     return int(value * GIGA)
-
-
-def gib(value: float) -> int:
-    """Binary gibibytes to bytes."""
-    return int(value * GIB)
 
 
 def mb(value: float) -> int:

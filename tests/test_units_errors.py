@@ -8,7 +8,6 @@ from repro import __version__, errors, units
 class TestUnits:
     def test_memory_units(self):
         assert units.gb(40) == 40_000_000_000
-        assert units.gib(1) == 1024**3
         assert units.mb(900) == 900_000_000
 
     def test_bandwidth_units(self):
