@@ -55,11 +55,6 @@ def joules_to_wh(value_j: float) -> float:
     return value_j / JOULES_PER_WH
 
 
-def wh_to_joules(value_wh: float) -> float:
-    """Watt-hours to joules."""
-    return value_wh * JOULES_PER_WH
-
-
 def per_wh(rate_per_s: float, power_w: float) -> float:
     """Convert a rate (1/s) at a given power draw (W) to 1/Wh.
 

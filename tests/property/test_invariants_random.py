@@ -87,10 +87,10 @@ class TestUnitRoundTrips:
         rng = random.Random(0x30115)
         for _ in range(CASES):
             value = rng.uniform(1e-9, 1e9)
-            assert units.wh_to_joules(units.joules_to_wh(value)) == pytest.approx(
+            assert units.joules_to_wh(value) * units.JOULES_PER_WH == pytest.approx(
                 value, rel=1e-12
             )
-            assert units.joules_to_wh(units.wh_to_joules(value)) == pytest.approx(
+            assert units.joules_to_wh(value * units.JOULES_PER_WH) == pytest.approx(
                 value, rel=1e-12
             )
 

@@ -20,7 +20,7 @@ class TestUnits:
 
     def test_energy_conversions_roundtrip(self):
         assert units.joules_to_wh(3600) == 1.0
-        assert units.wh_to_joules(units.joules_to_wh(1234.5)) == pytest.approx(1234.5)
+        assert units.joules_to_wh(1234.5) * units.JOULES_PER_WH == pytest.approx(1234.5)
 
     def test_per_wh(self):
         # 10 items/s at 36 W -> 1000 items/Wh.
