@@ -44,6 +44,46 @@ from repro.power.dvfs import frequency_model_for_node
 # -- sweep scenario ----------------------------------------------------------
 
 
+def _check_cap_fractions(cap_fractions: tuple[float, ...]) -> None:
+    if not cap_fractions:
+        raise ConfigError("powercap scenario needs cap fractions")
+    for f in cap_fractions:
+        if not 0.0 < f <= 1.0:
+            raise ConfigError(f"cap fractions must be in (0, 1], got {f}")
+
+
+def cap_ladder(system: str, cap_fractions: tuple[float, ...]) -> tuple[str, ...]:
+    """The ``power_cap`` axis of one system, in watts.
+
+    Fractions of the device TDP; 1.0 maps to ``"0"`` (the uncapped
+    baseline point).  Caps below the device's minimum enforceable
+    limit are clamped up to it — a driver would refuse them.
+    """
+    node = get_system(system)
+    min_cap = frequency_model_for_node(node).min_cap_watts
+    values = []
+    for fraction in cap_fractions:
+        if fraction >= 1.0:
+            values.append("0")
+            continue
+        cap = max(node.device_tdp_watts * fraction, min_cap)
+        values.append(f"{cap:g}")
+    # Clamping can collide neighbouring fractions; keep first wins.
+    return tuple(dict.fromkeys(values))
+
+
+def _run_specs(specs, store: ResultStore | None, executor) -> list:
+    """Completed rows of ``specs``; a throwaway store when none is given."""
+    if store is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            return _run_specs(specs, JsonlStore(Path(tmp) / "sweep.jsonl"), executor)
+    runner = CampaignRunner(store, executor=executor or IsolatingExecutor())
+    rows = []
+    for spec in specs:
+        rows.extend(runner.run(spec).rows)
+    return rows
+
+
 @dataclass(frozen=True)
 class PowercapScenario:
     """The cap × batch × system training sweep behind the frontier."""
@@ -57,33 +97,14 @@ class PowercapScenario:
     def __post_init__(self) -> None:
         if not self.systems:
             raise ConfigError("powercap scenario needs at least one system")
-        if not self.cap_fractions:
-            raise ConfigError("powercap scenario needs cap fractions")
-        for f in self.cap_fractions:
-            if not 0.0 < f <= 1.0:
-                raise ConfigError(f"cap fractions must be in (0, 1], got {f}")
-
-    def cap_axis(self, system: str) -> tuple[str, ...]:
-        """The ``power_cap`` axis of one system, in watts.
-
-        Fractions of the device TDP; 1.0 maps to ``"0"`` (the uncapped
-        baseline point).  Caps below the device's minimum enforceable
-        limit are clamped up to it — a driver would refuse them.
-        """
-        node = get_system(system)
-        min_cap = frequency_model_for_node(node).min_cap_watts
-        values = []
-        for fraction in self.cap_fractions:
-            if fraction >= 1.0:
-                values.append("0")
-                continue
-            cap = max(node.device_tdp_watts * fraction, min_cap)
-            values.append(f"{cap:g}")
-        # Clamping can collide neighbouring fractions; keep first wins.
-        seen: dict[str, None] = {}
-        for v in values:
-            seen.setdefault(v)
-        return tuple(seen)
+        _check_cap_fractions(self.cap_fractions)
+        for b in self.global_batch_sizes:
+            if b <= 0:
+                raise ConfigError(f"global batch sizes must be positive, got {b}")
+        if self.exit_duration_s <= 0:
+            raise ConfigError(
+                f"exit duration must be positive, got {self.exit_duration_s:g} s"
+            )
 
     def spec(self, system: str) -> CampaignSpec:
         """The one-system cap × batch campaign."""
@@ -95,7 +116,7 @@ class PowercapScenario:
                     "llm",
                     name="capsweep",
                     axes={
-                        "power_cap": list(self.cap_axis(system)),
+                        "power_cap": list(cap_ladder(system, self.cap_fractions)),
                         "global_batch_size": [
                             str(b) for b in self.global_batch_sizes
                         ],
@@ -124,17 +145,7 @@ def run_powercap_sweep(
     With a persistent ``store`` the sweep is resumable and a re-run is
     a pure cache walk; without one it runs against a throwaway store.
     """
-    scenario = scenario or PowercapScenario()
-    if store is None:
-        with tempfile.TemporaryDirectory() as tmp:
-            return run_powercap_sweep(
-                scenario, JsonlStore(Path(tmp) / "powercap.jsonl"), executor
-            )
-    runner = CampaignRunner(store, executor=executor or IsolatingExecutor())
-    rows = []
-    for spec in scenario.specs():
-        rows.extend(runner.run(spec).rows)
-    return rows
+    return _run_specs((scenario or PowercapScenario()).specs(), store, executor)
 
 
 # -- frontier ----------------------------------------------------------------
@@ -223,7 +234,7 @@ def best_per_cap(points: list[CapPoint]) -> list[CapPoint]:
     )
 
 
-def _effective_cap(p: CapPoint) -> float:
+def _effective_cap(p: CapPoint | ServeCapPoint) -> float:
     """Sort key treating uncapped (0) as the highest cap."""
     return float("inf") if p.power_cap_w <= 0 else p.power_cap_w
 
@@ -280,6 +291,10 @@ def frontier_table(points: list[CapPoint]) -> list[dict]:
     frontier knee (``knee``); the acceptance check that the optimum
     sits strictly below TDP reads straight off this table.
     """
+    if not points:
+        raise ConfigError(
+            "no usable cap points: every workpackage of the sweep failed"
+        )
     rows: list[dict] = []
     per_cap = best_per_cap(points)
     for system in sorted({p.system for p in per_cap}):
@@ -327,11 +342,11 @@ class ServeCapScenario:
     slo_ttft_ms: float = 1000.0
     slo_e2e_ms: float = 20000.0
 
+    def __post_init__(self) -> None:
+        _check_cap_fractions(self.cap_fractions)
+
     def spec(self) -> CampaignSpec:
         """The one-system serve cap sweep campaign."""
-        training = PowercapScenario(
-            systems=(self.system,), cap_fractions=self.cap_fractions
-        )
         return CampaignSpec(
             name=f"powercap-serve-{self.system}",
             systems=(self.system,),
@@ -339,7 +354,7 @@ class ServeCapScenario:
                 WorkloadSpec.of_kind(
                     "serve",
                     name="servecap",
-                    axes={"power_cap": list(training.cap_axis(self.system))},
+                    axes={"power_cap": list(cap_ladder(self.system, self.cap_fractions))},
                     fixed={
                         "model_size": self.model_size,
                         "arrival_rate": f"{self.arrival_rate:g}",
@@ -404,14 +419,8 @@ def run_serve_cap_sweep(
     executor=None,
 ) -> list[ServeCapPoint]:
     """Run the serve cap sweep; returns its operating points."""
-    scenario = scenario or ServeCapScenario()
-    if store is None:
-        with tempfile.TemporaryDirectory() as tmp:
-            return run_serve_cap_sweep(
-                scenario, JsonlStore(Path(tmp) / "servecap.jsonl"), executor
-            )
-    runner = CampaignRunner(store, executor=executor or IsolatingExecutor())
-    return serve_points_from_rows(runner.run(scenario.spec()).rows)
+    spec = (scenario or ServeCapScenario()).spec()
+    return serve_points_from_rows(_run_specs((spec,), store, executor))
 
 
 @dataclass(frozen=True)
@@ -556,7 +565,7 @@ def energy_aware_schedule(
         site = get_site(site)
     if not points:
         raise ConfigError("no serve cap points to schedule from")
-    baseline = max(points, key=lambda p: (_effective_serve_cap(p)))
+    baseline = max(points, key=_effective_cap)
     if budget_gco2_per_request is None:
         mean = timeseries.mean_gco2(0.0, horizon_s)
         budget_gco2_per_request = (
@@ -592,7 +601,3 @@ def energy_aware_schedule(
         attainment_goal=attainment_goal,
         windows=tuple(windows),
     )
-
-
-def _effective_serve_cap(p: ServeCapPoint) -> float:
-    return float("inf") if p.power_cap_w <= 0 else p.power_cap_w

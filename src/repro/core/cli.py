@@ -324,31 +324,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--system",
         action="append",
         choices=SYSTEM_TAGS,
-        default=None,
         dest="systems",
-        help="system to sweep (repeatable; default: H100 and GH200)",
+        help="system to sweep (repeatable; default: the scenario's systems)",
     )
-    pf.add_argument("--model", default="800M")
+    pf.add_argument("--model")
     pf.add_argument(
         "--gbs",
         action="append",
         type=int,
-        default=None,
         dest="batch_sizes",
-        help="global batch size (repeatable; default: 128 and 256)",
+        help="global batch size (repeatable; default: the scenario's batches)",
     )
     pf.add_argument(
         "--cap-fraction",
         action="append",
         type=float,
-        default=None,
         dest="cap_fractions",
         help="cap as a fraction of TDP (repeatable; 1.0 = uncapped; "
-        "default: 1.0 0.85 0.7 0.55 0.45)",
+        "default: the scenario's fractions)",
     )
-    pf.add_argument(
-        "--duration", type=float, default=20.0, help="benchmark seconds per point"
-    )
+    pf.add_argument("--duration", type=float, help="benchmark seconds per point")
     pf.add_argument(
         "--store",
         default=None,
@@ -360,15 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
         "schedule",
         help="energy-aware serve-cap schedule over a diurnal grid curve",
     )
-    ps.add_argument("--system", default="H100", choices=SYSTEM_TAGS)
-    ps.add_argument("--model", default="800M")
-    ps.add_argument("--rate", type=float, default=8.0, help="arrival rate (req/s)")
-    ps.add_argument("--requests", type=int, default=64)
-    ps.add_argument("--site", default="jsc", help="site profile (PUE)")
+    ps.add_argument("--system", choices=SYSTEM_TAGS)
+    ps.add_argument("--model")
+    ps.add_argument("--rate", type=float, help="arrival rate (req/s)")
+    ps.add_argument("--requests", type=int)
+    ps.add_argument("--site", help="site profile (PUE)")
     ps.add_argument(
         "--attainment-goal",
         type=float,
-        default=0.9,
         help="SLO attainment the chosen caps must keep",
     )
     ps.add_argument(
@@ -381,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "--horizon",
         type=float,
-        default=86400.0,
         help="schedule horizon in seconds (default: one day)",
     )
     ps.add_argument("--store", default=None, help="persistent result store")
@@ -648,6 +641,38 @@ def _powercap_store(path: str | None):
         yield store
 
 
+#: ``caraml powercap`` flags (by dest) and the library parameter each
+#: sets; an omitted flag leaves the library's default in place.
+_FRONTIER_FIELDS = {
+    "systems": "systems",
+    "model": "model_size",
+    "batch_sizes": "global_batch_sizes",
+    "cap_fractions": "cap_fractions",
+    "duration": "exit_duration_s",
+}
+_SCHEDULE_FIELDS = {
+    "system": "system",
+    "model": "model_size",
+    "rate": "arrival_rate",
+    "requests": "requests",
+}
+_SCHEDULE_ARGS = {
+    "site": "site",
+    "attainment_goal": "attainment_goal",
+    "horizon": "horizon_s",
+}
+
+
+def _given(args, fields: dict[str, str]) -> dict:
+    """Library keyword arguments of the flags the user gave."""
+    values = {}
+    for dest, name in fields.items():
+        value = getattr(args, dest)
+        if value is not None:
+            values[name] = tuple(value) if isinstance(value, list) else value
+    return values
+
+
 def _run_powercap(args, out) -> int:
     """The ``caraml powercap`` subcommand family."""
     if args.powercap_command == "frontier":
@@ -658,16 +683,7 @@ def _run_powercap(args, out) -> int:
             run_powercap_sweep,
         )
 
-        overrides = {}
-        if args.systems:
-            overrides["systems"] = tuple(args.systems)
-        if args.batch_sizes:
-            overrides["global_batch_sizes"] = tuple(args.batch_sizes)
-        if args.cap_fractions:
-            overrides["cap_fractions"] = tuple(args.cap_fractions)
-        scenario = PowercapScenario(
-            model_size=args.model, exit_duration_s=args.duration, **overrides
-        )
+        scenario = PowercapScenario(**_given(args, _FRONTIER_FIELDS))
         with _powercap_store(args.store) as store:
             rows = run_powercap_sweep(scenario, store=store)
         table = frontier_table(points_from_rows(rows))
@@ -700,21 +716,14 @@ def _run_powercap(args, out) -> int:
             run_serve_cap_sweep,
         )
 
-        scenario = ServeCapScenario(
-            system=args.system,
-            model_size=args.model,
-            arrival_rate=args.rate,
-            requests=args.requests,
-        )
+        scenario = ServeCapScenario(**_given(args, _SCHEDULE_FIELDS))
         with _powercap_store(args.store) as store:
             points = run_serve_cap_sweep(scenario, store=store)
         report = energy_aware_schedule(
             points,
             IntensityTimeseries.diurnal(),
-            site=args.site,
-            attainment_goal=args.attainment_goal,
             budget_gco2_per_request=args.budget,
-            horizon_s=args.horizon,
+            **_given(args, _SCHEDULE_ARGS),
         )
         print(report.describe(), file=out)
         if args.store:

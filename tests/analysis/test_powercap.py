@@ -11,6 +11,7 @@ from repro.analysis.powercap import (
     ServeCapPoint,
     ServeCapScenario,
     best_per_cap,
+    cap_ladder,
     energy_aware_schedule,
     frontier_table,
     knee_point,
@@ -26,8 +27,7 @@ from repro.hardware.systems import get_system
 
 class TestScenario:
     def test_cap_axis_derives_from_tdp(self):
-        scenario = PowercapScenario(cap_fractions=(1.0, 0.5))
-        axis = scenario.cap_axis("H100")
+        axis = cap_ladder("H100", (1.0, 0.5))
         tdp = get_system("H100").device_tdp_watts
         assert axis[0] == "0"  # 1.0 -> uncapped sentinel
         assert float(axis[1]) == pytest.approx(0.5 * tdp)
@@ -35,9 +35,8 @@ class TestScenario:
     def test_cap_axis_clamps_to_minimum_enforceable(self):
         from repro.power.dvfs import frequency_model_for_node
 
-        scenario = PowercapScenario(cap_fractions=(0.05,))
         node = get_system("H100")
-        (value,) = scenario.cap_axis("H100")
+        (value,) = cap_ladder("H100", (0.05,))
         assert float(value) == pytest.approx(
             frequency_model_for_node(node).min_cap_watts
         )
@@ -54,6 +53,12 @@ class TestScenario:
             PowercapScenario(systems=())
         with pytest.raises(ConfigError):
             PowercapScenario(cap_fractions=(1.5,))
+        with pytest.raises(ConfigError, match="batch sizes"):
+            PowercapScenario(global_batch_sizes=(128, 0))
+        with pytest.raises(ConfigError, match="duration"):
+            PowercapScenario(exit_duration_s=0.0)
+        with pytest.raises(ConfigError, match="cap fractions"):
+            ServeCapScenario(cap_fractions=(0.0,))
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +90,10 @@ class TestFrontier:
         assert any("knee" in p for p in picks)
         # Uncapped rows are labelled as such.
         assert any(r["power_cap"] == "uncapped" for r in rows)
+
+    def test_frontier_table_rejects_a_sweep_without_usable_points(self):
+        with pytest.raises(ConfigError, match="no usable cap points"):
+            frontier_table([])
 
     def test_knee_needs_three_points(self):
         a = CapPoint("X", 0.0, 1, 100.0, 300.0, 10.0)
