@@ -28,7 +28,6 @@ from contextlib import contextmanager
 from repro.core.config import LLMBenchmarkConfig, ResNetBenchmarkConfig, capped_node
 from repro.core.options import LLM_SERVE_CLUSTER, LLM_TRAIN, POWER_CAP, RESNET_TRAIN
 from repro.core.suite import SHIPPED_SCRIPTS, CaramlSuite
-from repro.errors import ReproError
 from repro.hardware.systems import SYSTEM_TAGS, get_system
 from repro.obs.cli import add_trace_subparser, run_trace_command
 from repro.obs.telemetry.cli import add_watch_subparser, run_watch_command
@@ -36,6 +35,7 @@ from repro.obs.log import (
     add_verbosity_flags,
     configure_logging,
     get_logger,
+    run_console_script,
     verbosity_from_args,
 )
 from repro.simcluster.affinity import BindingPolicy
@@ -996,11 +996,7 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
 
 def main() -> None:
     """Console-script entry point."""
-    try:
-        sys.exit(run())
-    except ReproError as exc:
-        logger.error("caraml: %s", exc)
-        sys.exit(2)
+    run_console_script("caraml", run, __name__)
 
 
 if __name__ == "__main__":

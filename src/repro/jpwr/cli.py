@@ -33,13 +33,11 @@ from repro.jpwr.methods.base import set_active_registry
 from repro.obs.log import (
     add_verbosity_flags,
     configure_logging,
-    get_logger,
+    run_console_script,
     verbosity_from_args,
 )
 from repro.power.sensors import DeviceRegistry
 from repro.simcluster.clock import VirtualClock
-
-logger = get_logger(__name__)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,11 +201,7 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
 
 def main() -> None:
     """Console-script entry point."""
-    try:
-        sys.exit(run())
-    except ReproError as exc:
-        logger.error("jpwr: %s", exc)
-        sys.exit(2)
+    run_console_script("jpwr", run, __name__)
 
 
 if __name__ == "__main__":

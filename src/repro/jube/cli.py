@@ -17,18 +17,15 @@ import sys
 from pathlib import Path
 
 from repro.core.registry import build_operation_registry
-from repro.errors import ReproError
 from repro.jube.runner import JubeRunner
 from repro.jube.rundir import load_run, resolve_run_id, save_run
 from repro.jube.script import load_script
 from repro.obs.log import (
     add_verbosity_flags,
     configure_logging,
-    get_logger,
+    run_console_script,
     verbosity_from_args,
 )
-
-logger = get_logger(__name__)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,11 +92,7 @@ def main_body(argv: list[str] | None = None, *, stdout=None) -> int:
 
 def main() -> None:
     """Console-script entry point."""
-    try:
-        sys.exit(main_body())
-    except ReproError as exc:
-        logger.error("jube-lite: %s", exc)
-        sys.exit(2)
+    run_console_script("jube-lite", main_body, __name__)
 
 
 if __name__ == "__main__":

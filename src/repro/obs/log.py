@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import logging
 import sys
+from typing import Callable, NoReturn
+
+from repro.errors import ReproError
 
 #: Root logger name of the whole reproduction.
 ROOT_LOGGER = "repro"
@@ -90,3 +93,19 @@ def verbosity_from_args(args) -> int:
     if getattr(args, "quiet", False):
         return -1
     return int(getattr(args, "verbose", 0))
+
+
+def run_console_script(prog: str, body: Callable[[], int], logger_name: str) -> NoReturn:
+    """Exit with ``body()``'s code, as a console script does.
+
+    Bad input (:class:`~repro.errors.ReproError`) and a path the OS
+    refuses (:class:`OSError`, e.g. an output directory that is a file)
+    are logged as ``<prog>: <message>`` through ``logger_name``'s logger
+    and exit 2 instead of a traceback.
+    """
+    try:
+        code = body()
+    except (ReproError, OSError) as exc:
+        get_logger(logger_name).error("%s: %s", prog, exc)
+        sys.exit(2)
+    sys.exit(code)
