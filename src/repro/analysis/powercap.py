@@ -354,7 +354,9 @@ class ServeCapScenario:
                 WorkloadSpec.of_kind(
                     "serve",
                     name="servecap",
-                    axes={"power_cap": list(cap_ladder(self.system, self.cap_fractions))},
+                    axes={
+                        "power_cap": list(cap_ladder(self.system, self.cap_fractions))
+                    },
                     fixed={
                         "model_size": self.model_size,
                         "arrival_rate": f"{self.arrival_rate:g}",

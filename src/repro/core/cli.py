@@ -659,6 +659,7 @@ _SCHEDULE_FIELDS = {
 _SCHEDULE_ARGS = {
     "site": "site",
     "attainment_goal": "attainment_goal",
+    "budget": "budget_gco2_per_request",
     "horizon": "horizon_s",
 }
 
@@ -720,10 +721,7 @@ def _run_powercap(args, out) -> int:
         with _powercap_store(args.store) as store:
             points = run_serve_cap_sweep(scenario, store=store)
         report = energy_aware_schedule(
-            points,
-            IntensityTimeseries.diurnal(),
-            budget_gco2_per_request=args.budget,
-            **_given(args, _SCHEDULE_ARGS),
+            points, IntensityTimeseries.diurnal(), **_given(args, _SCHEDULE_ARGS)
         )
         print(report.describe(), file=out)
         if args.store:

@@ -95,7 +95,9 @@ def verbosity_from_args(args) -> int:
     return int(getattr(args, "verbose", 0))
 
 
-def run_console_script(prog: str, body: Callable[[], int], logger_name: str) -> NoReturn:
+def run_console_script(
+    prog: str, body: Callable[[], int], logger_name: str
+) -> NoReturn:
     """Exit with ``body()``'s code, as a console script does.
 
     Bad input (:class:`~repro.errors.ReproError`) and a path the OS

@@ -12,7 +12,9 @@ from repro.jpwr import cli as jpwr_cli
 #: Invocations whose output path runs through a regular file ``{F}``.
 UNWRITABLE_OUTPUTS = {
     "report": (caraml_cli, "caraml", "report --out {F}/r.md"),
-    "serve": (caraml_cli, "caraml", "serve --system GH200 --requests 4 --requests-json {F}/x.json"),
+    "serve": (
+        caraml_cli, "caraml", "serve --system GH200 --requests 4 --requests-json {F}/x.json"
+    ),
     "run-llm": (caraml_cli, "caraml", "run-llm --system A100 --trace {F}/t.json"),
     "continuous": (caraml_cli, "caraml", "continuous record --baseline {F}/b.json"),
     "jpwr": (jpwr_cli, "jpwr", "--methods pynvml --load 0.5:2 --df-out {F}/out"),

@@ -226,4 +226,5 @@ def test_substitution_idempotent_on_literal_values(values):
     from repro.jube.parameters import substitute
 
     resolved = {name: substitute(value, values) for name, value in values.items()}
-    assert {name: substitute(value, resolved) for name, value in resolved.items()} == resolved
+    again = {name: substitute(value, resolved) for name, value in resolved.items()}
+    assert again == resolved

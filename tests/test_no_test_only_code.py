@@ -5,9 +5,9 @@ referenced from shipped code: the package itself, ``benchmarks/``,
 ``examples/``, ``tools/``, ``hostbench/``, the Makefile, the CI workflow,
 the packaging metadata or the shipped JUBE scripts. A reference is an
 AST name, attribute, import alias, or string constant that is a bare
-or dotted identifier (hostbench wraps entry points named that way). ``__init__`` re-exports and ``__all__`` entries are not
-callers. A definition registered by a decorator (a router, an
-operation) is live.
+or dotted identifier (hostbench wraps entry points named that way).
+``__init__`` re-exports and ``__all__`` entries are not callers. A
+definition registered by a decorator (a router, an operation) is live.
 
 References are matched by name, and only count from code that is
 itself live: the scan iterates to a fixpoint, so a definition called
@@ -110,7 +110,9 @@ def _decorator_name(node: ast.expr) -> str:
 class _Indexer(ast.NodeVisitor):
     """Collects definitions and the names referenced from each of them."""
 
-    def __init__(self, path: Path, definitions: list, names: dict, attrs: dict, track: bool):
+    def __init__(
+        self, path: Path, definitions: list, names: dict, attrs: dict, track: bool
+    ):
         self.path = path
         self.module = _module_name(path) if track else ""
         self.definitions = definitions
@@ -269,7 +271,8 @@ def live_definitions(index: Index, keep) -> set[Definition]:
                     mark(d)
         for name in index.names.get(scope, ()):
             for d in index.by_name.get(name, ()):
-                if (d.parent is None or d.parent.contains(scope)) and not d.contains(scope):
+                in_class = d.parent is None or d.parent.contains(scope)
+                if in_class and not d.contains(scope):
                     mark(d)
         for child in scope.children if scope is not None else ():
             if child in marked and child not in live:
@@ -288,12 +291,14 @@ def dead_definitions(index: Index, live: set[Definition]) -> list[Definition]:
 
 def _describe(index: Index, d: Definition) -> str:
     where = "tests only" if d.name in index.test_names else "no caller"
-    return f"{d.path.relative_to(ROOT)}:{d.line} {d.qualname} ({d.lines} lines, {where})"
+    path = d.path.relative_to(ROOT)
+    return f"{path}:{d.line} {d.qualname} ({d.lines} lines, {where})"
 
 
 def test_no_public_definition_is_reached_only_from_tests():
     index = build_index()
-    dead = [_describe(index, d) for d in dead_definitions(index, live_definitions(index, KEEP))]
+    live = live_definitions(index, KEEP)
+    dead = [_describe(index, d) for d in dead_definitions(index, live)]
     assert not dead, (
         "public definitions no shipped code reaches; delete them or give "
         "them a shipped caller:\n  " + "\n  ".join(dead)
