@@ -1,8 +1,8 @@
 """Hypothesis differential fuzz: shipped serve simulators vs the oracle.
 
-Randomized configurations (arrival seeds/rates, token lengths, batch
-and queue caps, replica counts, routers, autoscaling, disaggregation,
-percentile modes) must satisfy, on **both** the shipped simulators and
+Randomized configurations (arrival seeds/rates, Poisson or session
+traffic, token lengths, batch and queue caps, replica counts, routers,
+autoscaling, disaggregated pool sizes, percentile modes) must satisfy, on **both** the shipped simulators and
 the per-step reference loops of ``tests/serve_oracle.py``:
 
 * byte-identical summary dictionaries (the differential property),
@@ -28,7 +28,7 @@ from repro.engine.inference import InferenceEngine
 from repro.hardware.systems import get_system
 from repro.models.transformer import get_gpt_preset
 from repro.obs.metrics import MetricsRegistry, set_metrics
-from repro.serve import PoissonArrivals
+from repro.serve import PoissonArrivals, SessionArrivals
 from repro.serve.cluster import AutoscalePolicy, DisaggregationSpec
 from serve_oracle import CLUSTER_SIMULATORS, SERVING_SIMULATORS
 
@@ -47,6 +47,20 @@ arrival_configs = st.fixed_dictionaries(
     }
 )
 percentile_modes = st.sampled_from(["exact", "p2"])
+ROUTERS = ["least-loaded", "prefix-cache-aware", "round-robin", "session-affinity"]
+
+
+@st.composite
+def cluster_arrivals(draw):
+    """Poisson traffic, or session traffic whose prefix fits the prompt."""
+    config = draw(arrival_configs)
+    if draw(st.booleans()):
+        return PoissonArrivals(**config)
+    return SessionArrivals(
+        sessions=draw(st.integers(1, 4)),
+        prefix_tokens=draw(st.integers(0, config["prompt_tokens"])),
+        **config,
+    )
 
 
 def summary_bytes(result):
@@ -95,13 +109,14 @@ class TestSingleEngineDifferential:
 
 class TestClusterDifferential:
     @given(
-        arrivals=arrival_configs,
+        arrivals=cluster_arrivals(),
         batch_cap=st.integers(1, 8),
         queue_capacity=st.integers(1, 8),
         replicas=st.integers(1, 3),
-        router=st.sampled_from(["round-robin", "least-loaded"]),
+        router=st.sampled_from(ROUTERS),
         percentiles=percentile_modes,
         scaling=st.sampled_from(["none", "autoscale", "disaggregate"]),
+        pools=st.tuples(st.integers(1, 2), st.integers(1, 4)),
     )
     @settings(max_examples=30, deadline=None)
     def test_summary_conservation_and_energy_closure(
@@ -113,13 +128,16 @@ class TestClusterDifferential:
         router,
         percentiles,
         scaling,
+        pools,
     ):
         autoscale = disagg = None
         if scaling == "autoscale":
             autoscale = AutoscalePolicy(min_replicas=1)
-        elif scaling == "disaggregate" and replicas >= 2:
+        elif scaling == "disaggregate":
+            # Prefill and decode pool sizes; (2, 4) is the fleet of
+            # hostbench's session run.
             disagg = DisaggregationSpec(
-                prefill_replicas=1, decode_replicas=replicas - 1
+                prefill_replicas=pools[0], decode_replicas=pools[1]
             )
         ref, fast = run_pair(
             CLUSTER_SIMULATORS,
@@ -133,14 +151,14 @@ class TestClusterDifferential:
                 disaggregation=disagg,
                 percentile_mode=percentiles,
             ),
-            PoissonArrivals(**arrivals),
+            arrivals,
         )
         assert summary_bytes(ref) == summary_bytes(fast)
         if percentiles == "exact":
             assert ref.records_json() == fast.records_json()
         for result in (ref, fast):
             s = result.summary.serve
-            assert s.offered == arrivals["requests"]
+            assert s.offered == arrivals.requests
             assert s.completed + s.rejected == s.offered  # conservation
             assert len(result.rejected) == s.rejected
             if percentiles == "exact" and s.rejected == 0:

@@ -203,13 +203,14 @@ def run_cluster(
     slo=None,
     telemetry=False,
     traced=True,
+    engine=None,
 ):
     """One cluster run; returns its full observable payload."""
     set_metrics(MetricsRegistry())
     sampler = TelemetrySampler() if telemetry else None
     monitor = SLOMonitor() if telemetry else None
     sim = CLUSTER_SIMULATORS[mode](
-        _engine(),
+        engine or _engine(),
         replicas=replicas,
         router=router,
         batch_cap=8,
@@ -418,6 +419,45 @@ class TestClusterEquivalence:
             run_cluster(ENGINE_REFERENCE, tmp_path, **kw),
             run_cluster(ENGINE_FAST, tmp_path, **kw),
         )
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    @TRACED
+    def test_arrival_on_a_step_boundary(self, tmp_path, steps, traced):
+        # The second request reaches the only replica exactly when a
+        # step of its decode run ends: per-step stepping finishes that
+        # step, routes the request and admits it at the same instant.
+        kw = dict(
+            arrivals=_arrival_on_step_boundary(steps), replicas=1, traced=traced
+        )
+        ref = run_cluster(ENGINE_REFERENCE, tmp_path, **kw)
+        (second,) = [r for r in json.loads(ref["records"]) if r["index"] == 1]
+        assert second["admitted_s"] == second["arrival_s"]
+        assert_identical(ref, run_cluster(ENGINE_FAST, tmp_path, **kw))
+
+    @pytest.mark.parametrize(
+        "rate,queue_capacity", [(2.0, 256), (6.0, 256), (20.0, 4)]
+    )
+    @pytest.mark.parametrize("replicas", [1, 2])
+    @TRACED
+    def test_kv_bound_queue_head_waits(
+        self, tmp_path, rate, queue_capacity, replicas, traced
+    ):
+        # A replica's queue head waits for KV with the batch below its
+        # cap: requests routed behind it change nothing before the next
+        # completion.
+        kw = dict(
+            arrivals=_kv_bound(rate),
+            queue_capacity=queue_capacity,
+            engine=_engine("A100", "13B"),
+            replicas=replicas,
+            router="least-loaded",
+            traced=traced,
+        )
+        ref = run_cluster(ENGINE_REFERENCE, tmp_path, **kw)
+        records = json.loads(ref["records"])
+        assert max(r["admitted_s"] - r["arrival_s"] for r in records) > 1.0
+        assert bool(ref["rejected"]) == (queue_capacity == 4)
+        assert_identical(ref, run_cluster(ENGINE_FAST, tmp_path, **kw))
 
     def test_autoscaled_session_affinity(self, tmp_path):
         # Autoscaling + prefix-heavy session traffic through the
