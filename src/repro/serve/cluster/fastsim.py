@@ -13,20 +13,24 @@ Two mechanisms, each provably output-preserving:
   producers push candidate event times (phase ends, arrivals, transfer
   completions, autoscaler evaluations, spin-up readiness) and the loop
   pops the earliest, running one *fixed handler order* per event — so
-  same-time ties break deterministically, and stale or duplicate
-  entries are harmless no-op iterations.
-* **Fused decode runs**: between two queue-changing events a replica's
-  batch membership is provably constant (admissions happen only in
-  ``_dispatch`` at event boundaries, evictions only at completions),
-  so the decode steps up to the next completion collapse into one
-  scheduled run.  Step boundaries are reproduced bit-exactly with a
-  sequential ``np.add.accumulate`` (a left fold, exactly the scalar
-  ``t += dt`` chain), and the per-step energy shares fold into the
-  replica's incremental cursor the same way.  A run never extends past
-  the first step boundary at or after the next *potential* queue
-  change (next arrival, any in-flight KV-transfer completion, any
-  prefill-pool phase end), which is exactly when per-step stepping
-  could admit new work mid-stream.
+  same-time ties break deterministically; duplicate entries drain in
+  one pop, and an end time a cut supersedes is withdrawn.
+* **Fused decode runs**, under the single engine's run rule: a
+  replica's batch changes only at its own completions and at
+  admissions, which happen only in ``_dispatch`` on a free replica, so
+  the decode steps up to the batch's next completion form one
+  scheduled run.  A run ends earlier only when a request is offered to
+  that replica while its queue is empty and its batch is below the
+  cap: it then ends at the first step boundary at or after the offer
+  (:func:`repro.serve.fastsim._steps_to_arrival`), where per-step
+  stepping would admit the request.  No other offer can change what
+  per-step stepping admits before the run ends — a waiting queue head
+  fits only after a completion frees KV, and a full batch admits
+  nothing.  When the run ends, its step boundaries are reproduced
+  bit-exactly as a left fold (``np.add.accumulate`` for long runs,
+  exactly the scalar ``t += dt`` chain), and the busy time, busy
+  energy and per-member energy shares of the steps it took fold into
+  the replica's counters the same way.
 
 Telemetry equivalence: samples are taken at heap events instead of at
 every step boundary, but every probed quantity is piecewise-constant
@@ -67,7 +71,7 @@ from repro.serve.constants import (
     TS_TTFT_ROLLING_P95,
 )
 from repro.serve.events import EventHeap
-from repro.serve.fastsim import _observe_completion
+from repro.serve.fastsim import _observe_completion, _steps_to_arrival
 from repro.serve.result import RequestRecord
 
 #: Phase kind of a prefill.
@@ -80,9 +84,6 @@ _FUSED_DECODE = "decode-run"
 #: operation sequence as the numpy path, without the fixed overhead of
 #: array allocation; crossover measured at roughly a hundred steps).
 _SCALAR_STEPS = 128
-
-#: "No bound": the fused run is limited only by the next completion.
-_NO_BOUND = float("inf")
 
 
 class _ClusterLoop:
@@ -120,8 +121,9 @@ class _ClusterLoop:
         self.transfer_count = 0
         self.events = EventHeap()
         self._decode_cache: dict[int, float] = {}
-        #: Steps of each in-flight fused run, by replica index.
-        self._run_steps: dict[int, int] = {}
+        #: (steps, step time, batch) of each in-flight fused run, by
+        #: replica index.
+        self._runs: dict[int, tuple[int, float, int]] = {}
         self._decode_power = self.replicas[0].power_model.power(self.util_decode)
         # Last armed time per event source, to avoid duplicate pushes.
         self._armed_arrival: float | None = None
@@ -289,7 +291,7 @@ class _ClusterLoop:
         while self.pending and self.pending[0].arrival_s <= now:
             request = self.pending.popleft()
             target = self.router.route(request, self._route_pool())
-            target.queue.offer(request)
+            self._offer(target, request, now)
             routed = True
         if routed:
             self._observe_depth()
@@ -359,7 +361,24 @@ class _ClusterLoop:
             # ``offer`` records the shed in the decode replica's queue
             # when full, so conservation (completed + rejected ==
             # offered) holds without a second ledger here.
-            target.queue.offer(request)
+            self._offer(target, request, now)
+
+    def _offer(self, replica: Replica, request: Request, now: float) -> None:
+        """Queue ``request`` at ``replica``; cut a run it could join.
+
+        A request accepted into an empty queue of a replica whose
+        fused run has a free batch slot is what per-step stepping
+        would admit at the next step boundary.
+        """
+        queue = replica.queue
+        was_empty = not len(queue)
+        if (
+            queue.offer(request)
+            and was_empty
+            and replica.index in self._runs
+            and replica.scheduler.batch_size < replica.scheduler.batch_cap
+        ):
+            self._cut_run(replica, now)
 
     def _dispatch(self, now: float) -> None:
         for replica in self.replicas:
@@ -423,112 +442,84 @@ class _ClusterLoop:
 
     # -- fused decode runs ---------------------------------------------------
 
-    def _run_bound(self) -> float:
-        """Earliest future event that could add work to a busy replica.
-
-        New queue entries come only from arrivals (routing) and KV
-        transfer deliveries; new transfers are created only when a
-        prefill-pool phase ends.  A fused run that does not extend past
-        the first step boundary at or after this time can never miss a
-        mid-run admission.
-        """
-        bound = _NO_BOUND
-        if self.pending:
-            bound = self.pending[0].arrival_s
-        for transfer in self.transfers:
-            if transfer.done_at_s < bound:
-                bound = transfer.done_at_s
-        if self.sim.disaggregation is not None:
-            for replica in self.replicas:
-                if (
-                    replica.role is ReplicaRole.PREFILL
-                    and replica.busy_until_s is not None
-                    and replica.busy_until_s < bound
-                ):
-                    bound = replica.busy_until_s
-        return bound
-
     def _begin_decode(self, replica: Replica, now: float) -> None:
-        """Schedule one fused decode run over the replica's batch."""
-        scheduler = replica.scheduler
-        active = scheduler.active
+        """Schedule one fused decode run to the batch's next completion."""
+        active = replica.scheduler.active
         batch = len(active)
         step_s = self._decode_cache.get(batch)
         if step_s is None:
             step_s = self.sim.engine.decode_step_time_s(batch)
             self._decode_cache[batch] = step_s
-        remaining = min(
-            seq.request.generate_tokens - seq.generated for seq in active
-        )
-        # A full batch admits nothing at intermediate step boundaries
-        # (``fits`` is False at the cap regardless of the queue), so
-        # the run can extend straight to the next completion.
-        bound = (
-            _NO_BOUND if batch >= scheduler.batch_cap else self._run_bound()
-        )
-        power = self._decode_power
+        steps = min(seq.request.generate_tokens - seq.generated for seq in active)
         replica.account_to(now)
-        if bound == _NO_BOUND and remaining > _SCALAR_STEPS:
-            # Long uninterruptible run: one numpy left fold per series.
-            # ``np.add.accumulate`` accumulates strictly left-to-right,
-            # bit-identical to the scalar ``t += dt`` / ``x += v``
-            # chains of per-step stepping.
-            arr = np.empty(remaining + 1, dtype=np.float64)
-            arr[0] = now
-            arr[1:] = step_s
-            ts = np.add.accumulate(arr)
-            steps = remaining
-            t_end = float(ts[steps])
-            first_t = float(ts[1])
-            dts = np.diff(ts)
-            energies_j = power * dts
-            shares = (energies_j / JOULES_PER_WH) / batch
-            replica.busy_s = _fold(replica.busy_s, dts)
-            replica.busy_energy_j = _fold(replica.busy_energy_j, energies_j)
-            replica.decode_cursor_wh = _fold(
-                replica.decode_cursor_wh, shares
-            )
-        else:
-            # Scalar walk, stopping at the first step boundary at or
-            # past the bound: the step in flight when the bound event
-            # fires still finishes, and admissions resume at its end.
-            busy_s = replica.busy_s
-            busy_j = replica.busy_energy_j
-            cursor = replica.decode_cursor_wh
-            t = now
-            steps = 0
-            while steps < remaining:
-                t1 = t + step_s
-                dt = t1 - t
-                energy_j = power * dt
-                busy_s += dt
-                busy_j += energy_j
-                cursor += (energy_j / JOULES_PER_WH) / batch
-                t = t1
-                steps += 1
-                if t1 >= bound:
-                    break
-            t_end = t
-            first_t = now + step_s
-            replica.busy_s = busy_s
-            replica.busy_energy_j = busy_j
-            replica.decode_cursor_wh = cursor
-        replica.decode_steps += steps
-        replica.last_active_s = t_end
-        replica._accounted_until_s = t_end  # the fold closed the gap
+        t_end = _run_end(now, step_s, steps)
         replica.busy_until_s = t_end
         replica.phase = (now, t_end, self.util_decode, _FUSED_DECODE, ())
-        self._run_steps[replica.index] = steps
+        self._runs[replica.index] = (steps, step_s, batch)
+        first_t = now + step_s
         for seq in active:
             if seq.first_token_s is None:
                 # First decode step these sequences participate in:
                 # their first token lands at its end.
                 seq.first_token_s = first_t
 
+    def _cut_run(self, replica: Replica, now: float) -> None:
+        """End the replica's run at the first step boundary at or after ``now``.
+
+        A boundary at ``now`` itself is where per-step stepping has
+        just finished a step, so the run finishes here, before
+        ``_dispatch`` admits the request.
+        """
+        steps, step_s, batch = self._runs[replica.index]
+        t0, t_end = replica.phase[0], replica.phase[1]
+        taken = _steps_to_arrival(t0, step_s, steps, now)
+        if taken == steps:
+            return
+        if self._armed_busy[replica.index] == t_end:
+            self.events.cancel(t_end)
+            self._armed_busy[replica.index] = None
+        t_cut = _run_end(t0, step_s, taken)
+        replica.busy_until_s = t_cut
+        replica.phase = (t0, t_cut, self.util_decode, _FUSED_DECODE, ())
+        self._runs[replica.index] = (taken, step_s, batch)
+        if t_cut == now:
+            self._finish_run(replica)
+
     def _finish_run(self, replica: Replica) -> None:
-        """Close one fused run: bulk token bookkeeping, then evictions."""
-        t1 = replica.busy_until_s
-        steps = self._run_steps.pop(replica.index)
+        """Close one fused run: fold its steps, then bulk tokens, evictions."""
+        t0, t1 = replica.phase[0], replica.phase[1]
+        steps, step_s, batch = self._runs.pop(replica.index)
+        power = self._decode_power
+        if steps > _SCALAR_STEPS:
+            # One numpy left fold per series: ``np.add.accumulate``
+            # accumulates strictly left to right, bit-identical to the
+            # scalar chains below.
+            dts = np.diff(_boundaries(t0, step_s, steps))
+            energies_j = power * dts
+            replica.busy_s = _fold(replica.busy_s, dts)
+            replica.busy_energy_j = _fold(replica.busy_energy_j, energies_j)
+            replica.decode_cursor_wh = _fold(
+                replica.decode_cursor_wh, (energies_j / JOULES_PER_WH) / batch
+            )
+        else:
+            busy_s = replica.busy_s
+            busy_j = replica.busy_energy_j
+            cursor = replica.decode_cursor_wh
+            t = t0
+            for _ in range(steps):
+                t_next = t + step_s
+                dt = t_next - t
+                energy_j = power * dt
+                busy_s += dt
+                busy_j += energy_j
+                cursor += (energy_j / JOULES_PER_WH) / batch
+                t = t_next
+            replica.busy_s = busy_s
+            replica.busy_energy_j = busy_j
+            replica.decode_cursor_wh = cursor
+        replica.decode_steps += steps
+        replica.last_active_s = t1
+        replica._accounted_until_s = t1  # the fold closed the gap
         replica.busy_until_s = None
         replica.phase = None
         for seq in replica.scheduler.active:
@@ -585,6 +576,23 @@ class _ClusterLoop:
                 track=CLUSTER_TRACK,
             )
         return routed
+
+
+def _boundaries(t0: float, step_s: float, steps: int) -> np.ndarray:
+    """The ``steps + 1`` boundaries of a run from ``t0``: ``t += step_s``."""
+    arr = np.full(steps + 1, step_s)
+    arr[0] = t0
+    return np.add.accumulate(arr)
+
+
+def _run_end(t0: float, step_s: float, steps: int) -> float:
+    """The last boundary of a run of ``steps`` steps from ``t0``."""
+    if steps > _SCALAR_STEPS:
+        return float(_boundaries(t0, step_s, steps)[-1])
+    t = t0
+    for _ in range(steps):
+        t += step_s
+    return t
 
 
 def _fold(initial: float, values: np.ndarray) -> float:

@@ -15,9 +15,11 @@ oracle in ``tests/serve_oracle.py`` still runs):
   iteration (transitions, phase completions, ingest, transfers,
   autoscale, dispatch), so same-time events are processed in exactly
   the scan's tie-break order.
-* **Stale entries are harmless.**  A popped time with nothing due
-  makes every handler a no-op; simulator state is piecewise-constant
-  between real events, so the extra iteration observes nothing new.
+* **Withdrawn entries cost nothing.**  When a time a producer pushed
+  is superseded before it is due (a fused decode run cut short), the
+  producer withdraws it with :meth:`EventHeap.cancel`; ``pop_due``
+  drops withdrawn entries and never returns a time whose every entry
+  was withdrawn, so a superseded time costs no loop iteration.
   Duplicate entries at one time are drained in a single pop.
 """
 
@@ -31,10 +33,12 @@ from repro.errors import MeasurementError
 class EventHeap:
     """A min-heap of candidate event times with duplicate draining."""
 
-    __slots__ = ("_heap",)
+    __slots__ = ("_heap", "_withdrawn")
 
     def __init__(self) -> None:
         self._heap: list[float] = []
+        #: Time -> entries at that time withdrawn by :meth:`cancel`.
+        self._withdrawn: dict[float, int] = {}
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -51,20 +55,36 @@ class EventHeap:
         """
         heapq.heappush(self._heap, time_s if time_s > now_s else now_s)
 
-    def pop_due(self) -> float:
-        """Pop the earliest time, draining duplicates of the same instant.
+    def cancel(self, time_s: float) -> None:
+        """Withdraw one pending entry at ``time_s``.
 
-        Raises :class:`MeasurementError` when empty — the loop only
-        pops while work remains, so an empty heap means a producer
-        failed to schedule an event (a fast-engine bug, not a user
-        error).
+        The entry stays in the heap until its time comes up; only a
+        time pushed earlier and not yet popped may be withdrawn.
         """
-        if not self._heap:
-            raise MeasurementError(
-                "serve fast path stalled: work remains but no event is "
-                "scheduled (event-heap underflow)"
-            )
-        t = heapq.heappop(self._heap)
-        while self._heap and self._heap[0] == t:
-            heapq.heappop(self._heap)
-        return t
+        self._withdrawn[time_s] = self._withdrawn.get(time_s, 0) + 1
+
+    def pop_due(self) -> float:
+        """Pop the earliest time that still has a live entry.
+
+        Duplicates of that instant are drained with it, and times whose
+        every entry was withdrawn are dropped on the way.  Raises
+        :class:`MeasurementError` when no live entry is left — the loop
+        only pops while work remains, so that means a producer failed
+        to schedule an event (a fast-engine bug, not a user error).
+        """
+        heap = self._heap
+        withdrawn = self._withdrawn
+        while heap:
+            t = heapq.heappop(heap)
+            live = 1
+            while heap and heap[0] == t:
+                heapq.heappop(heap)
+                live += 1
+            if withdrawn:
+                live -= withdrawn.pop(t, 0)
+            if live > 0:
+                return t
+        raise MeasurementError(
+            "serve fast path stalled: work remains but no event is "
+            "scheduled (event-heap underflow)"
+        )

@@ -1,8 +1,8 @@
 """Unit coverage for the serving loops' building blocks.
 
 The differential suite proves end-to-end equality; these tests pin the
-small contracts directly — heap ordering and the underflow guard, and
-the scheduler's KV reservation.
+small contracts directly — heap ordering, withdrawn entries and the
+underflow guard, and the scheduler's KV reservation.
 """
 
 from __future__ import annotations
@@ -49,6 +49,28 @@ class TestEventHeap:
     def test_underflow_is_a_measurement_error(self):
         with pytest.raises(MeasurementError, match="event-heap underflow"):
             EventHeap().pop_due()
+
+    def test_withdrawn_times_are_skipped(self):
+        heap = EventHeap()
+        for t in (1.0, 2.0, 3.0):
+            heap.push(t)
+        heap.cancel(2.0)
+        assert [heap.pop_due(), heap.pop_due()] == [1.0, 3.0]
+
+    def test_cancel_withdraws_one_entry_of_a_time(self):
+        heap = EventHeap()
+        for t in (1.0, 1.0, 2.0):
+            heap.push(t)
+        heap.cancel(1.0)
+        assert heap.pop_due() == 1.0  # one entry at 1.0 is still live
+        assert heap.pop_due() == 2.0
+
+    def test_only_withdrawn_entries_left_is_an_underflow(self):
+        heap = EventHeap()
+        heap.push(1.0)
+        heap.cancel(1.0)
+        with pytest.raises(MeasurementError, match="event-heap underflow"):
+            heap.pop_due()
 
 
 class TestKVReservation:

@@ -376,10 +376,11 @@ class TestClusterEquivalence:
 
     @pytest.mark.parametrize("pools", [(1, 2), (2, 2)])
     def test_disaggregated_under_burst(self, tmp_path, pools):
-        # Back-to-back prefills keep KV transfers in flight while decode
-        # replicas run: a fused decode run must stop at the first step
-        # boundary after a transfer lands, where per-step stepping
-        # admits the transferred request.
+        # Back-to-back prefills keep KV transfers landing while decode
+        # replicas run: a transfer delivered into a replica's empty
+        # queue with a free batch slot cuts that replica's fused run at
+        # the first step boundary at or after the delivery, where
+        # per-step stepping admits the transferred request.
         prefill, decode = pools
         kw = dict(
             arrivals=BURSTS,
