@@ -14,7 +14,7 @@ from repro.core.llm_training import llm_result_outputs, run_llm_benchmark
 from repro.core.options import OPERATION_OPTIONS, parse_options
 from repro.core.resnet50 import resnet_result_outputs, run_resnet_benchmark
 from repro.data.oscar import prepared_oscar_tokens
-from repro.errors import JubeError, OutOfMemoryError
+from repro.errors import ConfigError, JubeError, OutOfMemoryError
 from repro.hardware.accelerator import Vendor
 from repro.hardware.systems import get_system
 from repro.jube.runner import OperationRegistry
@@ -84,13 +84,18 @@ def serve_arrivals(options: dict):
     """The arrival process of parsed serve options.
 
     Session traffic with shared prompt prefixes when ``sessions`` > 0
-    (``llm_serve`` has no such option), else Poisson arrivals.
+    (``llm_serve`` has no such option), Poisson arrivals when it is 0.
     """
     from repro.serve import PoissonArrivals, SessionArrivals
 
     names = ("rate_per_s", "requests", "prompt_tokens", "generate_tokens", "seed")
     stream = {name: options[name] for name in names}
     sessions = options.get("sessions", 0)
+    if sessions < 0:
+        raise ConfigError(
+            f"--sessions must be positive, or 0 for Poisson arrivals "
+            f"(got {sessions})"
+        )
     if sessions > 0:
         return SessionArrivals(
             sessions=sessions, prefix_tokens=options["prefix_tokens"], **stream
@@ -103,17 +108,25 @@ def build_serving(options: dict, *, cluster: bool, telemetry=None, slo_monitor=N
 
     ``options`` are the fields of the ``llm_serve`` or (with ``cluster``)
     ``llm_serve_cluster`` table.  ``caraml serve`` and both operations
-    build their runs here.
+    build their runs here, so each rejects the same out-of-range values.
     """
     from repro.engine.inference import InferenceEngine
     from repro.models.transformer import get_gpt_preset
     from repro.serve import ServingSimulator, SLOPolicy
 
+    replicas = options.get("replicas", 1)
+    if replicas < 1:
+        raise ConfigError(f"--replicas must be at least 1 (got {replicas})")
+    ttft_ms, e2e_ms = options["slo_ttft_ms"], options["slo_e2e_ms"]
+    for flag, value in (("--slo-ttft-ms", ttft_ms), ("--slo-e2e-ms", e2e_ms)):
+        if value < 0:
+            raise ConfigError(
+                f"{flag} must be positive, or 0 to disable it (got {value:g})"
+            )
     engine = InferenceEngine(
         capped_node(options["system"], options["power_cap_watts"]),
         get_gpt_preset(options["model"]),
     )
-    ttft_ms, e2e_ms = options["slo_ttft_ms"], options["slo_e2e_ms"]
     shared = dict(
         batch_cap=options["batch_cap"],
         queue_capacity=options["queue_capacity"],

@@ -7,7 +7,10 @@ import sys
 import pytest
 
 from repro.core import cli as caraml_cli
+from repro.core.registry import build_operation_registry
+from repro.errors import ConfigError
 from repro.jpwr import cli as jpwr_cli
+from repro.jube.steps import Step, Workpackage
 
 #: Invocations whose output path runs through a regular file ``{F}``.
 UNWRITABLE_OUTPUTS = {
@@ -54,6 +57,44 @@ def test_powercap_frontier_rejects_non_positive_options(
     assert _exit_code(caraml_cli, argv, monkeypatch) == 2
     err = capsys.readouterr().err
     assert "caraml: " in err and option in err
+
+
+#: ``caraml serve`` flags with an out-of-range value, and the flag the
+#: error names.  0 keeps its meaning for each of them but ``--replicas``.
+OUT_OF_RANGE_SERVE_FLAGS = {
+    "--replicas 0": "--replicas",
+    "--replicas -2": "--replicas",
+    "--slo-ttft-ms -5": "--slo-ttft-ms",
+    "--slo-e2e-ms -1": "--slo-e2e-ms",
+    "--replicas 3 --sessions -1": "--sessions",
+}
+
+
+def _serve_error(flags: str, monkeypatch, capsys) -> str:
+    """The one stderr line of a ``caraml serve`` that must exit 2."""
+    argv = f"serve --system GH200 --requests 16 {flags}"
+    assert _exit_code(caraml_cli, argv, monkeypatch) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "Traceback" not in line
+    return line
+
+
+@pytest.mark.parametrize("flags", sorted(OUT_OF_RANGE_SERVE_FLAGS))
+def test_serve_rejects_out_of_range_values_naming_the_flag(
+    flags, monkeypatch, capsys
+):
+    line = _serve_error(flags, monkeypatch, capsys)
+    assert f"caraml: {OUT_OF_RANGE_SERVE_FLAGS[flags]} must be" in line
+
+
+def test_serve_operation_fails_with_the_command_message(monkeypatch, capsys):
+    line = _serve_error("--slo-ttft-ms -5", monkeypatch, capsys)
+    wp = Workpackage(step=Step(name="serve"), parameters={}, index=0)
+    with pytest.raises(ConfigError) as exc:
+        build_operation_registry().dispatch(
+            "llm_serve_cluster --system GH200 --rate 8 --slo-ttft-ms -5", wp
+        )
+    assert line.endswith(f"caraml: {exc.value}")
 
 
 def test_successful_run_exits_0(monkeypatch, capsys):
