@@ -141,12 +141,6 @@ SYSTEM_TAGS: tuple[str, ...] = (
     "A100",
 )
 
-#: Tags of the GPU (non-IPU) systems, the x-axis of Figures 2 and 3.
-GPU_SYSTEM_TAGS: tuple[str, ...] = tuple(
-    t for t in SYSTEM_TAGS if not SYSTEMS[t].is_ipu_pod
-)
-
-
 def get_system(tag: str) -> NodeSpec:
     """Resolve a JUBE system tag to its node specification.
 

@@ -53,8 +53,3 @@ class MixedPrecisionPolicy:
 
 #: The policy both CARAML benchmarks use.
 DEFAULT_POLICY = MixedPrecisionPolicy()
-
-#: Pure fp32 training, for ablations.
-FP32_POLICY = MixedPrecisionPolicy(
-    compute=DType.FP32, params=DType.FP32, grads=DType.FP32
-)

@@ -25,10 +25,6 @@ from repro.errors import ReproError
 #: Process id used for every emitted trace event (one simulated process).
 TRACE_PID = 1
 
-#: Trace record types a sink may receive.
-RECORD_TYPES = ("span", "instant", "counter")
-
-
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

@@ -16,7 +16,6 @@ from repro.errors import ConfigError
 
 # --- multipliers -----------------------------------------------------------
 
-KILO = 1e3
 MEGA = 1e6
 GIGA = 1e9
 TERA = 1e12

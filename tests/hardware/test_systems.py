@@ -5,7 +5,7 @@ import pytest
 from repro.errors import UnknownSystemError
 from repro.hardware.accelerator import Vendor
 from repro.hardware.interconnect import LinkTechnology
-from repro.hardware.systems import SYSTEM_TAGS, SYSTEMS, GPU_SYSTEM_TAGS, get_system
+from repro.hardware.systems import SYSTEM_TAGS, SYSTEMS, get_system
 
 
 class TestRegistry:
@@ -13,8 +13,9 @@ class TestRegistry:
         assert SYSTEM_TAGS == ("JEDI", "GH200", "H100", "WAIH100", "MI250", "GC200", "A100")
 
     def test_gpu_tags_exclude_ipu(self):
-        assert "GC200" not in GPU_SYSTEM_TAGS
-        assert len(GPU_SYSTEM_TAGS) == 6
+        gpu_tags = [t for t in SYSTEM_TAGS if not SYSTEMS[t].is_ipu_pod]
+        assert "GC200" not in gpu_tags
+        assert len(gpu_tags) == 6
 
     def test_unknown_tag(self):
         with pytest.raises(UnknownSystemError, match="JEDI"):

@@ -14,7 +14,7 @@ from repro.models.optimizer import (
     optimizer_bytes_per_param,
     optimizer_state_bytes,
 )
-from repro.models.precision import DEFAULT_POLICY, FP32_POLICY
+from repro.models.precision import DEFAULT_POLICY, DType, MixedPrecisionPolicy
 from repro.models.transformer import get_gpt_preset
 
 
@@ -36,8 +36,11 @@ class TestOptimizerBytes:
 
     def test_fp32_training_has_no_master_copy(self):
         opt = OptimizerConfig(distributed=False)
+        fp32 = MixedPrecisionPolicy(
+            compute=DType.FP32, params=DType.FP32, grads=DType.FP32
+        )
         # fp32: 4 (params) + 4 (grads) + 8 (two moments) = 16.
-        assert optimizer_bytes_per_param(opt, 1, FP32_POLICY) == pytest.approx(16.0)
+        assert optimizer_bytes_per_param(opt, 1, fp32) == pytest.approx(16.0)
 
     def test_total_state_bytes(self):
         opt = OptimizerConfig(distributed=False)

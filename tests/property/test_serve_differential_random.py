@@ -2,8 +2,9 @@
 
 Randomized configurations (arrival seeds/rates, Poisson or session
 traffic, token lengths, batch and queue caps, replica counts, routers,
-autoscaling, disaggregated pool sizes, percentile modes) must satisfy, on **both** the shipped simulators and
-the per-step reference loops of ``tests/serve_oracle.py``:
+autoscaling, disaggregated pool sizes, percentile modes) must satisfy,
+on **both** the shipped simulators and the per-step reference loops of
+``tests/serve_oracle.py``:
 
 * byte-identical summary dictionaries (the differential property),
 * request conservation — every offered request is either completed or

@@ -1,11 +1,13 @@
 """Quality gate: no shipped code whose only caller is a test.
 
-Every public function, class and method under ``src/repro`` must be
-referenced from shipped code: the package itself, ``benchmarks/``,
-``examples/``, ``tools/``, ``hostbench/``, the Makefile, the CI workflow,
-the packaging metadata or the shipped JUBE scripts. A reference is an
-AST name, attribute, import alias, or string constant that is a bare
-or dotted identifier (hostbench wraps entry points named that way).
+Every public function, class and method under ``src/repro``, and every
+public UPPER_CASE module constant, must be referenced from shipped
+code: the package itself, ``benchmarks/``, ``examples/``, ``tools/``,
+``hostbench/``, the Makefile, the CI workflow, the packaging metadata
+or the shipped JUBE scripts. A reference is an AST name, attribute,
+import alias, or string constant that is a bare or dotted identifier
+(hostbench wraps entry points named that way). A constant's value is
+its body: what only a dead constant references is dead too.
 ``__init__`` re-exports and ``__all__`` entries are not callers. A
 definition registered by a decorator (a router, an operation) is live.
 
@@ -38,6 +40,8 @@ SCRIPT_SUFFIXES = (".yaml", ".yml", ".xml")
 #: A string that names a definition: ``"energy"``, ``"Router.route"``,
 #: ``"repro.core.cli:main"``.
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)*")
+#: A public module constant: ``GIGA = 1e9``, ``SYSTEM_TAGS: tuple = ...``.
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 #: Decorators that wrap a definition without registering it anywhere.
 #: Any other decorator (``@operation``, ``@register_router(...)``) makes
@@ -66,6 +70,12 @@ KEEP = {
         "the byte-determinism check compares sketch states through it",
     "repro.power.sensors.SimulatedDevice.repair":
         "fault-injection tests restore a failed device through it",
+    "repro.obs.telemetry.sketch.P2_RANK_TOLERANCE":
+        "the documented accuracy contract tests/telemetry/test_sketch.py asserts",
+    "repro.obs.telemetry.sketch.P2_SORTED_RANK_TOLERANCE":
+        "the documented accuracy contract tests/telemetry/test_sketch.py asserts",
+    "repro.obs.telemetry.sketch.P2_MIN_SAMPLES_FOR_BOUND":
+        "the documented accuracy contract tests/telemetry/test_sketch.py asserts",
 }
 
 
@@ -123,23 +133,29 @@ class _Indexer(ast.NodeVisitor):
         self.scope: Definition | None = None
         self.in_function = False
 
-    def _define(self, node) -> None:
+    def _define(self, node, name: str = "") -> None:
+        """Index ``node`` as a definition, its body as that definition's scope.
+
+        A function, class or method, or (with ``name``) a module constant.
+        """
         if not self.track or self.in_function:
             self.generic_visit(node)
             return
+        name = name or node.name
         parent = self.scope
-        qualname = f"{parent.qualname if parent else self.module}.{node.name}"
-        dunder = node.name.startswith("__") and node.name.endswith("__")
+        qualname = f"{parent.qualname if parent else self.module}.{name}"
+        decorators = getattr(node, "decorator_list", [])
+        dunder = name.startswith("__") and name.endswith("__")
         registered = any(
-            _decorator_name(d) not in PLAIN_DECORATORS for d in node.decorator_list
+            _decorator_name(d) not in PLAIN_DECORATORS for d in decorators
         )
         definition = Definition(
-            name=node.name,
+            name=name,
             qualname=qualname,
             path=self.path,
             line=node.lineno,
             lines=node.end_lineno - min(
-                [node.lineno] + [d.lineno for d in node.decorator_list]
+                [node.lineno] + [d.lineno for d in decorators]
             ) + 1,
             parent=parent,
             root=dunder or registered,
@@ -189,7 +205,18 @@ class _Indexer(ast.NodeVisitor):
     def visit_Assign(self, node: ast.Assign) -> None:
         if any(getattr(t, "id", None) == "__all__" for t in node.targets):
             return
-        self.generic_visit(node)
+        self._assign(node, node.targets)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._assign(node, [node.target])
+
+    def _assign(self, node, targets: list) -> None:
+        """A public UPPER_CASE module constant is a definition; else code."""
+        name = getattr(targets[0], "id", "") if len(targets) == 1 else ""
+        if self.scope is None and CONSTANT.fullmatch(name):
+            self._define(node, name)
+        else:
+            self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         if getattr(node.target, "id", None) == "__all__":
