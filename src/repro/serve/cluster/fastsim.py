@@ -364,11 +364,10 @@ class _ClusterLoop:
             self._offer(target, request, now)
 
     def _offer(self, replica: Replica, request: Request, now: float) -> None:
-        """Queue ``request`` at ``replica``; cut a run it could join.
+        """Queue ``request`` at ``replica``; cut a fused run it could join.
 
-        A request accepted into an empty queue of a replica whose
-        fused run has a free batch slot is what per-step stepping
-        would admit at the next step boundary.
+        Only a request accepted into an empty queue, with a free batch
+        slot, is one per-step stepping may admit before the run ends.
         """
         queue = replica.queue
         was_empty = not len(queue)
@@ -494,7 +493,9 @@ class _ClusterLoop:
             # One numpy left fold per series: ``np.add.accumulate``
             # accumulates strictly left to right, bit-identical to the
             # scalar chains below.
-            dts = np.diff(_boundaries(t0, step_s, steps))
+            bounds = np.full(steps + 1, step_s)
+            bounds[0] = t0
+            dts = np.diff(np.add.accumulate(bounds))
             energies_j = power * dts
             replica.busy_s = _fold(replica.busy_s, dts)
             replica.busy_energy_j = _fold(replica.busy_energy_j, energies_j)
@@ -578,18 +579,11 @@ class _ClusterLoop:
         return routed
 
 
-def _boundaries(t0: float, step_s: float, steps: int) -> np.ndarray:
-    """The ``steps + 1`` boundaries of a run from ``t0``: ``t += step_s``."""
-    arr = np.full(steps + 1, step_s)
-    arr[0] = t0
-    return np.add.accumulate(arr)
+def _run_end(t: float, step_s: float, steps: int) -> float:
+    """The last boundary of a run of ``steps`` steps from ``t``.
 
-
-def _run_end(t0: float, step_s: float, steps: int) -> float:
-    """The last boundary of a run of ``steps`` steps from ``t0``."""
-    if steps > _SCALAR_STEPS:
-        return float(_boundaries(t0, step_s, steps)[-1])
-    t = t0
+    The same fold ``t += step_s`` the run's boundaries are made of.
+    """
     for _ in range(steps):
         t += step_s
     return t

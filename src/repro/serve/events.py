@@ -73,16 +73,13 @@ class EventHeap:
         to schedule an event (a fast-engine bug, not a user error).
         """
         heap = self._heap
-        withdrawn = self._withdrawn
         while heap:
             t = heapq.heappop(heap)
-            live = 1
+            entries = 1
             while heap and heap[0] == t:
                 heapq.heappop(heap)
-                live += 1
-            if withdrawn:
-                live -= withdrawn.pop(t, 0)
-            if live > 0:
+                entries += 1
+            if t not in self._withdrawn or self._withdrawn.pop(t) < entries:
                 return t
         raise MeasurementError(
             "serve fast path stalled: work remains but no event is "
