@@ -475,6 +475,8 @@ class _ClusterLoop:
         if taken == steps:
             return
         if self._armed_busy[replica.index] == t_end:
+            # Withdraw the superseded end, and forget it was armed so a
+            # later phase ending at that same time is pushed anew.
             self.events.cancel(t_end)
             self._armed_busy[replica.index] = None
         t_cut = _run_end(t0, step_s, taken)
