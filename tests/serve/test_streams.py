@@ -198,23 +198,45 @@ def _serve_spec(requests: int = 12) -> CampaignSpec:
     )
 
 
+def _session_cluster_spec(requests: int = 12) -> CampaignSpec:
+    return CampaignSpec(
+        name="stream-determinism-sessions",
+        systems=("A100",),
+        workloads=(
+            WorkloadSpec.of_kind(
+                "serve_cluster",
+                axes={"batch_cap": (4, 8), "router": ("round-robin", "prefix-cache-aware")},
+                fixed={
+                    "requests": str(requests),
+                    "generate_tokens": "16",
+                    "sessions": "3",
+                    "prefix_tokens": "256",
+                    "slo_ttft_ms": "500",
+                },
+            ),
+        ),
+    )
+
+
 class TestPoolBoundary:
     """End to end: a campaign's rows are byte-identical whether streams
     are re-generated in process, served from a shared cache, or shipped
     to pool workers through the initializer pickle."""
 
     def test_rows_identical_across_execution_modes(self, tmp_path):
-        spec = _serve_spec()
-        baseline = CampaignRunner(
-            JsonlStore(tmp_path / "baseline.jsonl"), IsolatingExecutor()
-        ).run(spec)
-        with PoolExecutor(max_workers=2) as pool:
-            pooled = CampaignRunner(
-                JsonlStore(tmp_path / "pooled.jsonl"), pool
+        for spec in (_serve_spec(), _session_cluster_spec()):
+            baseline = CampaignRunner(
+                JsonlStore(tmp_path / f"{spec.name}-baseline.jsonl"),
+                IsolatingExecutor(),
             ).run(spec)
-        assert [r.canonical() for r in baseline.rows] == [
-            r.canonical() for r in pooled.rows
-        ]
+            with PoolExecutor(max_workers=2) as pool:
+                pooled = CampaignRunner(
+                    JsonlStore(tmp_path / f"{spec.name}-pooled.jsonl"), pool
+                ).run(spec)
+            assert baseline.failed == 0, spec.name
+            assert [r.canonical() for r in baseline.rows] == [
+                r.canonical() for r in pooled.rows
+            ], spec.name
 
     def test_planned_streams_survive_pickling(self, tmp_path):
         spec = _serve_spec()
