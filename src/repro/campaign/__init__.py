@@ -15,8 +15,10 @@ sweep a first-class subsystem:
   with failure isolation and retry-with-backoff,
 * :class:`~repro.campaign.search.SearchRunner` prunes serve sweeps on
   the SLO-energy Pareto frontier while keeping every reported row an
-  exact full run (the sweep fast path:
-  :mod:`repro.campaign.batch` + :mod:`repro.serve.streams`).
+  exact full run.  Its batches group configurations by arrival stream
+  (:mod:`repro.campaign.batch`), and each executor process generates a
+  stream once for every configuration and prefix that replays it
+  (:mod:`repro.serve.streams`).
 
 See the "Campaign layer" and "Sweep fast path" sections of
 ARCHITECTURE.md.
@@ -25,7 +27,6 @@ ARCHITECTURE.md.
 from repro.campaign.batch import (
     group_stream_batches,
     plan_streams,
-    run_batches,
     stream_spec_for_item,
 )
 from repro.campaign.executor import (
@@ -102,6 +103,5 @@ __all__ = [
     "open_store",
     "plan_streams",
     "result_key",
-    "run_batches",
     "stream_spec_for_item",
 ]

@@ -20,12 +20,17 @@ worker builds the registry once and reuses it for every item it
 executes.  Results come back in item order, which — the simulation
 being bit-deterministic — makes parallel output byte-identical to
 sequential output.
+
+Both executors run serve workpackages under a
+:class:`~repro.serve.streams.StreamCache`: each pool worker keeps one
+for its lifetime, and :class:`IsolatingExecutor` activates a fresh one
+per call.  Nothing about arrival streams ships from the parent, so a
+step that serves never restarts the pool.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import importlib
 import os
 import time
@@ -36,7 +41,7 @@ from repro.errors import ConfigError, TransientError
 from repro.faults.injector import WorkpackageInjection, activate_injection
 from repro.faults.plan import FaultPlan
 from repro.obs.telemetry.config import TelemetryPlan, activate_telemetry
-from repro.serve.streams import FrozenStream, StreamCache, activate_streams, set_stream_cache
+from repro.serve.streams import StreamCache, activate_streams, set_stream_cache
 from repro.jube.runner import (
     OperationRegistry,
     WorkItem,
@@ -205,34 +210,16 @@ class IsolatingExecutor:
         self.sleep = sleep
         self.fault_plan = fault_plan
         self.telemetry = telemetry
-        self._streams: dict[tuple, FrozenStream] = {}
-
-    def provide_streams(self, streams: dict) -> None:
-        """Accept pre-generated arrival streams (longest per family wins)."""
-        self._streams.update(streams)
-
-    def _stream_scope(self):
-        """Items run under a stream cache when streams were provided."""
-        if not self._streams:
-            return contextlib.nullcontext()
-        return activate_streams(StreamCache(self._streams))
 
     def run_items(self, items: list[WorkItem]) -> list[WorkResult]:
         """Execute items in order; failures are captured per item."""
-        with self._stream_scope():
-            return [
-                run_item_isolated(
-                    self.registry, item, self.retry, self.sleep, self.fault_plan,
-                    self.telemetry,
-                )
-                for item in items
-            ]
+        return self.run_item_batches([items])[0]
 
     def run_item_batches(
         self, batches: list[list[WorkItem]]
     ) -> list[list[WorkResult]]:
-        """Execute batches in order under one shared stream scope."""
-        with self._stream_scope():
+        """Execute batches in order; the call's items share one stream cache."""
+        with activate_streams(StreamCache()):
             return [
                 [
                     run_item_isolated(
@@ -264,15 +251,12 @@ def _pool_init(
     sleep: SleepFn,
     fault_plan: FaultPlan | None,
     telemetry: TelemetryPlan | None = None,
-    streams: dict | None = None,
 ) -> None:
     """Pool initializer: runs once in each worker process.
 
-    ``streams`` are the campaign's pre-generated frozen arrival
-    streams: they arrive once per worker (as SoA arrays, not per-item
-    pickles) and seed the worker's process-global stream cache, so
-    every workpackage the worker executes shares them instead of
-    re-generating its stream.
+    Besides the worker state, it installs one stream cache for the
+    worker's lifetime, so every workpackage the worker executes shares
+    the arrival streams generated before it.
     """
     global _worker_registry, _worker_retry, _worker_sleep, _worker_fault_plan
     global _worker_telemetry
@@ -281,7 +265,7 @@ def _pool_init(
     _worker_sleep = sleep
     _worker_fault_plan = fault_plan
     _worker_telemetry = telemetry
-    set_stream_cache(StreamCache(streams or {}))
+    set_stream_cache(StreamCache())
 
 
 def _pool_worker(item: WorkItem) -> WorkResult:
@@ -296,7 +280,7 @@ def _pool_worker_batch(items: tuple[WorkItem, ...]) -> list[WorkResult]:
     """Run a whole batch in one worker dispatch (one pickle round-trip).
 
     The items of a batch share the worker's stream cache, so K
-    configurations over one arrival stream materialize it once.
+    configurations over one arrival stream generate it at most once.
     """
     return [_pool_worker(item) for item in items]
 
@@ -343,28 +327,13 @@ class PoolExecutor:
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
         self._pool_config: tuple | None = None
         self._workers = 0
-        self._streams: dict[tuple, FrozenStream] = {}
         # Fail fast on an unresolvable factory, in the parent process.
         resolve_registry_factory(self.registry_factory)
-
-    def provide_streams(self, streams: dict) -> None:
-        """Ship pre-generated arrival streams to the workers.
-
-        Streams accumulate across calls; only genuinely new families
-        change the pool config (and hence restart the workers), so a
-        multi-step campaign whose steps share traffic pays the restart
-        at most once.
-        """
-        fresh = {k: v for k, v in streams.items() if k not in self._streams}
-        if fresh:
-            # A new dict (not in-place mutation): the old config tuple
-            # must compare unequal so _ensure_pool restarts the pool.
-            self._streams = {**self._streams, **fresh}
 
     def _config(self) -> tuple:
         return (
             self.registry_factory, self.retry, self.sleep, self.fault_plan,
-            self.telemetry, self._streams,
+            self.telemetry,
         )
 
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
@@ -412,7 +381,7 @@ class PoolExecutor:
         The batched seam of the sweep fast path: the caller groups K
         configurations sharing one arrival stream into a batch, the
         whole batch crosses the pool boundary as one task, and the
-        worker's stream cache serves all K from one materialization.
+        worker's stream cache serves all K from one generation.
         """
         if not batches:
             return []

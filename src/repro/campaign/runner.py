@@ -24,7 +24,6 @@ import logging
 import time
 from dataclasses import dataclass, field
 
-from repro.campaign.batch import plan_streams
 from repro.campaign.executor import IsolatingExecutor
 from repro.campaign.hashing import ResultKeyer, calibration_fingerprint, step_fingerprint
 from repro.campaign.spec import CampaignSpec
@@ -313,18 +312,6 @@ class CampaignRunner:
                 "step %s: %d planned, %d cached, %d to execute",
                 step.name, len(planned), len(planned) - len(to_run), len(to_run),
             )
-            # Sweep fast path: generate each distinct arrival stream
-            # once in the parent and hand it to the executor (the pool
-            # ships it to workers through the initializer).  Purely an
-            # optimization — results are byte-identical either way.
-            if to_run and hasattr(self.executor, "provide_streams"):
-                streams = plan_streams([item for _, item in to_run])
-                if streams:
-                    self.executor.provide_streams(streams)
-                    logger.info(
-                        "step %s: %d shared arrival stream(s) pre-generated",
-                        step.name, len(streams),
-                    )
             with tracer.span(
                 "campaign/step",
                 attrs={"step": step.name, "planned": len(planned), "misses": len(to_run)},

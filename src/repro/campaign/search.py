@@ -6,9 +6,9 @@ frontier.  :class:`SearchRunner` prunes them early without giving up
 exactness:
 
 1. **Screen** every planned configuration on a short shared prefix of
-   its arrival stream (``screen_requests``), batched through the sweep
-   fast path so one worker dispatch evaluates many configs against one
-   materialized stream.
+   its arrival stream (``screen_requests``), batched by stream so one
+   worker dispatch evaluates many configs against one generated
+   stream.
 2. **Prune** configurations strictly dominated — beyond slack — on the
    (SLO attainment ↑, energy per request ↓) plane, recording each as a
    durable ``pruned`` row whose outputs carry the screening provenance
@@ -34,12 +34,7 @@ from pathlib import Path
 
 import yaml
 
-from repro.campaign.batch import (
-    group_stream_batches,
-    plan_streams,
-    run_batches,
-    stream_spec_for_item,
-)
+from repro.campaign.batch import group_stream_batches, stream_spec_for_item
 from repro.campaign.hashing import calibration_fingerprint
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec
@@ -52,7 +47,7 @@ from repro.campaign.store import (
 )
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
-from repro.jube.runner import WorkItem, WorkpackageExecutor
+from repro.jube.runner import WorkItem, WorkpackageExecutor, WorkResult
 from repro.jube.steps import order_steps
 from repro.obs.log import get_logger
 
@@ -258,6 +253,8 @@ class SearchRunner:
     Composes a :class:`~repro.campaign.runner.CampaignRunner` for
     planning, keying, and the store/executor seams — survivors run
     through exactly the machinery an exhaustive ``run`` would use.
+    The executor must offer ``run_item_batches``, as both campaign
+    executors do.
     """
 
     def __init__(
@@ -274,9 +271,9 @@ class SearchRunner:
     @staticmethod
     def _full_requests(item: WorkItem) -> int | None:
         """The config's full request count, or None if unscreenable."""
-        spec = stream_spec_for_item(item)
-        if spec is not None:
-            return spec.requests
+        arrivals = stream_spec_for_item(item)
+        if arrivals is not None:
+            return arrivals.requests
         try:
             return int(item.parameters["requests"])
         except (KeyError, TypeError, ValueError):
@@ -289,22 +286,35 @@ class SearchRunner:
         rung's prefix length.  Results land on the candidates; they are
         never stored.
         """
-        pairs = []
-        for cand in candidates:
-            budget = budget_of(cand.full_requests)
-            params = {**cand.item.parameters, "requests": str(budget)}
-            pairs.append(
-                (cand, budget, WorkItem(step=step, parameters=params, index=cand.index))
+        budgets = [budget_of(cand.full_requests) for cand in candidates]
+        items = [
+            WorkItem(
+                step=step,
+                parameters={**cand.item.parameters, "requests": str(budget)},
+                index=cand.index,
             )
-        batches = group_stream_batches([p[2] for p in pairs])
-        by_id = {id(p[2]): p for p in pairs}
-        spent = 0
-        for batch, results in zip(batches, run_batches(self.runner.executor, batches)):
-            for item, result in zip(batch, results):
-                cand, budget, _ = by_id[id(item)]
-                cand.score(dict(result.outputs), result.error)
-                spent += budget
-        return spent
+            for cand, budget in zip(candidates, budgets)
+        ]
+        results = self._run_batched(items)
+        for cand, item in zip(candidates, items):
+            result = results[id(item)]
+            cand.score(dict(result.outputs), result.error)
+        return sum(budgets)
+
+    def _run_batched(self, items: list[WorkItem]) -> dict[int, WorkResult]:
+        """Each item's result, keyed by ``id(item)``.
+
+        Items run in stream-sharing batches through the executor's
+        batched seam, so configurations over one arrival stream share
+        its generation.
+        """
+        batches = group_stream_batches(items)
+        results = self.runner.executor.run_item_batches(batches)
+        return {
+            id(item): result
+            for batch, batch_results in zip(batches, results)
+            for item, result in zip(batch, batch_results)
+        }
 
     @staticmethod
     def _prune(
@@ -353,19 +363,14 @@ class SearchRunner:
     def _finish(self, spec, step, survivors: list[_Candidate]) -> list[CampaignRow]:
         """Full-length exact runs of the survivors, stored durably.
 
-        The original work items go through the same executor seam an
-        exhaustive run uses (batched by shared stream), so the stored
-        rows are byte-identical to grid execution.
+        The original work items go through the same executor an
+        exhaustive run uses, so the stored rows are byte-identical to
+        grid execution.
         """
-        items = [cand.item for cand in survivors]
-        batches = group_stream_batches(items)
-        results_by_id: dict[int, object] = {}
-        for batch, results in zip(batches, run_batches(self.runner.executor, batches)):
-            for item, result in zip(batch, results):
-                results_by_id[id(item)] = result
+        results = self._run_batched([cand.item for cand in survivors])
         rows = []
         for cand in survivors:
-            result = results_by_id[id(cand.item)]
+            result = results[id(cand.item)]
             rows.append(
                 CampaignRow(
                     key=cand.key,
@@ -470,18 +475,6 @@ class SearchRunner:
             )
             if not candidates:
                 continue
-            # One stream per family, generated at FULL length up front:
-            # screening rungs take prefixes of the same frozen arrays the
-            # survivors' full runs will consume.
-            if hasattr(self.runner.executor, "provide_streams"):
-                streams = plan_streams([c.item for c in candidates])
-                if streams:
-                    self.runner.executor.provide_streams(streams)
-                    logger.info(
-                        "search %s: %d shared arrival stream(s) pre-generated",
-                        step.name, len(streams),
-                    )
-
             active = candidates
             pruned_rows: list[CampaignRow] = []
             if len(candidates) > policy.min_keep:

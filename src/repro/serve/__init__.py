@@ -41,18 +41,16 @@ from repro.serve.scheduler import (
 )
 from repro.serve.simulator import ServingSimulator
 from repro.serve.streams import (
-    ArrivalStreamSpec,
-    FrozenStream,
     StreamCache,
     activate_streams,
     get_stream_cache,
     set_stream_cache,
     shared_requests,
+    stream_family,
 )
 
 __all__ = [
     "AdmissionQueue",
-    "ArrivalStreamSpec",
     "BurstArrivals",
     "ContinuousBatchScheduler",
     "DEFAULT_BATCH_CAP",
@@ -64,7 +62,6 @@ __all__ = [
     "PERCENTILE_MODE_EXACT",
     "PERCENTILE_MODE_SKETCH",
     "PoissonArrivals",
-    "FrozenStream",
     "Request",
     "RequestRecord",
     "SLOPolicy",
@@ -81,5 +78,6 @@ __all__ = [
     "percentile",
     "set_stream_cache",
     "shared_requests",
+    "stream_family",
     "summarize",
 ]

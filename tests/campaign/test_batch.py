@@ -1,4 +1,4 @@
-"""Stream planning and batched dispatch (the parent half of the fast path)."""
+"""Stream grouping (the parent half of the fast path)."""
 
 from __future__ import annotations
 
@@ -8,12 +8,13 @@ from repro.campaign.batch import (
     group_stream_batches,
     parse_operation,
     plan_streams,
-    run_batches,
     stream_spec_for_item,
 )
 from repro.errors import JubeError
 from repro.jube.runner import WorkItem
 from repro.jube.steps import Step
+from repro.serve.arrivals import PoissonArrivals, SessionArrivals
+from repro.serve.streams import stream_family
 
 
 def serve_item(index: int = 0, **params) -> WorkItem:
@@ -56,11 +57,9 @@ class TestParseOperation:
 
 class TestStreamSpecForItem:
     def test_serve_item_yields_spec(self):
-        spec = stream_spec_for_item(serve_item(rate=16, requests=64, seed=3))
-        assert spec is not None
-        assert (spec.kind, spec.rate_per_s, spec.requests, spec.seed) == (
-            "poisson", 16.0, 64, 3,
-        )
+        arrivals = stream_spec_for_item(serve_item(rate=16, requests=64, seed=3))
+        assert isinstance(arrivals, PoissonArrivals)
+        assert (arrivals.rate_per_s, arrivals.requests, arrivals.seed) == (16.0, 64, 3)
 
     def test_cluster_sessions_yield_session_spec(self):
         step = Step(
@@ -69,8 +68,8 @@ class TestStreamSpecForItem:
                 "llm_serve_cluster --rate 16 --requests 64 --sessions 4",
             ),
         )
-        spec = stream_spec_for_item(WorkItem(step=step, parameters={}, index=0))
-        assert spec.kind == "session" and spec.sessions == 4
+        arrivals = stream_spec_for_item(WorkItem(step=step, parameters={}, index=0))
+        assert isinstance(arrivals, SessionArrivals) and arrivals.sessions == 4
 
     def test_non_serve_item_is_none(self):
         assert stream_spec_for_item(toy_item()) is None
@@ -87,16 +86,17 @@ class TestStreamSpecForItem:
 
 
 class TestPlanStreams:
-    def test_one_stream_per_family_at_longest_count(self):
+    def test_one_group_per_family_in_input_order(self):
         items = [
-            serve_item(0, requests=16),
-            serve_item(1, requests=128),
-            serve_item(2, requests=64),
+            serve_item(0, seed=1, requests=16),
+            serve_item(1, seed=0, requests=128),
+            toy_item(2),
+            serve_item(3, seed=1, requests=64),
         ]
-        streams = plan_streams(items)
-        assert len(streams) == 1
-        (stream,) = streams.values()
-        assert len(stream) == 128
+        groups = plan_streams(items)
+        assert [[it.index for it in group] for group in groups.values()] == [[0, 3], [1]]
+        first = stream_spec_for_item(items[0])
+        assert list(groups)[0] == stream_family(first)
 
     def test_distinct_seeds_are_distinct_families(self):
         streams = plan_streams([serve_item(0, seed=0), serve_item(1, seed=1)])
@@ -111,7 +111,7 @@ class TestGroupStreamBatches:
         items = [serve_item(i, seed=i % 2) for i in range(6)]
         batches = group_stream_batches(items)
         for batch in batches:
-            families = {stream_spec_for_item(it).family for it in batch}
+            families = {stream_family(stream_spec_for_item(it)) for it in batch}
             assert len(families) == 1
 
     def test_batch_size_splits_large_families(self):
@@ -125,29 +125,3 @@ class TestGroupStreamBatches:
         items = [toy_item(0), serve_item(1), toy_item(2)]
         batches = group_stream_batches(items)
         assert [it.index for it in batches[-1]] == [0, 2]
-
-
-class TestRunBatches:
-    def test_executor_without_batched_seam_degrades(self):
-        calls = []
-
-        class PerItemExecutor:
-            def run_items(self, items):
-                calls.append(len(items))
-                return [f"result-{it.index}" for it in items]
-
-        batches = [[serve_item(0), serve_item(1)], [serve_item(2)]]
-        results = run_batches(PerItemExecutor(), batches)
-        assert calls == [2, 1]
-        assert results == [["result-0", "result-1"], ["result-2"]]
-
-    def test_batched_seam_is_preferred(self):
-        class BatchedExecutor:
-            def run_items(self, items):  # pragma: no cover - must not be hit
-                raise AssertionError("batched seam should win")
-
-            def run_item_batches(self, batches):
-                return [[it.index for it in batch] for batch in batches]
-
-        batches = [[serve_item(0)], [serve_item(1), serve_item(2)]]
-        assert run_batches(BatchedExecutor(), batches) == [[0], [1, 2]]

@@ -24,7 +24,7 @@ from repro.hardware.interconnect import LinkTechnology, get_link
 from repro.hardware.node import NodeSpec
 from repro.jube.runner import WorkItem
 from repro.jube.steps import Step, Workpackage
-from repro.serve import ArrivalStreamSpec, ServingSimulator
+from repro.serve import ServingSimulator
 from repro.serve.cluster import ClusterSimulator
 from repro.units import gb
 
@@ -253,7 +253,7 @@ def test_planned_stream_is_the_one_the_operation_builds(monkeypatch, command):
         _dispatch(command)
     step = Step(name="serve", operations=(command,))
     item = WorkItem(step=step, parameters={}, index=0)
-    assert stream_spec_for_item(item) == ArrivalStreamSpec.for_arrivals(built[0])
+    assert stream_spec_for_item(item) == built[0]
 
 
 def test_llm_serve_has_no_cluster_options():

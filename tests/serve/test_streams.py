@@ -1,183 +1,187 @@
-"""Shared arrival streams: determinism across the process-pool boundary."""
+"""Shared arrival streams: the per-process memo and the pool boundary."""
 
 from __future__ import annotations
 
-import pickle
+import concurrent.futures
 
 import pytest
 
-from repro.campaign.batch import plan_streams
 from repro.campaign.executor import IsolatingExecutor, PoolExecutor
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, WorkloadSpec
 from repro.campaign.store import JsonlStore
-from repro.errors import ConfigError
-from repro.jube.runner import WorkItem
-from repro.serve.arrivals import PoissonArrivals, SessionArrivals
+from repro.serve.arrivals import (
+    BurstArrivals,
+    FixedArrivals,
+    PoissonArrivals,
+    SessionArrivals,
+)
 from repro.serve.streams import (
-    ArrivalStreamSpec,
-    FrozenStream,
     StreamCache,
     activate_streams,
     get_stream_cache,
     shared_requests,
+    stream_family,
 )
 
 pytestmark = pytest.mark.serve
 
 
-def poisson_spec(requests: int = 64, **overrides) -> ArrivalStreamSpec:
-    kwargs = dict(kind="poisson", rate_per_s=16.0, requests=requests, seed=7)
+def poisson(requests: int = 64, **overrides) -> PoissonArrivals:
+    kwargs = dict(rate_per_s=16.0, requests=requests, seed=7)
     kwargs.update(overrides)
-    return ArrivalStreamSpec(**kwargs)
+    return PoissonArrivals(**kwargs)
+
+
+def sessions(requests: int = 64, **overrides) -> SessionArrivals:
+    kwargs = dict(rate_per_s=16.0, requests=requests, sessions=4, seed=7)
+    kwargs.update(overrides)
+    return SessionArrivals(**kwargs)
+
+
+def served(cache: StreamCache, arrivals) -> tuple:
+    return cache.requests(arrivals, stream_family(arrivals))
+
+
+@pytest.fixture
+def generations(monkeypatch) -> list[int]:
+    """The request count of every Poisson or session generation."""
+    counts: list[int] = []
+    for cls in (PoissonArrivals, SessionArrivals):
+
+        def counted(self, original=cls.generate):
+            counts.append(self.requests)
+            return original(self)
+
+        monkeypatch.setattr(cls, "generate", counted)
+    return counts
 
 
 class TestSpec:
+    """A stream's family: its generator minus the request count."""
+
     def test_family_drops_request_count(self):
-        a, b = poisson_spec(64), poisson_spec(512)
-        assert a.family == b.family
-        assert a.key() != b.key()  # full address still distinguishes them
+        assert stream_family(poisson(64)) == stream_family(poisson(512))
+        assert stream_family(sessions(64)) == stream_family(sessions(512))
 
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ArrivalStreamSpec(kind="uniform", rate_per_s=1.0, requests=8)
-        with pytest.raises(ConfigError):
-            poisson_spec(requests=0)
-        with pytest.raises(ConfigError):
-            ArrivalStreamSpec(kind="session", rate_per_s=1.0, requests=8)
-
-    def test_for_arrivals_round_trips_poisson(self):
-        arrivals = PoissonArrivals(
-            rate_per_s=8.0, requests=32, prompt_tokens=256,
-            generate_tokens=64, length_spread=0.25, seed=3,
+    def test_family_keeps_every_other_field(self):
+        changes = {
+            "rate_per_s": 8.0,
+            "prompt_tokens": 256,
+            "generate_tokens": 64,
+            "length_spread": 0.25,
+            "seed": 8,
+        }
+        for name, value in changes.items():
+            assert stream_family(poisson(**{name: value})) != stream_family(poisson()), name
+        for name, value in {"sessions": 3, "prefix_tokens": 128}.items():
+            assert stream_family(sessions(**{name: value})) != stream_family(sessions()), name
+        # Same shared fields, different generator: different streams.
+        assert stream_family(sessions(generate_tokens=256, prefix_tokens=0)) != (
+            stream_family(poisson())
         )
-        spec = ArrivalStreamSpec.for_arrivals(arrivals)
-        assert spec.kind == "poisson"
-        assert tuple(spec.generator().generate()) == tuple(arrivals.generate())
 
-    def test_for_arrivals_round_trips_session(self):
-        arrivals = SessionArrivals(
-            rate_per_s=8.0, requests=32, sessions=4, prompt_tokens=256,
-            prefix_tokens=128, generate_tokens=64, seed=3,
-        )
-        spec = ArrivalStreamSpec.for_arrivals(arrivals)
-        assert spec.kind == "session"
-        assert tuple(spec.generator().generate()) == tuple(arrivals.generate())
-
-    def test_for_arrivals_unknown_generator_is_none(self):
-        assert ArrivalStreamSpec.for_arrivals(object()) is None
+    def test_other_generators_have_no_family(self):
+        assert stream_family(BurstArrivals(bursts=((0.0, 4),))) is None
+        assert stream_family(FixedArrivals(requests=4)) is None
+        assert stream_family(None) is None
 
 
 class TestPrefixStability:
-    """The property the whole fast path rests on: generators draw their
-    RNG sequentially per request, so a long stream's prefix *is* the
-    short stream."""
+    """The property the memo rests on: generators draw their RNG
+    sequentially per request, so a long stream's prefix *is* the short
+    stream."""
 
     def test_poisson_prefix_equals_short_stream(self):
-        long = tuple(poisson_spec(256).generator().generate())
-        short = tuple(poisson_spec(16).generator().generate())
-        assert long[:16] == short
+        long = poisson(256, length_spread=0.25).generate()
+        assert long[:16] == poisson(16, length_spread=0.25).generate()
 
     def test_session_prefix_equals_short_stream(self):
-        def stream(n):
-            return tuple(
-                ArrivalStreamSpec(
-                    kind="session", rate_per_s=16.0, requests=n,
-                    sessions=4, seed=7,
-                ).generator().generate()
-            )
-
-        assert stream(256)[:16] == stream(16)
-
-
-class TestFrozenStream:
-    def test_prefix_reconstructs_requests_exactly(self):
-        generated = tuple(poisson_spec(64).generator().generate())
-        frozen = FrozenStream(generated)
-        assert len(frozen) == 64
-        assert frozen.prefix(64) == generated
-        assert frozen.prefix(8) == generated[:8]
-
-    def test_session_fields_survive_freezing(self):
-        spec = ArrivalStreamSpec(
-            kind="session", rate_per_s=16.0, requests=32, sessions=4,
-            prefix_tokens=128, seed=7,
-        )
-        generated = tuple(spec.generator().generate())
-        assert FrozenStream(generated).prefix(32) == generated
-
-    def test_empty_and_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
-            FrozenStream(())
-        frozen = FrozenStream(tuple(poisson_spec(8).generator().generate()))
-        with pytest.raises(ConfigError):
-            frozen.prefix(0)
-        with pytest.raises(ConfigError):
-            frozen.prefix(9)
-
-    def test_pickle_round_trip_is_byte_identical(self):
-        # What actually crosses the pool boundary: the SoA arrays.
-        generated = tuple(poisson_spec(64).generator().generate())
-        thawed = pickle.loads(pickle.dumps(FrozenStream(generated)))
-        assert thawed.prefix(64) == generated
+        long = sessions(256, prefix_tokens=128, length_spread=0.25).generate()
+        short = sessions(16, prefix_tokens=128, length_spread=0.25).generate()
+        assert long[:16] == short
 
 
 class TestStreamCache:
-    def test_miss_generates_then_serves_prefixes(self):
+    def test_miss_generates_then_serves_prefixes(self, generations):
         cache = StreamCache()
-        full = cache.requests(poisson_spec(64))
-        assert cache.misses == 1 and len(cache) == 1
-        prefix = cache.requests(poisson_spec(16))
-        assert cache.hits == 1
-        assert prefix == full[:16]
-        assert prefix == tuple(poisson_spec(16).generator().generate())
+        full = served(cache, poisson(64))
+        prefix = served(cache, poisson(16))
+        assert generations == [64]
+        assert full == poisson(64).generate()
+        assert prefix == full[:16] == poisson(16).generate()
+
+    def test_session_slices_equal_generation(self, generations):
+        cache = StreamCache()
+        served(cache, sessions(64, prefix_tokens=128))
+        for count in (1, 16, 63, 64):
+            assert served(cache, sessions(count, prefix_tokens=128)) == (
+                sessions(count, prefix_tokens=128).generate()
+            )
+        assert generations == [64] + [1, 16, 63, 64]  # only the references
 
     def test_materialized_tuples_are_memoized(self):
         cache = StreamCache()
-        first = cache.requests(poisson_spec(16))
-        again = cache.requests(poisson_spec(16))
-        assert again is first
+        first = served(cache, poisson(16))
+        assert served(cache, poisson(16)) is first
 
-    def test_install_keeps_longest_per_family(self):
-        long = FrozenStream(tuple(poisson_spec(64).generator().generate()))
-        short = FrozenStream(tuple(poisson_spec(8).generator().generate()))
+    def test_install_keeps_longest_per_family(self, generations):
         cache = StreamCache()
-        cache.install(poisson_spec(64).family, long)
-        cache.install(poisson_spec(8).family, short)  # ignored: shorter
-        assert len(cache) == 1
-        assert len(cache._streams[poisson_spec(64).family]) == 64
+        full = served(cache, poisson(64))
+        served(cache, poisson(8))
+        assert served(cache, poisson(64)) is full
+        assert generations == [64]
 
-    def test_shorter_installed_stream_triggers_regeneration(self):
-        short = FrozenStream(tuple(poisson_spec(8).generator().generate()))
-        cache = StreamCache({poisson_spec(8).family: short})
-        full = cache.requests(poisson_spec(64))
-        assert cache.misses == 1
-        assert full == tuple(poisson_spec(64).generator().generate())
+    def test_shorter_installed_stream_triggers_regeneration(self, generations):
+        cache = StreamCache()
+        served(cache, poisson(8))
+        full = served(cache, poisson(64))
+        served(cache, poisson(8))
+        assert generations == [8, 64]
+        assert full == poisson(64).generate()
+
+    def test_families_are_held_apart(self, generations):
+        cache = StreamCache()
+        assert served(cache, poisson(16, seed=1)) != served(cache, poisson(16, seed=2))
+        assert generations == [16, 16]
 
 
 class TestSharedRequests:
-    def test_without_cache_degrades_to_generation(self):
-        arrivals = poisson_spec(16).generator()
+    def test_without_cache_degrades_to_generation(self, generations):
         assert get_stream_cache() is None
-        assert shared_requests(arrivals) == tuple(
-            poisson_spec(16).generator().generate()
-        )
+        assert shared_requests(poisson(16)) == poisson(16).generate()
+        assert shared_requests(poisson(16)) == poisson(16).generate()
+        assert generations == [16] * 4
 
-    def test_with_cache_is_byte_identical(self):
-        with activate_streams(StreamCache()) as cache:
-            got = shared_requests(poisson_spec(16).generator())
-            assert cache.misses == 1
-        assert got == tuple(poisson_spec(16).generator().generate())
+    def test_with_cache_is_byte_identical(self, generations):
+        with activate_streams(StreamCache()):
+            got = shared_requests(poisson(16))
+            assert shared_requests(poisson(16)) is got
+        assert generations == [16]
+        assert got == poisson(16).generate()
         assert get_stream_cache() is None  # scope restored
 
+    def test_nested_scopes_restore_the_outer_cache(self):
+        with activate_streams(StreamCache()) as outer:
+            with activate_streams(StreamCache()) as inner:
+                assert get_stream_cache() is inner
+            assert get_stream_cache() is outer
+        assert get_stream_cache() is None
+
     def test_uncacheable_generator_falls_back(self):
+        calls = []
+
         class Custom:
+            requests = 0
+
             def generate(self):
+                calls.append(1)
                 return iter(())
 
-        with activate_streams(StreamCache()) as cache:
+        with activate_streams(StreamCache()):
             assert shared_requests(Custom()) == ()
-            assert cache.misses == 0
+            assert shared_requests(Custom()) == ()
+        assert len(calls) == 2
 
 
 def _serve_spec(requests: int = 12) -> CampaignSpec:
@@ -219,9 +223,9 @@ def _session_cluster_spec(requests: int = 12) -> CampaignSpec:
 
 
 class TestPoolBoundary:
-    """End to end: a campaign's rows are byte-identical whether streams
-    are re-generated in process, served from a shared cache, or shipped
-    to pool workers through the initializer pickle."""
+    """End to end: a campaign's rows are byte-identical whether its
+    streams come from one in-process cache or from each pool worker's
+    own, and serving never restarts the pool."""
 
     def test_rows_identical_across_execution_modes(self, tmp_path):
         for spec in (_serve_spec(), _session_cluster_spec()):
@@ -238,18 +242,25 @@ class TestPoolBoundary:
                 r.canonical() for r in pooled.rows
             ], spec.name
 
-    def test_planned_streams_survive_pickling(self, tmp_path):
-        spec = _serve_spec()
-        runner = CampaignRunner(JsonlStore(tmp_path / "s.jsonl"))
-        script = spec.compile()
-        step = script.steps[0]
-        planned = runner._planned_items(script, step, frozenset(), {}, "")
-        items = [
-            item if item is not None else WorkItem(step=step, parameters=combo, index=i)
-            for _, combo, i, item in planned
-        ]
-        streams = plan_streams(items)
-        assert streams  # the serve sweep has exactly one arrival family
-        thawed = pickle.loads(pickle.dumps(streams))
-        for family, stream in streams.items():
-            assert thawed[family].prefix(len(stream)) == stream.prefix(len(stream))
+    def test_campaign_starts_its_pool_once(self, tmp_path, monkeypatch):
+        starts = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        spec = CampaignSpec(
+            name="train-then-serve",
+            systems=("A100",),
+            workloads=(
+                WorkloadSpec.of_kind("resnet", axes={"global_batch_size": (64, 128)}),
+                *_session_cluster_spec().workloads,
+            ),
+        )
+        with PoolExecutor(max_workers=2) as pool:
+            report = CampaignRunner(JsonlStore(tmp_path / "s.jsonl"), pool).run(spec)
+        assert report.failed == 0
+        assert [row.step for row in report.rows].count("resnet") == 2
+        assert len(starts) == 1
