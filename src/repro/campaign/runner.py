@@ -346,20 +346,7 @@ class CampaignRunner:
             # progress — which ``continue_run`` simply re-executes.
             try:
                 for (key, item), result in zip(to_run, results):
-                    row = CampaignRow(
-                        key=key,
-                        campaign=spec.name,
-                        step=step.name,
-                        index=item.index,
-                        parameters=dict(item.parameters),
-                        status=STATUS_FAILED if result.error else STATUS_COMPLETED,
-                        outputs=dict(result.outputs),
-                        stdout=result.stdout,
-                        error=result.error,
-                        attempts=result.attempts,
-                        degraded=result.degraded,
-                        faults=tuple(result.faults),
-                    )
+                    row = CampaignRow.from_result(key, spec.name, item, result)
                     pending.append(row)
                     if len(pending) >= self.flush_batch:
                         flush()

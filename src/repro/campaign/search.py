@@ -360,7 +360,7 @@ class SearchRunner:
 
     # -- full execution -----------------------------------------------------
 
-    def _finish(self, spec, step, survivors: list[_Candidate]) -> list[CampaignRow]:
+    def _finish(self, spec, survivors: list[_Candidate]) -> list[CampaignRow]:
         """Full-length exact runs of the survivors, stored durably.
 
         The original work items go through the same executor an
@@ -368,26 +368,10 @@ class SearchRunner:
         grid execution.
         """
         results = self._run_batched([cand.item for cand in survivors])
-        rows = []
-        for cand in survivors:
-            result = results[id(cand.item)]
-            rows.append(
-                CampaignRow(
-                    key=cand.key,
-                    campaign=spec.name,
-                    step=step.name,
-                    index=cand.index,
-                    parameters=dict(cand.item.parameters),
-                    status=STATUS_FAILED if result.error else STATUS_COMPLETED,
-                    outputs=dict(result.outputs),
-                    stdout=result.stdout,
-                    error=result.error,
-                    attempts=result.attempts,
-                    degraded=result.degraded,
-                    faults=tuple(result.faults),
-                )
-            )
-        return rows
+        return [
+            CampaignRow.from_result(cand.key, spec.name, cand.item, results[id(cand.item)])
+            for cand in survivors
+        ]
 
     @staticmethod
     def _pruned_row(
@@ -511,7 +495,7 @@ class SearchRunner:
                     )
                     if len(active) <= policy.min_keep:
                         break
-            full_rows = self._finish(spec, step, active)
+            full_rows = self._finish(spec, active)
             report.executed += len(full_rows)
             report.full_requests += sum(c.full_requests or 0 for c in active)
             report.failed += sum(1 for r in full_rows if r.error)

@@ -129,6 +129,24 @@ class CampaignRow:
         }
 
     @classmethod
+    def from_result(cls, key: str, campaign: str, item, result) -> "CampaignRow":
+        """The row of an executed work item: failed if it has an error."""
+        return cls(
+            key=key,
+            campaign=campaign,
+            step=item.step.name,
+            index=item.index,
+            parameters=dict(item.parameters),
+            status=STATUS_FAILED if result.error else STATUS_COMPLETED,
+            outputs=dict(result.outputs),
+            stdout=result.stdout,
+            error=result.error,
+            attempts=result.attempts,
+            degraded=result.degraded,
+            faults=tuple(result.faults),
+        )
+
+    @classmethod
     def from_dict(cls, raw: Mapping) -> "CampaignRow":
         """Rebuild a row from its mapping form."""
         return cls(
