@@ -344,6 +344,17 @@ class ServeCapScenario:
 
     def __post_init__(self) -> None:
         _check_cap_fractions(self.cap_fractions)
+        for name, value in (
+            ("arrival rate", self.arrival_rate),
+            ("requests", self.requests),
+            ("batch cap", self.batch_cap),
+            ("generate tokens", self.generate_tokens),
+        ):
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive, got {value:g}")
+        for name, value in (("TTFT SLO", self.slo_ttft_ms), ("E2E SLO", self.slo_e2e_ms)):
+            if value < 0:
+                raise ConfigError(f"{name} must be non-negative, got {value:g} ms")
 
     def spec(self) -> CampaignSpec:
         """The one-system serve cap sweep campaign."""
@@ -563,6 +574,16 @@ def energy_aware_schedule(
     horizon's *mean* intensity: windows cleaner than that admit stock
     clocks, dirtier ones push the fleet down the frontier.
     """
+    if not 0.0 < attainment_goal <= 1.0:
+        raise ConfigError(
+            f"attainment goal must be in (0, 1], got {attainment_goal:g}"
+        )
+    if budget_gco2_per_request is not None and budget_gco2_per_request < 0:
+        raise ConfigError(
+            f"budget must be non-negative, got {budget_gco2_per_request:g} gCO2/request"
+        )
+    if horizon_s <= 0:
+        raise ConfigError(f"horizon must be positive, got {horizon_s:g} s")
     if isinstance(site, str):
         site = get_site(site)
     if not points:

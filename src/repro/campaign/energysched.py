@@ -121,6 +121,8 @@ def plan_deferral(
         raise ConfigError("duration and power estimates must be positive")
     if parallel_items < 1:
         raise ConfigError("parallel_items must be >= 1")
+    if horizon_s <= 0:
+        raise ConfigError(f"horizon must be positive, got {horizon_s:g} s")
     if isinstance(site, str):
         site = get_site(site)
     status = CampaignRunner(store).status(spec)

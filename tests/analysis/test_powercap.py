@@ -59,6 +59,16 @@ class TestScenario:
             PowercapScenario(exit_duration_s=0.0)
         with pytest.raises(ConfigError, match="cap fractions"):
             ServeCapScenario(cap_fractions=(0.0,))
+        for field, value, name in (
+            ("arrival_rate", 0.0, "arrival rate"),
+            ("requests", 0, "requests"),
+            ("batch_cap", -1, "batch cap"),
+            ("generate_tokens", 0, "generate tokens"),
+            ("slo_ttft_ms", -1.0, "TTFT SLO"),
+            ("slo_e2e_ms", -1.0, "E2E SLO"),
+        ):
+            with pytest.raises(ConfigError, match=name):
+                ServeCapScenario(**{field: value})
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +220,21 @@ class TestEnergyAwareSchedule:
             site=get_site("hydro"),
         )
         assert report.site.name == "hydro"
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"attainment_goal": 0.0}, "attainment goal"),
+            ({"attainment_goal": 1.5}, "attainment goal"),
+            ({"budget_gco2_per_request": -1.0}, "budget"),
+            ({"horizon_s": 0.0}, "horizon"),
+        ],
+    )
+    def test_rejects_out_of_range_options(self, kwargs, name):
+        with pytest.raises(ConfigError, match=name):
+            energy_aware_schedule(
+                _serve_points(), IntensityTimeseries.diurnal(), **kwargs
+            )
 
 
 class TestServeSweep:

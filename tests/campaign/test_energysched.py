@@ -100,3 +100,6 @@ class TestPlanDeferral:
             )
         with pytest.raises(ConfigError):
             plan_deferral(_spec(), store, _green_later(), parallel_items=0)
+        for horizon_s in (0.0, -5.0):
+            with pytest.raises(ConfigError, match="horizon"):
+                plan_deferral(_spec(), store, _green_later(), horizon_s=horizon_s)

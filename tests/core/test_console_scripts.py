@@ -49,14 +49,27 @@ def test_unwritable_output_path_exits_2_without_traceback(
     [
         ("powercap frontier --gbs 0", "batch sizes"),
         ("powercap frontier --duration 0", "duration"),
+        ("powercap schedule --budget -1", "budget"),
+        ("powercap schedule --attainment-goal 2", "attainment goal"),
+        ("powercap schedule --attainment-goal 0", "attainment goal"),
+        ("powercap schedule --attainment-goal -0.5", "attainment goal"),
+        ("powercap schedule --budget 0.002 --horizon -5", "horizon"),
+        ("powercap schedule --horizon -5", "horizon"),
+        ("powercap schedule --requests 0", "requests"),
+        ("powercap schedule --rate -1", "rate"),
+        ("powercap defer {F}/spec.yaml --store {F}/s.jsonl --horizon -5", "horizon"),
     ],
 )
 def test_powercap_frontier_rejects_non_positive_options(
-    argv, option, monkeypatch, capsys
+    argv, option, tmp_path, monkeypatch, capsys
 ):
-    assert _exit_code(caraml_cli, argv, monkeypatch) == 2
-    err = capsys.readouterr().err
-    assert "caraml: " in err and option in err
+    (tmp_path / "spec.yaml").write_text(
+        "name: defer\nsystems: [A100]\nworkloads:\n  - kind: resnet\n"
+    )
+    assert _exit_code(caraml_cli, argv.format(F=tmp_path), monkeypatch) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "caraml: " in line and option in line
+    assert "Traceback" not in line
 
 
 #: ``caraml serve`` flags with an out-of-range value, and the flag the
