@@ -352,7 +352,10 @@ class ServeCapScenario:
         ):
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value:g}")
-        for name, value in (("TTFT SLO", self.slo_ttft_ms), ("E2E SLO", self.slo_e2e_ms)):
+        for name, value in (
+            ("TTFT SLO", self.slo_ttft_ms),
+            ("E2E SLO", self.slo_e2e_ms),
+        ):
             if value < 0:
                 raise ConfigError(f"{name} must be non-negative, got {value:g} ms")
 

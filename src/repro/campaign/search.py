@@ -369,7 +369,9 @@ class SearchRunner:
         """
         results = self._run_batched([cand.item for cand in survivors])
         return [
-            CampaignRow.from_result(cand.key, spec.name, cand.item, results[id(cand.item)])
+            CampaignRow.from_result(
+                cand.key, spec.name, cand.item, results[id(cand.item)]
+            )
             for cand in survivors
         ]
 

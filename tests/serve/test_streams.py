@@ -73,9 +73,11 @@ class TestSpec:
             "seed": 8,
         }
         for name, value in changes.items():
-            assert stream_family(poisson(**{name: value})) != stream_family(poisson()), name
+            changed = stream_family(poisson(**{name: value}))
+            assert changed != stream_family(poisson()), name
         for name, value in {"sessions": 3, "prefix_tokens": 128}.items():
-            assert stream_family(sessions(**{name: value})) != stream_family(sessions()), name
+            changed = stream_family(sessions(**{name: value}))
+            assert changed != stream_family(sessions()), name
         # Same shared fields, different generator: different streams.
         assert stream_family(sessions(generate_tokens=256, prefix_tokens=0)) != (
             stream_family(poisson())
@@ -209,7 +211,10 @@ def _session_cluster_spec(requests: int = 12) -> CampaignSpec:
         workloads=(
             WorkloadSpec.of_kind(
                 "serve_cluster",
-                axes={"batch_cap": (4, 8), "router": ("round-robin", "prefix-cache-aware")},
+                axes={
+                    "batch_cap": (4, 8),
+                    "router": ("round-robin", "prefix-cache-aware"),
+                },
                 fixed={
                     "requests": str(requests),
                     "generate_tokens": "16",
