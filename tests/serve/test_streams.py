@@ -113,6 +113,17 @@ class TestStreamCache:
         assert full == poisson(64).generate()
         assert prefix == full[:16] == poisson(16).generate()
 
+    def test_prefix_reconstructs_requests_exactly(self, generations):
+        cache = StreamCache()
+        arrivals = poisson(64, length_spread=0.25)
+        generated = arrivals.generate()
+        assert served(cache, arrivals) == generated
+        for count in (1, 8, 63, 64):
+            assert served(cache, poisson(count, length_spread=0.25)) == (
+                generated[:count]
+            )
+        assert generations == [64, 64]  # the reference and one cache miss
+
     def test_session_slices_equal_generation(self, generations):
         cache = StreamCache()
         served(cache, sessions(64, prefix_tokens=128))
