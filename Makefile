@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench hostbench bench-campaign bench-serve bench-powercap gate-search gate-powercap figures report validate campaign-demo trace-demo chaos-demo serve-demo cluster-demo watch-demo clean
+.PHONY: install test bench hostbench bench-campaign bench-serve bench-powercap gate-serve gate-search gate-powercap figures report validate campaign-demo trace-demo chaos-demo serve-demo cluster-demo watch-demo clean
 
 install:
 	pip install -e . --no-build-isolation --no-deps || $(PYTHON) setup.py develop
@@ -18,31 +18,38 @@ bench:
 hostbench:
 	$(PYTHON) hostbench/run.py --workload $(or $(W),$(error set W=paper, serve or sweep))
 
-# Campaign harness overhead: fast path vs per-row path, writes
-# BENCH_campaign.json. QUICK=1 runs the small CI sizes.
+# The recorded benches share one harness (benchmarks/harness.py): each
+# writes its own BENCH_<name>.json, QUICK=1 runs the small CI sizes, and
+# each gate-* target re-measures one headline at quick size and fails on
+# a >20% regression against the reference recorded in that file.
+
+# Campaign harness overhead: fast path vs per-row path, plus the pruned
+# sweep search; writes BENCH_campaign.json.
 bench-campaign:
 	$(PYTHON) benchmarks/bench_campaign_scale.py $(if $(QUICK),--quick)
 
 # Cluster serving scaling: 1 vs 4 vs 8 replicas at a fixed arrival
-# rate, writes BENCH_serve.json. QUICK=1 runs the small CI sizes.
+# rate, plus the fast-path speedup; writes BENCH_serve.json and fails
+# when a headline misses its target.
 bench-serve:
 	$(PYTHON) benchmarks/bench_serve_cluster.py $(if $(QUICK),--quick)
 
-# Re-measure the pruned-search speedup and fail on a >20% regression
-# against the reference recorded in BENCH_campaign.json.
-gate-search:
-	$(PYTHON) benchmarks/bench_campaign_scale.py --gate BENCH_campaign.json
-
-# Power-cap frontier sweep: cold execution vs the exact-cache walk,
-# merges a 'powercap' headline into BENCH_campaign.json. QUICK=1 runs
-# the 1-system CI sweep.
+# Power-cap frontier sweep: cold execution vs the exact-cache walk;
+# writes BENCH_powercap.json.
 bench-powercap:
 	$(PYTHON) benchmarks/bench_powercap.py $(if $(QUICK),--quick)
 
-# Re-measure the cached cap-sweep walk and fail on a >20% regression
-# against the reference recorded in BENCH_campaign.json.
+# Shipped serve loop against the test oracle's per-step loop.
+gate-serve:
+	$(PYTHON) benchmarks/bench_serve_cluster.py --gate BENCH_serve.json
+
+# Pruned search against the exhaustive grid.
+gate-search:
+	$(PYTHON) benchmarks/bench_campaign_scale.py --gate BENCH_campaign.json
+
+# Cached cap-sweep walk against its cold run.
 gate-powercap:
-	$(PYTHON) benchmarks/bench_powercap.py --gate BENCH_campaign.json
+	$(PYTHON) benchmarks/bench_powercap.py --gate BENCH_powercap.json
 
 figures:
 	$(PYTHON) examples/render_figures.py figures

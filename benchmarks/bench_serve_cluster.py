@@ -35,25 +35,24 @@ Run directly::
 
 ``--gate`` re-measures the fast:reference wall-time ratio at CI size
 and fails when it regresses more than 20% against the recorded report —
-the ratio is machine-relative, so the gate is stable across runners.
+the ratio is machine-relative, so the gate is stable across runners
+(``benchmarks/harness.py`` holds the rule).
 
 Writes ``BENCH_serve.json`` (repo root by default) with per-fleet-size
-latency/goodput/energy figures and the wall-time-per-request numbers.
+latency/goodput/energy figures and the wall-time-per-request numbers,
+and exits 1 when any headline misses its target.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
-_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(_ROOT / "src"))
-sys.path.append(str(_ROOT / "tests"))
+import harness
 
-from repro.core.provenance import provenance
+sys.path.append(str(harness.ROOT / "tests"))
+
 from repro.engine.inference import InferenceEngine
 from repro.hardware.systems import get_system
 from repro.models.transformer import get_gpt_preset
@@ -80,9 +79,6 @@ FAST_PATH_REFERENCE_REQUESTS = 50_000
 FAST_PATH_QUICK_REFERENCE_REQUESTS = 10_000
 #: The fast engine must beat the reference by at least this factor.
 SPEEDUP_TARGET = 10.0
-#: ``--gate``: fail when the measured fast:reference ratio falls more
-#: than this fraction below the recorded one (machine-relative check).
-GATE_REGRESSION_FRACTION = 0.20
 
 
 def _timed_engine_run(engine, mode: str, requests: int) -> dict:
@@ -174,26 +170,6 @@ def _bench_fast_path(engine, *, quick: bool) -> dict:
     }
 
 
-def run_gate(engine, report_path: Path) -> int:
-    """CI regression gate: the fast:reference ratio must hold.
-
-    Wall-clock per request is machine-dependent; the *ratio* between
-    the two engines on the same machine is not, so the gate compares
-    the freshly measured speedup against the recorded one and fails on
-    a >20% drop (or on missing the absolute 10x target).
-    """
-    recorded = json.loads(report_path.read_text())["headline"]["fast_path"]
-    measured = _bench_fast_path(engine, quick=True)
-    floor = recorded["speedup"] * (1.0 - GATE_REGRESSION_FRACTION)
-    ok = measured["speedup"] >= max(floor, SPEEDUP_TARGET)
-    print(
-        f"  gate: measured {measured['speedup']}x vs recorded "
-        f"{recorded['speedup']}x (floor {max(floor, SPEEDUP_TARGET):.2f}x) "
-        f"[{'ok' if ok else 'REGRESSED'}]"
-    )
-    return 0 if ok else 1
-
-
 def _bench_telemetry_overhead(engine, arrivals, replicas: int) -> dict:
     """Best-of-N wall time with and without the telemetry layer.
 
@@ -236,9 +212,14 @@ def _bench_telemetry_overhead(engine, arrivals, replicas: int) -> dict:
     }
 
 
-def run_bench(requests: int, *, quick: bool) -> dict:
+def _engine() -> InferenceEngine:
+    return InferenceEngine(get_system("GH200"), get_gpt_preset("800M"))
+
+
+def run_bench(quick: bool, workdir: Path) -> dict:
     """One row per fleet size on the shared arrival stream."""
-    engine = InferenceEngine(get_system("GH200"), get_gpt_preset("800M"))
+    requests = QUICK_REQUESTS if quick else DEFAULT_REQUESTS
+    engine = _engine()
     arrivals = PoissonArrivals(
         rate_per_s=ARRIVAL_RATE_PER_S,
         requests=requests,
@@ -309,58 +290,23 @@ def run_bench(requests: int, *, quick: bool) -> dict:
     }
 
 
+REPORT = "BENCH_serve.json"
+
+#: The CI gate: the shipped loop against the test oracle's per-step
+#: loop on a matched quick stream; 10x is also the headline's target.
+GATE = harness.Gate(
+    headline="fast_path",
+    measure=lambda workdir: _bench_fast_path(_engine(), quick=True),
+    floor=SPEEDUP_TARGET,
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help=f"{QUICK_REQUESTS} requests for CI smoke runs",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=None,
-        help="explicit request count for the stream",
-    )
-    parser.add_argument(
-        "--out",
-        default=str(Path(__file__).resolve().parent.parent / "BENCH_serve.json"),
-        help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--gate", metavar="REPORT",
-        help=(
-            "CI mode: re-measure the fast:reference speedup at quick size "
-            "and fail if it regressed >20%% vs this recorded report"
-        ),
-    )
-    args = parser.parse_args(argv)
+    args = harness.parse_args(__doc__, REPORT, argv)
     if args.gate:
-        engine = InferenceEngine(get_system("GH200"), get_gpt_preset("800M"))
-        return run_gate(engine, Path(args.gate))
-    requests = args.requests or (QUICK_REQUESTS if args.quick else DEFAULT_REQUESTS)
-    report = run_bench(requests, quick=bool(args.quick or args.requests))
-    report["quick"] = bool(args.quick or args.requests)
-    report["provenance"] = provenance(Path(__file__).resolve().parent.parent)
-    out = Path(args.out)
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nwrote {out}")
-    item = report["headline"]["wall_ms_per_request"]
-    status = "ok" if item["met"] else "ABOVE TARGET"
-    print(
-        f"  wall_ms_per_request: {item['worst']} "
-        f"(target <= {item['target']}) [{status}]"
-    )
-    overhead = report["headline"]["telemetry_overhead"]
-    overhead_status = "ok" if overhead["met"] else "ABOVE TARGET"
-    print(
-        f"  telemetry_overhead: {overhead['overhead'] * 100:+.1f}% "
-        f"(target <= {overhead['target'] * 100:.0f}%) [{overhead_status}]"
-    )
-    fast_path = report["headline"]["fast_path"]
-    fast_status = "ok" if fast_path["met"] else "BELOW TARGET"
-    print(
-        f"  fast_path speedup: {fast_path['speedup']}x "
-        f"(target >= {fast_path['target']:.0f}x) [{fast_status}]"
-    )
-    return 0 if item["met"] and overhead["met"] and fast_path["met"] else 1
+        return harness.run_gate(GATE, args.gate)
+    report = harness.record(run_bench, args.quick, args.out)
+    return 0 if all(item["met"] for item in report["headline"].values()) else 1
 
 
 if __name__ == "__main__":

@@ -982,8 +982,11 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
         return run_watch_command(args, out)
 
     if args.command == "jube" and args.jube_command == "run":
+        script = suite.load_script(args.script)
+        if args.table is not None:
+            script.result_table(args.table)  # an unknown table fails before the run
         with _maybe_traced(args.trace, out):
-            jube_run = suite.jube_run(args.script, tags=args.tags)
+            jube_run = suite.runner.run(script, args.tags)
             if not args.skip_continue:
                 suite.jube_continue(jube_run)
         print(suite.jube_result(jube_run, args.table), file=out)

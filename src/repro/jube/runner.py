@@ -14,7 +14,7 @@ from typing import Callable, Protocol
 
 from repro.errors import JubeError
 from repro.faults.injector import get_injector
-from repro.jube.parameters import expand_parameter_space, substitute
+from repro.jube.parameters import expand_parameter_space, referenced, substitute
 from repro.jube.result import ResultTable, render_table
 from repro.jube.script import BenchmarkScript
 from repro.jube.steps import Step, Workpackage, order_steps
@@ -235,6 +235,33 @@ class JubeRun:
         return [wp for wp in self.workpackages if wp.step.name == step_name]
 
 
+def _check_tag_guarded_parameters(
+    script: BenchmarkScript, step: Step, tags: frozenset[str]
+) -> None:
+    """Fail when ``step`` uses a parameter defined only under other tags.
+
+    The shipped scripts define ``system`` only under the system tags;
+    without one, the step that substitutes ``$system`` would fail
+    mid-run without naming the remedy.
+    """
+    sets = [script.parameter_set(name) for name in step.parameter_sets]
+    active = set().union(*(pset.resolve(tags) for pset in sets))
+    for name in sorted(set().union(*map(referenced, step.operations)) - active):
+        guards = [
+            tag
+            for pset in sets
+            for parameter in pset.parameters
+            if parameter.name == name
+            for tag in sorted(parameter.tags)
+        ]
+        if guards:
+            raise JubeError(
+                f"step {step.name!r} uses ${name}, which is defined only under "
+                f"the tags {', '.join(dict.fromkeys(guards))}; pass --tag with "
+                "one of them"
+            )
+
+
 class JubeRunner:
     """Executes benchmark scripts against an operation registry.
 
@@ -260,6 +287,8 @@ class JubeRunner:
         tagset = frozenset(tags)
         run = JubeRun(script=script, tags=tagset)
         ordered = order_steps(script.steps, tagset)
+        for step in ordered:
+            _check_tag_guarded_parameters(script, step, tagset)
         for step in ordered:
             if step.name in script.continue_steps:
                 continue  # executed by continue_run (jube continue)

@@ -41,7 +41,8 @@ class BenchmarkScript:
         for table in self.results:
             if table.name == name:
                 return table
-        raise JubeError(f"unknown result table {name!r}")
+        known = ", ".join(table.name for table in self.results) or "none"
+        raise JubeError(f"unknown result table {name!r}; tables: {known}")
 
     def validate(self) -> None:
         """Check cross-references (steps' use=, results' step=)."""

@@ -26,11 +26,10 @@ Two mechanisms, each provably output-preserving:
   stepping would admit the request.  No other offer can change what
   per-step stepping admits before the run ends — a waiting queue head
   fits only after a completion frees KV, and a full batch admits
-  nothing.  When the run ends, its step boundaries are reproduced
-  bit-exactly as a left fold (``np.add.accumulate`` for long runs,
-  exactly the scalar ``t += dt`` chain), and the busy time, busy
-  energy and per-member energy shares of the steps it took fold into
-  the replica's counters the same way.
+  nothing.  When the run ends, one scalar loop replays its step
+  boundaries as the ``t += step_s`` chain per-step stepping makes, and
+  folds the busy time, busy energy and per-member energy share of each
+  step into the replica's counters in the same order.
 
 Telemetry equivalence: samples are taken at heap events instead of at
 every step boundary, but every probed quantity is piecewise-constant
@@ -46,8 +45,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-
-import numpy as np
 
 from repro.engine.inference import DECODE_UTILISATION_FRACTION, InferenceWorkload
 from repro.obs.metrics import get_metrics
@@ -79,11 +76,6 @@ _PREFILL = "prefill"
 
 #: Phase kind marking a fused multi-step decode run.
 _FUSED_DECODE = "decode-run"
-
-#: Run lengths at or below this fold with scalar arithmetic (same IEEE
-#: operation sequence as the numpy path, without the fixed overhead of
-#: array allocation; crossover measured at roughly a hundred steps).
-_SCALAR_STEPS = 128
 
 
 class _ClusterLoop:
@@ -491,35 +483,21 @@ class _ClusterLoop:
         t0, t1 = replica.phase[0], replica.phase[1]
         steps, step_s, batch = self._runs.pop(replica.index)
         power = self._decode_power
-        if steps > _SCALAR_STEPS:
-            # One numpy left fold per series: ``np.add.accumulate``
-            # accumulates strictly left to right, bit-identical to the
-            # scalar chains below.
-            bounds = np.full(steps + 1, step_s)
-            bounds[0] = t0
-            dts = np.diff(np.add.accumulate(bounds))
-            energies_j = power * dts
-            replica.busy_s = _fold(replica.busy_s, dts)
-            replica.busy_energy_j = _fold(replica.busy_energy_j, energies_j)
-            replica.decode_cursor_wh = _fold(
-                replica.decode_cursor_wh, (energies_j / JOULES_PER_WH) / batch
-            )
-        else:
-            busy_s = replica.busy_s
-            busy_j = replica.busy_energy_j
-            cursor = replica.decode_cursor_wh
-            t = t0
-            for _ in range(steps):
-                t_next = t + step_s
-                dt = t_next - t
-                energy_j = power * dt
-                busy_s += dt
-                busy_j += energy_j
-                cursor += (energy_j / JOULES_PER_WH) / batch
-                t = t_next
-            replica.busy_s = busy_s
-            replica.busy_energy_j = busy_j
-            replica.decode_cursor_wh = cursor
+        busy_s = replica.busy_s
+        busy_j = replica.busy_energy_j
+        cursor = replica.decode_cursor_wh
+        t = t0
+        for _ in range(steps):
+            t_next = t + step_s
+            dt = t_next - t
+            energy_j = power * dt
+            busy_s += dt
+            busy_j += energy_j
+            cursor += (energy_j / JOULES_PER_WH) / batch
+            t = t_next
+        replica.busy_s = busy_s
+        replica.busy_energy_j = busy_j
+        replica.decode_cursor_wh = cursor
         replica.decode_steps += steps
         replica.last_active_s = t1
         replica._accounted_until_s = t1  # the fold closed the gap
@@ -589,13 +567,3 @@ def _run_end(t: float, step_s: float, steps: int) -> float:
     for _ in range(steps):
         t += step_s
     return t
-
-
-def _fold(initial: float, values: np.ndarray) -> float:
-    """Sequential left fold ``((initial + v0) + v1) + ...`` in float64.
-
-    ``np.add.accumulate`` accumulates in order, so this reproduces a
-    scalar ``x += v`` chain bit-exactly (unlike ``np.sum``, which may
-    use pairwise summation).
-    """
-    return float(np.add.accumulate(np.concatenate(([initial], values)))[-1])

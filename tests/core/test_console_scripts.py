@@ -113,3 +113,23 @@ def test_serve_operation_fails_with_the_command_message(monkeypatch, capsys):
 def test_successful_run_exits_0(monkeypatch, capsys):
     assert _exit_code(caraml_cli, "systems", monkeypatch) == 0
     assert "JEDI" in capsys.readouterr().out
+
+
+#: ``caraml jube run`` invocations that must fail before the first
+#: step, and the words their one error line must contain.
+JUBE_RUN_ERRORS = {
+    "jube run llm_benchmark_nvidia_amd.yaml": ("--tag", "A100"),
+    "jube run llm_benchmark_nvidia_amd.yaml --tag foo": ("--tag", "A100"),
+    "jube run resnet50_benchmark.xml": ("--tag", "A100", "GC200"),
+    "jube run llm_benchmark_nvidia_amd.yaml --tag A100 --table typo": (
+        "'typo'", "throughput", "energy",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(JUBE_RUN_ERRORS))
+def test_jube_run_names_the_remedy(argv, monkeypatch, capsys):
+    assert _exit_code(caraml_cli, argv, monkeypatch) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "caraml: " in line and "Traceback" not in line
+    assert all(word in line for word in JUBE_RUN_ERRORS[argv])

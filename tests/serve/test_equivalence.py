@@ -396,8 +396,8 @@ class TestClusterEquivalence:
 
     @pytest.mark.parametrize("percentiles", ["exact", "p2"])
     def test_long_decode_runs(self, tmp_path, percentiles):
-        # Generations longer than the scalar-walk threshold with no
-        # arrival pending: the shipped loop folds each run with numpy.
+        # 300-token generations with no arrival pending: the shipped
+        # loop folds runs of hundreds of steps in one scalar loop.
         kw = dict(
             arrivals=LONG,
             replicas=2,

@@ -2,7 +2,7 @@
 
 Every public function, class and method under ``src/repro``, and every
 public UPPER_CASE module constant, must be referenced from shipped
-code: the package itself, ``benchmarks/``, ``examples/``, ``tools/``,
+code: the package itself, ``benchmarks/``, ``examples/``,
 ``hostbench/``, the Makefile, the CI workflow, the packaging metadata
 or the shipped JUBE scripts. A reference is an AST name, attribute,
 import alias, or string constant that is a bare or dotted identifier
@@ -34,7 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
-CALLER_DIRS = ("src", "benchmarks", "examples", "tools", "hostbench")
+CALLER_DIRS = ("src", "benchmarks", "examples", "hostbench")
 CALLER_FILES = ("Makefile", ".github/workflows/ci.yml", "pyproject.toml", "setup.py")
 SCRIPT_SUFFIXES = (".yaml", ".yml", ".xml")
 #: A string that names a definition: ``"energy"``, ``"Router.route"``,
