@@ -13,7 +13,9 @@ workload kind at its defaults: stored campaign rows are only reusable
 while those stay put.  The ``caraml powercap`` cases pin the
 :class:`PowercapScenario` or :class:`ServeCapScenario` each invocation
 builds and the arguments it passes to :func:`energy_aware_schedule`,
-stopping before any sweep runs.  Regenerate deliberately with::
+stopping before any sweep runs.  The ``powercap defer``, ``continuous
+check`` and ``run-infer`` cases pin the arguments of the one library
+call each command feeds.  Regenerate deliberately with::
 
     pytest tests/core/test_front_end_golden.py --update-goldens
 
@@ -34,11 +36,13 @@ import pytest
 from repro.analysis import powercap
 from repro.analysis.powercap import PowercapScenario, ServeCapScenario
 from repro.campaign import CampaignRunner, CampaignSpec, IsolatingExecutor, open_store
+from repro.campaign import energysched
 from repro.core.cli import run as cli_run
 from repro.core.config import LLMBenchmarkConfig, ResNetBenchmarkConfig
+from repro.core.continuous import BenchmarkPoint, Comparison, ContinuousBenchmark
 from repro.core.registry import build_operation_registry
 from repro.core.suite import CaramlSuite
-from repro.engine.inference import InferenceEngine
+from repro.engine.inference import InferenceEngine, InferenceWorkload
 from repro.jube.steps import Step, Workpackage
 from repro.serve import PoissonArrivals, ServingSimulator, SessionArrivals
 from repro.serve.cluster import ClusterSimulator
@@ -136,6 +140,25 @@ POWERCAP_CASES = {
         "powercap schedule --system GH200 --model 117M --rate 4 --requests 32 "
         "--site hydro --attainment-goal 0.95 --budget 0.01 --horizon 43200 "
         "--store {tmp}/schedule.jsonl"
+    ),
+}
+
+#: Commands whose flags feed one library call: case name -> argv
+#: (``{tmp}`` is a scratch directory holding ``spec.yaml``).
+LIBRARY_CALL_CASES = {
+    "cli powercap defer minimal": "powercap defer {tmp}/spec.yaml",
+    "cli powercap defer full": (
+        "powercap defer {tmp}/spec.yaml --store {tmp}/defer.jsonl --site hydro "
+        "--item-duration 30 --item-power 250 --parallel 4 --horizon 43200"
+    ),
+    "cli continuous check minimal": "continuous check --baseline {tmp}/base.json",
+    "cli continuous check full": (
+        "continuous check --baseline {tmp}/base.json --tolerance 0.2"
+    ),
+    "cli run-infer minimal": "run-infer --system A100",
+    "cli run-infer full": (
+        "run-infer --system H100 --model 117M --batch 4 --prompt-tokens 128 "
+        "--generate-tokens 32 --power-cap 300"
     ),
 }
 
@@ -277,6 +300,54 @@ def capture(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def library_calls(monkeypatch):
+    """Record the arguments :data:`LIBRARY_CALL_CASES` resolve to; stop
+    before any of them measures or plans."""
+    seen: dict[str, dict] = {}
+
+    def bound(fn, *args, **kwargs) -> dict:
+        arguments = inspect.signature(fn).bind(*args, **kwargs)
+        arguments.apply_defaults()
+        return dict(arguments.arguments)
+
+    original_plan_deferral = energysched.plan_deferral
+    original_regressed = Comparison.regressed
+    original_engine_init = InferenceEngine.__init__
+
+    def plan_deferral(*args, **kwargs):
+        resolved = bound(original_plan_deferral, *args, **kwargs)
+        resolved["spec"] = resolved["spec"].name
+        for name in ("store", "timeseries"):
+            del resolved[name]
+        seen["plan_deferral"] = {k: _plain(v) for k, v in resolved.items()}
+        raise _Stop
+
+    def regressed(self, *args, **kwargs):
+        resolved = bound(original_regressed, self, *args, **kwargs)
+        seen["Comparison.regressed"] = {"tolerance": resolved["tolerance"]}
+        raise _Stop
+
+    def compare(self, baseline_path):
+        return [Comparison(BenchmarkPoint("llm", "A100", 256), 1.0, 1.0, 1.0, 1.0)]
+
+    def engine_init(self, *args, **kwargs):
+        original_engine_init(self, *args, **kwargs)
+        seen["InferenceEngine"] = _plain(self)
+
+    def workload_post_init(self):
+        seen["InferenceWorkload"] = _plain(self)
+        raise _Stop
+
+    monkeypatch.setattr(energysched, "plan_deferral", plan_deferral)
+    monkeypatch.setattr(Comparison, "regressed", regressed)
+    monkeypatch.setattr(Comparison, "describe", lambda self: "")
+    monkeypatch.setattr(ContinuousBenchmark, "compare", compare)
+    monkeypatch.setattr(InferenceEngine, "__init__", engine_init)
+    monkeypatch.setattr(InferenceWorkload, "__post_init__", workload_post_init)
+    return seen
+
+
 def _resolve_cli(argv: str, seen: dict) -> dict:
     try:
         cli_run(argv.split(), stdout=io.StringIO())
@@ -341,6 +412,17 @@ class TestFrontEndGolden:
         with pytest.raises(_Stop):
             cli_run(argv.split(), stdout=io.StringIO())
         _golden_entry(name, capture, update_goldens)
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY_CALL_CASES))
+    def test_library_call(self, name, library_calls, update_goldens, tmp_path):
+        (tmp_path / "spec.yaml").write_text(
+            f"name: defer-golden\nsystems: [A100]\nstore: {tmp_path}/spec.jsonl\n"
+            "workloads:\n  - kind: llm\n    fixed: {global_batch_size: 64}\n"
+        )
+        argv = LIBRARY_CALL_CASES[name].format(tmp=tmp_path)
+        with pytest.raises(_Stop):
+            cli_run(argv.split(), stdout=io.StringIO())
+        _golden_entry(name, library_calls, update_goldens)
 
     @pytest.mark.parametrize("name", sorted(OPERATION_CASES))
     def test_operation(self, name, capture, update_goldens):
