@@ -173,7 +173,6 @@ class InferenceEngine:
         workload: InferenceWorkload,
         *,
         requests: int = 8,
-        sample_interval_ms: float = 100.0,
     ) -> TrainResult:
         """Serve ``requests`` batches end-to-end under a jpwr scope."""
         if requests < 1:
@@ -198,7 +197,6 @@ class InferenceEngine:
             self.node,
             1,
             body,
-            sample_interval_ms=sample_interval_ms,
             span_name="llm/serve",
             span_attrs={
                 "model": self.model.name,

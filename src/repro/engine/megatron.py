@@ -82,7 +82,6 @@ class MegatronEngine:
         *,
         exit_duration_s: float | None = None,
         iterations: int | None = None,
-        sample_interval_ms: float = 100.0,
     ) -> TrainResult:
         """Run the benchmark and return its result row.
 
@@ -111,7 +110,6 @@ class MegatronEngine:
             self.node,
             local_devices,
             body,
-            sample_interval_ms=sample_interval_ms,
             span_name="llm/train",
             span_attrs={
                 "model": self.model.name,

@@ -190,9 +190,7 @@ class PoplarGPTEngine:
             return 0.0
         return GPT_HOST_STREAM_S_PER_SAMPLE * global_batch_size
 
-    def train_epoch(
-        self, global_batch_size: int, *, sample_interval_ms: float = 1000.0
-    ) -> TrainResult:
+    def train_epoch(self, global_batch_size: int) -> TrainResult:
         """One epoch (= one iteration over the global batch), measured.
 
         The jpwr window covers setup + streaming + compute, matching
@@ -211,7 +209,6 @@ class PoplarGPTEngine:
             self.node,
             self.pipeline_stages * self.instances,
             body,
-            sample_interval_ms=sample_interval_ms,
             span_name="llm/train",
             span_attrs={
                 "model": self.model.name,
@@ -315,9 +312,7 @@ class PoplarResNetEngine:
             1.0, rate_per_replica / RESNET_RATE_ASYMPTOTE
         )
 
-    def train_epoch(
-        self, global_batch_size: int, *, sample_interval_ms: float = 1000.0
-    ) -> TrainResult:
+    def train_epoch(self, global_batch_size: int) -> TrainResult:
         """One ImageNet-sized epoch, measured (compilation excluded)."""
         self.check_memory()
         rate = self.images_per_second(global_batch_size)
@@ -332,7 +327,6 @@ class PoplarResNetEngine:
             self.node,
             self.replicas,
             body,
-            sample_interval_ms=sample_interval_ms,
             span_name="resnet/train",
             span_attrs={
                 "model": self.model.name,

@@ -83,7 +83,6 @@ class TFCNNEngine:
         global_batch_size: int,
         *,
         iterations: int = BENCHMARK_ITERATIONS,
-        sample_interval_ms: float = 100.0,
     ) -> TrainResult:
         """Run the 100-iteration benchmark and return its result row."""
         if iterations <= 0:
@@ -108,7 +107,6 @@ class TFCNNEngine:
             self.node,
             local_devices,
             body,
-            sample_interval_ms=sample_interval_ms,
             span_name="resnet/train",
             span_attrs={
                 "model": self.model.name,

@@ -264,11 +264,14 @@ def measure_run(
     devices_used: int,
     body,
     *,
-    sample_interval_ms: float = 100.0,
     span_name: str = "engine/run",
     span_attrs: dict | None = None,
 ) -> tuple[object, float, float, float]:
     """Execute ``body(runner, clock)`` under a jpwr scope.
+
+    The scope is manual: it samples on the phase edges the runner
+    drives and at no fixed interval, so the trapezoidal integral of
+    the piecewise-constant power is exact.
 
     Returns ``(body_result, elapsed_s, energy_per_device_wh,
     mean_power_per_device_w)`` where energy/power are averaged over the
@@ -294,7 +297,7 @@ def measure_run(
     if span_attrs:
         attrs.update(span_attrs)
     with tracer.span(span_name, attrs=attrs):
-        with get_power(methods, sample_interval_ms, clock=clock, manual=True) as scope:
+        with get_power(methods, clock=clock, manual=True) as scope:
             runner = PhaseRunner(clock, scope, active)
             result = body(runner, clock)
     elapsed = clock.now() - start

@@ -53,10 +53,6 @@ from repro.serve.result import (
 from repro.serve.scheduler import DEFAULT_BATCH_CAP
 from repro.serve.streams import shared_requests
 
-#: Default jpwr sampling period for serving runs, in milliseconds
-#: (samples also land on every phase edge, so integration stays exact).
-DEFAULT_SAMPLE_INTERVAL_MS = 100.0
-
 
 class ServingSimulator:
     """Serves a request stream on one device of a GPU system.
@@ -71,8 +67,6 @@ class ServingSimulator:
         Admission-queue bound; arrivals beyond it are shed.
     slo:
         Latency objectives for attainment/goodput accounting.
-    sample_interval_ms:
-        jpwr sampling period (samples also land on every phase edge).
     telemetry:
         Optional :class:`~repro.obs.telemetry.sampler.TelemetrySampler`;
         when given, the loop registers queue-depth, batch-occupancy,
@@ -98,7 +92,6 @@ class ServingSimulator:
         batch_cap: int = DEFAULT_BATCH_CAP,
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
         slo: SLOPolicy | None = None,
-        sample_interval_ms: float = DEFAULT_SAMPLE_INTERVAL_MS,
         telemetry: TelemetrySampler | None = None,
         slo_monitor: SLOMonitor | None = None,
         percentile_mode: str = PERCENTILE_MODE_EXACT,
@@ -107,7 +100,6 @@ class ServingSimulator:
         self.batch_cap = int(batch_cap)
         self.queue_capacity = int(queue_capacity)
         self.slo = slo if slo is not None else SLOPolicy()
-        self.sample_interval_ms = float(sample_interval_ms)
         self.telemetry = telemetry
         self.slo_monitor = slo_monitor
         if percentile_mode not in PERCENTILE_MODES:
@@ -170,7 +162,6 @@ class ServingSimulator:
             self.engine.node,
             1,
             body,
-            sample_interval_ms=self.sample_interval_ms,
             span_name="serve/run",
             span_attrs={
                 "model": self.engine.model.name,
