@@ -201,7 +201,7 @@ class CampaignRunner:
 
     # -- planning -----------------------------------------------------------
 
-    def _planned_items(self, script, step, tags, seeds, calibration_hash):
+    def _planned_items(self, script, step, seeds, calibration_hash):
         """Keyed work items of one step, seeded from ``seeds``.
 
         Keys come from a :class:`ResultKeyer`: the step, calibration,
@@ -209,7 +209,7 @@ class CampaignRunner:
         once per step, so each combo hashes only its own delta.
         """
         sets = [script.parameter_set(name) for name in step.parameter_sets]
-        combos = expand_parameter_space(sets, tags)
+        combos = expand_parameter_space(sets)
         keyer = ResultKeyer(step_fingerprint(step), calibration_hash, self._fault_hash)
         if step.depends:
             seeds_for = lambda name: seeds.get(name, [])  # noqa: E731
@@ -238,7 +238,6 @@ class CampaignRunner:
     def run(
         self,
         spec: CampaignSpec,
-        tags: list[str] | tuple[str, ...] = (),
         *,
         resume: bool = True,
         retry_failed: bool = False,
@@ -254,16 +253,15 @@ class CampaignRunner:
         configurations the search skipped.
         """
         script = spec.compile()
-        tagset = frozenset(tags)
         calibration_hash = calibration_fingerprint()
         report = CampaignReport(campaign=spec.name)
         seeds: dict[str, list[CampaignRow]] = {}
         tracer = get_tracer()
         metrics = get_metrics()
         logger.info("campaign %s: run (resume=%s)", spec.name, resume)
-        for step in order_steps(script.steps, tagset):
+        for step in order_steps(script.steps):
             plan_start = time.perf_counter()
-            planned = self._planned_items(script, step, tagset, seeds, calibration_hash)
+            planned = self._planned_items(script, step, seeds, calibration_hash)
             metrics.histogram(
                 "campaign_plan_seconds", "per-step planning (keying) time"
             ).observe(time.perf_counter() - plan_start, step=step.name)
@@ -384,26 +382,21 @@ class CampaignRunner:
         logger.info("%s", report.describe())
         return report
 
-    def continue_run(
-        self, spec: CampaignSpec, tags: list[str] | tuple[str, ...] = ()
-    ) -> CampaignReport:
+    def continue_run(self, spec: CampaignSpec) -> CampaignReport:
         """Resume an interrupted campaign (also retries failed rows)."""
-        return self.run(spec, tags, resume=True, retry_failed=True)
+        return self.run(spec, resume=True, retry_failed=True)
 
     # -- inspection ---------------------------------------------------------
 
-    def status(
-        self, spec: CampaignSpec, tags: list[str] | tuple[str, ...] = ()
-    ) -> CampaignStatus:
+    def status(self, spec: CampaignSpec) -> CampaignStatus:
         """Compare the plan against the store without executing."""
         script = spec.compile()
-        tagset = frozenset(tags)
         calibration_hash = calibration_fingerprint()
         status = CampaignStatus(campaign=spec.name)
         seeds: dict[str, list[CampaignRow]] = {}
         metrics = get_metrics()
-        for step in order_steps(script.steps, tagset):
-            planned = self._planned_items(script, step, tagset, seeds, calibration_hash)
+        for step in order_steps(script.steps):
+            planned = self._planned_items(script, step, seeds, calibration_hash)
             stored = self._lookup_planned(planned, metrics, step.name)
             completed = failed = degraded = pruned = 0
             step_completed: list[CampaignRow] = []

@@ -46,7 +46,6 @@ from repro.campaign.store import (
     ResultStore,
 )
 from repro.errors import ConfigError
-from repro.faults.plan import FaultPlan
 from repro.jube.runner import WorkItem, WorkpackageExecutor, WorkResult
 from repro.jube.steps import order_steps
 from repro.obs.log import get_logger
@@ -165,7 +164,6 @@ class _Candidate:
     """One configuration moving through the search rungs."""
 
     key: str
-    combo: dict
     index: int
     item: WorkItem
     full_requests: int | None
@@ -261,9 +259,8 @@ class SearchRunner:
         self,
         store: ResultStore,
         executor: WorkpackageExecutor | None = None,
-        faults: FaultPlan | None = None,
     ) -> None:
-        self.runner = CampaignRunner(store, executor=executor, faults=faults)
+        self.runner = CampaignRunner(store, executor=executor)
         self.store = store
 
     # -- screening ----------------------------------------------------------
@@ -404,25 +401,21 @@ class SearchRunner:
         self,
         spec: CampaignSpec,
         policy: SearchPolicy | None = None,
-        tags: list[str] | tuple[str, ...] = (),
     ) -> SearchReport:
         """Run the pruned search; reported rows are exact full runs."""
         policy = policy or SearchPolicy()
         script = spec.compile()
-        tagset = frozenset(tags)
         calibration_hash = calibration_fingerprint()
         start = time.perf_counter()
         report = SearchReport(campaign=spec.name, policy=policy)
         exact_rows: list[CampaignRow] = []
-        for step in order_steps(script.steps, tagset):
+        for step in order_steps(script.steps):
             if step.depends:
                 raise ConfigError(
                     f"search supports dependency-free steps only; "
                     f"{step.name!r} depends on {list(step.depends)}"
                 )
-            planned = self.runner._planned_items(
-                script, step, tagset, {}, calibration_hash
-            )
+            planned = self.runner._planned_items(script, step, {}, calibration_hash)
             report.total += len(planned)
             stored = self.store.get_many([p[0] for p in planned])
             candidates: list[_Candidate] = []
@@ -450,7 +443,6 @@ class SearchRunner:
                 candidates.append(
                     _Candidate(
                         key=key,
-                        combo=dict(combo),
                         index=index,
                         item=item,
                         full_requests=self._full_requests(item),

@@ -120,7 +120,6 @@ def _add_campaign_verb_args(cp, verb: str) -> None:
             action="store_true",
             help="run in-process instead of through the process pool",
         )
-        cp.add_argument("--tag", action="append", default=[], dest="tags")
     if verb in ("run", "continue"):
         cp.add_argument(
             "--telemetry",
@@ -504,7 +503,7 @@ def _run_campaign_search(args, out, spec, policy, store) -> int:
     else:
         executor = PoolExecutor(max_workers=args.workers)
     try:
-        report = SearchRunner(store, executor).search(spec, policy, tags=args.tags)
+        report = SearchRunner(store, executor).search(spec, policy)
     finally:
         if hasattr(executor, "close"):
             executor.close()
@@ -559,12 +558,10 @@ def _run_campaign_with_store(args, out, spec, store) -> int:
         try:
             with activate(tracer):
                 if args.campaign_command == "continue":
-                    report = runner.continue_run(spec, tags=args.tags)
+                    report = runner.continue_run(spec)
                 else:
                     report = runner.run(
-                        spec,
-                        tags=args.tags,
-                        retry_failed=getattr(args, "retry_failed", False),
+                        spec, retry_failed=getattr(args, "retry_failed", False)
                     )
         finally:
             if hasattr(executor, "close"):

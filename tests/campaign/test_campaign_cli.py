@@ -264,3 +264,19 @@ class TestResultsFormats:
                 "campaign", "results", str(spec_path), "--store", run_store,
                 "--format", "xml",
             )
+
+
+class TestNoTagFlag:
+    """A spec declares no tags, so no campaign command takes ``--tag``."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [("campaign", "run"), ("campaign", "continue"), ("campaign", "search"), ("search",)],
+    )
+    def test_tag_is_a_usage_error(self, command, spec_path, tmp_path, capsys):
+        store = tmp_path / "rows.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            invoke(*command, str(spec_path), "--store", str(store), "--tag", "A100")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --tag A100" in capsys.readouterr().err
+        assert not store.exists()

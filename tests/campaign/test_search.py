@@ -135,9 +135,7 @@ class TestLoadSearchSpec:
 
 class TestPrune:
     def cand(self, index, attainment, energy, scoreable=True):
-        c = _Candidate(
-            key=f"k{index}", combo={}, index=index, item=None, full_requests=100
-        )
+        c = _Candidate(key=f"k{index}", index=index, item=None, full_requests=100)
         c.attainment, c.energy, c.scoreable = attainment, energy, scoreable
         return c
 
