@@ -23,7 +23,6 @@ import yaml
 
 from repro.errors import ConfigError
 from repro.jube.parameters import Parameter, ParameterSet, referenced
-from repro.jube.result import ResultTable
 from repro.jube.script import BenchmarkScript
 from repro.jube.steps import Step
 
@@ -127,6 +126,24 @@ BUILTIN_KINDS: dict[str, tuple[tuple[str, ...], dict[str, str]]] = {
 }
 
 
+#: Keys a campaign spec may carry (``search`` is read by
+#: :func:`repro.campaign.search.load_search_spec`).
+_SPEC_KEYS = ("name", "systems", "store", "workloads", "search")
+#: Keys a workload entry may carry.
+_WORKLOAD_KEYS = ("kind", "name", "axes", "fixed", "depends", "operations", "operation")
+
+
+def _check_keys(doc: dict, known: tuple[str, ...], where: str) -> None:
+    """Reject keys a spec section does not know (a misspelling would
+    otherwise fall back to a default silently)."""
+    unknown = [str(key) for key in doc if key not in known]
+    if unknown:
+        raise ConfigError(
+            f"{where} has unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(known)}"
+        )
+
+
 def _str_tuple(value) -> tuple[str, ...]:
     if isinstance(value, (list, tuple)):
         return tuple(str(v) for v in value)
@@ -151,8 +168,6 @@ class WorkloadSpec:
         Single-valued parameters the templates reference.
     depends:
         Names of workloads whose results seed this one.
-    columns:
-        Optional result-table columns (adds a JUBE result table).
     """
 
     name: str
@@ -160,7 +175,6 @@ class WorkloadSpec:
     axes: dict[str, tuple[str, ...]] = field(default_factory=dict)
     fixed: dict[str, str] = field(default_factory=dict)
     depends: tuple[str, ...] = ()
-    columns: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -183,7 +197,6 @@ class WorkloadSpec:
         axes: dict | None = None,
         fixed: dict | None = None,
         depends=(),
-        columns=(),
     ) -> "WorkloadSpec":
         """A built-in workload from :data:`BUILTIN_KINDS` with overrides.
 
@@ -217,7 +230,6 @@ class WorkloadSpec:
             axes=axes,
             fixed=merged_fixed,
             depends=tuple(depends),
-            columns=tuple(columns),
         )
 
     @property
@@ -283,14 +295,6 @@ class CampaignSpec:
                     parameter_sets=(pset.name,),
                 )
             )
-            if workload.columns:
-                script.results.append(
-                    ResultTable(
-                        name=workload.name,
-                        step=workload.name,
-                        columns=workload.columns,
-                    )
-                )
         script.validate()
         return script
 
@@ -301,8 +305,12 @@ class CampaignSpec:
         """Build a spec from a plain mapping (parsed YAML/JSON)."""
         if not isinstance(doc, dict) or "name" not in doc:
             raise ConfigError("campaign spec must be a mapping with a 'name'")
+        _check_keys(doc, _SPEC_KEYS, "campaign spec")
         workloads = []
-        for raw in doc.get("workloads", []):
+        for position, raw in enumerate(doc.get("workloads") or [], start=1):
+            if not isinstance(raw, dict):
+                raise ConfigError(f"workload {position} must be a mapping")
+            _check_keys(raw, _WORKLOAD_KEYS, f"workload {position}")
             kind = raw.get("kind")
             if kind is not None:
                 workloads.append(
@@ -312,7 +320,6 @@ class CampaignSpec:
                         axes=raw.get("axes"),
                         fixed=raw.get("fixed"),
                         depends=_str_tuple(raw.get("depends", ())),
-                        columns=_str_tuple(raw.get("columns", ())),
                     )
                 )
             else:
@@ -330,7 +337,6 @@ class CampaignSpec:
                             k: str(v) for k, v in (raw.get("fixed") or {}).items()
                         },
                         depends=_str_tuple(raw.get("depends", ())),
-                        columns=_str_tuple(raw.get("columns", ())),
                     )
                 )
         return cls(
@@ -363,7 +369,6 @@ class CampaignSpec:
                     "axes": {k: list(v) for k, v in w.axes.items()},
                     "fixed": dict(w.fixed),
                     "depends": list(w.depends),
-                    "columns": list(w.columns),
                 }
                 for w in self.workloads
             ],

@@ -280,3 +280,19 @@ class TestNoTagFlag:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --tag A100" in capsys.readouterr().err
         assert not store.exists()
+
+
+def test_misspelled_spec_key_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    from repro.core import cli as caraml_cli
+
+    path = tmp_path / "typo.yaml"
+    path.write_text(
+        "name: typo\nsytems: [A100]\nworkloads:\n"
+        "  - kind: llm\n    axis: {global_batch_size: [64]}\n    fixd: {}\n"
+    )
+    monkeypatch.setattr("sys.argv", ["caraml", "campaign", "status", str(path)])
+    with pytest.raises(SystemExit) as exit_info:
+        caraml_cli.main()
+    assert exit_info.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "caraml: " in line and "'sytems'" in line

@@ -103,14 +103,12 @@ class TestCampaignSpec:
                     name="train",
                     operations=("emit --value 2",),
                     depends=("prepare",),
-                    columns=("system", "value"),
                 ),
             ),
         )
         script = spec.compile()
         assert [s.name for s in script.steps] == ["prepare", "train"]
         assert script.steps[1].depends == ("prepare",)
-        assert script.results[0].step == "train"
 
 
 class TestSerialisation:
@@ -150,6 +148,30 @@ class TestSerialisation:
     def test_missing_name(self):
         with pytest.raises(ConfigError, match="'name'"):
             CampaignSpec.from_dict({"systems": ["A100"]})
+
+    @pytest.mark.parametrize(
+        "doc, key, known",
+        [
+            ({"sytems": ["A100"]}, "sytems", "name, systems, store, workloads, search"),
+            (
+                {"workloads": [{"kind": "llm", "axis": {"power_cap": [0]}}]},
+                "axis",
+                "kind, name, axes, fixed, depends, operations, operation",
+            ),
+            ({"workloads": [{"kind": "llm", "fixd": {}}]}, "fixd", "fixed"),
+            ({"workloads": [{"kind": "llm", "columns": ["system"]}]}, "columns", "axes"),
+        ],
+    )
+    def test_misspelled_key_rejected(self, doc, key, known):
+        # A misspelled key used to fall back to the kind's defaults.
+        doc = {"name": "typo", "systems": ["A100"], "workloads": [{"kind": "llm"}], **doc}
+        with pytest.raises(ConfigError, match=f"unknown key.*'{key}'") as info:
+            CampaignSpec.from_dict(doc)
+        assert known in str(info.value)
+
+    def test_workload_must_be_a_mapping(self):
+        with pytest.raises(ConfigError, match="workload 1 must be a mapping"):
+            CampaignSpec.from_dict({"name": "c", "systems": ["A100"], "workloads": ["llm"]})
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no campaign spec"):
