@@ -126,15 +126,14 @@ class IntensityPoint:
 
     start_s: float
     gco2_per_kwh: float
-    price_per_kwh: float = 0.0
 
 
 @dataclass(frozen=True)
 class IntensityTimeseries:
-    """Piecewise-constant carbon intensity (and price) over time.
+    """Piecewise-constant carbon intensity over time.
 
     What electricityMap-style grid APIs return: a sequence of
-    ``(start, gCO2/kWh, price)`` steps, each valid until the next
+    ``(start, gCO2/kWh)`` steps, each valid until the next
     step's start.  The last step extends to infinity, so lookups never
     fall off the end; lookups before the first step clamp to it.
     The energy-aware scheduler consumes this to pick caps and defer
@@ -150,8 +149,8 @@ class IntensityTimeseries:
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise ConfigError("intensity points must have increasing starts")
         for p in self.points:
-            if p.gco2_per_kwh < 0 or p.price_per_kwh < 0:
-                raise ConfigError("intensity and price must be >= 0")
+            if p.gco2_per_kwh < 0:
+                raise ConfigError("intensity must be >= 0")
 
     def at(self, time_s: float) -> IntensityPoint:
         """The step in effect at ``time_s``."""
@@ -206,13 +205,12 @@ class IntensityTimeseries:
         swing: float = 0.45,
         period_s: float = 86400.0,
         steps: int = 24,
-        mean_price_per_kwh: float = 0.30,
         trough_at_s: float = 50400.0,
     ) -> "IntensityTimeseries":
         """A deterministic day-shaped grid curve.
 
         A sinusoid sampled into ``steps`` constant segments: intensity
-        (and price, which tracks it) bottoms out at ``trough_at_s``
+        bottoms out at ``trough_at_s``
         (14:00 by default — the solar peak) and peaks half a period
         away.  Purely analytic, so scheduler demos and tests are
         reproducible without a grid API.
@@ -230,10 +228,6 @@ class IntensityTimeseries:
             phase = 2.0 * _math.pi * (mid - trough_at_s) / period_s
             factor = 1.0 - swing * _math.cos(phase)
             points.append(
-                IntensityPoint(
-                    start_s=start,
-                    gco2_per_kwh=mean_gco2_per_kwh * factor,
-                    price_per_kwh=mean_price_per_kwh * factor,
-                )
+                IntensityPoint(start_s=start, gco2_per_kwh=mean_gco2_per_kwh * factor)
             )
         return cls(points=tuple(points))

@@ -9,9 +9,9 @@ from repro.errors import ConfigError
 def _series():
     return IntensityTimeseries(
         points=(
-            IntensityPoint(0.0, 100.0, price_per_kwh=0.10),
-            IntensityPoint(3600.0, 400.0, price_per_kwh=0.40),
-            IntensityPoint(7200.0, 200.0, price_per_kwh=0.20),
+            IntensityPoint(0.0, 100.0),
+            IntensityPoint(3600.0, 400.0),
+            IntensityPoint(7200.0, 200.0),
         )
     )
 
