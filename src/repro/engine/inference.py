@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.calibration import SystemCalibration, get_calibration
+from repro.engine.calibration import get_calibration
 from repro.engine.trainer import TrainResult, measure_run
 from repro.errors import ConfigError, OutOfMemoryError
 from repro.hardware.accelerator import AcceleratorKind
 from repro.hardware.node import NodeSpec
-from repro.models.precision import DEFAULT_POLICY, MixedPrecisionPolicy
 from repro.models.transformer import GPTConfig
 
 #: Achievable fraction of memory bandwidth during decode (attention and
@@ -63,20 +62,12 @@ class InferenceWorkload:
 class InferenceEngine:
     """Single-device LLM inference on one GPU system."""
 
-    def __init__(
-        self,
-        node: NodeSpec,
-        model: GPTConfig,
-        *,
-        calibration: SystemCalibration | None = None,
-        policy: MixedPrecisionPolicy = DEFAULT_POLICY,
-    ) -> None:
+    def __init__(self, node: NodeSpec, model: GPTConfig) -> None:
         if node.accelerator.kind is AcceleratorKind.IPU:
             raise ConfigError("the inference engine targets GPU systems")
         self.node = node
         self.model = model
-        self.cal = calibration if calibration is not None else get_calibration(node.jube_tag)
-        self.policy = policy
+        self.cal = get_calibration(node.jube_tag)
 
     # -- memory ------------------------------------------------------------
 
@@ -86,7 +77,7 @@ class InferenceEngine:
         return (
             workload.batch_size
             * context
-            * self.model.kv_cache_bytes_per_token(self.policy)
+            * self.model.kv_cache_bytes_per_token()
         )
 
     def kv_budget_bytes(self) -> float:
@@ -99,14 +90,14 @@ class InferenceEngine:
         """
         return (
             self.node.device_memory_bytes
-            - self.model.weight_bytes(self.policy)
+            - self.model.weight_bytes()
             - RUNTIME_RESERVE_BYTES
         )
 
     def check_memory(self, workload: InferenceWorkload) -> None:
         """Weights + KV cache + runtime must fit device memory."""
         needed = (
-            self.model.weight_bytes(self.policy)
+            self.model.weight_bytes()
             + self.kv_cache_bytes(workload)
             + RUNTIME_RESERVE_BYTES
         )
@@ -123,7 +114,7 @@ class InferenceEngine:
     def max_batch_size(self, workload: InferenceWorkload) -> int:
         """Largest batch whose KV cache fits device memory."""
         context = workload.prompt_tokens + workload.generate_tokens
-        per_seq = context * self.model.kv_cache_bytes_per_token(self.policy)
+        per_seq = context * self.model.kv_cache_bytes_per_token()
         free = self.kv_budget_bytes()
         if free < per_seq:
             return 0
@@ -144,7 +135,7 @@ class InferenceEngine:
         """One generation step for the whole batch (roofline max)."""
         if batch_size < 1:
             raise ConfigError("batch size must be >= 1")
-        weight_read = self.model.weight_bytes(self.policy)
+        weight_read = self.model.weight_bytes()
         bandwidth_time = weight_read / (
             self.node.device_memory_bandwidth * DECODE_BANDWIDTH_EFFICIENCY
         )
@@ -157,7 +148,7 @@ class InferenceEngine:
 
     def saturation_batch_size(self) -> float:
         """Batch where decode flips from bandwidth- to compute-bound."""
-        weight_read = self.model.weight_bytes(self.policy)
+        weight_read = self.model.weight_bytes()
         bandwidth_time = weight_read / (
             self.node.device_memory_bandwidth * DECODE_BANDWIDTH_EFFICIENCY
         )

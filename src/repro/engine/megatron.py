@@ -13,7 +13,6 @@ The engine mirrors the benchmark's execution semantics:
 
 from __future__ import annotations
 
-from repro.engine.calibration import SystemCalibration
 from repro.engine.oom import check_llm_memory
 from repro.engine.perf import LLMStepModel
 from repro.engine.trainer import TrainResult, measure_run
@@ -24,7 +23,6 @@ from repro.models.lossmodel import GPT_LOSS
 from repro.obs.metrics import get_metrics
 from repro.models.parallelism import ParallelLayout
 from repro.models.transformer import GPTConfig
-from repro.simcluster.affinity import BindingPolicy
 
 
 class MegatronEngine:
@@ -38,8 +36,6 @@ class MegatronEngine:
         *,
         micro_batch_size: int = 4,
         nodes_used: int = 1,
-        calibration: SystemCalibration | None = None,
-        binding: BindingPolicy = BindingPolicy.GPU_AFFINE,
     ) -> None:
         if node.accelerator.kind is AcceleratorKind.IPU:
             raise ConfigError(
@@ -50,15 +46,12 @@ class MegatronEngine:
         self.layout = layout
         self.micro_batch_size = micro_batch_size
         self.nodes_used = nodes_used
-        self.binding = binding
         self.step_model = LLMStepModel(
             node,
             model,
             layout,
             micro_batch_size=micro_batch_size,
             nodes_used=nodes_used,
-            calibration=calibration,
-            binding=binding,
         )
 
     def check_memory(self) -> None:

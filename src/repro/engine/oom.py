@@ -13,15 +13,11 @@ from repro.errors import ConfigError
 from repro.faults.injector import get_injector
 from repro.hardware.memory import MemoryBudget, MemoryPool
 from repro.hardware.node import NodeSpec
-from repro.models.activation import (
-    RecomputeMode,
-    transformer_activation_bytes,
-)
+from repro.models.activation import transformer_activation_bytes
 from repro.models.optimizer import OptimizerConfig, optimizer_state_bytes
 from repro.models.parallelism import ParallelLayout
 from repro.models.resnet import CNNConfig
 from repro.models.transformer import GPTConfig
-from repro.models.precision import DEFAULT_POLICY, MixedPrecisionPolicy
 
 #: CUDA/ROCm context, NCCL buffers, framework workspace per device.
 FRAMEWORK_RESERVED_BYTES = 2_000_000_000
@@ -34,28 +30,26 @@ def check_llm_memory(
     model: GPTConfig,
     layout: ParallelLayout,
     micro_batch_size: int,
-    *,
-    optimizer: OptimizerConfig | None = None,
-    policy: MixedPrecisionPolicy = DEFAULT_POLICY,
-    recompute: RecomputeMode = RecomputeMode.SELECTIVE,
 ) -> MemoryBudget:
-    """Per-device memory budget of a Megatron GPT configuration."""
+    """Per-device memory budget of a Megatron GPT configuration.
+
+    Adam with Megatron's distributed optimizer, mixed precision and
+    selective activation recompute: the benchmark's settings.
+    """
     if micro_batch_size <= 0:
         raise ConfigError("micro batch size must be positive")
-    opt = optimizer if optimizer is not None else OptimizerConfig()
     pool = MemoryPool(node.device_memory_bytes, strict=False)
 
     shard_params = int(layout.shard_parameters(model.parameters))
     pool.allocate(
         "weights+grads+optimizer",
-        optimizer_state_bytes(shard_params, opt, layout.dp, policy),
+        optimizer_state_bytes(shard_params, OptimizerConfig(), layout.dp),
     )
     layers_resident = layout.layers_per_stage(model.layers)
     in_flight = layout.pp  # 1F1B keeps up to pp micro-batches alive
     activations = transformer_activation_bytes(
         model,
         micro_batch_size,
-        mode=recompute,
         layers_resident=layers_resident,
         in_flight_micro_batches=in_flight,
     )
@@ -69,8 +63,6 @@ def check_cnn_memory(
     node: NodeSpec,
     model: CNNConfig,
     local_batch_size: int,
-    *,
-    policy: MixedPrecisionPolicy = DEFAULT_POLICY,
 ) -> MemoryBudget:
     """Per-device memory budget of a data-parallel CNN configuration.
 
@@ -83,7 +75,7 @@ def check_cnn_memory(
     opt = OptimizerConfig(distributed=False)
     pool.allocate(
         "weights+grads+optimizer",
-        optimizer_state_bytes(model.parameters, opt, 1, policy),
+        optimizer_state_bytes(model.parameters, opt),
     )
     pool.allocate(
         "activations", local_batch_size * model.activation_bytes_per_image

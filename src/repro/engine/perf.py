@@ -30,11 +30,11 @@ from repro.engine.efficiency import batch_efficiency
 from repro.errors import ConfigError
 from repro.hardware.accelerator import Vendor
 from repro.hardware.node import NodeSpec
-from repro.models.optimizer import OptimizerConfig, gradient_bytes
+from repro.models.optimizer import gradient_bytes
 from repro.models.parallelism import ParallelLayout
 from repro.models.resnet import CNNConfig
 from repro.models.transformer import GPTConfig
-from repro.models.precision import DEFAULT_POLICY, MixedPrecisionPolicy
+from repro.models.precision import DEFAULT_POLICY
 from repro.simcluster.affinity import AffinityEffect, BindingPolicy, affinity_penalty
 from repro.simcluster.nccl import CollectiveModel
 
@@ -129,8 +129,6 @@ class LLMStepModel:
         micro_batch_size: int = 4,
         nodes_used: int = 1,
         calibration: SystemCalibration | None = None,
-        optimizer: OptimizerConfig | None = None,
-        policy: MixedPrecisionPolicy = DEFAULT_POLICY,
         binding: BindingPolicy = BindingPolicy.GPU_AFFINE,
     ) -> None:
         if micro_batch_size <= 0:
@@ -149,8 +147,6 @@ class LLMStepModel:
         self.micro_batch_size = micro_batch_size
         self.nodes_used = nodes_used
         self.cal = calibration if calibration is not None else get_calibration(node.jube_tag)
-        self.optimizer = optimizer if optimizer is not None else OptimizerConfig()
-        self.policy = policy
         self.binding = binding
         self._affinity = _mean_affinity(node, layout.world_size, binding)
 
@@ -211,7 +207,7 @@ class LLMStepModel:
             self.model.seq_length
             * self.micro_batch_size
             * self.model.hidden
-            * self.policy.compute.bytes
+            * DEFAULT_POLICY.compute.bytes
         )
         collectives_per_layer = 4  # fwd x2 + bwd x2
         layers = self.model.layers / self.layout.pp
@@ -227,14 +223,14 @@ class LLMStepModel:
     def gradient_comm_s(self) -> float:
         """Per-iteration exposed gradient synchronisation time.
 
-        With the distributed optimizer this is a reduce-scatter plus
-        all-gather over the data-parallel group; partial overlap with
-        backward hides ``comm_overlap`` of it.
+        Megatron's distributed optimizer makes this a reduce-scatter
+        plus all-gather over the data-parallel group; partial overlap
+        with backward hides ``comm_overlap`` of it.
         """
         if self.layout.dp == 1:
             return 0.0
         shard_params = self.model.parameters / (self.layout.tp * self.layout.pp)
-        grad_bytes = gradient_bytes(int(shard_params), self.policy)
+        grad_bytes = gradient_bytes(int(shard_params))
         dp_ranks_per_node = max(
             1, min(self.layout.dp, self.node.logical_devices_per_node)
         )
@@ -244,10 +240,7 @@ class LLMStepModel:
             ranks_per_node=dp_ranks_per_node,
             nodes=max(1, -(-self.layout.dp // dp_ranks_per_node)),
         )
-        if self.optimizer.distributed:
-            full = dp_model.reduce_scatter(grad_bytes) + dp_model.allgather(grad_bytes)
-        else:
-            full = dp_model.allreduce(grad_bytes)
+        full = dp_model.reduce_scatter(grad_bytes) + dp_model.allgather(grad_bytes)
         exposed = full * (1.0 - self.cal.comm_overlap)
         return exposed * self._affinity.collective_latency_factor
 
@@ -304,10 +297,6 @@ class CNNStepModel:
         *,
         devices: int = 1,
         nodes_used: int = 1,
-        dataset_images: int = IMAGENET_TRAIN_IMAGES,
-        dataset_bytes_per_image: int | None = None,
-        calibration: SystemCalibration | None = None,
-        policy: MixedPrecisionPolicy = DEFAULT_POLICY,
         binding: BindingPolicy = BindingPolicy.GPU_AFFINE,
         synthetic_data: bool = False,
     ) -> None:
@@ -321,16 +310,9 @@ class CNNStepModel:
         self.model = model
         self.devices = devices
         self.nodes_used = nodes_used
-        self.cal = calibration if calibration is not None else get_calibration(node.jube_tag)
-        self.policy = policy
+        self.cal = get_calibration(node.jube_tag)
         self.binding = binding
         self.synthetic_data = synthetic_data
-        self.dataset_images = dataset_images
-        self.dataset_bytes_per_image = (
-            dataset_bytes_per_image
-            if dataset_bytes_per_image is not None
-            else model.image_pixels
-        )
         self._affinity = _mean_affinity(node, devices, binding)
         derate = _amd_derate(node, devices, self.cal)
         self.effective_peak_flops = node.device_peak_flops * derate
@@ -356,9 +338,7 @@ class CNNStepModel:
         """
         if self.synthetic_data:
             return 1.0
-        shard_bytes = (
-            self.dataset_images * self.dataset_bytes_per_image / self.devices
-        )
+        shard_bytes = IMAGENET_TRAIN_IMAGES * self.model.image_pixels / self.devices
         hit = min(1.0, self.node.cpu_memory_per_device / shard_bytes)
         w = self.cal.host_cache_sensitivity
         return (1.0 - w) + w * hit
@@ -401,7 +381,7 @@ class CNNStepModel:
         host = max(0.0, b / self.host_decode_rate() - compute)
         comm = 0.0
         if self.devices > 1:
-            grad_bytes = gradient_bytes(self.model.parameters, self.policy)
+            grad_bytes = gradient_bytes(self.model.parameters)
             full = self.collectives.allreduce(grad_bytes)
             comm = full * (1.0 - self.cal.comm_overlap)
             comm *= self._affinity.collective_latency_factor

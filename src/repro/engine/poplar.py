@@ -38,6 +38,8 @@ from repro.simcluster.nccl import allreduce_time
 
 # -- GPT-117M pipeline constants (fit to Table II) ---------------------------
 
+#: Pipeline stages, one per GC200 of the IPU-POD4.
+GPT_PIPELINE_STAGES = 4
 #: Samples ("tokens" in the paper's unit) per pipeline micro-batch.
 GPT_MICRO_BATCH = 32
 #: Time one micro-batch spends in one pipeline stage.  Sets the
@@ -90,24 +92,20 @@ class PoplarGPTEngine:
         node: NodeSpec,
         model: GPTConfig | None = None,
         *,
-        pipeline_stages: int = 4,
         instances: int = 1,
         placement: SyntheticPlacement = SyntheticPlacement.HOST,
     ) -> None:
         _require_ipu(node)
-        if pipeline_stages < 1:
-            raise ConfigError("pipeline needs at least one stage")
         if instances < 1:
             raise ConfigError("need at least one instance")
-        if pipeline_stages * instances > node.logical_devices_per_node:
+        if GPT_PIPELINE_STAGES * instances > node.logical_devices_per_node:
             raise ConfigError(
-                f"{instances} instance(s) x {pipeline_stages} stages need "
-                f"{pipeline_stages * instances} IPUs, "
+                f"{instances} instance(s) x {GPT_PIPELINE_STAGES} stages need "
+                f"{GPT_PIPELINE_STAGES * instances} IPUs, "
                 f"{node.name} has {node.logical_devices_per_node}"
             )
         self.node = node
         self.model = model if model is not None else get_gpt_preset("117M")
-        self.pipeline_stages = pipeline_stages
         #: Data-parallel replicas via PopDist+Horovod (paper §III-A1:
         #: "Scaling to more nodes can be done by employing more
         #: instances using PopDist and Horovod").  The POD4 fits one;
@@ -130,14 +128,14 @@ class PoplarGPTEngine:
         # training (4 bytes/param in fp16); Adam state streams from
         # DRAM, but activations of the in-flight micro-batches and the
         # compiled code image must also fit.
-        stage_weights = 2 * self.model.weight_bytes() / self.pipeline_stages
+        stage_weights = 2 * self.model.weight_bytes() / GPT_PIPELINE_STAGES
         activations = (
             2.0  # fwd + stashed-for-bwd copies per stage in 1F1B
             * GPT_MICRO_BATCH
             * self.model.seq_length
             * self.model.hidden
             * 2  # fp16
-            / self.pipeline_stages
+            / GPT_PIPELINE_STAGES
         )
         code_image = 120_000_000  # compiled graph + vertex state
         needed = stage_weights + activations + code_image
@@ -169,12 +167,12 @@ class PoplarGPTEngine:
             )
         micro_batches = int(per_instance) // GPT_MICRO_BATCH
         stages = pipeline_stage_times(
-            self.pipeline_stages, micro_batches, GPT_STAGE_TIME_S
+            GPT_PIPELINE_STAGES, micro_batches, GPT_STAGE_TIME_S
         )
         compute = stages + GPT_FILL_OVERHEAD_MICRO * GPT_STAGE_TIME_S
         sync = 0.0
         if self.instances > 1:
-            grad_bytes = self.model.weight_bytes() / self.pipeline_stages
+            grad_bytes = self.model.weight_bytes() / GPT_PIPELINE_STAGES
             sync = allreduce_time(
                 grad_bytes, self.instances, self.node.accel_accel_link
             )
@@ -207,7 +205,7 @@ class PoplarGPTEngine:
 
         _, elapsed, energy_wh, mean_power = measure_run(
             self.node,
-            self.pipeline_stages * self.instances,
+            GPT_PIPELINE_STAGES * self.instances,
             body,
             span_name="llm/train",
             span_attrs={
@@ -220,7 +218,7 @@ class PoplarGPTEngine:
             system_tag=self.node.jube_tag,
             benchmark=f"llm-{self.model.name}",
             global_batch_size=global_batch_size,
-            devices=self.pipeline_stages * self.instances,
+            devices=GPT_PIPELINE_STAGES * self.instances,
             iterations=1,
             elapsed_s=t_iter,  # the throughput window (compute only)
             throughput=throughput,
@@ -245,7 +243,6 @@ class PoplarResNetEngine:
         model: CNNConfig | None = None,
         *,
         replicas: int = 1,
-        dataset_images: int = IMAGENET_TRAIN_IMAGES,
     ) -> None:
         _require_ipu(node)
         if replicas < 1 or replicas > node.logical_devices_per_node:
@@ -255,7 +252,6 @@ class PoplarResNetEngine:
         self.node = node
         self.model = model if model is not None else get_cnn_preset("resnet50")
         self.replicas = replicas
-        self.dataset_images = dataset_images
 
     def check_memory(self, micro_batch: int = RESNET_MICRO_BATCH) -> None:
         """SRAM feasibility of a micro-batch (the paper's 16-image cap)."""
@@ -316,7 +312,7 @@ class PoplarResNetEngine:
         """One ImageNet-sized epoch, measured (compilation excluded)."""
         self.check_memory()
         rate = self.images_per_second(global_batch_size)
-        epoch_s = self.dataset_images / rate
+        epoch_s = IMAGENET_TRAIN_IMAGES / rate
         util = self.utilisation(global_batch_size)
 
         def body(runner, clock):
@@ -338,7 +334,7 @@ class PoplarResNetEngine:
             benchmark=f"resnet-{self.model.name}",
             global_batch_size=global_batch_size,
             devices=self.replicas,
-            iterations=self.dataset_images // global_batch_size,
+            iterations=IMAGENET_TRAIN_IMAGES // global_batch_size,
             elapsed_s=elapsed,
             throughput=rate,
             throughput_unit="images_per_s",
@@ -347,7 +343,7 @@ class PoplarResNetEngine:
             extra={
                 "epoch_time_s": epoch_s,
                 "epoch_energy_wh": energy_wh,
-                "images_per_wh": self.dataset_images / self.replicas / energy_wh,
+                "images_per_wh": IMAGENET_TRAIN_IMAGES / self.replicas / energy_wh,
                 "compile_time_excluded_s": COMPILE_TIME_S,
             },
         )

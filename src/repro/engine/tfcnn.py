@@ -15,7 +15,6 @@ Execution semantics mirror the benchmark:
 from __future__ import annotations
 
 from repro.data.imagenet import IMAGENET_TRAIN_IMAGES
-from repro.engine.calibration import SystemCalibration
 from repro.engine.oom import check_cnn_memory
 from repro.engine.perf import CNNStepModel
 from repro.engine.trainer import TrainResult, measure_run
@@ -41,10 +40,8 @@ class TFCNNEngine:
         *,
         devices: int = 1,
         nodes_used: int = 1,
-        calibration: SystemCalibration | None = None,
         binding: BindingPolicy = BindingPolicy.GPU_AFFINE,
         synthetic_data: bool = False,
-        dataset_images: int = IMAGENET_TRAIN_IMAGES,
     ) -> None:
         if node.accelerator.kind is AcceleratorKind.IPU:
             raise ConfigError(
@@ -54,16 +51,13 @@ class TFCNNEngine:
         self.model = model
         self.devices = devices
         self.nodes_used = nodes_used
-        self.dataset_images = dataset_images
         self.step_model = CNNStepModel(
             node,
             model,
             devices=devices,
             nodes_used=nodes_used,
-            calibration=calibration,
             binding=binding,
             synthetic_data=synthetic_data,
-            dataset_images=dataset_images,
         )
 
     def check_memory(self, local_batch_size: int) -> None:
@@ -119,7 +113,7 @@ class TFCNNEngine:
         get_metrics().gauge("resnet_images_per_s", "CNN training throughput").set(
             throughput, system=self.node.jube_tag, model=self.model.name
         )
-        epoch_s = self.dataset_images / throughput
+        epoch_s = IMAGENET_TRAIN_IMAGES / throughput
         epoch_energy_per_device_wh = mean_power * epoch_s / 3600.0
         return TrainResult(
             system_tag=self.node.jube_tag,
@@ -138,7 +132,7 @@ class TFCNNEngine:
                 "epoch_time_s": epoch_s,
                 "epoch_energy_per_device_wh": epoch_energy_per_device_wh,
                 "images_per_wh": (
-                    self.dataset_images / self.devices / epoch_energy_per_device_wh
+                    IMAGENET_TRAIN_IMAGES / self.devices / epoch_energy_per_device_wh
                 ),
             },
         )

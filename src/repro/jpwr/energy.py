@@ -17,16 +17,15 @@ from repro.units import JOULES_PER_WH, joules_to_wh
 TIME_COLUMN = "time_s"
 
 
-def integrate_energy_wh(df: DataFrame, *, time_column: str = TIME_COLUMN) -> dict[str, float]:
+def integrate_energy_wh(df: DataFrame) -> dict[str, float]:
     """Integrate each power column of a sample frame to energy (Wh).
 
     Parameters
     ----------
     df:
-        Sample frame with a monotonically non-decreasing time column
-        (seconds) and one or more power columns (watts).
-    time_column:
-        Name of the time column.
+        Sample frame with a monotonically non-decreasing
+        :data:`TIME_COLUMN` (seconds) and one or more power columns
+        (watts).
 
     Returns
     -------
@@ -38,9 +37,9 @@ def integrate_energy_wh(df: DataFrame, *, time_column: str = TIME_COLUMN) -> dic
         On a missing time column, non-monotonic timestamps, or a frame
         with fewer than two samples (no interval to integrate).
     """
-    if time_column not in df:
-        raise MeasurementError(f"frame lacks time column {time_column!r}")
-    t = np.asarray(df[time_column], dtype=float)
+    if TIME_COLUMN not in df:
+        raise MeasurementError(f"frame lacks time column {TIME_COLUMN!r}")
+    t = np.asarray(df[TIME_COLUMN], dtype=float)
     if len(t) < 2:
         raise MeasurementError(
             f"need at least 2 samples to integrate energy, got {len(t)}"
@@ -49,7 +48,7 @@ def integrate_energy_wh(df: DataFrame, *, time_column: str = TIME_COLUMN) -> dic
         raise MeasurementError("timestamps are not monotonically non-decreasing")
     energies: dict[str, float] = {}
     for column in df.columns:
-        if column == time_column:
+        if column == TIME_COLUMN:
             continue
         p = np.asarray(df[column], dtype=float)
         energies[column] = joules_to_wh(float(np.trapezoid(p, t)))
@@ -59,8 +58,6 @@ def integrate_energy_wh(df: DataFrame, *, time_column: str = TIME_COLUMN) -> dic
 def cumulative_energy_wh(
     df: DataFrame,
     columns: list[str] | tuple[str, ...] | None = None,
-    *,
-    time_column: str = TIME_COLUMN,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Running energy integral over (a subset of) the power columns.
 
@@ -77,9 +74,9 @@ def cumulative_energy_wh(
     conditions as :func:`integrate_energy_wh`, plus on an unknown or
     empty column selection.
     """
-    if time_column not in df:
-        raise MeasurementError(f"frame lacks time column {time_column!r}")
-    t = np.asarray(df[time_column], dtype=float)
+    if TIME_COLUMN not in df:
+        raise MeasurementError(f"frame lacks time column {TIME_COLUMN!r}")
+    t = np.asarray(df[TIME_COLUMN], dtype=float)
     if len(t) < 2:
         raise MeasurementError(
             f"need at least 2 samples to integrate energy, got {len(t)}"
@@ -87,7 +84,7 @@ def cumulative_energy_wh(
     if np.any(np.diff(t) < 0):
         raise MeasurementError("timestamps are not monotonically non-decreasing")
     if columns is None:
-        columns = [c for c in df.columns if c != time_column]
+        columns = [c for c in df.columns if c != TIME_COLUMN]
     if not columns:
         raise MeasurementError("no power columns selected")
     missing = [c for c in columns if c not in df]
@@ -122,9 +119,9 @@ def cumulative_at(
     return np.interp(bounds, times, cumulative)
 
 
-def energy_frame(df: DataFrame, *, time_column: str = TIME_COLUMN) -> DataFrame:
+def energy_frame(df: DataFrame) -> DataFrame:
     """jpwr's ``energy_df``: one row of integrated Wh per power column."""
-    energies = integrate_energy_wh(df, time_column=time_column)
+    energies = integrate_energy_wh(df)
     out = DataFrame(energies.keys())
     out.add_row(energies)
     return out

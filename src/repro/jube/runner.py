@@ -95,14 +95,14 @@ class OperationRegistry:
                 wp.record(key, value)
 
 
-# -- workpackage execution seam -------------------------------------------
+# -- workpackage execution ------------------------------------------------
 #
 # One step's workpackages are independent of each other (dependencies
-# exist only *between* steps), so their execution is factored behind an
-# executor: the runner prepares self-contained :class:`WorkItem`\ s,
-# hands them to its executor, and folds the :class:`WorkResult`\ s back
-# into the run.  The default executor runs items in order in-process;
-# ``repro.campaign.executor`` plugs a process pool into the same seam.
+# exist only *between* steps), so each is described by a self-contained,
+# picklable :class:`WorkItem` and executed by :func:`execute_workpackage`
+# into a :class:`WorkResult`.  The JUBE runner executes a step's items in
+# order in-process; ``repro.campaign.executor`` runs the same items
+# through a process pool behind :class:`WorkpackageExecutor`.
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def work_item_for(
 
 
 class WorkpackageExecutor(Protocol):
-    """The executor seam of :meth:`JubeRunner._run_step`.
+    """How a campaign executes one step's work items.
 
     Implementations must return one :class:`WorkResult` per item, in
     item order, and must not reorder or drop items; a barrier at the
@@ -203,17 +203,6 @@ class WorkpackageExecutor(Protocol):
     def run_items(self, items: list[WorkItem]) -> list[WorkResult]:
         """Execute the items of one step."""
         ...  # pragma: no cover
-
-
-class SequentialExecutor:
-    """Default in-process executor: items run in order, errors raise."""
-
-    def __init__(self, registry: OperationRegistry) -> None:
-        self.registry = registry
-
-    def run_items(self, items: list[WorkItem]) -> list[WorkResult]:
-        """Execute items one after the other in this process."""
-        return [execute_workpackage(self.registry, item) for item in items]
 
 
 @dataclass
@@ -265,19 +254,12 @@ def _check_tag_guarded_parameters(
 class JubeRunner:
     """Executes benchmark scripts against an operation registry.
 
-    ``executor`` replaces how one step's workpackages are executed
-    (default: sequential in-process).  Whatever the executor, step
-    boundaries stay barriers: a dependent step only starts once every
-    package of its dependencies has finished.
+    A step's workpackages run in order in this process, and a dependent
+    step only starts once every package of its dependencies finished.
     """
 
-    def __init__(
-        self,
-        registry: OperationRegistry,
-        executor: WorkpackageExecutor | None = None,
-    ) -> None:
+    def __init__(self, registry: OperationRegistry) -> None:
         self.registry = registry
-        self.executor = executor if executor is not None else SequentialExecutor(registry)
 
     # -- run ------------------------------------------------------------
 
@@ -323,16 +305,8 @@ class JubeRunner:
         with get_tracer().span(
             "jube/step", attrs={"step": step.name, "workpackages": len(items)}
         ):
-            results = self.executor.run_items(items)
-        if len(results) != len(items):
-            raise JubeError(
-                f"executor returned {len(results)} results for {len(items)} items"
-            )
+            results = [execute_workpackage(self.registry, item) for item in items]
         for item, result in zip(items, results):
-            if result.error is not None:
-                raise JubeError(
-                    f"workpackage {step.name}#{item.index} failed: {result.error}"
-                )
             wp = Workpackage(step=step, parameters=item.parameters, index=item.index)
             wp.outputs = dict(result.outputs)
             wp.stdout = result.stdout

@@ -47,7 +47,7 @@ def get_logger(name: str) -> logging.Logger:
     return logging.getLogger(f"{ROOT_LOGGER}.{name}")
 
 
-def configure_logging(verbosity: int = 0, *, stream=None) -> logging.Logger:
+def configure_logging(verbosity: int = 0) -> logging.Logger:
     """Configure the ``repro`` root logger for a CLI invocation.
 
     ``verbosity`` follows the CLI flags: ``-1`` for ``-q``, ``0`` for
@@ -60,7 +60,7 @@ def configure_logging(verbosity: int = 0, *, stream=None) -> logging.Logger:
     root.setLevel(level)
     for handler in list(root.handlers):
         root.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter(_FORMAT))
     root.addHandler(handler)
     root.propagate = False

@@ -28,7 +28,7 @@ from typing import Callable
 
 from repro.errors import ConfigError
 from repro.obs.telemetry.sketch import RollingWindow
-from repro.obs.telemetry.timeseries import DEFAULT_RING_CAPACITY, RingTimeseries
+from repro.obs.telemetry.timeseries import RingTimeseries
 
 #: Default sampling interval in simulated seconds (100 ms, matching the
 #: serving simulator's trace counter cadence).
@@ -45,8 +45,6 @@ class TelemetrySampler:
     ----------
     interval_s:
         Simulated-time sampling interval.
-    ring_capacity:
-        Per-series ring size (oldest samples evicted beyond it).
     rolling_window_s:
         Default window span for :meth:`add_rolling` series.
     """
@@ -55,13 +53,11 @@ class TelemetrySampler:
         self,
         *,
         interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
         rolling_window_s: float = DEFAULT_ROLLING_WINDOW_S,
     ) -> None:
         if interval_s <= 0:
             raise ConfigError("sampling interval must be positive")
         self.interval_s = float(interval_s)
-        self.ring_capacity = int(ring_capacity)
         self.rolling_window_s = float(rolling_window_s)
         self.samples_taken = 0
         self._tick_index = 0
@@ -76,9 +72,7 @@ class TelemetrySampler:
 
     def _ring(self, name: str, labels: dict[str, str] | None) -> RingTimeseries:
         """Get or create the ring for one (name, labels) series."""
-        ring = RingTimeseries(
-            name=name, labels=dict(labels or {}), capacity=self.ring_capacity
-        )
+        ring = RingTimeseries(name=name, labels=dict(labels or {}))
         existing = self._series.get(ring.key())
         if existing is not None:
             return existing

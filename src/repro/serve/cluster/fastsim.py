@@ -316,8 +316,8 @@ class _ClusterLoop:
     def _start_transfer(self, index: int, source: Replica, now: float) -> None:
         """Hand a prefilled request's KV state to the decode pool."""
         request = source.handoff.pop(index)
-        kv_bytes = request.prompt_tokens * self.sim.engine.model.kv_cache_bytes_per_token(
-            self.sim.engine.policy
+        kv_bytes = (
+            request.prompt_tokens * self.sim.engine.model.kv_cache_bytes_per_token()
         )
         link = self.sim.link
         duration = transfer_time_s(kv_bytes, link)

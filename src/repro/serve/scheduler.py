@@ -71,9 +71,7 @@ class ContinuousBatchScheduler:
             )
         self.kv_budget_bytes = float(budget)
         # KV-cache bytes one token of context reserves.
-        self._kv_bytes_per_token = float(
-            engine.model.kv_cache_bytes_per_token(engine.policy)
-        )
+        self._kv_bytes_per_token = float(engine.model.kv_cache_bytes_per_token())
         self.active: list[Sequence] = []
         self._kv_reserved = 0.0
 

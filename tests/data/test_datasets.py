@@ -1,15 +1,16 @@
 """Tests for the synthetic OSCAR corpus and the ImageNet split size."""
 
 import hashlib
-import inspect
 
 import pytest
 
 from repro.data.imagenet import IMAGENET_TRAIN_IMAGES
 from repro.data.oscar import OscarSubset, generate_oscar_subset, prepared_oscar_tokens
 from repro.data.tokenizer import BPETokenizer
-from repro.engine.perf import CNNStepModel
+from repro.engine.tfcnn import TFCNNEngine
 from repro.errors import DataError
+from repro.hardware.systems import get_system
+from repro.models.resnet import get_cnn_preset
 
 
 class TestOscar:
@@ -72,5 +73,7 @@ class TestPreparedOscar:
 
 class TestImageNet:
     def test_default_is_imagenet_train_split(self):
-        default = inspect.signature(CNNStepModel).parameters["dataset_images"].default
-        assert default == IMAGENET_TRAIN_IMAGES == 1_281_167
+        # An epoch is one pass over the ImageNet train split.
+        result = TFCNNEngine(get_system("A100"), get_cnn_preset("resnet50")).train(256)
+        assert IMAGENET_TRAIN_IMAGES == 1_281_167
+        assert result.extra["epoch_time_s"] == IMAGENET_TRAIN_IMAGES / result.throughput

@@ -87,7 +87,7 @@ class TestMemoryBoundaries:
     def test_kv_budget_is_memory_minus_weights_and_reserve(self, engine):
         expected = (
             engine.node.device_memory_bytes
-            - engine.model.weight_bytes(engine.policy)
+            - engine.model.weight_bytes()
             - RUNTIME_RESERVE_BYTES
         )
         assert engine.kv_budget_bytes() == pytest.approx(expected)
@@ -96,7 +96,7 @@ class TestMemoryBoundaries:
         w = InferenceWorkload()
         per_seq = (
             w.prompt_tokens + w.generate_tokens
-        ) * engine.model.kv_cache_bytes_per_token(engine.policy)
+        ) * engine.model.kv_cache_bytes_per_token()
         assert engine.max_batch_size(w) == int(engine.kv_budget_bytes() // per_seq)
 
     def test_boundary_batch_agreement(self, engine):
@@ -121,7 +121,7 @@ class TestMemoryBoundaries:
         assert err.capacity_bytes == engine.node.device_memory_bytes
         kv = engine.kv_cache_bytes(InferenceWorkload(batch_size=10**6))
         expected = int(
-            engine.model.weight_bytes(engine.policy) + kv + RUNTIME_RESERVE_BYTES
+            engine.model.weight_bytes() + kv + RUNTIME_RESERVE_BYTES
         )
         assert err.required_bytes == expected
 

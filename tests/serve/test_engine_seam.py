@@ -89,7 +89,7 @@ class TestKVReservation:
         # multiply over the whole stream.
         engine = InferenceEngine(get_system("GH200"), get_gpt_preset("800M"))
         scheduler = ContinuousBatchScheduler(engine, batch_cap=8)
-        per_token = engine.model.kv_cache_bytes_per_token(engine.policy)
+        per_token = engine.model.kv_cache_bytes_per_token()
         requests = self.ARRIVALS.generate()
         vectorized = (
             np.array([r.context_tokens for r in requests], dtype=np.float64)

@@ -60,9 +60,7 @@ class TestScheduler:
     def test_kv_reservation_matches_engine_accounting(self, engine):
         sched = ContinuousBatchScheduler(engine, batch_cap=8)
         r = request(0, prompt=512, generate=256)
-        expected = r.context_tokens * engine.model.kv_cache_bytes_per_token(
-            engine.policy
-        )
+        expected = r.context_tokens * engine.model.kv_cache_bytes_per_token()
         assert sched.kv_bytes_for(r) == pytest.approx(expected)
         sched.admit(r, 0.0)
         assert sched.kv_reserved_bytes == pytest.approx(expected)
