@@ -113,7 +113,7 @@ def _add_campaign_verb_args(cp, verb: str) -> None:
             "--workers",
             type=int,
             default=None,
-            help="process-pool size (default: one per workpackage, max 8)",
+            help="process-pool size (default: the CPU count, at most 8)",
         )
         cp.add_argument(
             "--sequential",
@@ -201,9 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cnn.add_argument(
         "--binding",
-        default="gpu-affine",
         choices=[p.value for p in BindingPolicy],
-        help="CPU binding policy (paper section V-C)",
+        help="CPU binding policy (paper section V-C; default: gpu-affine)",
     )
     _add_trace_flag(cnn)
     _add_faults_flag(cnn)
@@ -214,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--system", required=True, choices=SYSTEM_TAGS)
     infer.add_argument("--model", default="800M")
     infer.add_argument("--batch", type=int, default=8)
-    infer.add_argument("--prompt-tokens", type=int, default=512)
-    infer.add_argument("--generate-tokens", type=int, default=256)
+    infer.add_argument("--prompt-tokens", type=int, help="prompt length")
+    infer.add_argument("--generate-tokens", type=int, help="generated tokens")
     _add_option_flags(infer, (POWER_CAP,))
 
     from repro.serve.cluster.router import ROUTER_POLICIES
@@ -280,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     continuous.add_argument("action", choices=["record", "check"])
     continuous.add_argument("--baseline", default="caraml_baseline.json")
     continuous.add_argument(
-        "--tolerance", type=float, default=0.05, help="regression threshold"
+        "--tolerance",
+        type=float,
+        help="relative throughput drop that counts as a regression",
     )
     continuous.add_argument(
         "--campaign-store",
@@ -388,30 +389,27 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="result store path; defaults like 'caraml campaign'",
     )
-    pd.add_argument("--site", default="jsc", help="site profile (PUE)")
+    pd.add_argument("--site", help="site profile (PUE)")
     pd.add_argument(
         "--item-duration",
         type=float,
-        default=60.0,
         help="estimated seconds per missing workpackage",
     )
     pd.add_argument(
         "--item-power",
         type=float,
-        default=300.0,
         help="estimated mean device watts per missing workpackage",
     )
     pd.add_argument(
         "--parallel",
         type=int,
-        default=1,
         help="workpackages executed concurrently (divides the makespan)",
     )
     pd.add_argument(
         "--horizon",
         type=float,
-        default=86400.0,
-        help="how far ahead deferral may push execution (seconds)",
+        help="how far ahead deferral may push execution (seconds; "
+        "default: one day)",
     )
 
     jube = sub.add_parser("jube", help="drive the JUBE workflow engine")
@@ -638,8 +636,8 @@ def _powercap_store(path: str | None):
         yield store
 
 
-#: ``caraml powercap`` flags (by dest) and the library parameter each
-#: sets; an omitted flag leaves the library's default in place.
+#: Flags (by dest) and the library parameter each sets; an omitted flag
+#: leaves the library's default in place.
 _FRONTIER_FIELDS = {
     "systems": "systems",
     "model": "model_size",
@@ -657,6 +655,13 @@ _SCHEDULE_ARGS = {
     "site": "site",
     "attainment_goal": "attainment_goal",
     "budget": "budget_gco2_per_request",
+    "horizon": "horizon_s",
+}
+_DEFER_ARGS = {
+    "site": "site",
+    "item_duration": "est_item_duration_s",
+    "item_power": "est_item_power_w",
+    "parallel": "parallel_items",
     "horizon": "horizon_s",
 }
 
@@ -737,11 +742,7 @@ def _run_powercap(args, out) -> int:
                 spec,
                 store,
                 IntensityTimeseries.diurnal(),
-                site=args.site,
-                est_item_duration_s=args.item_duration,
-                est_item_power_w=args.item_power,
-                parallel_items=args.parallel,
-                horizon_s=args.horizon,
+                **_given(args, _DEFER_ARGS),
             )
         print(plan.describe(), file=out)
         return 0
@@ -830,7 +831,8 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
                 result = suite.run_llm(**_option_values(args, LLM_TRAIN))
             else:
                 result = suite.run_resnet(
-                    **_option_values(args, RESNET_TRAIN), binding=args.binding
+                    **_option_values(args, RESNET_TRAIN),
+                    **_given(args, {"binding": "binding"}),
                 )
         _print_result_row(result, out)
         _print_fired_faults(scope, out)
@@ -846,9 +848,11 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
         )
         result = engine.serve(
             InferenceWorkload(
-                prompt_tokens=args.prompt_tokens,
-                generate_tokens=args.generate_tokens,
                 batch_size=args.batch,
+                **_given(
+                    args,
+                    {"prompt_tokens": "prompt_tokens", "generate_tokens": "generate_tokens"},
+                ),
             )
         )
         _print_result_row(result, out)
@@ -951,7 +955,8 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
             comparisons = cb.compare(args.baseline)
         for comparison in comparisons:
             print(comparison.describe(), file=out)
-        regressions = [c for c in comparisons if c.regressed(args.tolerance)]
+        tolerance = _given(args, {"tolerance": "tolerance"})
+        regressions = [c for c in comparisons if c.regressed(**tolerance)]
         print(f"regressions: {len(regressions)}", file=out)
         return 0 if not regressions else 1
 
