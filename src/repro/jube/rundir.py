@@ -36,13 +36,8 @@ def _next_id(run_dir: Path) -> int:
     return max(existing, default=-1) + 1
 
 
-def save_run(run: JubeRun, script_path: str | Path) -> Path:
-    """Persist a run; returns its numbered directory."""
-    run_dir = run_directory_for(script_path)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    run_id = _next_id(run_dir)
-    target = run_dir / f"{run_id:06d}"
-    target.mkdir()
+def _write_state(run: JubeRun, state_file: Path, script_path: str | Path) -> None:
+    """Write ``run`` as the JSON state :func:`load_run` reads."""
     state = {
         "script": str(Path(script_path).resolve()),
         "tags": sorted(run.tags),
@@ -59,7 +54,17 @@ def save_run(run: JubeRun, script_path: str | Path) -> Path:
             for wp in run.workpackages
         ],
     }
-    (target / _STATE_FILE).write_text(json.dumps(state, indent=2))
+    state_file.write_text(json.dumps(state, indent=2))
+
+
+def save_run(run: JubeRun, script_path: str | Path) -> Path:
+    """Persist a run; returns its numbered directory."""
+    run_dir = run_directory_for(script_path)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    run_id = _next_id(run_dir)
+    target = run_dir / f"{run_id:06d}"
+    target.mkdir()
+    _write_state(run, target / _STATE_FILE, script_path)
     return target
 
 
@@ -122,21 +127,4 @@ def update_run(run: JubeRun, run_path: str | Path, script_path: str | Path) -> N
     state_file = Path(run_path) / _STATE_FILE
     if not state_file.exists():
         raise JubeError(f"{run_path} is not a JUBE run directory")
-    # Reuse save_run's serialisation by writing directly.
-    state = {
-        "script": str(Path(script_path).resolve()),
-        "tags": sorted(run.tags),
-        "completed_steps": sorted(run.completed_steps),
-        "workpackages": [
-            {
-                "step": wp.step.name,
-                "index": wp.index,
-                "parameters": wp.parameters,
-                "outputs": wp.outputs,
-                "stdout": wp.stdout,
-                "done": wp.done,
-            }
-            for wp in run.workpackages
-        ],
-    }
-    state_file.write_text(json.dumps(state, indent=2))
+    _write_state(run, state_file, script_path)

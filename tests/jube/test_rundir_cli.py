@@ -15,6 +15,7 @@ from repro.jube.rundir import (
     resolve_run_id,
     run_directory_for,
     save_run,
+    update_run,
 )
 from repro.jube.script import load_script
 
@@ -55,6 +56,17 @@ class TestPersistence:
             float(original.outputs["throughput_tokens_per_s"])
         )
         assert loaded.stdout == original.stdout
+
+    def test_update_of_an_unchanged_run_rewrites_the_same_bytes(
+        self, finished_run, script_copy
+    ):
+        target = save_run(finished_run, script_copy)
+        saved = (target / "run.json").read_bytes()
+        update_run(finished_run, target, script_copy)
+        assert (target / "run.json").read_bytes() == saved
+        restored, restored_script = load_run(target)
+        update_run(restored, target, restored_script)
+        assert (target / "run.json").read_bytes() == saved
 
     def test_resolve_last_and_numeric(self, finished_run, script_copy):
         save_run(finished_run, script_copy)
