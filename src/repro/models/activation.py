@@ -52,11 +52,11 @@ def transformer_activation_bytes(
     config: GPTConfig,
     micro_batch_size: int,
     *,
-    mode: RecomputeMode = RecomputeMode.SELECTIVE,
     layers_resident: int | None = None,
     in_flight_micro_batches: int = 1,
 ) -> float:
-    """Total live activation bytes on one device.
+    """Total live activation bytes on one device under selective
+    recompute, the benchmark's setting.
 
     Parameters
     ----------
@@ -72,7 +72,7 @@ def transformer_activation_bytes(
     layers = layers_resident if layers_resident is not None else config.layers
     if layers <= 0:
         raise ConfigError("resident layer count must be positive")
-    per_layer = transformer_activation_bytes_per_layer(config, micro_batch_size, mode)
+    per_layer = transformer_activation_bytes_per_layer(config, micro_batch_size)
     # Embedding/logit working set: one token batch of vocab-width logits
     # dominates; keep the standard 4 s b h allowance.
     head = 4.0 * config.seq_length * micro_batch_size * config.hidden

@@ -62,16 +62,15 @@ def optimizer_state_bytes(
     parameters: int,
     opt: OptimizerConfig,
     dp_size: int = 1,
-    policy: MixedPrecisionPolicy = DEFAULT_POLICY,
 ) -> float:
     """Total per-device bytes for a model's weights+grads+optimizer."""
     if parameters <= 0:
         raise ConfigError("parameter count must be positive")
-    return parameters * optimizer_bytes_per_param(opt, dp_size, policy)
+    return parameters * optimizer_bytes_per_param(opt, dp_size)
 
 
-def gradient_bytes(parameters: int, policy: MixedPrecisionPolicy = DEFAULT_POLICY) -> int:
+def gradient_bytes(parameters: int) -> int:
     """Bytes of the gradient tensor all-reduced each iteration."""
     if parameters <= 0:
         raise ConfigError("parameter count must be positive")
-    return parameters * policy.grads.bytes
+    return parameters * DEFAULT_POLICY.grads.bytes

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.models.precision import MixedPrecisionPolicy, DEFAULT_POLICY
+from repro.models.precision import DEFAULT_POLICY
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,9 @@ class CNNConfig:
         """Forward+backward FLOPs per image (backward costs 2x forward)."""
         return 3.0 * self.flops_per_image_forward
 
-    def weight_bytes(self, policy: MixedPrecisionPolicy = DEFAULT_POLICY) -> int:
+    def weight_bytes(self) -> int:
         """Bytes of the compute-precision weight copy."""
-        return self.parameters * policy.params.bytes
+        return self.parameters * DEFAULT_POLICY.params.bytes
 
     def describe(self) -> str:
         """One-line architecture summary."""

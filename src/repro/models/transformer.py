@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.models.precision import MixedPrecisionPolicy, DEFAULT_POLICY
+from repro.models.precision import DEFAULT_POLICY
 
 
 @dataclass(frozen=True)
@@ -107,14 +107,14 @@ class GPTConfig:
 
     # -- memory -------------------------------------------------------------------
 
-    def weight_bytes(self, policy: MixedPrecisionPolicy = DEFAULT_POLICY) -> int:
+    def weight_bytes(self) -> int:
         """Bytes of the live (compute-precision) weight copy."""
-        return self.parameters * policy.params.bytes
+        return self.parameters * DEFAULT_POLICY.params.bytes
 
-    def kv_cache_bytes_per_token(self, policy: MixedPrecisionPolicy = DEFAULT_POLICY) -> int:
+    def kv_cache_bytes_per_token(self) -> int:
         """KV-cache bytes per token (inference-time metric, used by the
         extension benchmarks)."""
-        return 2 * self.layers * self.hidden * policy.compute.bytes
+        return 2 * self.layers * self.hidden * DEFAULT_POLICY.compute.bytes
 
     def describe(self) -> str:
         """One-line architecture summary."""
