@@ -664,6 +664,7 @@ _DEFER_ARGS = {
     "parallel": "parallel_items",
     "horizon": "horizon_s",
 }
+_INFER_ARGS = {"prompt_tokens": "prompt_tokens", "generate_tokens": "generate_tokens"}
 
 
 def _given(args, fields: dict[str, str]) -> dict:
@@ -847,13 +848,7 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
             get_gpt_preset(args.model),
         )
         result = engine.serve(
-            InferenceWorkload(
-                batch_size=args.batch,
-                **_given(
-                    args,
-                    {"prompt_tokens": "prompt_tokens", "generate_tokens": "generate_tokens"},
-                ),
-            )
+            InferenceWorkload(batch_size=args.batch, **_given(args, _INFER_ARGS))
         )
         _print_result_row(result, out)
         return 0

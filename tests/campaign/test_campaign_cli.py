@@ -271,7 +271,12 @@ class TestNoTagFlag:
 
     @pytest.mark.parametrize(
         "command",
-        [("campaign", "run"), ("campaign", "continue"), ("campaign", "search"), ("search",)],
+        [
+            ("campaign", "run"),
+            ("campaign", "continue"),
+            ("campaign", "search"),
+            ("search",),
+        ],
     )
     def test_tag_is_a_usage_error(self, command, spec_path, tmp_path, capsys):
         store = tmp_path / "rows.jsonl"

@@ -159,19 +159,27 @@ class TestSerialisation:
                 "kind, name, axes, fixed, depends, operations, operation",
             ),
             ({"workloads": [{"kind": "llm", "fixd": {}}]}, "fixd", "fixed"),
-            ({"workloads": [{"kind": "llm", "columns": ["system"]}]}, "columns", "axes"),
+            (
+                {"workloads": [{"kind": "llm", "columns": ["system"]}]},
+                "columns",
+                "axes",
+            ),
         ],
     )
     def test_misspelled_key_rejected(self, doc, key, known):
         # A misspelled key used to fall back to the kind's defaults.
-        doc = {"name": "typo", "systems": ["A100"], "workloads": [{"kind": "llm"}], **doc}
+        doc = {
+            "name": "typo", "systems": ["A100"], "workloads": [{"kind": "llm"}], **doc
+        }
         with pytest.raises(ConfigError, match=f"unknown key.*'{key}'") as info:
             CampaignSpec.from_dict(doc)
         assert known in str(info.value)
 
     def test_workload_must_be_a_mapping(self):
         with pytest.raises(ConfigError, match="workload 1 must be a mapping"):
-            CampaignSpec.from_dict({"name": "c", "systems": ["A100"], "workloads": ["llm"]})
+            CampaignSpec.from_dict(
+                {"name": "c", "systems": ["A100"], "workloads": ["llm"]}
+            )
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no campaign spec"):
