@@ -63,9 +63,9 @@ def pytest_addoption(parser):
         "--update-goldens",
         action="store_true",
         default=False,
-        help="rewrite the golden fixtures under tests/serve/goldens/ and "
-        "tests/core/goldens/ with the outputs of the current code instead "
-        "of comparing",
+        help="rewrite the golden fixtures under tests/serve/goldens/, "
+        "tests/core/goldens/ and tests/analysis/goldens/ with the outputs "
+        "of the current code instead of comparing",
     )
 
 
