@@ -82,6 +82,6 @@ watch-demo:
 	PYTHONPATH=src $(PYTHON) -m repro.core.cli watch telemetry_demo/burst.timeseries.jsonl --frames 2
 
 clean:
-	rm -rf figures caraml_report.md trace_demo.json cluster_demo_trace.json telemetry_demo benchmarks/output .pytest_cache caraml_baseline.json llm_batch_sweep.csv
+	rm -rf figures caraml_report.md trace_demo.json cluster_demo_trace.json telemetry_demo .pytest_cache caraml_baseline.json llm_batch_sweep.csv
 	find . -name __pycache__ -type d -exec rm -rf {} +
 	find . -path ./.git -prune -o -name '*_run' -type d -prune -exec rm -rf {} +
