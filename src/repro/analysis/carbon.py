@@ -203,13 +203,11 @@ class IntensityTimeseries:
         *,
         mean_gco2_per_kwh: float = 380.0,
         swing: float = 0.45,
-        period_s: float = 86400.0,
-        steps: int = 24,
         trough_at_s: float = 50400.0,
     ) -> "IntensityTimeseries":
         """A deterministic day-shaped grid curve.
 
-        A sinusoid sampled into ``steps`` constant segments: intensity
+        A sinusoid sampled into 24 hourly constant segments: intensity
         bottoms out at ``trough_at_s``
         (14:00 by default — the solar peak) and peaks half a period
         away.  Purely analytic, so scheduler demos and tests are
@@ -217,8 +215,7 @@ class IntensityTimeseries:
         """
         import math as _math
 
-        if steps < 2:
-            raise ConfigError("diurnal curve needs at least 2 steps")
+        period_s, steps = 86400.0, 24
         if not 0.0 <= swing < 1.0:
             raise ConfigError("swing must be in [0, 1)")
         points = []

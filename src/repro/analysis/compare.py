@@ -36,9 +36,10 @@ def _at(series, label: str, gbs: int):
     raise KeyError(f"{label} has no point at gbs {gbs}")
 
 
-def llm_claims(gbs: int = 4096) -> list[ClaimCheck]:
+def llm_claims() -> list[ClaimCheck]:
     """The §IV-A claims over the Figure 2 data (at the largest batch)."""
     series = fig2_llm_series()
+    gbs = 4096
     gh = _at(series, "GH200 (JRDC)", gbs)
     jedi = _at(series, "GH200 (JEDI)", gbs)
     h100 = _at(series, "H100 (JRDC)", gbs)
@@ -125,9 +126,10 @@ def llm_claims(gbs: int = 4096) -> list[ClaimCheck]:
     return checks
 
 
-def resnet_claims(small_gbs: int = 16, large_gbs: int = 2048) -> list[ClaimCheck]:
+def resnet_claims() -> list[ClaimCheck]:
     """The §IV-B claims over the Figure 3 data."""
     series = fig3_resnet_series()
+    small_gbs, large_gbs = 16, 2048
     a100 = _at(series, "A100", large_gbs)
     h100 = _at(series, "H100 (JRDC)", large_gbs)
     wai = _at(series, "H100 (WestAI)", large_gbs)

@@ -83,24 +83,22 @@ class ExplorationResult:
 def explore_llm(
     system: str,
     *,
-    model_size: str = "800M",
     micro_batch_sizes: tuple[int, ...] = (1, 2, 4, 8, 16),
-    global_batch_sizes: tuple[int, ...] = (64, 256, 1024, 4096),
     objective: Objective = Objective.THROUGHPUT,
 ) -> ExplorationResult:
-    """Sweep (micro batch x global batch) for the LLM benchmark."""
-    if not micro_batch_sizes or not global_batch_sizes:
-        raise ConfigError("sweep axes must be non-empty")
+    """Sweep (micro batch x global batch) for the 800M GPT."""
+    if not micro_batch_sizes:
+        raise ConfigError("sweep axis must be non-empty")
     node = get_system(system)
     if node.is_ipu_pod:
         raise ConfigError("LLM exploration targets the GPU systems")
-    model = get_gpt_preset(model_size)
+    model = get_gpt_preset("800M")
     devices = node.logical_devices_per_node
     layout = ParallelLayout(dp=devices)
     points = []
     for mbs in micro_batch_sizes:
         budget = check_llm_memory(node, model, layout, mbs)
-        for gbs in global_batch_sizes:
+        for gbs in (64, 256, 1024, 4096):
             if gbs % (mbs * devices) != 0 or not budget.fits:
                 points.append(ExplorationPoint(mbs, gbs, False, 0.0, 0.0))
                 continue
@@ -117,18 +115,17 @@ def explore_llm(
 def explore_cnn(
     system: str,
     *,
-    model_name: str = "resnet50",
     devices: int = 1,
     batch_sizes: tuple[int, ...] = (16, 64, 256, 1024, 2048),
     objective: Objective = Objective.EFFICIENCY,
 ) -> ExplorationResult:
-    """Sweep the batch size for the CNN benchmark."""
+    """Sweep the batch size for ResNet50."""
     if not batch_sizes:
         raise ConfigError("sweep axis must be non-empty")
     node = get_system(system)
     if node.is_ipu_pod:
         raise ConfigError("CNN exploration targets the GPU systems")
-    model = get_cnn_preset(model_name)
+    model = get_cnn_preset("resnet50")
     points = []
     for gbs in batch_sizes:
         if gbs % devices != 0:

@@ -29,6 +29,8 @@ from repro.units import per_wh
 
 #: Global batch sizes of Figure 2 (16 to 4096).
 FIG2_BATCH_SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+#: Micro batch size of every Figure 2 run.
+FIG2_MICRO_BATCH_SIZE = 4
 #: Global batch sizes of Figure 3 (16 to 2048).
 FIG3_BATCH_SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048)
 
@@ -88,8 +90,6 @@ def _idle_sibling_power_w(tag: str) -> float:
 
 def fig2_llm_series(
     batch_sizes: tuple[int, ...] = FIG2_BATCH_SIZES,
-    *,
-    micro_batch_size: int = 4,
 ) -> dict[str, list[Fig2Point]]:
     """All series of Figure 2 (800M GPT on NVIDIA and AMD systems)."""
     model = get_gpt_preset("800M")
@@ -97,11 +97,12 @@ def fig2_llm_series(
     for label, tag, dp in FIG2_SERIES:
         node = get_system(tag)
         step_model = LLMStepModel(
-            node, model, ParallelLayout(dp=dp), micro_batch_size=micro_batch_size
+            node, model, ParallelLayout(dp=dp),
+            micro_batch_size=FIG2_MICRO_BATCH_SIZE,
         )
         points = []
         for gbs in batch_sizes:
-            if gbs % (micro_batch_size * dp) != 0:
+            if gbs % (FIG2_MICRO_BATCH_SIZE * dp) != 0:
                 # e.g. GBS 16 with DP 8 is impossible (paper notes this).
                 continue
             step = step_model.step(gbs)
@@ -121,9 +122,7 @@ def fig2_llm_series(
     return series
 
 
-def fig3_resnet_series(
-    batch_sizes: tuple[int, ...] = FIG3_BATCH_SIZES,
-) -> dict[str, list[Fig3Point]]:
+def fig3_resnet_series() -> dict[str, list[Fig3Point]]:
     """All series of Figure 3 (ResNet50, single device per system)."""
     model = get_cnn_preset("resnet50")
     series: dict[str, list[Fig3Point]] = {}
@@ -131,7 +130,7 @@ def fig3_resnet_series(
         node = get_system(tag)
         step_model = CNNStepModel(node, model, devices=devices)
         points = []
-        for gbs in batch_sizes:
+        for gbs in FIG3_BATCH_SIZES:
             if gbs % devices != 0:
                 continue
             step = step_model.step(gbs // devices)

@@ -72,12 +72,12 @@ def cap_ladder(system: str, cap_fractions: tuple[float, ...]) -> tuple[str, ...]
     return tuple(dict.fromkeys(values))
 
 
-def _run_specs(specs, store: ResultStore | None, executor) -> list:
+def _run_specs(specs, store: ResultStore | None) -> list:
     """Completed rows of ``specs``; a throwaway store when none is given."""
     if store is None:
         with tempfile.TemporaryDirectory() as tmp:
-            return _run_specs(specs, JsonlStore(Path(tmp) / "sweep.jsonl"), executor)
-    runner = CampaignRunner(store, executor=executor or IsolatingExecutor())
+            return _run_specs(specs, JsonlStore(Path(tmp) / "sweep.jsonl"))
+    runner = CampaignRunner(store, executor=IsolatingExecutor())
     rows = []
     for spec in specs:
         rows.extend(runner.run(spec).rows)
@@ -138,14 +138,13 @@ class PowercapScenario:
 def run_powercap_sweep(
     scenario: PowercapScenario | None = None,
     store: ResultStore | None = None,
-    executor=None,
 ):
     """Run the scenario's campaigns; returns the completed rows.
 
     With a persistent ``store`` the sweep is resumable and a re-run is
     a pure cache walk; without one it runs against a throwaway store.
     """
-    return _run_specs((scenario or PowercapScenario()).specs(), store, executor)
+    return _run_specs((scenario or PowercapScenario()).specs(), store)
 
 
 # -- frontier ----------------------------------------------------------------
@@ -432,11 +431,10 @@ def serve_points_from_rows(rows) -> list[ServeCapPoint]:
 def run_serve_cap_sweep(
     scenario: ServeCapScenario | None = None,
     store: ResultStore | None = None,
-    executor=None,
 ) -> list[ServeCapPoint]:
     """Run the serve cap sweep; returns its operating points."""
     spec = (scenario or ServeCapScenario()).spec()
-    return serve_points_from_rows(_run_specs((spec,), store, executor))
+    return serve_points_from_rows(_run_specs((spec,), store))
 
 
 @dataclass(frozen=True)

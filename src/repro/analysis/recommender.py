@@ -18,18 +18,18 @@ from repro.campaign.search import SearchPolicy, SearchReport, SearchRunner
 from repro.campaign.spec import CampaignSpec, WorkloadSpec
 from repro.campaign.store import JsonlStore
 
+#: The system the recommender sizes, and the TTFT SLO it must meet.
+RECOMMENDER_SYSTEM = "GH200"
+RECOMMENDER_SLO_TTFT_MS = 200.0
+
 
 @dataclass(frozen=True)
 class RecommenderScenario:
     """The report's recommender sweep (small enough to run inline)."""
 
-    system: str = "GH200"
-    slo_ttft_ms: float = 200.0
     requests: int = 256
-    generate_tokens: int = 32
     arrival_rates: tuple = (20, 40, 80)
     batch_caps: tuple = (4, 8, 16)
-    attainment_goal: float = 0.99
     policy: SearchPolicy = field(
         default_factory=lambda: SearchPolicy(
             screen_requests=32, rungs=1, min_keep=3, attainment_goal=0.99
@@ -40,7 +40,7 @@ class RecommenderScenario:
         """The campaign spec the scenario expands to."""
         return CampaignSpec(
             name="report-recommender",
-            systems=(self.system,),
+            systems=(RECOMMENDER_SYSTEM,),
             workloads=(
                 WorkloadSpec.of_kind(
                     "serve",
@@ -51,8 +51,8 @@ class RecommenderScenario:
                     },
                     fixed={
                         "requests": str(self.requests),
-                        "generate_tokens": str(self.generate_tokens),
-                        "slo_ttft_ms": str(self.slo_ttft_ms),
+                        "generate_tokens": "32",
+                        "slo_ttft_ms": str(RECOMMENDER_SLO_TTFT_MS),
                     },
                 ),
             ),

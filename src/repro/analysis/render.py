@@ -105,7 +105,7 @@ def render_fig4(out_dir: str | Path, tags: tuple[str, ...] = SYSTEM_TAGS) -> lis
     return paths
 
 
-def render_power_trace(df, path: str | Path, *, title: str = "jpwr power trace") -> Path:
+def render_power_trace(df, path: str | Path) -> Path:
     """Render a jpwr sample frame (time_s + power columns) as SVG.
 
     This is the visual counterpart of ``measured_scope.df``: one line
@@ -116,7 +116,7 @@ def render_power_trace(df, path: str | Path, *, title: str = "jpwr power trace")
     if "time_s" not in df:
         raise MeasurementError("frame lacks a time_s column")
     chart = LineChart(
-        title=title,
+        title="jpwr power trace",
         x_label="Time (s)",
         y_label="Power (W)",
         log2_x=False,

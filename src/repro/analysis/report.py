@@ -20,12 +20,21 @@ from repro.analysis.figures import (
 )
 from repro.analysis.heatmap import heatmap_grid_for
 from repro.analysis.recommender import (
+    RECOMMENDER_SLO_TTFT_MS,
+    RECOMMENDER_SYSTEM,
     RecommenderScenario,
     recommender_rows,
     run_recommender,
 )
 from repro.analysis.render import render_all
 from repro.analysis.serving import (
+    CLUSTER_PREFIX_TOKENS,
+    CLUSTER_RATE_PER_S,
+    CLUSTER_SESSIONS,
+    CLUSTER_SYSTEM,
+    SERVING_BATCH_CAP,
+    SERVING_PROMPT_TOKENS,
+    SERVING_SLO_E2E_S,
     ClusterScenario,
     ServingScenario,
     cluster_rows,
@@ -46,7 +55,12 @@ from repro.analysis.tables import (
     table_rows_printable,
 )
 from repro.analysis.telemetry import (
-    BurstScenario,
+    BURST_MIN_REPLICAS,
+    BURST_OBJECTIVE,
+    BURST_REPLICAS,
+    BURST_SLO,
+    BURST_SYSTEM,
+    BURSTS,
     alert_rows,
     run_burst_scenario,
     series_rows,
@@ -91,33 +105,32 @@ def build_report(*, include_figures: bool = False, figure_dir: str = "figures") 
     sections.append("\n## Serving: latency and energy per request\n")
     sections.append(
         f"Seeded Poisson stream ({scenario.requests} requests at "
-        f"{scenario.rate_per_s:g} req/s, {scenario.prompt_tokens} prompt / "
+        f"{scenario.rate_per_s:g} req/s, {SERVING_PROMPT_TOKENS} prompt / "
         f"{scenario.generate_tokens} generated tokens, batch cap "
-        f"{scenario.batch_cap}; SLO ttft<={scenario.slo_ttft_s:g}s, "
-        f"e2e<={scenario.slo_e2e_s:g}s).\n"
+        f"{SERVING_BATCH_CAP}; SLO ttft<={scenario.slo_ttft_s:g}s, "
+        f"e2e<={SERVING_SLO_E2E_S:g}s).\n"
     )
     sections.append(_md_table(serving_rows(scenario)))
 
     cluster = ClusterScenario()
     sections.append("\n## Serving cluster: routers, replicas, fleet energy\n")
     sections.append(
-        f"Session traffic on {cluster.system} ({cluster.requests} requests "
-        f"at {cluster.rate_per_s:g} req/s across {cluster.sessions} "
-        f"sessions, {cluster.prefix_tokens}/{cluster.prompt_tokens} shared "
+        f"Session traffic on {CLUSTER_SYSTEM} ({cluster.requests} requests "
+        f"at {CLUSTER_RATE_PER_S:g} req/s across {CLUSTER_SESSIONS} "
+        f"sessions, {CLUSTER_PREFIX_TOKENS}/{SERVING_PROMPT_TOKENS} shared "
         f"prefix tokens). Wh/request is cluster-honest: idle and spin-up "
         f"energy included.\n"
     )
     sections.append(_md_table(cluster_rows(cluster)))
 
-    burst = BurstScenario()
-    result, sampler, monitor = run_burst_scenario(burst)
+    result, sampler, monitor = run_burst_scenario()
     sections.append("\n## Live telemetry: burn-rate alerts under burst load\n")
     sections.append(
-        f"Burst stream on an autoscaled {burst.system} cluster "
-        f"({' + '.join(f'{n}@{t:g}s' for t, n in burst.bursts)} requests, "
-        f"{burst.min_replicas}→{burst.replicas} replicas, SLO "
-        f"ttft<={burst.slo_ttft_s:g}s / e2e<={burst.slo_e2e_s:g}s at a "
-        f"{burst.objective:.0%} objective). Attainment "
+        f"Burst stream on an autoscaled {BURST_SYSTEM} cluster "
+        f"({' + '.join(f'{n}@{t:g}s' for t, n in BURSTS)} requests, "
+        f"{BURST_MIN_REPLICAS}→{BURST_REPLICAS} replicas, SLO "
+        f"ttft<={BURST_SLO.ttft_s:g}s / e2e<={BURST_SLO.e2e_s:g}s at a "
+        f"{BURST_OBJECTIVE:.0%} objective). Attainment "
         f"{monitor.attainment:.3f}; multi-window burn-rate rules fired "
         f"{len(monitor.alerts)} alert(s).\n"
     )
@@ -131,7 +144,7 @@ def build_report(*, include_figures: bool = False, figure_dir: str = "figures") 
     sections.append("\n## Recommender: cheapest config meeting the SLO\n")
     sections.append(
         f"Pruned Pareto search over a batch-cap × arrival-rate grid on "
-        f"{recommender.system} (TTFT SLO {recommender.slo_ttft_ms:g} ms, "
+        f"{RECOMMENDER_SYSTEM} (TTFT SLO {RECOMMENDER_SLO_TTFT_MS:g} ms, "
         f"{recommender.requests} requests per config; "
         f"{search_report.pruned} of {search_report.total} configs pruned "
         f"on screening evidence, every reported row an exact full run).\n"

@@ -15,7 +15,11 @@ from repro.errors import ConfigError
 from repro.hardware.interconnect import LinkTechnology
 from repro.hardware.systems import get_system
 from repro.models.parallelism import ParallelLayout
-from repro.models.transformer import GPTConfig, get_gpt_preset
+from repro.models.transformer import get_gpt_preset
+
+
+#: Micro batch size of every scaling run.
+SCALING_MICRO_BATCH_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -39,15 +43,13 @@ def _check_multinode(tag: str) -> None:
 def weak_scaling(
     tag: str,
     *,
-    model: GPTConfig | None = None,
     per_device_batch: int = 64,
-    micro_batch_size: int = 4,
     max_nodes: int | None = None,
 ) -> list[ScalingPoint]:
-    """Weak scaling: global batch grows with the device count."""
+    """Weak scaling of the 800M GPT: global batch grows with the device count."""
     _check_multinode(tag)
     node = get_system(tag)
-    gpt = model if model is not None else get_gpt_preset("800M")
+    gpt = get_gpt_preset("800M")
     limit = max_nodes if max_nodes is not None else node.max_nodes
     if limit < 1:
         raise ConfigError("need at least one node")
@@ -61,7 +63,7 @@ def weak_scaling(
             node,
             gpt,
             ParallelLayout(dp=devices),
-            micro_batch_size=micro_batch_size,
+            micro_batch_size=SCALING_MICRO_BATCH_SIZE,
             nodes_used=nodes,
         )
         rate = step_model.tokens_per_second(gbs)
@@ -85,28 +87,26 @@ def weak_scaling(
 def strong_scaling(
     tag: str,
     *,
-    model: GPTConfig | None = None,
     global_batch_size: int = 2048,
-    micro_batch_size: int = 4,
-    max_nodes: int | None = None,
 ) -> list[ScalingPoint]:
-    """Strong scaling: fixed global batch, growing device count."""
+    """Strong scaling of the 800M GPT: fixed global batch, growing device
+    count, up to the system's node count."""
     _check_multinode(tag)
     node = get_system(tag)
-    gpt = model if model is not None else get_gpt_preset("800M")
-    limit = max_nodes if max_nodes is not None else node.max_nodes
+    gpt = get_gpt_preset("800M")
+    limit = node.max_nodes
     points: list[ScalingPoint] = []
     base_rate = None
     nodes = 1
     while nodes <= limit:
         devices = nodes * node.logical_devices_per_node
-        if global_batch_size % (micro_batch_size * devices) != 0:
+        if global_batch_size % (SCALING_MICRO_BATCH_SIZE * devices) != 0:
             break  # ran out of divisible accumulation depth
         step_model = LLMStepModel(
             node,
             gpt,
             ParallelLayout(dp=devices),
-            micro_batch_size=micro_batch_size,
+            micro_batch_size=SCALING_MICRO_BATCH_SIZE,
             nodes_used=nodes,
         )
         rate = step_model.tokens_per_second(global_batch_size)

@@ -31,36 +31,38 @@ SERVING_SYSTEM_TAGS = tuple(
     if get_system(tag).accelerator.kind is not AcceleratorKind.IPU
 )
 
+#: What both serving scenarios hold fixed: the model served, the prompt
+#: length, the batch cap and the end-to-end latency objective.
+SERVING_MODEL = "800M"
+SERVING_PROMPT_TOKENS = 512
+SERVING_BATCH_CAP = 16
+SERVING_SLO_E2E_S = 5.0
+
 
 @dataclass(frozen=True)
 class ServingScenario:
     """The fixed workload every system serves for the comparison."""
 
-    model: str = "800M"
     rate_per_s: float = 8.0
     requests: int = 48
-    prompt_tokens: int = 512
     generate_tokens: int = 96
-    length_spread: float = 0.25
     seed: int = 0
-    batch_cap: int = 16
     slo_ttft_s: float = 0.5
-    slo_e2e_s: float = 5.0
 
     def arrivals(self) -> PoissonArrivals:
         """The seeded arrival stream of the scenario."""
         return PoissonArrivals(
             rate_per_s=self.rate_per_s,
             requests=self.requests,
-            prompt_tokens=self.prompt_tokens,
+            prompt_tokens=SERVING_PROMPT_TOKENS,
             generate_tokens=self.generate_tokens,
-            length_spread=self.length_spread,
+            length_spread=0.25,
             seed=self.seed,
         )
 
     def slo(self) -> SLOPolicy:
         """The latency objectives of the scenario."""
-        return SLOPolicy(ttft_s=self.slo_ttft_s, e2e_s=self.slo_e2e_s)
+        return SLOPolicy(ttft_s=self.slo_ttft_s, e2e_s=SERVING_SLO_E2E_S)
 
 
 def serving_rows(
@@ -71,9 +73,9 @@ def serving_rows(
     scenario = scenario if scenario is not None else ServingScenario()
     rows: list[dict[str, object]] = []
     for tag in systems:
-        engine = InferenceEngine(get_system(tag), get_gpt_preset(scenario.model))
+        engine = InferenceEngine(get_system(tag), get_gpt_preset(SERVING_MODEL))
         simulator = ServingSimulator(
-            engine, batch_cap=scenario.batch_cap, slo=scenario.slo()
+            engine, batch_cap=SERVING_BATCH_CAP, slo=scenario.slo()
         )
         served = simulator.run(scenario.arrivals())
         s = served.summary
@@ -97,6 +99,14 @@ def serving_rows(
     return rows
 
 
+#: The cluster scenario's session traffic: one system, 8 req/s across 4
+#: concurrent sessions whose prompts share a 384-token prefix.
+CLUSTER_SYSTEM = "GH200"
+CLUSTER_RATE_PER_S = 8.0
+CLUSTER_SESSIONS = 4
+CLUSTER_PREFIX_TOKENS = 384
+
+
 @dataclass(frozen=True)
 class ClusterScenario:
     """The session-heavy workload of the cluster comparison table.
@@ -108,18 +118,8 @@ class ClusterScenario:
     Wh/request columns.
     """
 
-    system: str = "GH200"
-    model: str = "800M"
-    rate_per_s: float = 8.0
     requests: int = 48
-    sessions: int = 4
-    prompt_tokens: int = 512
-    prefix_tokens: int = 384
     generate_tokens: int = 96
-    seed: int = 0
-    batch_cap: int = 16
-    slo_ttft_s: float = 0.5
-    slo_e2e_s: float = 5.0
     replica_counts: tuple[int, ...] = (1, 2, 4)
     routers: tuple[str, ...] = (
         "round-robin",
@@ -131,18 +131,14 @@ class ClusterScenario:
     def arrivals(self) -> SessionArrivals:
         """The seeded session-traffic stream of the scenario."""
         return SessionArrivals(
-            rate_per_s=self.rate_per_s,
+            rate_per_s=CLUSTER_RATE_PER_S,
             requests=self.requests,
-            sessions=self.sessions,
-            prompt_tokens=self.prompt_tokens,
-            prefix_tokens=self.prefix_tokens,
+            sessions=CLUSTER_SESSIONS,
+            prompt_tokens=SERVING_PROMPT_TOKENS,
+            prefix_tokens=CLUSTER_PREFIX_TOKENS,
             generate_tokens=self.generate_tokens,
-            seed=self.seed,
+            seed=0,
         )
-
-    def slo(self) -> SLOPolicy:
-        """The latency objectives of the scenario."""
-        return SLOPolicy(ttft_s=self.slo_ttft_s, e2e_s=self.slo_e2e_s)
 
 
 def cluster_rows(
@@ -156,8 +152,9 @@ def cluster_rows(
     """
     scenario = scenario if scenario is not None else ClusterScenario()
     engine = InferenceEngine(
-        get_system(scenario.system), get_gpt_preset(scenario.model)
+        get_system(CLUSTER_SYSTEM), get_gpt_preset(SERVING_MODEL)
     )
+    slo = SLOPolicy(ttft_s=0.5, e2e_s=SERVING_SLO_E2E_S)
     rows: list[dict[str, object]] = []
     for replicas in scenario.replica_counts:
         for router in sorted(scenario.routers):
@@ -165,8 +162,8 @@ def cluster_rows(
                 engine,
                 replicas=replicas,
                 router=router,
-                batch_cap=scenario.batch_cap,
-                slo=scenario.slo(),
+                batch_cap=SERVING_BATCH_CAP,
+                slo=slo,
             )
             result = simulator.run(scenario.arrivals())
             s = result.summary

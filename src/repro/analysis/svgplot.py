@@ -20,6 +20,14 @@ PALETTE = (
     "#CC79A7", "#56B4E9", "#F0E442", "#000000",
 )
 
+#: Line-chart canvas size in pixels.
+CHART_WIDTH = 640
+CHART_HEIGHT = 420
+#: Line-chart plot-area margins: left, top, right, bottom.
+CHART_MARGINS = (70, 40, 160, 50)
+#: Side of one heatmap cell in pixels.
+HEATMAP_CELL_SIZE = 52
+
 
 def _esc(text: str) -> str:
     return (
@@ -50,12 +58,7 @@ class LineChart:
     x_label: str
     y_label: str
     series: list[Series] = field(default_factory=list)
-    width: int = 640
-    height: int = 420
     log2_x: bool = True
-
-    #: Plot-area margins: left, top, right, bottom.
-    margins: tuple[int, int, int, int] = (70, 40, 160, 50)
 
     def add(self, label: str, x: list[float], y: list[float]) -> None:
         """Append one series."""
@@ -84,9 +87,9 @@ class LineChart:
 
     def _project(self, x: float, y: float, ranges) -> tuple[float, float]:
         x_lo, x_hi, y_lo, y_hi = ranges
-        ml, mt, mr, mb = self.margins
-        plot_w = self.width - ml - mr
-        plot_h = self.height - mt - mb
+        ml, mt, mr, mb = CHART_MARGINS
+        plot_w = CHART_WIDTH - ml - mr
+        plot_h = CHART_HEIGHT - mt - mb
         px = ml + (self._x_transform(x) - x_lo) / (x_hi - x_lo) * plot_w
         py = mt + (1 - (y - y_lo) / (y_hi - y_lo)) * plot_h
         return px, py
@@ -98,14 +101,14 @@ class LineChart:
         if not self.series:
             raise ConfigError("chart has no series")
         ranges = self._ranges()
-        ml, mt, mr, mb = self.margins
-        plot_right = self.width - mr
-        plot_bottom = self.height - mb
+        ml, mt, mr, mb = CHART_MARGINS
+        plot_right = CHART_WIDTH - mr
+        plot_bottom = CHART_HEIGHT - mb
         parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<text x="{self.width / 2}" y="20" text-anchor="middle" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{CHART_WIDTH}" '
+            f'height="{CHART_HEIGHT}" viewBox="0 0 {CHART_WIDTH} {CHART_HEIGHT}">',
+            f'<rect width="{CHART_WIDTH}" height="{CHART_HEIGHT}" fill="white"/>',
+            f'<text x="{CHART_WIDTH / 2}" y="20" text-anchor="middle" '
             f'font-size="14" font-family="sans-serif">{_esc(self.title)}</text>',
         ]
         # Axes.
@@ -142,7 +145,7 @@ class LineChart:
             )
         # Axis labels.
         parts.append(
-            f'<text x="{(ml + plot_right) / 2}" y="{self.height - 8}" '
+            f'<text x="{(ml + plot_right) / 2}" y="{CHART_HEIGHT - 8}" '
             f'text-anchor="middle" font-size="11" font-family="sans-serif">'
             f"{_esc(self.x_label)}</text>"
         )
@@ -195,7 +198,6 @@ class HeatmapChart:
     row_labels: list[str]
     values: list[list[float | None]]
     annotations: list[list[str]] | None = None
-    cell_size: int = 52
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.row_labels):
@@ -225,8 +227,8 @@ class HeatmapChart:
         """The heatmap as SVG text."""
         ml, mt = 80, 50
         cols, rows = len(self.column_labels), len(self.row_labels)
-        width = ml + cols * self.cell_size + 20
-        height = mt + rows * self.cell_size + 50
+        width = ml + cols * HEATMAP_CELL_SIZE + 20
+        height = mt + rows * HEATMAP_CELL_SIZE + 50
         finite = [v for row in self.values for v in row if v is not None]
         lo = min(finite) if finite else 0.0
         hi = max(finite) if finite else 1.0
@@ -240,21 +242,21 @@ class HeatmapChart:
             f'font-family="sans-serif">{_esc(self.title)}</text>',
         ]
         for j, label in enumerate(self.column_labels):
-            x = ml + j * self.cell_size + self.cell_size / 2
+            x = ml + j * HEATMAP_CELL_SIZE + HEATMAP_CELL_SIZE / 2
             parts.append(
                 f'<text x="{x}" y="{mt - 8}" text-anchor="middle" font-size="10" '
                 f'font-family="sans-serif">{_esc(label)}</text>'
             )
         for i, label in enumerate(self.row_labels):
-            y = mt + i * self.cell_size + self.cell_size / 2 + 3
+            y = mt + i * HEATMAP_CELL_SIZE + HEATMAP_CELL_SIZE / 2 + 3
             parts.append(
                 f'<text x="{ml - 8}" y="{y}" text-anchor="end" font-size="10" '
                 f'font-family="sans-serif">{_esc(label)}</text>'
             )
         for i, row in enumerate(self.values):
             for j, value in enumerate(row):
-                x = ml + j * self.cell_size
-                y = mt + i * self.cell_size
+                x = ml + j * HEATMAP_CELL_SIZE
+                y = mt + i * HEATMAP_CELL_SIZE
                 if value is None:
                     fill = "#cccccc"
                     text_colour = "#333333"
@@ -263,8 +265,8 @@ class HeatmapChart:
                     fill = self._colour(fraction)
                     text_colour = "black" if fraction > 0.6 else "white"
                 parts.append(
-                    f'<rect x="{x}" y="{y}" width="{self.cell_size}" '
-                    f'height="{self.cell_size}" fill="{fill}" stroke="white"/>'
+                    f'<rect x="{x}" y="{y}" width="{HEATMAP_CELL_SIZE}" '
+                    f'height="{HEATMAP_CELL_SIZE}" fill="{fill}" stroke="white"/>'
                 )
                 if self.annotations is not None:
                     note = self.annotations[i][j]
@@ -274,20 +276,20 @@ class HeatmapChart:
                     note = ""
                 if note:
                     parts.append(
-                        f'<text x="{x + self.cell_size / 2}" '
-                        f'y="{y + self.cell_size / 2 + 3}" text-anchor="middle" '
+                        f'<text x="{x + HEATMAP_CELL_SIZE / 2}" '
+                        f'y="{y + HEATMAP_CELL_SIZE / 2 + 3}" text-anchor="middle" '
                         f'font-size="9" font-family="sans-serif" '
                         f'fill="{text_colour}">{_esc(note)}</text>'
                     )
         parts.append(
-            f'<text x="{ml + cols * self.cell_size / 2}" y="{height - 10}" '
+            f'<text x="{ml + cols * HEATMAP_CELL_SIZE / 2}" y="{height - 10}" '
             f'text-anchor="middle" font-size="11" font-family="sans-serif">'
             f"{_esc(self.x_label)}</text>"
         )
         parts.append(
-            f'<text x="16" y="{mt + rows * self.cell_size / 2}" '
+            f'<text x="16" y="{mt + rows * HEATMAP_CELL_SIZE / 2}" '
             f'text-anchor="middle" font-size="11" font-family="sans-serif" '
-            f'transform="rotate(-90 16 {mt + rows * self.cell_size / 2})">'
+            f'transform="rotate(-90 16 {mt + rows * HEATMAP_CELL_SIZE / 2})">'
             f"{_esc(self.y_label)}</text>"
         )
         parts.append("</svg>")

@@ -90,15 +90,13 @@ def table2_ipu_gpt(
     return rows
 
 
-def table3_ipu_resnet(
-    batch_sizes: tuple[int, ...] = TABLE3_BATCH_SIZES,
-) -> list[IPUTableRow]:
+def table3_ipu_resnet() -> list[IPUTableRow]:
     """Table III: ResNet50 on a single GC200, one ImageNet epoch."""
     node = get_system("GC200")
     engine = PoplarResNetEngine(node)
     power_model = DeviceRegistry.for_node(node).get(0).model
     rows = []
-    for b in batch_sizes:
+    for b in TABLE3_BATCH_SIZES:
         rate = engine.images_per_second(b)
         epoch_s = IMAGENET_TRAIN_IMAGES / rate
         energy_wh = power_model.power(engine.utilisation(b)) * epoch_s / 3600.0

@@ -11,8 +11,6 @@ deterministically inside ``caraml report``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.engine.inference import InferenceEngine
 from repro.hardware.systems import get_system
 from repro.models.transformer import get_gpt_preset
@@ -22,63 +20,43 @@ from repro.serve import BurstArrivals, SLOPolicy
 from repro.serve.cluster import AutoscalePolicy, ClusterSimulator
 
 
-@dataclass(frozen=True)
-class BurstScenario:
-    """Bursty autoscaled-cluster workload the telemetry section runs.
-
-    Two request floods against a small cluster scaling up from one
-    replica: the first burst lands while capacity is still spinning up,
-    which is exactly the regime burn-rate alerting exists to catch.
-    """
-
-    system: str = "GH200"
-    model: str = "800M"
-    replicas: int = 2
-    min_replicas: int = 1
-    batch_cap: int = 4
-    bursts: tuple[tuple[float, int], ...] = ((0.5, 60), (3.0, 60))
-    prompt_tokens: int = 256
-    generate_tokens: int = 64
-    slo_ttft_s: float = 0.05
-    slo_e2e_s: float = 0.8
-    objective: float = 0.99
-
-    def arrivals(self) -> BurstArrivals:
-        """The burst arrival stream."""
-        return BurstArrivals(
-            bursts=self.bursts,
-            prompt_tokens=self.prompt_tokens,
-            generate_tokens=self.generate_tokens,
-        )
-
-    def slo(self) -> SLOPolicy:
-        """The (tight) latency SLO the monitor burns against."""
-        return SLOPolicy(ttft_s=self.slo_ttft_s, e2e_s=self.slo_e2e_s)
+#: The burst scenario: two request floods against a small cluster of
+#: 800M GPT replicas on one system, scaling up from one replica.  The
+#: first burst lands while capacity is still spinning up, which is
+#: exactly the regime burn-rate alerting exists to catch.
+BURST_SYSTEM = "GH200"
+BURST_REPLICAS = 2
+BURST_MIN_REPLICAS = 1
+#: ``(arrival_s, requests)`` of each flood.
+BURSTS = ((0.5, 60), (3.0, 60))
+#: The (tight) latency SLO the monitor burns against, and its objective.
+BURST_SLO = SLOPolicy(ttft_s=0.05, e2e_s=0.8)
+BURST_OBJECTIVE = 0.99
 
 
-def run_burst_scenario(scenario: BurstScenario = BurstScenario()):
-    """Run the scenario with telemetry attached.
+def run_burst_scenario():
+    """Run the burst scenario with telemetry attached.
 
     Returns ``(result, sampler, monitor)``.  A fresh metrics registry is
     installed for the run so the section's gauges never mix with other
     report sections.
     """
     set_metrics(MetricsRegistry())
-    engine = InferenceEngine(
-        get_system(scenario.system), get_gpt_preset(scenario.model)
-    )
+    engine = InferenceEngine(get_system(BURST_SYSTEM), get_gpt_preset("800M"))
     sampler = TelemetrySampler()
-    monitor = SLOMonitor(objective=scenario.objective)
+    monitor = SLOMonitor(objective=BURST_OBJECTIVE)
     simulator = ClusterSimulator(
         engine,
-        replicas=scenario.replicas,
-        batch_cap=scenario.batch_cap,
-        slo=scenario.slo(),
-        autoscale=AutoscalePolicy(min_replicas=scenario.min_replicas),
+        replicas=BURST_REPLICAS,
+        batch_cap=4,
+        slo=BURST_SLO,
+        autoscale=AutoscalePolicy(min_replicas=BURST_MIN_REPLICAS),
         telemetry=sampler,
         slo_monitor=monitor,
     )
-    result = simulator.run(scenario.arrivals())
+    result = simulator.run(
+        BurstArrivals(bursts=BURSTS, prompt_tokens=256, generate_tokens=64)
+    )
     return result, sampler, monitor
 
 

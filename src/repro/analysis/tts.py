@@ -20,7 +20,7 @@ from repro.analysis.metrics import mean_step_power_w
 from repro.engine.perf import LLMStepModel
 from repro.errors import ConfigError
 from repro.hardware.systems import get_system
-from repro.models.lossmodel import GPT_LOSS, LossCurve
+from repro.models.lossmodel import GPT_LOSS
 from repro.models.parallelism import ParallelLayout
 from repro.models.transformer import get_gpt_preset
 
@@ -50,20 +50,19 @@ def time_to_loss(
     *,
     target_loss: float = 3.6,
     global_batch_size: int = 256,
-    model_size: str = "800M",
-    micro_batch_size: int = 4,
-    curve: LossCurve = GPT_LOSS,
 ) -> TimeToSolution:
-    """Time and energy for one system to train to a target loss."""
+    """Time and energy for one system to train the 800M GPT to a target
+    loss at micro batch 4."""
     node = get_system(system)
     if node.is_ipu_pod:
         raise ConfigError("time-to-solution analysis targets the GPU systems")
-    model = get_gpt_preset(model_size)
+    model = get_gpt_preset("800M")
+    micro_batch_size = 4
     devices = node.logical_devices_per_node
     layout = ParallelLayout(dp=devices)
     layout.validate_batch(global_batch_size, micro_batch_size)
     # The GPT loss curve's work unit is tokens.
-    tokens_needed = curve.work_to_reach(target_loss, global_batch_size)
+    tokens_needed = GPT_LOSS.work_to_reach(target_loss, global_batch_size)
     step_model = LLMStepModel(
         node, model, layout, micro_batch_size=micro_batch_size
     )
@@ -83,9 +82,7 @@ def time_to_loss(
 def batch_size_tradeoff(
     system: str,
     *,
-    target_loss: float = 3.6,
     batch_sizes: tuple[int, ...] = (64, 256, 1024, 4096),
-    model_size: str = "800M",
 ) -> list[TimeToSolution]:
     """The §IV-A trade-off: sweep batch sizes at fixed target loss.
 
@@ -95,15 +92,7 @@ def batch_size_tradeoff(
     """
     if not batch_sizes:
         raise ConfigError("need at least one batch size")
-    return [
-        time_to_loss(
-            system,
-            target_loss=target_loss,
-            global_batch_size=gbs,
-            model_size=model_size,
-        )
-        for gbs in batch_sizes
-    ]
+    return [time_to_loss(system, global_batch_size=gbs) for gbs in batch_sizes]
 
 
 def optimal_batch_size(results: list[TimeToSolution]) -> TimeToSolution:

@@ -7,12 +7,7 @@ import json
 
 import pytest
 
-from repro.analysis.telemetry import (
-    BurstScenario,
-    alert_rows,
-    run_burst_scenario,
-    series_rows,
-)
+from repro.analysis.telemetry import alert_rows, run_burst_scenario, series_rows
 from repro.campaign.executor import IsolatingExecutor
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, WorkloadSpec
@@ -133,7 +128,7 @@ class TestServeSimulator:
 class TestBurstScenario:
     @pytest.fixture(scope="class")
     def scenario_run(self):
-        return run_burst_scenario(BurstScenario())
+        return run_burst_scenario()
 
     def test_alerts_fire_under_burst(self, scenario_run):
         result, _, monitor = scenario_run
