@@ -12,7 +12,6 @@ from repro.power.model import (
 )
 from repro.power.dvfs import (
     FrequencyModel,
-    PowerCapSpec,
     apply_power_cap,
     frequency_model_for_device,
     frequency_model_for_node,
@@ -25,7 +24,6 @@ __all__ = [
     "PowerModel",
     "power_model_for_device",
     "FrequencyModel",
-    "PowerCapSpec",
     "apply_power_cap",
     "frequency_model_for_device",
     "frequency_model_for_node",

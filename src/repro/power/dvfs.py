@@ -28,10 +28,9 @@ The exported surface:
   fractions for one logical device.
 * :func:`frequency_model_for_device` / :func:`frequency_model_for_node`
   — build one from the calibrated power model.
-* :class:`PowerCapSpec` — the user-facing knob (cap plus optional
-  calibration overrides).
 * :func:`apply_power_cap` — derate a :class:`~repro.hardware.node.NodeSpec`
-  so every downstream perf and power consumer sees the capped device.
+  to a per-device cap so every downstream perf and power consumer sees
+  the capped device.
 """
 
 from __future__ import annotations
@@ -127,28 +126,14 @@ def frequency_model_for_device(
     spec: AcceleratorSpec,
     *,
     package_tdp_watts: float | None = None,
-    idle_fraction: float | None = None,
-    alpha: float = DEFAULT_ALPHA,
-    bandwidth_exponent: float = DEFAULT_BANDWIDTH_EXPONENT,
-    min_clock_fraction: float = DEFAULT_MIN_CLOCK_FRACTION,
 ) -> FrequencyModel:
     """Frequency model of one logical device of ``spec``.
 
     Brackets the DVFS curve with the same calibrated idle/max watts the
     power model uses, so cap → clock and cap → watts stay consistent.
     """
-    pm = power_model_for_device(
-        spec,
-        package_tdp_watts=package_tdp_watts,
-        idle_fraction=idle_fraction,
-    )
-    return FrequencyModel(
-        idle_watts=pm.idle_watts,
-        max_watts=pm.max_watts,
-        alpha=alpha,
-        bandwidth_exponent=bandwidth_exponent,
-        min_clock_fraction=min_clock_fraction,
-    )
+    pm = power_model_for_device(spec, package_tdp_watts=package_tdp_watts)
+    return FrequencyModel(idle_watts=pm.idle_watts, max_watts=pm.max_watts)
 
 
 def frequency_model_for_node(node: NodeSpec) -> FrequencyModel:
@@ -158,80 +143,45 @@ def frequency_model_for_node(node: NodeSpec) -> FrequencyModel:
     )
 
 
-@dataclass(frozen=True)
-class PowerCapSpec:
-    """The user-facing power-cap knob.
-
-    ``cap_watts`` is the enforced per-logical-device cap; ``None`` (or
-    a cap at/above the device's achievable max) leaves the device at
-    stock clocks.  The remaining fields override the DVFS calibration
-    for devices whose cap-sweep curve is known to differ.
-    """
-
-    cap_watts: float | None = None
-    alpha: float = DEFAULT_ALPHA
-    bandwidth_exponent: float = DEFAULT_BANDWIDTH_EXPONENT
-    min_clock_fraction: float = DEFAULT_MIN_CLOCK_FRACTION
-
-    def __post_init__(self) -> None:
-        if self.cap_watts is not None and self.cap_watts <= 0:
-            raise ConfigError(
-                f"power cap must be positive, got {self.cap_watts}"
-            )
-
-    def frequency_model(self, node: NodeSpec) -> FrequencyModel:
-        """The node's calibrated DVFS curve with this spec's overrides."""
-        base = frequency_model_for_node(node)
-        return FrequencyModel(
-            idle_watts=base.idle_watts,
-            max_watts=base.max_watts,
-            alpha=self.alpha,
-            bandwidth_exponent=self.bandwidth_exponent,
-            min_clock_fraction=self.min_clock_fraction,
-        )
-
-    def apply(self, node: NodeSpec) -> NodeSpec:
-        """Return ``node`` derated to this cap (``node`` if uncapped)."""
-        if self.cap_watts is None:
-            return node
-        if node.power_cap_watts is not None:
-            raise ConfigError(
-                f"{node.name} already carries a {node.power_cap_watts:.0f} W "
-                f"power cap; apply caps to the stock node"
-            )
-        fm = self.frequency_model(node)
-        min_cap = fm.min_cap_watts
-        if self.cap_watts < min_cap:
-            # nvidia-smi-style refusal: the floor clock already draws
-            # more than the requested cap, so it cannot be enforced.
-            raise ConfigError(
-                f"{node.name}: power cap {self.cap_watts:.0f} W is below "
-                f"the minimum enforceable limit {min_cap:.0f} W (floor "
-                f"clock at {fm.min_clock_fraction:.0%})"
-            )
-        f_compute = fm.compute_fraction(self.cap_watts)
-        f_bw = fm.bandwidth_fraction(self.cap_watts)
-        accel = replace(
-            node.accelerator,
-            peak_fp16_flops=node.accelerator.peak_fp16_flops * f_compute,
-            memory_bandwidth=node.accelerator.memory_bandwidth * f_bw,
-        )
-        return replace(
-            node,
-            accelerator=accel,
-            power_cap_watts=min(self.cap_watts, node.device_tdp_watts),
-        )
-
-
 def apply_power_cap(node: NodeSpec, cap_watts: float | None) -> NodeSpec:
-    """Derate ``node`` to a per-logical-device cap with default calibration.
+    """Derate ``node`` to a per-logical-device cap.
 
     The returned spec carries ``power_cap_watts`` (so the power layer
     saturates at the cap) and an accelerator whose ``peak_fp16_flops``
-    and ``memory_bandwidth`` are scaled through the frequency model (so
-    every perf consumer — step models, inference engine, serve cluster —
-    sees the slower device without further plumbing).  ``None`` returns
-    the node unchanged; a cap at/above the device's achievable max
-    records the cap but leaves clocks at stock.
+    and ``memory_bandwidth`` are scaled through the node's frequency
+    model (so every perf consumer — step models, inference engine,
+    serve cluster — sees the slower device without further plumbing).
+    ``None`` returns the node unchanged; a cap at/above the device's
+    achievable max records the cap but leaves clocks at stock.
     """
-    return PowerCapSpec(cap_watts=cap_watts).apply(node)
+    if cap_watts is None:
+        return node
+    if cap_watts <= 0:
+        raise ConfigError(f"power cap must be positive, got {cap_watts}")
+    if node.power_cap_watts is not None:
+        raise ConfigError(
+            f"{node.name} already carries a {node.power_cap_watts:.0f} W "
+            f"power cap; apply caps to the stock node"
+        )
+    fm = frequency_model_for_node(node)
+    min_cap = fm.min_cap_watts
+    if cap_watts < min_cap:
+        # nvidia-smi-style refusal: the floor clock already draws more
+        # than the requested cap, so it cannot be enforced.
+        raise ConfigError(
+            f"{node.name}: power cap {cap_watts:.0f} W is below the minimum "
+            f"enforceable limit {min_cap:.0f} W (floor clock at "
+            f"{fm.min_clock_fraction:.0%})"
+        )
+    f_compute = fm.compute_fraction(cap_watts)
+    f_bw = fm.bandwidth_fraction(cap_watts)
+    accel = replace(
+        node.accelerator,
+        peak_fp16_flops=node.accelerator.peak_fp16_flops * f_compute,
+        memory_bandwidth=node.accelerator.memory_bandwidth * f_bw,
+    )
+    return replace(
+        node,
+        accelerator=accel,
+        power_cap_watts=min(cap_watts, node.device_tdp_watts),
+    )

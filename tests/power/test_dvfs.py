@@ -9,7 +9,6 @@ from repro.hardware.systems import get_system
 from repro.power.dvfs import (
     DEFAULT_MIN_CLOCK_FRACTION,
     FrequencyModel,
-    PowerCapSpec,
     apply_power_cap,
     frequency_model_for_device,
     frequency_model_for_node,
@@ -130,8 +129,8 @@ class TestApplyPowerCap:
             apply_power_cap(node, 200.0)
 
     def test_spec_validation(self):
-        with pytest.raises(ConfigError):
-            PowerCapSpec(cap_watts=-5.0)
+        with pytest.raises(ConfigError, match="must be positive"):
+            apply_power_cap(get_system("H100"), -5.0)
 
 
 class TestCappedNodeThroughput:
