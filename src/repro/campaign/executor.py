@@ -236,21 +236,17 @@ class IsolatingExecutor:
 
 # Worker-process state, installed once per worker by the pool
 # initializer: the registry is built in the worker (it holds closures
-# and cannot be pickled), and the retry policy / sleep / fault plan
-# arrive once at pool start instead of being pickled with every item.
+# and cannot be pickled), and the fault plan and telemetry plan arrive
+# once at pool start instead of being pickled with every item.
 _worker_registry: OperationRegistry | None = None
-_worker_retry: RetryPolicy = RetryPolicy()
-_worker_sleep: SleepFn = time.sleep
 _worker_fault_plan: FaultPlan | None = None
 _worker_telemetry: TelemetryPlan | None = None
 
 
 def _pool_init(
     factory: RegistryFactory | str | None,
-    retry: RetryPolicy,
-    sleep: SleepFn,
     fault_plan: FaultPlan | None,
-    telemetry: TelemetryPlan | None = None,
+    telemetry: TelemetryPlan | None,
 ) -> None:
     """Pool initializer: runs once in each worker process.
 
@@ -258,21 +254,22 @@ def _pool_init(
     worker's lifetime, so every workpackage the worker executes shares
     the arrival streams generated before it.
     """
-    global _worker_registry, _worker_retry, _worker_sleep, _worker_fault_plan
-    global _worker_telemetry
+    global _worker_registry, _worker_fault_plan, _worker_telemetry
     _worker_registry = resolve_registry_factory(factory)()
-    _worker_retry = retry
-    _worker_sleep = sleep
     _worker_fault_plan = fault_plan
     _worker_telemetry = telemetry
     set_stream_cache(StreamCache())
 
 
 def _pool_worker(item: WorkItem) -> WorkResult:
-    """Executed in the worker process: run one item; only it is pickled."""
+    """Executed in the worker process: run one item; only it is pickled.
+
+    Transient failures retry under the default :class:`RetryPolicy`,
+    sleeping in real time.
+    """
     return run_item_isolated(
-        _worker_registry, item, _worker_retry, _worker_sleep,
-        _worker_fault_plan, _worker_telemetry,
+        _worker_registry, item,
+        fault_plan=_worker_fault_plan, telemetry=_worker_telemetry,
     )
 
 
@@ -292,14 +289,15 @@ class PoolExecutor:
     ``run_items`` and is reused across step barriers, so a multi-step
     campaign pays worker startup (process fork + registry build) once,
     not once per step.  Per-item pickling carries only the
-    :class:`WorkItem` — retry policy, sleep, and fault plan ship once
-    through the pool initializer — and dispatch uses a computed
+    :class:`WorkItem` — the fault and telemetry plans ship once through
+    the pool initializer — and dispatch uses a computed
     chunksize so thousands of small items don't drown in IPC overhead.
 
     ``run_items`` is a barrier — it returns only when every item has a
     result — so plugging this into :class:`~repro.jube.runner.JubeRunner`
     keeps dependency-ordered steps correct.  Failures are always
-    captured (pool siblings must never be torn down by one bad item).
+    captured (pool siblings must never be torn down by one bad item),
+    and transient ones retry under the default :class:`RetryPolicy`.
 
     Call :meth:`close` (or use the executor as a context manager) to
     shut the workers down; an unclosed pool is reaped at process exit.
@@ -309,8 +307,6 @@ class PoolExecutor:
         self,
         max_workers: int | None = None,
         registry_factory: RegistryFactory | str | None = None,
-        retry: RetryPolicy = RetryPolicy(),
-        sleep: SleepFn = time.sleep,
         fault_plan: FaultPlan | None = None,
         telemetry: TelemetryPlan | None = None,
     ) -> None:
@@ -320,8 +316,6 @@ class PoolExecutor:
         self.registry_factory = (
             registry_factory if registry_factory is not None else DEFAULT_REGISTRY_FACTORY
         )
-        self.retry = retry
-        self.sleep = sleep  # must be picklable (it ships to the workers)
         self.fault_plan = fault_plan  # plain data, ships to the workers too
         self.telemetry = telemetry  # frozen dataclass, ships to the workers
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
@@ -331,10 +325,7 @@ class PoolExecutor:
         resolve_registry_factory(self.registry_factory)
 
     def _config(self) -> tuple:
-        return (
-            self.registry_factory, self.retry, self.sleep, self.fault_plan,
-            self.telemetry,
-        )
+        return (self.registry_factory, self.fault_plan, self.telemetry)
 
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
         """The persistent pool, (re)built if config changed since start."""
