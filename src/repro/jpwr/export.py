@@ -91,22 +91,20 @@ def export_measurement(
     filetype: str,
     *,
     suffix: str = "",
-    env: dict[str, str] | None = None,
 ) -> list[Path]:
     """Write all measurement artefacts of one scope; returns the paths.
 
     Files written: ``power<suffix>``, ``energy<suffix>`` and one
-    ``additional_<key><suffix>`` per additional-data frame.
+    ``additional_<key><suffix>`` per additional-data frame; the suffix
+    expands against the process environment.
     """
     paths = [
-        write_frame(power_df, out_dir, "power", filetype, suffix=suffix, env=env),
-        write_frame(energy_df, out_dir, "energy", filetype, suffix=suffix, env=env),
+        write_frame(power_df, out_dir, "power", filetype, suffix=suffix),
+        write_frame(energy_df, out_dir, "energy", filetype, suffix=suffix),
     ]
     for key, frame in additional.items():
         safe = re.sub(r"[^A-Za-z0-9_-]", "_", key)
         paths.append(
-            write_frame(
-                frame, out_dir, f"additional_{safe}", filetype, suffix=suffix, env=env
-            )
+            write_frame(frame, out_dir, f"additional_{safe}", filetype, suffix=suffix)
         )
     return paths

@@ -66,11 +66,11 @@ class ParameterSet:
     system tag.
     """
 
-    def __init__(self, name: str, parameters: Iterable[Parameter] = ()) -> None:
+    def __init__(self, name: str) -> None:
         if not _NAME_RE.match(name):
             raise JubeError(f"invalid parameter set name {name!r}")
         self.name = name
-        self.parameters: list[Parameter] = list(parameters)
+        self.parameters: list[Parameter] = []
 
     def add(self, parameter: Parameter) -> None:
         """Append a parameter definition."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.models.precision import MixedPrecisionPolicy, DEFAULT_POLICY
+from repro.models.precision import DEFAULT_POLICY, DType, MixedPrecisionPolicy
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ def optimizer_bytes_per_param(
 
         params (compute dtype)            -- always replicated
         grads  (grad dtype)               -- always replicated
-        master weights (master dtype)     -- sharded if distributed
-        moments (optimizer_state dtype)   -- sharded if distributed
+        master weights (fp32)             -- sharded if distributed
+        moments (fp32)                    -- sharded if distributed
 
     With the default fp16/fp32 policy and Adam this is the familiar
     "16 bytes/param" unsharded and ``4 + 12/dp`` with the distributed
@@ -49,10 +49,11 @@ def optimizer_bytes_per_param(
     if dp_size < 1:
         raise ConfigError("data-parallel size must be >= 1")
     replicated = policy.params.bytes + policy.grads.bytes
+    fp32 = DType.FP32.bytes  # master weights and optimizer states
     shardable = (
-        policy.master.bytes + opt.moments * policy.optimizer_state.bytes
+        fp32 + opt.moments * fp32
         if policy.uses_mixed_precision
-        else opt.moments * policy.optimizer_state.bytes
+        else opt.moments * fp32
     )
     shard_factor = dp_size if opt.distributed else 1
     return replicated + shardable / shard_factor

@@ -35,20 +35,18 @@ class MixedPrecisionPolicy:
     """Which dtype each tensor class uses.
 
     The default is the Megatron/TensorFlow mixed-precision recipe:
-    fp16 compute and activations, fp32 master weights and optimizer
-    states.
+    fp16 compute and activations.  Master weights and optimizer states
+    are fp32 in every policy.
     """
 
     compute: DType = DType.FP16
     params: DType = DType.FP16
     grads: DType = DType.FP16
-    master: DType = DType.FP32
-    optimizer_state: DType = DType.FP32
 
     @property
     def uses_mixed_precision(self) -> bool:
-        """True when compute precision is below master precision."""
-        return self.compute.bytes < self.master.bytes
+        """True when compute precision is below the fp32 master copy's."""
+        return self.compute.bytes < DType.FP32.bytes
 
 
 #: The policy both CARAML benchmarks use.

@@ -45,14 +45,12 @@ class LiveDashboard:
         *,
         refresh_samples: int = DEFAULT_REFRESH_SAMPLES,
         width: int = DEFAULT_WIDTH,
-        title: str = "telemetry",
     ) -> None:
         if refresh_samples < 1:
             raise ConfigError("refresh_samples must be >= 1")
         self.out = out
         self.refresh_samples = int(refresh_samples)
         self.width = int(width)
-        self.title = title
         self.frames_drawn = 0
         self._since_redraw = 0
 
@@ -70,9 +68,7 @@ class LiveDashboard:
 
     def _draw(self, sampler, t_s: float) -> None:
         print(
-            render_dashboard(
-                sampler, width=self.width, now_s=t_s, title=self.title
-            ),
+            render_dashboard(sampler, width=self.width, now_s=t_s),
             file=self.out,
         )
         print(file=self.out)

@@ -114,7 +114,6 @@ def render_frames(
     *,
     frames: int = DEFAULT_FRAMES,
     width: int = DEFAULT_WIDTH,
-    title: str = "telemetry",
 ) -> list[str]:
     """Render a replay as ``frames`` dashboard frames over the timeline.
 
@@ -127,11 +126,11 @@ def render_frames(
     docs = _series_docs(source)
     all_times = [t for doc in docs for t in (doc.get("times_s") or [])]
     if not all_times:
-        return [render_dashboard(docs, width=width, title=title)]
+        return [render_dashboard(docs, width=width)]
     t0, t1 = min(all_times), max(all_times)
     span = t1 - t0
     out = []
     for i in range(frames):
         cutoff = t1 if span == 0 else t0 + (i + 1) / frames * span
-        out.append(render_dashboard(docs, width=width, now_s=cutoff, title=title))
+        out.append(render_dashboard(docs, width=width, now_s=cutoff))
     return out

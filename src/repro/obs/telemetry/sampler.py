@@ -46,7 +46,7 @@ class TelemetrySampler:
     interval_s:
         Simulated-time sampling interval.
     rolling_window_s:
-        Default window span for :meth:`add_rolling` series.
+        Window span of :meth:`add_rolling` series.
     """
 
     def __init__(
@@ -101,17 +101,16 @@ class TelemetrySampler:
         name: str,
         *,
         q: float = 95.0,
-        window_s: float | None = None,
-        labels: dict[str, str] | None = None,
     ) -> RollingWindow:
         """Register a rolling-percentile series; feed the returned window.
 
         The caller observes ``(t_s, value)`` pairs on the returned
-        :class:`~repro.obs.telemetry.sketch.RollingWindow`; each sample
-        boundary records the window's ``q``-th percentile.
+        :class:`~repro.obs.telemetry.sketch.RollingWindow`, which spans
+        ``rolling_window_s``; each sample boundary records the window's
+        ``q``-th percentile.
         """
-        window = RollingWindow(window_s or self.rolling_window_s)
-        ring = self._ring(name, labels)
+        window = RollingWindow(self.rolling_window_s)
+        ring = self._ring(name, None)
         self._rollings.append((ring, window, float(q)))
         return window
 

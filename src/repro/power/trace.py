@@ -165,8 +165,6 @@ class PowerTrace:
         timeline: UtilisationTimeline,
         model: PowerModel,
         interval_s: float,
-        *,
-        label: str = "",
     ) -> "PowerTrace":
         """Sample a timeline the way jpwr's loop would.
 
@@ -176,7 +174,7 @@ class PowerTrace:
         """
         if interval_s <= 0:
             raise ValueError("sampling interval must be positive")
-        trace = cls(label=label)
+        trace = cls()
         t = timeline.start_time_s
         end = timeline.end_time_s
         while t < end:

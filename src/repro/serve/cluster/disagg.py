@@ -43,14 +43,13 @@ class DisaggregationSpec:
     ----------
     prefill_replicas / decode_replicas:
         Pool sizes; the cluster's replica count is their sum.
-    link:
-        Interconnect carrying the KV handoff; ``None`` uses the
-        engine node's inter-node link (replicas are separate nodes).
+
+    The KV handoff crosses the link the cluster simulator picks from
+    the engine's node.
     """
 
     prefill_replicas: int
     decode_replicas: int
-    link: LinkSpec | None = None
 
     def __post_init__(self) -> None:
         if self.prefill_replicas < 1 or self.decode_replicas < 1:

@@ -59,7 +59,7 @@ from repro.simcluster.clock import VirtualClock
 
 
 def _default_link(engine: InferenceEngine):
-    """The KV-handoff link when the spec does not name one.
+    """The link a disaggregated KV handoff crosses.
 
     Replicas of a multi-node system sit on separate nodes (inter-node
     fabric); on a single-node system the replicas share the node and
@@ -156,14 +156,9 @@ class ClusterSimulator:
         self.percentile_mode = percentile_mode
         if disaggregation is not None:
             self.n_replicas = disaggregation.total_replicas
-            self.link = (
-                disaggregation.link
-                if disaggregation.link is not None
-                else _default_link(engine)
-            )
         else:
             self.n_replicas = int(replicas)
-            self.link = _default_link(engine)
+        self.link = _default_link(engine)
         if autoscale is not None and autoscale.min_replicas > self.n_replicas:
             raise ConfigError(
                 "autoscale min_replicas exceeds the cluster size"

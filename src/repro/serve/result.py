@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.engine.trainer import TrainResult
@@ -256,7 +256,6 @@ class ServeSummary:
     energy_wh: float
     energy_per_request_wh: float
     tokens_per_wh: float
-    extra: dict[str, float] = field(default_factory=dict)
     percentile_mode: str = PERCENTILE_MODE_EXACT
 
     @property
@@ -298,7 +297,6 @@ class ServeSummary:
         ):
             for key, value in summary.to_dict().items():
                 out[f"{name}_{key}_s"] = value
-        out.update(self.extra)
         out["percentile_mode"] = self.percentile_mode
         return out
 

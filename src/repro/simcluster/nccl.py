@@ -82,15 +82,9 @@ def reduce_scatter_time(
     return (ranks - 1) / ranks * message_bytes / bw + (ranks - 1) * link.latency_s
 
 
-def allgather_time(
-    message_bytes: float,
-    ranks: int,
-    link: LinkSpec,
-    *,
-    efficiency: float = DEFAULT_EFFICIENCY,
-) -> float:
+def allgather_time(message_bytes: float, ranks: int, link: LinkSpec) -> float:
     """Ring all-gather; same cost shape as reduce-scatter."""
-    return reduce_scatter_time(message_bytes, ranks, link, efficiency=efficiency)
+    return reduce_scatter_time(message_bytes, ranks, link)
 
 
 @dataclass(frozen=True)
@@ -107,15 +101,15 @@ class CollectiveModel:
         Link specs inside a node and between nodes.
     ranks_per_node / nodes:
         Layout of the job.
-    efficiency:
-        Achievable fraction of line rate.
+
+    Every phase runs at :data:`DEFAULT_EFFICIENCY` of line rate, with
+    ring all-reduces.
     """
 
     intra_link: LinkSpec
     inter_link: LinkSpec
     ranks_per_node: int
     nodes: int = 1
-    efficiency: float = DEFAULT_EFFICIENCY
 
     def __post_init__(self) -> None:
         if self.ranks_per_node < 1 or self.nodes < 1:
@@ -126,7 +120,7 @@ class CollectiveModel:
         """Total ranks participating in the collective."""
         return self.ranks_per_node * self.nodes
 
-    def allreduce(self, message_bytes: float, *, algorithm: str = "ring") -> float:
+    def allreduce(self, message_bytes: float) -> float:
         """Hierarchical all-reduce time across the whole job."""
         if self.world_size == 1 or message_bytes == 0:
             return 0.0
@@ -134,22 +128,12 @@ class CollectiveModel:
         t_intra = 0.0
         if self.ranks_per_node > 1:
             t_intra = allreduce_time(
-                message_bytes,
-                self.ranks_per_node,
-                self.intra_link,
-                efficiency=self.efficiency,
-                algorithm=algorithm,
+                message_bytes, self.ranks_per_node, self.intra_link
             )
         # Inter-node phase among node leaders.
         t_inter = 0.0
         if self.nodes > 1:
-            t_inter = allreduce_time(
-                message_bytes,
-                self.nodes,
-                self.inter_link,
-                efficiency=self.efficiency,
-                algorithm=algorithm,
-            )
+            t_inter = allreduce_time(message_bytes, self.nodes, self.inter_link)
         return t_intra + t_inter
 
     def reduce_scatter(self, message_bytes: float) -> float:
@@ -157,12 +141,11 @@ class CollectiveModel:
         t = 0.0
         if self.ranks_per_node > 1:
             t += reduce_scatter_time(
-                message_bytes, self.ranks_per_node, self.intra_link, efficiency=self.efficiency
+                message_bytes, self.ranks_per_node, self.intra_link
             )
         if self.nodes > 1:
             t += reduce_scatter_time(
                 message_bytes / self.ranks_per_node, self.nodes, self.inter_link,
-                efficiency=self.efficiency,
             )
         return t
 
@@ -172,10 +155,9 @@ class CollectiveModel:
         if self.nodes > 1:
             t += allgather_time(
                 message_bytes / self.ranks_per_node, self.nodes, self.inter_link,
-                efficiency=self.efficiency,
             )
         if self.ranks_per_node > 1:
             t += allgather_time(
-                message_bytes, self.ranks_per_node, self.intra_link, efficiency=self.efficiency
+                message_bytes, self.ranks_per_node, self.intra_link
             )
         return t

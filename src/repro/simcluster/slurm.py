@@ -101,14 +101,11 @@ def allocate_node(
     node: NodeSpec,
     clock: VirtualClock | None = None,
     *,
-    noise_fraction: float = 0.0,
     seed: int = 0,
 ) -> DeviceRegistry:
     """Build the device registry of one allocated node."""
     clk = clock if clock is not None else VirtualClock()
-    return DeviceRegistry.for_node(
-        node, clock=clk, noise_fraction=noise_fraction, seed=seed
-    )
+    return DeviceRegistry.for_node(node, clock=clk, seed=seed)
 
 
 class SlurmSimulator:
@@ -120,12 +117,8 @@ class SlurmSimulator:
     and track node occupancy between scheduling rounds.
     """
 
-    def __init__(
-        self,
-        clock: VirtualClock | None = None,
-        injector: FaultInjector | None = None,
-    ) -> None:
-        self.clock = clock if clock is not None else VirtualClock()
+    def __init__(self, injector: FaultInjector | None = None) -> None:
+        self.clock = VirtualClock()
         self.injector = injector
         self._fault_scopes: dict[int, WorkpackageInjection] = {}
         self._partitions: dict[str, tuple[NodeSpec, int]] = {}

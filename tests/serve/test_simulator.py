@@ -57,7 +57,6 @@ class TestRun:
         assert len(served.records) == 24
         assert [r.index for r in served.records] == list(range(24))
         assert served.train.benchmark == "llm-serve-800M"
-        assert served.train.iterations == s.extra.get("decode_steps", 0) or True
 
     def test_latency_invariants(self, engine):
         served = ServingSimulator(engine, batch_cap=8).run(ARRIVALS)
