@@ -1,11 +1,6 @@
 """Analysis layer: metrics and regeneration of every table and figure."""
 
-from repro.analysis.metrics import (
-    tokens_per_wh,
-    images_per_wh,
-    energy_per_hour_wh,
-    mean_step_power_w,
-)
+from repro.analysis.metrics import mean_step_power_w
 from repro.analysis.figures import (
     Fig2Point,
     Fig3Point,
@@ -62,9 +57,6 @@ __all__ = [
     "render_fig3",
     "render_fig4",
     "render_all",
-    "tokens_per_wh",
-    "images_per_wh",
-    "energy_per_hour_wh",
     "mean_step_power_w",
     "Fig2Point",
     "Fig3Point",

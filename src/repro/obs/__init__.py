@@ -55,7 +55,6 @@ from repro.obs.trace import (
     activate,
     get_tracer,
     set_tracer,
-    traced,
 )
 
 __all__ = [
@@ -83,7 +82,6 @@ __all__ = [
     "set_tracer",
     "sink_for_path",
     "summarize",
-    "traced",
     "validate_trace_events",
     "write_perfetto",
 ]

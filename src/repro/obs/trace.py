@@ -22,7 +22,7 @@ one method call.  Activate a real tracer for a scope with
 
 Instrumented library code never holds a tracer; it calls
 :func:`get_tracer` at use time, so the decision to trace is entirely
-the caller's.  :func:`traced` wraps a function in a span the same way.
+the caller's.
 
 Records are plain dicts handed to every sink as they are finalised
 (spans on exit, so children precede parents); see
@@ -32,7 +32,6 @@ conversion.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from contextlib import contextmanager
@@ -268,25 +267,3 @@ def activate(tracer: Tracer | NullTracer) -> Iterator[Tracer | NullTracer]:
     finally:
         set_tracer(previous)
 
-
-def traced(name: str | None = None, track: str = MAIN_TRACK):
-    """Decorator recording a span around every call of the function.
-
-    The span name defaults to the function's qualified name; the tracer
-    is resolved per call, so decorating is free while tracing is off.
-    """
-
-    def decorator(fn):
-        span_name = name if name is not None else fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            tracer = get_tracer()
-            if not tracer.enabled:
-                return fn(*args, **kwargs)
-            with tracer.span(span_name, track=track):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorator

@@ -3,16 +3,10 @@
 import pytest
 
 from repro.analysis.compare import llm_claims, resnet_claims
-from repro.analysis.metrics import (
-    energy_per_hour_wh,
-    images_per_wh,
-    mean_step_power_w,
-    tokens_per_wh,
-)
-from repro.engine.perf import CNNStepModel, LLMStepModel
+from repro.analysis.metrics import mean_step_power_w
+from repro.engine.perf import LLMStepModel
 from repro.hardware.systems import get_system
 from repro.models.parallelism import ParallelLayout
-from repro.models.resnet import get_cnn_preset
 from repro.models.transformer import get_gpt_preset
 
 
@@ -44,27 +38,6 @@ class TestMetrics:
         pm = DeviceRegistry.for_node(node).get(0).model
         p = mean_step_power_w(node, step)
         assert pm.power(0.25) < p <= pm.power(step.utilisation)
-
-    def test_tokens_per_wh_consistency(self):
-        node = get_system("H100")
-        model = LLMStepModel(node, get_gpt_preset("800M"), ParallelLayout(dp=4))
-        eff = tokens_per_wh(model, 1024)
-        rate = model.tokens_per_second_per_device(1024)
-        power = mean_step_power_w(node, model.step(1024))
-        assert eff == pytest.approx(rate * 3600 / power)
-
-    def test_images_per_wh_positive_all_systems(self):
-        for tag in ("A100", "H100", "WAIH100", "GH200", "JEDI", "MI250"):
-            model = CNNStepModel(get_system(tag), get_cnn_preset("resnet50"))
-            assert images_per_wh(model, 256) > 0
-
-    def test_energy_per_hour_is_mean_power(self):
-        node = get_system("A100")
-        model = LLMStepModel(node, get_gpt_preset("800M"), ParallelLayout(dp=4))
-        step = model.step(256)
-        assert energy_per_hour_wh(node, step) == pytest.approx(
-            mean_step_power_w(node, step)
-        )
 
 
 class TestClosedFormVsSimulatedRun:

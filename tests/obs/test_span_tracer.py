@@ -1,4 +1,4 @@
-"""Span tracer semantics: nesting, the null path, activation, decorator."""
+"""Span tracer semantics: nesting, the null path, activation."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.obs.trace import (
     activate,
     get_tracer,
     set_tracer,
-    traced,
 )
 from repro.simcluster.clock import VirtualClock
 
@@ -140,42 +139,3 @@ class TestActivation:
         previous = set_tracer(None)
         assert previous is NULL_TRACER
         assert get_tracer() is NULL_TRACER
-
-
-class TestTracedDecorator:
-    def test_records_span_when_tracing(self):
-        clock = VirtualClock()
-        sink = InMemorySink()
-
-        @traced("work/unit")
-        def unit():
-            clock.advance(1.0)
-            return 42
-
-        with activate(Tracer(clock=clock, sinks=[sink])):
-            assert unit() == 42
-        (span,) = _spans(sink)
-        assert span["name"] == "work/unit"
-        assert span["t1"] - span["t0"] == 1.0
-
-    def test_name_defaults_to_qualname(self):
-        sink = InMemorySink()
-
-        @traced()
-        def helper():
-            return "ok"
-
-        with activate(Tracer(sinks=[sink])):
-            helper()
-        assert _spans(sink)[0]["name"].endswith("helper")
-
-    def test_free_when_tracing_off(self):
-        calls = []
-
-        @traced("never/recorded")
-        def unit():
-            calls.append(1)
-            return "done"
-
-        assert unit() == "done"
-        assert calls == [1]
