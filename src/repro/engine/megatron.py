@@ -45,7 +45,6 @@ class MegatronEngine:
         self.model = model
         self.layout = layout
         self.micro_batch_size = micro_batch_size
-        self.nodes_used = nodes_used
         self.step_model = LLMStepModel(
             node,
             model,

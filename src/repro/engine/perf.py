@@ -145,21 +145,11 @@ class LLMStepModel:
         self.model = model
         self.layout = layout
         self.micro_batch_size = micro_batch_size
-        self.nodes_used = nodes_used
         self.cal = calibration if calibration is not None else get_calibration(node.jube_tag)
-        self.binding = binding
         self._affinity = _mean_affinity(node, layout.world_size, binding)
 
         derate = _amd_derate(node, layout.world_size, self.cal)
         self.effective_peak_flops = node.device_peak_flops * derate
-
-        ranks_per_node = min(layout.world_size, node.logical_devices_per_node)
-        self.collectives = CollectiveModel(
-            intra_link=node.accel_accel_link,
-            inter_link=node.internode_link,
-            ranks_per_node=ranks_per_node,
-            nodes=max(1, -(-layout.world_size // ranks_per_node)),
-        )
 
     # -- per-micro-batch compute -------------------------------------------
 
@@ -309,9 +299,7 @@ class CNNStepModel:
         self.node = node
         self.model = model
         self.devices = devices
-        self.nodes_used = nodes_used
         self.cal = get_calibration(node.jube_tag)
-        self.binding = binding
         self.synthetic_data = synthetic_data
         self._affinity = _mean_affinity(node, devices, binding)
         derate = _amd_derate(node, devices, self.cal)

@@ -50,7 +50,6 @@ class TFCNNEngine:
         self.node = node
         self.model = model
         self.devices = devices
-        self.nodes_used = nodes_used
         self.step_model = CNNStepModel(
             node,
             model,
