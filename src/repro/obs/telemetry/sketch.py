@@ -48,8 +48,13 @@ P2_MIN_SAMPLES_FOR_BOUND = 10_000
 _MARKERS = 5
 
 
-def _nearest_rank(ordered: list[float], q: float) -> float:
-    """Exact nearest-rank percentile of an ascending-sorted sample."""
+def nearest_rank(ordered: list[float], q: float) -> float:
+    """Exact nearest-rank percentile of an ascending-sorted sample.
+
+    ``q`` is a rank on a 0-100 scale and selects the ordinal
+    ``ceil(q/100 * n)``, clamped at the first element so q→0⁺ returns
+    the minimum.
+    """
     rank = int(-(-(q * len(ordered)) // 100))  # ceil(q/100 * n)
     return ordered[max(rank, 1) - 1]
 
@@ -146,7 +151,7 @@ class P2Quantile:
         if self.count == 0:
             raise ConfigError("P2 sketch has no observations")
         if self.count <= _MARKERS:
-            return _nearest_rank(self._heights, self.q)
+            return nearest_rank(self._heights, self.q)
         return self._heights[2]
 
     def to_dict(self) -> dict:
@@ -283,4 +288,4 @@ class RollingWindow:
             self.prune(now_s)
         if not self._values:
             return 0.0
-        return _nearest_rank(sorted(self._values), q)
+        return nearest_rank(sorted(self._values), q)

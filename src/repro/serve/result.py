@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from repro.engine.trainer import TrainResult
 from repro.errors import ConfigError
-from repro.obs.telemetry.sketch import StreamingQuantiles
+from repro.obs.telemetry.sketch import StreamingQuantiles, nearest_rank
 
 #: Median rank of every latency summary (the typical request).
 MEDIAN_PERCENTILE = 50.0
@@ -39,14 +39,6 @@ P95_PERCENTILE = 95.0
 P99_PERCENTILE = 99.0
 #: Percentiles every latency summary reports, in ascending order.
 SUMMARY_PERCENTILES = (MEDIAN_PERCENTILE, P95_PERCENTILE, P99_PERCENTILE)
-
-# Nearest-rank semantics, named: a percentile ``q`` is a rank on a
-# 0-100 scale, the selected ordinal is ``ceil(q/100 * n)``, and ranks
-# clamp at the first element so q→0⁺ returns the minimum.
-#: Scale percentile ranks are expressed on.
-PERCENTILE_SCALE = 100.0
-#: Lowest ordinal rank a percentile may select (1-indexed minimum).
-PERCENTILE_MIN_RANK = 1
 
 #: Summary percentiles computed by exact nearest-rank over the stored
 #: sample (byte-reproducible, O(n log n) at summary time).
@@ -77,14 +69,12 @@ def percentile(values: list[float] | tuple[float, ...], q: float) -> float:
     """
     if not values:
         raise ConfigError("percentile of an empty sample")
-    if not 0.0 < q <= PERCENTILE_SCALE:
+    if not 0.0 < q <= 100.0:
         raise ConfigError(f"percentile must be in (0, 100], got {q}")
     if len(values) == 1:
         # Single-sample fast path: every rank selects the only element.
         return values[0]
-    ordered = sorted(values)
-    rank = int(-(-(q * len(ordered)) // PERCENTILE_SCALE))  # ceil(q/100 * n)
-    return ordered[max(rank, PERCENTILE_MIN_RANK) - 1]
+    return nearest_rank(sorted(values), q)
 
 
 class RequestRecord(NamedTuple):

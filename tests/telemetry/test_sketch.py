@@ -24,7 +24,7 @@ from repro.obs.telemetry.sketch import (
     P2Quantile,
     RollingWindow,
     StreamingQuantiles,
-    _nearest_rank,
+    nearest_rank,
 )
 
 pytestmark = pytest.mark.telemetry
@@ -37,7 +37,7 @@ def _exact_band(
     ordered = sorted(values)
     lo_q = max(q - tolerance, 0.01)
     hi_q = min(q + tolerance, 100.0)
-    return _nearest_rank(ordered, lo_q), _nearest_rank(ordered, hi_q)
+    return nearest_rank(ordered, lo_q), nearest_rank(ordered, hi_q)
 
 
 def _stream(kind: str, n: int, seed: int) -> list[float]:
@@ -86,7 +86,7 @@ class TestP2Accuracy:
             sketch = P2Quantile(95.0)
             for v in values[:n]:
                 sketch.observe(v)
-            assert sketch.value == _nearest_rank(sorted(values[:n]), 95.0)
+            assert sketch.value == nearest_rank(sorted(values[:n]), 95.0)
 
     def test_memory_is_constant(self):
         sketch = P2Quantile(99.0)
