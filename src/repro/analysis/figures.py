@@ -29,8 +29,6 @@ from repro.units import per_wh
 
 #: Global batch sizes of Figure 2 (16 to 4096).
 FIG2_BATCH_SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-#: Micro batch size of every Figure 2 run.
-FIG2_MICRO_BATCH_SIZE = 4
 #: Global batch sizes of Figure 3 (16 to 2048).
 FIG3_BATCH_SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048)
 
@@ -96,13 +94,10 @@ def fig2_llm_series(
     series: dict[str, list[Fig2Point]] = {}
     for label, tag, dp in FIG2_SERIES:
         node = get_system(tag)
-        step_model = LLMStepModel(
-            node, model, ParallelLayout(dp=dp),
-            micro_batch_size=FIG2_MICRO_BATCH_SIZE,
-        )
+        step_model = LLMStepModel(node, model, ParallelLayout(dp=dp))
         points = []
         for gbs in batch_sizes:
-            if gbs % (FIG2_MICRO_BATCH_SIZE * dp) != 0:
+            if gbs % (step_model.micro_batch_size * dp) != 0:
                 # e.g. GBS 16 with DP 8 is impossible (paper notes this).
                 continue
             step = step_model.step(gbs)

@@ -18,10 +18,6 @@ from repro.models.parallelism import ParallelLayout
 from repro.models.transformer import get_gpt_preset
 
 
-#: Micro batch size of every scaling run.
-SCALING_MICRO_BATCH_SIZE = 4
-
-
 @dataclass(frozen=True)
 class ScalingPoint:
     """One point of a scaling curve."""
@@ -60,11 +56,7 @@ def weak_scaling(
         devices = nodes * node.logical_devices_per_node
         gbs = per_device_batch * devices
         step_model = LLMStepModel(
-            node,
-            gpt,
-            ParallelLayout(dp=devices),
-            micro_batch_size=SCALING_MICRO_BATCH_SIZE,
-            nodes_used=nodes,
+            node, gpt, ParallelLayout(dp=devices), nodes_used=nodes
         )
         rate = step_model.tokens_per_second(gbs)
         per_device = rate / devices
@@ -100,15 +92,11 @@ def strong_scaling(
     nodes = 1
     while nodes <= limit:
         devices = nodes * node.logical_devices_per_node
-        if global_batch_size % (SCALING_MICRO_BATCH_SIZE * devices) != 0:
-            break  # ran out of divisible accumulation depth
         step_model = LLMStepModel(
-            node,
-            gpt,
-            ParallelLayout(dp=devices),
-            micro_batch_size=SCALING_MICRO_BATCH_SIZE,
-            nodes_used=nodes,
+            node, gpt, ParallelLayout(dp=devices), nodes_used=nodes
         )
+        if global_batch_size % (step_model.micro_batch_size * devices) != 0:
+            break  # ran out of divisible accumulation depth
         rate = step_model.tokens_per_second(global_batch_size)
         if base_rate is None:
             base_rate = rate

@@ -51,21 +51,16 @@ def time_to_loss(
     target_loss: float = 3.6,
     global_batch_size: int = 256,
 ) -> TimeToSolution:
-    """Time and energy for one system to train the 800M GPT to a target
-    loss at micro batch 4."""
+    """Time and energy for one system to train the 800M GPT to a target loss."""
     node = get_system(system)
     if node.is_ipu_pod:
         raise ConfigError("time-to-solution analysis targets the GPU systems")
-    model = get_gpt_preset("800M")
-    micro_batch_size = 4
     devices = node.logical_devices_per_node
     layout = ParallelLayout(dp=devices)
-    layout.validate_batch(global_batch_size, micro_batch_size)
+    step_model = LLMStepModel(node, get_gpt_preset("800M"), layout)
+    layout.validate_batch(global_batch_size, step_model.micro_batch_size)
     # The GPT loss curve's work unit is tokens.
     tokens_needed = GPT_LOSS.work_to_reach(target_loss, global_batch_size)
-    step_model = LLMStepModel(
-        node, model, layout, micro_batch_size=micro_batch_size
-    )
     rate = step_model.tokens_per_second(global_batch_size)
     seconds = tokens_needed / rate
     power = mean_step_power_w(node, step_model.step(global_batch_size)) * devices
