@@ -123,7 +123,6 @@ class PowerTrace:
 
     times_s: list[float] = field(default_factory=list)
     watts: list[float] = field(default_factory=list)
-    label: str = ""
 
     def __len__(self) -> int:
         return len(self.times_s)
