@@ -9,9 +9,9 @@ An option is set when some call in ``src/``, ``benchmarks/``,
 ``examples/``, ``hostbench/`` or ``tests/`` names its callee, as a bare
 name or as the last attribute, and passes it by keyword, by position,
 or through ``*args``/``**kwargs``.  These calls name a class too:
-``cls(...)`` or ``type(self)(...)`` inside it, a call of a subclass
-that takes its constructor, and ``super().__init__(...)`` inside a
-subclass.  ``dataclasses.replace(x, name=...)`` sets the frozen-dataclass
+``cls(...)`` in its classmethods, ``type(self)(...)`` in its methods, a
+call of a subclass that takes its constructor, and
+``super().__init__(...)`` inside a subclass.  ``dataclasses.replace(x, name=...)`` sets the frozen-dataclass
 fields called ``name``.  A test that sets an option counts: tests use
 options as seams.  A default nothing overrides is a constant that looks
 like an option; make it the constant.
