@@ -311,7 +311,7 @@ def measure_fast(backend: str, size: int, workdir: Path) -> dict[str, float]:
     )
     calibration_hash = calibration_fingerprint()
     plan_s = best_of(
-        lambda: runner._planned_items(script, step, frozenset(), {}, calibration_hash)
+        lambda: runner._planned_items(script, step, {}, calibration_hash)
     )
     cold_s = timed(lambda: runner.run(spec))
     runner.store.close()
