@@ -78,6 +78,30 @@ def _run_cluster(mode, percentile_mode="exact"):
 #: Golden-name prefix -> the run it pins.
 RUNS = {"serve": _run_single, "cluster": _run_cluster}
 
+#: A fleet stream long enough that every P² sketch makes about a
+#: thousand marker updates; the 24-request goldens make 19.
+LONG_ARRIVALS = PoissonArrivals(
+    rate_per_s=380.0,
+    requests=1000,
+    prompt_tokens=512,
+    generate_tokens=96,
+    length_spread=0.25,
+    seed=11,
+)
+
+
+def _run_long_fleet(mode, percentile_mode):
+    set_metrics(MetricsRegistry())
+    result = CLUSTER_SIMULATORS[mode](
+        _engine(),
+        replicas=4,
+        router="least-loaded",
+        batch_cap=16,
+        slo=SLO,
+        percentile_mode=percentile_mode,
+    ).run(LONG_ARRIVALS)
+    return result, render_openmetrics(get_metrics())
+
 
 def _summary(result, _openmetrics: str) -> str:
     return json.dumps(result.summary.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -91,7 +115,9 @@ def _records(result, _openmetrics: str) -> str:
     return result.records_json() + "\n"
 
 
-def _check(name: str, run, render, update: bool, percentile_mode="exact") -> None:
+def _check(
+    name: str, run, render, update: bool, percentile_mode="exact", engines=ENGINES
+) -> None:
     """Compare every engine's rendered output against one golden file.
 
     With ``--update-goldens`` the first engine's output is written and
@@ -99,12 +125,12 @@ def _check(name: str, run, render, update: bool, percentile_mode="exact") -> Non
     """
     path = GOLDEN_DIR / name
     produced = {}
-    for mode in ENGINES:
+    for mode in engines:
         result, openmetrics = run(mode, percentile_mode)
         produced[mode] = render(result, openmetrics)
     if update:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(produced[ENGINES[0]], encoding="utf-8")
+        path.write_text(produced[engines[0]], encoding="utf-8")
     assert path.exists(), (
         f"golden {path.name} missing; generate it with --update-goldens"
     )
@@ -143,3 +169,15 @@ class TestServeGoldens:
     @pytest.mark.parametrize("prefix", sorted(RUNS))
     def test_p2_openmetrics(self, prefix, update_goldens):
         _check(f"{prefix}_p2.om", RUNS[prefix], _openmetrics, update_goldens, "p2")
+
+    def test_long_fleet_p2_summary(self, update_goldens):
+        # The shipped simulator only: the per-step oracle would step
+        # every decode step of the thousand requests one at a time.
+        _check(
+            "cluster_p2_long_summary.json",
+            _run_long_fleet,
+            _summary,
+            update_goldens,
+            "p2",
+            engines=("fast",),
+        )
