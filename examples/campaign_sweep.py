@@ -58,35 +58,36 @@ def main() -> None:
     store_path = Path(sys.argv[1]) if own_store else Path(tmp.name) / "survey.jsonl"
 
     store = open_store(store_path)
-    runner = CampaignRunner(store, PoolExecutor())
+    with PoolExecutor() as executor:
+        runner = CampaignRunner(store, executor)
 
-    print(f"campaign {SPEC.name!r}: {SPEC.size} workpackages planned")
+        print(f"campaign {SPEC.name!r}: {SPEC.size} workpackages planned")
 
-    t0 = time.perf_counter()
-    report = runner.run(SPEC)
-    cold_s = time.perf_counter() - t0
-    print(f"cold run:  {report.describe()}  [{cold_s:.2f}s]")
-    for row in report.rows:
-        if row.error:
-            print(f"  failed (isolated): {row.step} {row.parameters['system']} "
-                  f"gbs={row.parameters['global_batch_size']}: {row.error}")
+        t0 = time.perf_counter()
+        report = runner.run(SPEC)
+        cold_s = time.perf_counter() - t0
+        print(f"cold run:  {report.describe()}  [{cold_s:.2f}s]")
+        for row in report.rows:
+            if row.error:
+                print(f"  failed (isolated): {row.step} {row.parameters['system']} "
+                      f"gbs={row.parameters['global_batch_size']}: {row.error}")
 
-    t0 = time.perf_counter()
-    report = runner.run(SPEC)
-    warm_s = time.perf_counter() - t0
-    print(
-        f"warm run:  {report.describe()}  "
-        f"[{warm_s:.3f}s, {cold_s / max(warm_s, 1e-9):.0f}x faster]"
-    )
+        t0 = time.perf_counter()
+        report = runner.run(SPEC)
+        warm_s = time.perf_counter() - t0
+        print(
+            f"warm run:  {report.describe()}  "
+            f"[{warm_s:.3f}s, {cold_s / max(warm_s, 1e-9):.0f}x faster]"
+        )
 
-    # `campaign continue` semantics: executes only what is missing or
-    # failed.  The injected failure is deterministic, so it fails again
-    # and stays recorded; everything else remains cached.
-    report = runner.continue_run(SPEC)
-    print(f"continue:  {report.describe()}")
+        # `campaign continue` semantics: executes only what is missing or
+        # failed.  The injected failure is deterministic, so it fails again
+        # and stays recorded; everything else remains cached.
+        report = runner.continue_run(SPEC)
+        print(f"continue:  {report.describe()}")
 
-    print()
-    print(runner.status(SPEC).describe())
+        print()
+        print(runner.status(SPEC).describe())
 
     print("\npeak throughput per system (from the store):")
     for metric, label in (

@@ -40,8 +40,8 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         store = open_store(Path(tmp) / "sweep.jsonl")
-        runner = CampaignRunner(store, PoolExecutor())
-        report = runner.run(spec)
+        with PoolExecutor() as executor:
+            report = CampaignRunner(store, executor).run(spec)
         print(report.describe())
 
         header = f"{'system':<8} {'gbs':>5} {'tok/s/dev':>11} {'Wh/dev':>8} {'tok/Wh':>9}"

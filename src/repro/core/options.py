@@ -170,7 +170,7 @@ _SERVE_POLICY = (
         choices=tuple(sorted(PERCENTILE_MODES)),
         field="percentile_mode",
         help="latency percentile computation: exact nearest-rank over "
-        "retained samples, or p2 streaming sketches (O(1) memory)",
+        "retained samples, or p2 streaming sketches (bounded summary memory)",
     ),
     POWER_CAP,
 )

@@ -28,6 +28,7 @@ round-trips through sorted-key JSON).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 
 from repro.errors import ConfigError
 
@@ -85,65 +86,114 @@ class P2Quantile:
         self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
         self._rates = (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
 
-    def observe(self, x: float) -> None:
-        """Fold one observation into the sketch."""
-        x = float(x)
-        self.count += 1
-        if self.count <= _MARKERS:
-            self._heights.append(x)
-            self._heights.sort()
-            return
-        h = self._heights
-        # Locate the marker cell the observation falls into; the
-        # extreme markers absorb new minima/maxima directly.
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, _MARKERS):
-            self._positions[i] += 1.0
-        for i in range(_MARKERS):
-            self._desired[i] += self._rates[i]
-        self._adjust_markers()
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Fold a run of observations into the sketch, in order.
 
-    def _adjust_markers(self) -> None:
-        """Move the three inner markers toward their desired positions."""
-        n = self._positions
-        h = self._heights
-        for i in (1, 2, 3):
-            d = self._desired[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                d <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
+        The five heights, positions and desired positions live in
+        locals for the whole run.  Each observation makes the IEEE
+        operations of the textbook one-at-a-time update in its order,
+        so any split of a stream into runs gives byte-identical
+        :meth:`state_json`.
+        """
+        values = iter(values)
+        count = self.count
+        if count < _MARKERS:
+            # Buffer the first five observations; they are answered
+            # exactly and become the initial marker heights.
+            heights = self._heights
+            for x in values:
+                heights.append(float(x))
+                heights.sort()
+                count += 1
+                if count == _MARKERS:
+                    break
+            self.count = count
+            if count < _MARKERS:
+                return
+        h0, h1, h2, h3, h4 = self._heights
+        n0, n1, n2, n3, n4 = self._positions
+        d0, d1, d2, d3, d4 = self._desired
+        r0, r1, r2, r3, r4 = self._rates
+        for x in values:
+            x = float(x)
+            count += 1
+            # Locate the marker cell k the observation falls into (the
+            # extreme markers absorb new minima and maxima), testing
+            # ``x >= h[k+1]`` upward as far as it holds, and move the
+            # markers above the cell up one position.
+            if x < h0:
+                h0 = x
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif x >= h4:
+                h4 = x
+            elif not x >= h1:
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif not x >= h2:
+                n2 += 1.0
+                n3 += 1.0
+            elif not x >= h3:
+                n3 += 1.0
+            n4 += 1.0
+            d0 += r0
+            d1 += r1
+            d2 += r2
+            d3 += r3
+            d4 += r4
+            # Move the three inner markers toward their desired
+            # positions, lowest first: each sees the markers below it
+            # already moved.  The parabolic (P²) prediction is taken
+            # when it stays between the neighbours, the linear one
+            # toward the neighbour in the step's direction otherwise.
+            e = d1 - n1
+            if (e >= 1.0 and n2 - n1 > 1.0) or (e <= -1.0 and n0 - n1 < -1.0):
+                s = 1.0 if e >= 1.0 else -1.0
+                c = h1 + s / (n2 - n0) * (
+                    (n1 - n0 + s) * (h2 - h1) / (n2 - n1)
+                    + (n2 - n1 - s) * (h1 - h0) / (n1 - n0)
+                )
+                if h0 < c < h2:
+                    h1 = c
+                elif s > 0.0:
+                    h1 = h1 + s * (h2 - h1) / (n2 - n1)
                 else:
-                    h[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, d: float) -> float:
-        """Piecewise-parabolic (P²) height prediction for marker ``i``."""
-        n = self._positions
-        h = self._heights
-        return h[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        """Linear fallback when the parabola leaves the marker order."""
-        n = self._positions
-        h = self._heights
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (n[j] - n[i])
+                    h1 = h1 + s * (h0 - h1) / (n0 - n1)
+                n1 += s
+            e = d2 - n2
+            if (e >= 1.0 and n3 - n2 > 1.0) or (e <= -1.0 and n1 - n2 < -1.0):
+                s = 1.0 if e >= 1.0 else -1.0
+                c = h2 + s / (n3 - n1) * (
+                    (n2 - n1 + s) * (h3 - h2) / (n3 - n2)
+                    + (n3 - n2 - s) * (h2 - h1) / (n2 - n1)
+                )
+                if h1 < c < h3:
+                    h2 = c
+                elif s > 0.0:
+                    h2 = h2 + s * (h3 - h2) / (n3 - n2)
+                else:
+                    h2 = h2 + s * (h1 - h2) / (n1 - n2)
+                n2 += s
+            e = d3 - n3
+            if (e >= 1.0 and n4 - n3 > 1.0) or (e <= -1.0 and n2 - n3 < -1.0):
+                s = 1.0 if e >= 1.0 else -1.0
+                c = h3 + s / (n4 - n2) * (
+                    (n3 - n2 + s) * (h4 - h3) / (n4 - n3)
+                    + (n4 - n3 - s) * (h3 - h2) / (n3 - n2)
+                )
+                if h2 < c < h4:
+                    h3 = c
+                elif s > 0.0:
+                    h3 = h3 + s * (h4 - h3) / (n4 - n3)
+                else:
+                    h3 = h3 + s * (h2 - h3) / (n2 - n3)
+                n3 += s
+        self.count = count
+        self._heights = [h0, h1, h2, h3, h4]
+        self._positions = [n0, n1, n2, n3, n4]
+        self._desired = [d0, d1, d2, d3, d4]
 
     @property
     def value(self) -> float:
@@ -199,15 +249,18 @@ class StreamingQuantiles:
         self._sum = 0.0
         self._max = 0.0
 
-    def observe(self, x: float) -> None:
-        """Fold one observation into every sketch."""
-        x = float(x)
-        self.count += 1
-        self._sum += x
-        if x > self._max or self.count == 1:
-            self._max = x
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Fold a run of observations into the moments and every sketch."""
+        values = [float(x) for x in values]
+        count, total, top = self.count, self._sum, self._max
+        for x in values:
+            count += 1
+            total += x
+            if x > top or count == 1:
+                top = x
+        self.count, self._sum, self._max = count, total, top
         for sketch in self.sketches.values():
-            sketch.observe(x)
+            sketch.observe_many(values)
 
     def quantile(self, q: float) -> float:
         """Current estimate of one tracked percentile."""

@@ -214,20 +214,22 @@ class _ClusterLoop:
             if t != self._armed_arrival:
                 events.push_at_or_after(t, now)
                 self._armed_arrival = t
+        # Only the autoscaler spins replicas up: without one no replica
+        # is ever STARTING.
+        autoscaling = self.autoscaler is not None
         for replica in self.replicas:
             busy = replica.busy_until_s
             if busy is not None and busy != self._armed_busy[replica.index]:
                 events.push(busy)
                 self._armed_busy[replica.index] = busy
             if (
-                replica.state is ReplicaState.STARTING
+                autoscaling
+                and replica.state is ReplicaState.STARTING
                 and replica.ready_at_s != self._armed_ready[replica.index]
             ):
                 events.push(replica.ready_at_s)
                 self._armed_ready[replica.index] = replica.ready_at_s
-        if self.autoscaler is not None and (
-            self.autoscaler.next_eval_s != self._armed_eval
-        ):
+        if autoscaling and self.autoscaler.next_eval_s != self._armed_eval:
             events.push(self.autoscaler.next_eval_s)
             self._armed_eval = self.autoscaler.next_eval_s
 
@@ -263,7 +265,8 @@ class _ClusterLoop:
             # piecewise-constant state of the interval just ended.
             if self.sampler is not None:
                 self.sampler.tick(now)
-            self._replica_transitions(now)
+            if self.autoscaler is not None:  # the only one to start replicas
+                self._replica_transitions(now)
             self._phase_completions(now)
             self._ingest(now)
             self._transfer_completions(now)
@@ -372,10 +375,16 @@ class _ClusterLoop:
             self._cut_run(replica, now)
 
     def _dispatch(self, now: float) -> None:
+        """Give every free running replica with work its next action.
+
+        A replica with an empty queue and an empty batch is skipped:
+        :meth:`_next_action` does nothing for it in any role.
+        """
         for replica in self.replicas:
             if (
                 replica.busy_until_s is not None
                 or replica.state is not ReplicaState.RUNNING
+                or not (len(replica.queue) or replica.scheduler.active)
             ):
                 continue
             self._next_action(replica, now)

@@ -113,7 +113,9 @@ class ClusterSimulator:
         ``"exact"`` (default) or ``"p2"`` — see
         :class:`~repro.serve.simulator.ServingSimulator`.  ``"p2"``
         streams completions in completion order and stores no
-        per-request records.
+        per-request records; it bounds the summary's memory, while the
+        loop's completion list and per-request routing and energy maps
+        still grow with the run.
     """
 
     def __init__(

@@ -43,13 +43,18 @@ SUMMARY_PERCENTILES = (MEDIAN_PERCENTILE, P95_PERCENTILE, P99_PERCENTILE)
 #: Summary percentiles computed by exact nearest-rank over the stored
 #: sample (byte-reproducible, O(n log n) at summary time).
 PERCENTILE_MODE_EXACT = "exact"
-#: Summary percentiles estimated by streaming P² sketches (O(1) memory;
-#: may differ from exact by up to
+#: Summary percentiles estimated by streaming P² sketches (the summary
+#: holds no samples; may differ from exact by up to
 #: :data:`repro.obs.telemetry.sketch.P2_RANK_TOLERANCE` percentile
 #: ranks on long streams — see that module's accuracy contract).
 PERCENTILE_MODE_SKETCH = "p2"
 #: Every recognised percentile mode.
 PERCENTILE_MODES = (PERCENTILE_MODE_EXACT, PERCENTILE_MODE_SKETCH)
+
+#: Completions a p2 summary buffers before folding them into its P²
+#: sketches: large enough to amortise the fold, small enough that the
+#: summary's memory does not grow with the run.
+_FOLD_CHUNK = 128
 
 #: Error raised when per-request records are requested from a p2 run.
 NO_RECORDS_MESSAGE = (
@@ -347,11 +352,12 @@ def summarize(
 
 
 class StreamingSummarizer:
-    """O(1)-memory :class:`ServeSummary` builder fed one completion at a time.
+    """Bounded-memory :class:`ServeSummary` builder fed completion records.
 
     The streaming counterpart of :func:`summarize`: latency percentiles
-    come from P² sketches instead of sorting stored samples, so a
-    million-request run needs constant memory for its summary.  The
+    come from P² sketches instead of sorting stored samples, so the
+    summary of a million-request run holds the sketches and one
+    :data:`_FOLD_CHUNK`-record buffer per latency, not the samples.  The
     resulting summary carries ``percentile_mode="p2"`` and its
     percentiles may differ from exact nearest-rank within the sketch
     module's documented tolerance.
@@ -369,35 +375,41 @@ class StreamingSummarizer:
         self._e2e = StreamingQuantiles(SUMMARY_PERCENTILES)
         self._queue_delay = StreamingQuantiles(SUMMARY_PERCENTILES)
 
-    def observe_values(
-        self,
-        *,
-        ttft_s: float,
-        tpot_s: float,
-        e2e_s: float,
-        queue_delay_s: float,
-        generate_tokens: int,
-        energy_wh: float,
-    ) -> bool:
-        """Fold one completion's latencies, tokens and energy in.
+    def observe_records(self, records: Iterable[RequestRecord]) -> None:
+        """Fold completion-order records into the summary.
 
-        The O(1)-emission path of ``percentile_mode="p2"``: million-
-        request runs stream completions into the sketches in completion
-        order and store no per-request records.  Returns the
-        completion's SLO attainment.
+        One pass in record order updates the counts, tokens, energy and
+        SLO attainment and buffers the four latency columns; every
+        :data:`_FOLD_CHUNK` records the buffers are folded into the P²
+        sketches and emptied, so the summary's memory stays bounded
+        however many records stream through.
         """
-        self.completed += 1
-        self.generated_tokens += generate_tokens
-        self.energy_wh += energy_wh
-        self._ttft.observe(ttft_s)
-        self._tpot.observe(tpot_s)
-        self._e2e.observe(e2e_s)
-        self._queue_delay.observe(queue_delay_s)
-        ok = self.slo.met_values(ttft_s, e2e_s)
-        if ok:
-            self.slo_attained += 1
-            self.good_tokens += generate_tokens
-        return ok
+        met = self.slo.met_values
+        sketches = (self._ttft, self._tpot, self._e2e, self._queue_delay)
+        columns: tuple[list[float], ...] = ([], [], [], [])
+        ttft, tpot, e2e, queue_delay = columns
+
+        def fold() -> None:
+            for sketch, column in zip(sketches, columns):
+                sketch.observe_many(column)
+                column.clear()
+
+        for record in records:
+            ttft_s = record.ttft_s
+            e2e_s = record.e2e_s
+            ttft.append(ttft_s)
+            tpot.append(record.tpot_s)
+            e2e.append(e2e_s)
+            queue_delay.append(record.queue_delay_s)
+            self.completed += 1
+            self.generated_tokens += record.generate_tokens
+            self.energy_wh += record.energy_wh
+            if met(ttft_s, e2e_s):
+                self.slo_attained += 1
+                self.good_tokens += record.generate_tokens
+            if len(ttft) == _FOLD_CHUNK:
+                fold()
+        fold()
 
     def summary(
         self, *, offered: int, rejected: int, elapsed_s: float
@@ -450,15 +462,7 @@ def summarize_completions(
     """
     if percentile_mode == PERCENTILE_MODE_SKETCH:
         streamer = StreamingSummarizer(slo=slo)
-        for record in records:
-            streamer.observe_values(
-                ttft_s=record.ttft_s,
-                tpot_s=record.tpot_s,
-                e2e_s=record.e2e_s,
-                queue_delay_s=record.queue_delay_s,
-                generate_tokens=record.generate_tokens,
-                energy_wh=record.energy_wh,
-            )
+        streamer.observe_records(records)
         summary = streamer.summary(
             offered=offered, rejected=rejected, elapsed_s=elapsed_s
         )

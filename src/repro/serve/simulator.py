@@ -81,8 +81,10 @@ class ServingSimulator:
     percentile_mode:
         ``"exact"`` (default) sorts stored latencies;
         ``"p2"`` summarises via streaming P² sketches fed in
-        completion order (O(1) memory, within the documented tolerance
-        of exact) and stores **no** per-request records.
+        completion order (within the documented tolerance of exact) and
+        stores **no** per-request records.  It bounds the summary's
+        memory; the loop still holds every completion until the run
+        ends.
     """
 
     def __init__(

@@ -71,6 +71,10 @@ FLOOD = PoissonArrivals(
     seed=3,
 )
 LONG = BurstArrivals(bursts=((0.0, 6), (30.0, 4)), generate_tokens=300)
+#: A first burst that queues long enough on one replica for the
+#: autoscaler to start another, and a second burst that the started
+#: replica serves once ready.
+SCALE_UP = BurstArrivals(bursts=((0.0, 24), (3.5, 24)), generate_tokens=600)
 ARRIVALS = {"poisson": POISSON, "bursts": BURSTS, "sessions": SESSIONS}
 TRACED = pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
 
@@ -420,6 +424,23 @@ class TestClusterEquivalence:
             run_cluster(ENGINE_REFERENCE, tmp_path, **kw),
             run_cluster(ENGINE_FAST, tmp_path, **kw),
         )
+
+    def test_autoscaled_started_replica_serves(self, tmp_path):
+        # The oracle checks for ready spin-ups at every event; the
+        # shipped loop only when an autoscaler exists.  Here one does,
+        # and a replica it starts takes part of the second burst.  The
+        # spin-up delay puts the replica's ready time between two
+        # autoscaler evaluations, so only its own event reaches it.
+        kw = dict(
+            arrivals=SCALE_UP,
+            replicas=4,
+            autoscale=AutoscalePolicy(min_replicas=1, spinup_delay_s=1.5),
+            telemetry=True,
+        )
+        ref = run_cluster(ENGINE_REFERENCE, tmp_path, **kw)
+        assert json.loads(ref["summary"])["cluster_spinups"] >= 1
+        assert {r["decode_replica"] for r in json.loads(ref["records"])} != {0}
+        assert_identical(ref, run_cluster(ENGINE_FAST, tmp_path, **kw))
 
     @pytest.mark.parametrize("steps", [1, 5])
     @TRACED

@@ -154,7 +154,12 @@ class ReferenceServingSimulator(ServingSimulator):
 
 
 class ReferenceClusterLoop(_ClusterLoop):
-    """One loop iteration per decode step of every replica."""
+    """One loop iteration per decode step of every replica.
+
+    At every event it checks every replica for a spin-up that became
+    ready and offers every free running replica its next action, with
+    or without an autoscaler and whether or not the replica has work.
+    """
 
     def _next_event_time(self, now: float) -> float:
         times = []
@@ -198,6 +203,15 @@ class ReferenceClusterLoop(_ClusterLoop):
         end = self.clock.now()
         for replica in self.replicas:
             replica.account_to(max(end, replica.ready_at_s))
+
+    def _dispatch(self, now: float) -> None:
+        """Call ``_next_action`` on every free running replica, idle or not."""
+        for replica in self.replicas:
+            if (
+                replica.busy_until_s is None
+                and replica.state is ReplicaState.RUNNING
+            ):
+                self._next_action(replica, now)
 
     def _phase_completions(self, now: float) -> None:
         for replica in self.replicas:

@@ -1,4 +1,11 @@
-"""P² sketch properties: accuracy bound, monotonicity, determinism.
+"""P² sketch properties: the fold's oracle, accuracy, monotonicity, determinism.
+
+:meth:`~repro.obs.telemetry.sketch.P2Quantile.observe_many` folds a run
+of observations with the markers held in locals.
+:class:`ReferenceP2Quantile` here is the textbook one-at-a-time update
+it replaced; any stream (NaN, ±inf, -0.0 and ties included), split into
+chunks any way, must give a ``state_json`` byte-equal to the oracle fed
+one value at a time.
 
 The accuracy contract documented in :mod:`repro.obs.telemetry.sketch`:
 on streams of at least ``P2_MIN_SAMPLES_FOR_BOUND`` observations the P²
@@ -10,6 +17,8 @@ hypothesis-generated small streams for the exact-mode fallback.
 
 from __future__ import annotations
 
+import json
+import math
 import random
 
 import pytest
@@ -18,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.obs.telemetry.sketch import (
+    _MARKERS,
     P2_MIN_SAMPLES_FOR_BOUND,
     P2_RANK_TOLERANCE,
     P2_SORTED_RANK_TOLERANCE,
@@ -50,7 +60,167 @@ def _stream(kind: str, n: int, seed: int) -> list[float]:
         return sorted(rng.uniform(0.0, 100.0) for _ in range(n))
     if kind == "descending":
         return sorted((rng.uniform(0.0, 100.0) for _ in range(n)), reverse=True)
+    if kind == "ties":
+        return [float(rng.randint(0, 5)) for _ in range(n)]
+    if kind == "lognormal":
+        return [rng.lognormvariate(0.0, 2.0) for _ in range(n)]
     raise AssertionError(kind)
+
+
+class ReferenceP2Quantile(P2Quantile):
+    """The one-observation-at-a-time P² update: the oracle of the fold.
+
+    The textbook update that :meth:`P2Quantile.observe_many` unrolls,
+    as it was written per observation: find the observation's cell,
+    move the markers above it, advance every desired position by its
+    rate, then adjust markers 1, 2 and 3 in that order by the parabolic
+    or linear prediction.
+    """
+
+    __slots__ = ()
+
+    def observe(self, x: float) -> None:
+        """Fold one observation into the sketch."""
+        x = float(x)
+        self.count += 1
+        if self.count <= _MARKERS:
+            self._heights.append(x)
+            self._heights.sort()
+            return
+        h = self._heights
+        # Locate the marker cell the observation falls into; the
+        # extreme markers absorb new minima/maxima directly.
+        if x < h[0]:
+            h[0] = x
+            k = 0
+        elif x >= h[4]:
+            h[4] = x
+            k = 3
+        else:
+            k = 0
+            while x >= h[k + 1]:
+                k += 1
+        for i in range(k + 1, _MARKERS):
+            self._positions[i] += 1.0
+        for i in range(_MARKERS):
+            self._desired[i] += self._rates[i]
+        self._adjust_markers()
+
+    def _adjust_markers(self) -> None:
+        """Move the three inner markers toward their desired positions."""
+        n = self._positions
+        h = self._heights
+        for i in (1, 2, 3):
+            d = self._desired[i] - n[i]
+            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
+                d <= -1.0 and n[i - 1] - n[i] < -1.0
+            ):
+                step = 1.0 if d >= 1.0 else -1.0
+                candidate = self._parabolic(i, step)
+                if h[i - 1] < candidate < h[i + 1]:
+                    h[i] = candidate
+                else:
+                    h[i] = self._linear(i, step)
+                n[i] += step
+
+    def _parabolic(self, i: int, d: float) -> float:
+        """Piecewise-parabolic (P²) height prediction for marker ``i``."""
+        n = self._positions
+        h = self._heights
+        return h[i] + d / (n[i + 1] - n[i - 1]) * (
+            (n[i] - n[i - 1] + d) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
+            + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
+        )
+
+    def _linear(self, i: int, d: float) -> float:
+        """Linear fallback when the parabola leaves the marker order."""
+        n = self._positions
+        h = self._heights
+        j = i + int(d)
+        return h[i] + d * (h[j] - h[i]) / (n[j] - n[i])
+
+
+class ReferenceStreamingQuantiles(StreamingQuantiles):
+    """Moments and :class:`ReferenceP2Quantile` sketches, one value at a time."""
+
+    def __init__(self, percentiles: tuple[float, ...]) -> None:
+        super().__init__(percentiles)
+        self.sketches = {q: ReferenceP2Quantile(q) for q in self.sketches}
+
+    def observe(self, x: float) -> None:
+        """Fold one observation into every sketch."""
+        x = float(x)
+        self.count += 1
+        self._sum += x
+        if x > self._max or self.count == 1:
+            self._max = x
+        for sketch in self.sketches.values():
+            sketch.observe(x)
+
+
+def _chunks(values: list[float], cuts: list[int]) -> list[list[float]]:
+    """``values`` split at the sorted ``cuts`` (empty chunks allowed)."""
+    bounds = [0, *sorted(cuts), len(values)]
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+#: Any float, including NaN, ±inf and -0.0, with the special values and
+#: a few plain ones drawn often enough to make ties.
+_ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, math.nan, math.inf, -math.inf]),
+)
+
+
+class TestObserveManyMatchesOracle:
+    @given(
+        values=st.lists(_ANY_FLOAT, max_size=120),
+        q=st.floats(0.0, 100.0, exclude_min=True, exclude_max=True),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_stream_and_split(self, values, q, data):
+        cuts = data.draw(st.lists(st.integers(0, len(values)), max_size=6))
+        oracle = ReferenceP2Quantile(q)
+        for v in values:
+            oracle.observe(v)
+        sketch = P2Quantile(q)
+        for chunk in _chunks(values, cuts):
+            sketch.observe_many(chunk)
+        assert sketch.state_json() == oracle.state_json()
+
+    @given(values=st.lists(_ANY_FLOAT, max_size=120), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_streaming_quantiles_state(self, values, data):
+        cuts = data.draw(st.lists(st.integers(0, len(values)), max_size=6))
+        percentiles = (1.0, 37.5, 50.0, 95.0, 99.0)
+        oracle = ReferenceStreamingQuantiles(percentiles)
+        for v in values:
+            oracle.observe(v)
+        stream = StreamingQuantiles(percentiles)
+        for chunk in _chunks(values, cuts):
+            stream.observe_many(chunk)
+        assert json.dumps(stream.to_dict(), sort_keys=True) == json.dumps(
+            oracle.to_dict(), sort_keys=True
+        )
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["uniform", "exponential", "ascending", "descending", "ties", "lognormal"],
+    )
+    def test_long_streams_whole_and_chunked(self, kind):
+        values = _stream(kind, 3000, seed=5)
+        for q in (1.0, 37.5, 50.0, 95.0, 99.0):
+            oracle = ReferenceP2Quantile(q)
+            for v in values:
+                oracle.observe(v)
+            whole = P2Quantile(q)
+            whole.observe_many(values)
+            chunked = P2Quantile(q)
+            for chunk in _chunks(values, list(range(0, len(values), 128))):
+                chunked.observe_many(chunk)
+            assert whole.state_json() == oracle.state_json(), (kind, q)
+            assert chunked.state_json() == oracle.state_json(), (kind, q)
 
 
 class TestP2Accuracy:
@@ -59,8 +229,7 @@ class TestP2Accuracy:
     def test_within_documented_rank_tolerance(self, q, kind):
         values = _stream(kind, P2_MIN_SAMPLES_FOR_BOUND, seed=7)
         sketch = P2Quantile(q)
-        for v in values:
-            sketch.observe(v)
+        sketch.observe_many(values)
         lo, hi = _exact_band(values, q)
         assert lo <= sketch.value <= hi, (
             f"{kind} q={q}: estimate {sketch.value} outside [{lo}, {hi}]"
@@ -73,8 +242,7 @@ class TestP2Accuracy:
         # marker prediction lags the drifting distribution.
         values = _stream(kind, P2_MIN_SAMPLES_FOR_BOUND, seed=7)
         sketch = P2Quantile(q)
-        for v in values:
-            sketch.observe(v)
+        sketch.observe_many(values)
         lo, hi = _exact_band(values, q, tolerance=P2_SORTED_RANK_TOLERANCE)
         assert lo <= sketch.value <= hi, (
             f"{kind} q={q}: estimate {sketch.value} outside [{lo}, {hi}]"
@@ -84,14 +252,12 @@ class TestP2Accuracy:
         values = [5.0, 1.0, 9.0, 3.0, 7.0]
         for n in range(1, len(values) + 1):
             sketch = P2Quantile(95.0)
-            for v in values[:n]:
-                sketch.observe(v)
+            sketch.observe_many(values[:n])
             assert sketch.value == nearest_rank(sorted(values[:n]), 95.0)
 
     def test_memory_is_constant(self):
         sketch = P2Quantile(99.0)
-        for i in range(20_000):
-            sketch.observe(float(i % 977))
+        sketch.observe_many(float(i % 977) for i in range(20_000))
         # O(1) state: exactly five marker heights/positions regardless
         # of stream length.
         assert len(sketch._heights) == 5
@@ -113,21 +279,19 @@ class TestP2Determinism:
         states = []
         for values in streams:
             sketch = P2Quantile(95.0)
-            for v in values:
-                sketch.observe(v)
+            sketch.observe_many(values)
             states.append(sketch.state_json())
         assert states[0] == states[1]
 
     def test_round_trip_through_dict(self):
         sketch = P2Quantile(99.0)
-        for v in _stream("uniform", 1000, seed=3):
-            sketch.observe(v)
+        sketch.observe_many(_stream("uniform", 1000, seed=3))
         clone = P2Quantile.from_dict(sketch.to_dict())
         assert clone.state_json() == sketch.state_json()
         # Both continue identically after the round trip.
-        for v in _stream("uniform", 100, seed=4):
-            sketch.observe(v)
-            clone.observe(v)
+        tail = _stream("uniform", 100, seed=4)
+        sketch.observe_many(tail)
+        clone.observe_many(tail)
         assert clone.state_json() == sketch.state_json()
 
 
@@ -138,8 +302,7 @@ class TestStreamingQuantiles:
         # Below the five-sample buffer every sketch answers with exact
         # nearest rank, which is monotone in q by construction.
         stream = StreamingQuantiles((50.0, 95.0, 99.0))
-        for v in values:
-            stream.observe(v)
+        stream.observe_many(values)
         assert (
             stream.quantile(50.0)
             <= stream.quantile(95.0)
@@ -151,8 +314,9 @@ class TestStreamingQuantiles:
         # percentiles is an accuracy property: it holds once each
         # estimate is within its documented rank tolerance.
         stream = StreamingQuantiles((50.0, 95.0, 99.0))
-        for v in _stream("exponential", P2_MIN_SAMPLES_FOR_BOUND, seed=21):
-            stream.observe(v)
+        stream.observe_many(
+            _stream("exponential", P2_MIN_SAMPLES_FOR_BOUND, seed=21)
+        )
         assert (
             stream.quantile(50.0)
             <= stream.quantile(95.0)
@@ -164,15 +328,14 @@ class TestStreamingQuantiles:
     @settings(max_examples=60, deadline=None)
     def test_moments_match_plain_arithmetic(self, values):
         stream = StreamingQuantiles((50.0,))
-        for v in values:
-            stream.observe(v)
+        stream.observe_many(values)
         assert stream.count == len(values)
         assert stream.max == max(values)
         assert stream.mean == pytest.approx(sum(values) / len(values))
 
     def test_untracked_percentile_rejected(self):
         stream = StreamingQuantiles((50.0,))
-        stream.observe(1.0)
+        stream.observe_many([1.0])
         with pytest.raises(ConfigError, match="not tracked"):
             stream.quantile(95.0)
 
