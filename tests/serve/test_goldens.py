@@ -16,6 +16,7 @@ and review the diff like any other code change.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -62,16 +63,18 @@ def _run_single(mode, percentile_mode="exact"):
     return result, render_openmetrics(get_metrics())
 
 
-def _run_cluster(mode, percentile_mode="exact"):
+def _run_cluster(
+    mode, percentile_mode="exact", *, arrivals=ARRIVALS, replicas=2, batch_cap=8
+):
     set_metrics(MetricsRegistry())
     result = CLUSTER_SIMULATORS[mode](
         _engine(),
-        replicas=2,
+        replicas=replicas,
         router="least-loaded",
-        batch_cap=8,
+        batch_cap=batch_cap,
         slo=SLO,
         percentile_mode=percentile_mode,
-    ).run(ARRIVALS)
+    ).run(arrivals)
     return result, render_openmetrics(get_metrics())
 
 
@@ -88,19 +91,6 @@ LONG_ARRIVALS = PoissonArrivals(
     length_spread=0.25,
     seed=11,
 )
-
-
-def _run_long_fleet(mode, percentile_mode):
-    set_metrics(MetricsRegistry())
-    result = CLUSTER_SIMULATORS[mode](
-        _engine(),
-        replicas=4,
-        router="least-loaded",
-        batch_cap=16,
-        slo=SLO,
-        percentile_mode=percentile_mode,
-    ).run(LONG_ARRIVALS)
-    return result, render_openmetrics(get_metrics())
 
 
 def _summary(result, _openmetrics: str) -> str:
@@ -175,7 +165,9 @@ class TestServeGoldens:
         # every decode step of the thousand requests one at a time.
         _check(
             "cluster_p2_long_summary.json",
-            _run_long_fleet,
+            functools.partial(
+                _run_cluster, arrivals=LONG_ARRIVALS, replicas=4, batch_cap=16
+            ),
             _summary,
             update_goldens,
             "p2",
