@@ -83,18 +83,37 @@ def step_fingerprint(step: Step) -> str:
     return _digest({"operations": list(step.operations)})
 
 
+# The CALIBRATIONS entries of the last fingerprint, and that fingerprint.
+_fingerprint_memo: list = [None, ""]
+
+
 def calibration_fingerprint() -> str:
-    """Hash of every calibration constant plus the package version."""
+    """Hash of every calibration constant plus the package version.
+
+    Memoised on the identity of the ``CALIBRATIONS`` entries: the
+    calibrations are frozen, so the hash changes only when an entry is
+    added, removed or replaced (``register_system``,
+    ``perturbed_calibration``), and each of those recomputes it.  The
+    memo holds the entries it was computed from, so no id it compares
+    can be reused by another object.
+    """
     from repro.engine.calibration import CALIBRATIONS
     from repro.version import __version__
 
+    entries = tuple(CALIBRATIONS.items())
+    kept, fingerprint = _fingerprint_memo
+    if kept is not None and len(kept) == len(entries) and all(
+        tag == kept_tag and cal is kept_cal
+        for (tag, cal), (kept_tag, kept_cal) in zip(entries, kept)
+    ):
+        return fingerprint
     state = {
         "version": __version__,
-        "calibrations": {
-            tag: dataclasses.asdict(cal) for tag, cal in sorted(CALIBRATIONS.items())
-        },
+        "calibrations": {tag: dataclasses.asdict(cal) for tag, cal in sorted(entries)},
     }
-    return _digest(state)
+    fingerprint = _digest(state)
+    _fingerprint_memo[:] = [entries, fingerprint]
+    return fingerprint
 
 
 class ResultKeyer:

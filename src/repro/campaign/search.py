@@ -49,6 +49,7 @@ from repro.errors import ConfigError
 from repro.jube.runner import WorkItem, WorkpackageExecutor, WorkResult
 from repro.jube.steps import order_steps
 from repro.obs.log import get_logger
+from repro.yamlio import safe_load
 
 logger = get_logger(__name__)
 
@@ -151,7 +152,7 @@ def load_search_spec(path: str | Path) -> tuple[CampaignSpec, SearchPolicy]:
     if not p.exists():
         raise ConfigError(f"no campaign spec at {p}")
     try:
-        doc = yaml.safe_load(p.read_text())
+        doc = safe_load(p.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid campaign YAML: {exc}") from None
     spec = CampaignSpec.from_dict(doc)

@@ -25,6 +25,7 @@ from repro.errors import ConfigError
 from repro.jube.parameters import Parameter, ParameterSet, referenced
 from repro.jube.script import BenchmarkScript
 from repro.jube.steps import Step
+from repro.yamlio import safe_load
 
 #: Operation templates of the built-in workload kinds, mirroring the
 #: ``do`` strings of the shipped JUBE scripts.
@@ -351,7 +352,7 @@ class CampaignSpec:
         """Load a spec from YAML text or a file path."""
         text = Path(source).read_text() if isinstance(source, Path) else source
         try:
-            doc = yaml.safe_load(text)
+            doc = safe_load(text)
         except yaml.YAMLError as exc:
             raise ConfigError(f"invalid campaign YAML: {exc}") from None
         return cls.from_dict(doc)

@@ -94,8 +94,7 @@ class MegatronEngine:
         local_devices = min(self.layout.world_size, self.node.logical_devices_per_node)
 
         def body(runner, clock):
-            for _ in range(iterations):
-                runner.run_step(step)
+            runner.run_steps(step, iterations)
             return iterations
 
         _, elapsed, energy_wh, mean_power = measure_run(

@@ -92,8 +92,7 @@ class TFCNNEngine:
         local_devices = min(self.devices, self.node.logical_devices_per_node)
 
         def body(runner, clock):
-            for _ in range(iterations):
-                runner.run_step(step)
+            runner.run_steps(step, iterations)
             return iterations
 
         _, elapsed, energy_wh, mean_power = measure_run(

@@ -11,6 +11,8 @@ JUBE result tables report them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Sequence
 
 from repro.engine.perf import StepBreakdown
 from repro.errors import ConfigError
@@ -152,63 +154,87 @@ class PhaseRunner:
 
     def run_phase(self, duration_s: float, utilisation: float) -> None:
         """One constant-utilisation phase across all active devices."""
-        self.run_phases(duration_s, utilisation, 1)
+        self.run_phases(((duration_s, utilisation),), 1)
 
     def run_phases(
-        self, duration_s: float, utilisation: float, count: int
+        self, cycle: Sequence[tuple[float, float]], count: int
     ) -> list[float]:
-        """``count`` consecutive phases of one duration and utilisation.
+        """``count`` repetitions of a cycle of ``(duration, utilisation)``
+        phases.
 
-        Gives what ``count`` :meth:`run_phase` calls give: the clock
+        Gives what one :meth:`run_phase` call per phase gives: the clock
         ends where they leave it, the frame gains the same rows and
         every driven device's counter accrues the same intervals.
-        Returns the ``count + 1`` phase boundaries, the left fold
-        ``t += duration_s`` from the current time; a non-positive
-        duration runs nothing and returns the current time throughout.
+        Returns the ``count * len(cycle) + 1`` phase boundaries, the
+        left fold ``t += duration`` from the current time; a phase of
+        non-positive duration runs nothing and ends where it starts.
 
-        The first and last phase edges are sampled.  Each boundary in
-        between ends one phase and starts the next, so it carries two
-        rows; while rows are reused they are all appended at once from
-        the row kept under this utilisation
-        (:meth:`~repro.jpwr.ctxmgr.MeasuredScope.repeat_row`), and the
-        devices accrue at each of those step starts
-        (:meth:`~repro.power.sensors.SimulatedDevice.set_utilisation_at`).
-        Otherwise every edge is sampled as :meth:`run_phase` does.  The
-        whole run is one ``engine/phase`` span.
+        The first cycle is sampled edge by edge, so each utilisation's
+        first read sees the device state per-phase calls give it.  While
+        rows are reused, the later cycles are appended at once: each
+        phase's start and end row, from the row kept under its
+        utilisation (:meth:`~repro.jpwr.ctxmgr.MeasuredScope.repeat_row`).
+        The devices accrue at each of those phase starts
+        (:meth:`~repro.power.sensors.SimulatedDevice.set_utilisation_at`)
+        and the clock jumps once to the last boundary.  Otherwise every
+        edge is sampled as :meth:`run_phase` does.  The whole call is one
+        ``engine/phase`` span.
         """
         start = self.clock.now()
-        if duration_s <= 0:
-            return [start] * (count + 1)
-        bounds = [start]
-        t = start
-        for _ in range(count):
-            t += duration_s
-            bounds.append(t)
-        inner = bounds[1:-1]
-        key = (
-            utilisation
-            if self._reuse_rows and not get_injector().enabled
-            else None
-        )
-        with get_tracer().span("engine/phase", attrs={"utilisation": utilisation}):
+        durations = [d for d, _ in cycle if d > 0]
+        utilisations = [u for d, u in cycle if d > 0]
+        edges = list(accumulate(durations * count, initial=start))
+        if len(durations) == len(cycle):
+            bounds = edges
+        else:
+            bounds = list(
+                accumulate([max(d, 0.0) for d, _ in cycle] * count, initial=start)
+            )
+        n = len(durations)
+        reuse = self._reuse_rows and not get_injector().enabled
+        attrs = {
+            "utilisation": cycle[0][1] if len(cycle) == 1 else [u for _, u in cycle]
+        }
+        with get_tracer().span("engine/phase", attrs=attrs):
+            done = n * min(count, 1)  # the first cycle
+            self._sample_phases(utilisations, edges, 0, done, reuse)
+            if reuse and done < n * count:
+                starts = edges[n:-1]
+                times = [0.0] * (2 * len(starts))
+                times[0::2] = starts
+                times[1::2] = edges[n + 1:]
+                keys = [u for u in utilisations for _ in (0, 1)] * (count - 1)
+                if self.scope.repeat_row(keys, times):
+                    later = utilisations * (count - 1)
+                    for dev in self.devices:
+                        dev.set_utilisation_at(later, starts)
+                    self.clock.advance_to(edges[-1])
+                    done = n * count
+            self._sample_phases(utilisations, edges, done, n * count, reuse)
+        return bounds
+
+    def _sample_phases(
+        self,
+        utilisations: list[float],
+        edges: list[float],
+        first: int,
+        stop: int,
+        reuse: bool,
+    ) -> None:
+        """Phases ``first`` to ``stop - 1`` of a cycle fold, edge by edge.
+
+        Phase ``j`` runs at ``utilisations[j % len(utilisations)]`` and
+        ends at ``edges[j + 1]``: the devices switch to it, then the
+        scope samples its start and its end.
+        """
+        for j in range(first, stop):
+            utilisation = utilisations[j % len(utilisations)]
+            key = utilisation if reuse else None
             for dev in self.devices:
                 dev.set_utilisation(utilisation)
             self.scope.sample(key)
-            if inner and self.scope.repeat_row(
-                key, [edge for t in inner for edge in (t, t)]
-            ):
-                for dev in self.devices:
-                    dev.set_utilisation_at(utilisation, inner)
-            else:
-                for t in inner:
-                    self.clock.advance_to(t)
-                    self.scope.sample(key)
-                    for dev in self.devices:
-                        dev.set_utilisation(utilisation)
-                    self.scope.sample(key)
-            self.clock.advance_to(bounds[-1])
+            self.clock.advance_to(edges[j + 1])
             self.scope.sample(key)
-        return bounds
 
     def run_step(self, step: StepBreakdown) -> None:
         """One optimizer step: a busy phase plus a low-utilisation tail.
@@ -229,14 +255,43 @@ class PhaseRunner:
             injector.check_step(now, step_index)
             factor = injector.straggler_factor(now, step_index)
         with get_tracer().span("engine/step"):
-            self.run_phase(step.busy_s * factor, step.utilisation)
-            tail = (step.total_s - step.busy_s) * factor
-            self.run_phase(tail, min(step.utilisation, LOW_PHASE_UTILISATION))
+            for duration_s, utilisation in _step_cycle(step, factor):
+                self.run_phase(duration_s, utilisation)
+
+    def run_steps(self, step: StepBreakdown, count: int) -> None:
+        """``count`` optimizer steps of one breakdown.
+
+        Gives what ``count`` :meth:`run_step` calls give, and makes them
+        while the tracer records (each step keeps its ``engine/step``
+        span), while a fault-injection scope is active (each step is
+        checked and may straggle) or while rows are not reused.
+        Otherwise the steps are one :meth:`run_phases` call over the
+        step's cycle at factor 1.
+        """
+        if get_tracer().enabled or get_injector().enabled or not self._reuse_rows:
+            for _ in range(count):
+                self.run_step(step)
+            return
+        self.steps_run += count
+        self.run_phases(_step_cycle(step, 1.0), count)
 
     def idle(self, duration_s: float) -> None:
         """Idle period (setup, data staging)."""
         with get_tracer().span("engine/idle"):
             self.run_phase(duration_s, 0.0)
+
+
+def _step_cycle(
+    step: StepBreakdown, factor: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """A step's busy phase and low-utilisation tail, stretched by ``factor``."""
+    return (
+        (step.busy_s * factor, step.utilisation),
+        (
+            (step.total_s - step.busy_s) * factor,
+            min(step.utilisation, LOW_PHASE_UTILISATION),
+        ),
+    )
 
 
 def primary_energy_labels(

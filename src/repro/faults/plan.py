@@ -53,6 +53,7 @@ from pathlib import Path
 import yaml
 
 from repro.errors import ConfigError
+from repro.yamlio import safe_load
 
 #: Every fault kind a spec may declare.
 FAULT_KINDS = (
@@ -267,7 +268,7 @@ class FaultPlan:
         """Load a plan from YAML text or a file path."""
         text = Path(source).read_text() if isinstance(source, Path) else source
         try:
-            doc = yaml.safe_load(text)
+            doc = safe_load(text)
         except yaml.YAMLError as exc:
             raise ConfigError(f"invalid fault plan YAML: {exc}") from None
         return cls.from_dict(doc)

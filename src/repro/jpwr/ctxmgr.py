@@ -177,21 +177,24 @@ class MeasuredScope:
                 appended = self.df.row(-1)
                 self._rows[key] = tuple(appended[label] for label in self._labels)
 
-    def repeat_row(self, key: Hashable, times: Sequence[float]) -> bool:
-        """Append the row kept under ``key`` once at each of ``times``.
+    def repeat_row(
+        self, keys: Sequence[Hashable], times: Sequence[float]
+    ) -> bool:
+        """Append the row kept under ``keys[i]`` at ``times[i]``, for each i.
 
-        The frame gains the rows that :meth:`sample` under ``key`` at
-        each of those clock times would append, in one bulk append and
-        without reading a sensor.  Returns False, appending nothing,
-        when no row is kept under ``key`` (none was read yet, or the
-        first read was dropped).
+        The frame gains the rows that :meth:`sample` under each key at
+        its clock time would append, in one bulk append and without
+        reading a sensor.  Returns False, appending nothing, when any
+        key has no kept row (none was read yet, or the first read was
+        dropped).
         """
-        values = self._rows.get(key)
-        if values is None:
+        try:
+            rows = list(map(self._rows.__getitem__, keys))
+        except KeyError:
             return False
-        n = len(times)
-        with self._lock:
-            self.df.extend_columns([times, *([value] * n for value in values)])
+        if rows:
+            with self._lock:
+                self.df.extend_columns([times, *zip(*rows)])
         return True
 
     # -- results ---------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.errors import JubeError
 from repro.jube.parameters import Parameter, ParameterSet
 from repro.jube.result import ResultTable
 from repro.jube.steps import Step
+from repro.yamlio import safe_load
 
 
 @dataclass
@@ -88,7 +89,7 @@ def load_yaml_script(source: str | Path) -> BenchmarkScript:
     """Parse a YAML benchmark script (text or path)."""
     text = Path(source).read_text() if isinstance(source, Path) else source
     try:
-        doc = yaml.safe_load(text)
+        doc = safe_load(text)
     except yaml.YAMLError as exc:
         raise JubeError(f"invalid YAML: {exc}") from None
     if not isinstance(doc, dict) or "name" not in doc:

@@ -100,21 +100,36 @@ class SimulatedDevice:
             self._util = float(utilisation)
 
     def set_utilisation_at(
-        self, utilisation: float, times: Sequence[float]
+        self, utilisations: Sequence[float], times: Sequence[float]
     ) -> None:
-        """Set the utilisation at each of ``times``, oldest first.
+        """Set ``utilisations[i]`` at ``times[i]`` for each i, oldest first.
 
         The counter accrues exactly as one :meth:`set_utilisation` call
         at each of those clock times would make it, so a driver that
-        advanced the clock past them in one jump keeps it exact.
+        advanced the clock past them in one jump keeps it exact: the
+        first interval accrues at the current utilisation, and each
+        interval's energy is ``power(u) * dt`` added in the same order,
+        with the power computed once per distinct utilisation.
         """
-        if not 0.0 <= utilisation <= 1.0:
-            raise ValueError(f"utilisation must be in [0,1], got {utilisation}")
-        util = float(utilisation)
+        power = {}
+        for utilisation in set(utilisations):
+            if not 0.0 <= utilisation <= 1.0:
+                raise ValueError(f"utilisation must be in [0,1], got {utilisation}")
+            power[utilisation] = self.model.power(float(utilisation))
         with self._lock:
-            for now in times:
-                self._accrue_to_locked(now)
-                self._util = util
+            util = self._util
+            p = self.model.power(util)
+            energy = self._energy_j
+            last = self._last_update_s
+            for util, now in zip(utilisations, times):
+                dt = now - last
+                if dt > 0:
+                    energy += p * dt
+                    last = now
+                p = power[util]
+            self._energy_j = energy
+            self._last_update_s = last
+            self._util = float(util)
 
     def fail(self) -> None:
         """Mark the sensor unhealthy; subsequent reads raise.
@@ -176,15 +191,11 @@ class SimulatedDevice:
     def _accrue_locked(self) -> float:
         """Advance the internal energy counter to 'now'; returns now."""
         now = self.clock()
-        self._accrue_to_locked(now)
-        return now
-
-    def _accrue_to_locked(self, now: float) -> None:
-        """Advance the internal energy counter to ``now``."""
         dt = now - self._last_update_s
         if dt > 0:
             self._energy_j += self.model.energy(self._util, dt)
             self._last_update_s = now
+        return now
 
 
 class DeviceRegistry:

@@ -15,8 +15,9 @@ dominate a million-request run are gone:
 * **fused decode runs** — between two events that can change the batch
   every decode step has the same batch, duration and utilisation, so
   the steps up to the next completion go to one
-  :meth:`~repro.engine.trainer.PhaseRunner.run_phases` call, which
-  appends the frame rows of *k* per-step phases in bulk.  With the
+  :meth:`~repro.engine.trainer.PhaseRunner.run_phases` call over a
+  one-phase cycle, which appends the frame rows of *k* per-step phases
+  in bulk.  With the
   batch below its cap, the queue empty and an arrival pending, a run
   ends at the first step boundary at or after that arrival, where
   per-step stepping would ingest it and may admit it.  A queue head
@@ -281,7 +282,7 @@ class _ServeLoop:
                     steps = _steps_to_arrival(
                         now, step_s, steps, pending[0].arrival_s
                     )
-            bounds = runner.run_phases(step_s, util_decode, steps)
+            bounds = runner.run_phases(((step_s, util_decode),), steps)
             self.decode_steps += steps
             t1 = bounds[-1]
             self.step_t0.extend(bounds[:-1])

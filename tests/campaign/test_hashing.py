@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from repro.analysis.sensitivity import perturbed_calibration
+from repro.campaign import hashing
 from repro.campaign.hashing import (
     KEY_LENGTH,
     calibration_fingerprint,
@@ -9,6 +13,9 @@ from repro.campaign.hashing import (
     result_key,
     step_fingerprint,
 )
+from repro.engine.calibration import SystemCalibration
+from repro.hardware.custom import temporary_system
+from repro.hardware.systems import get_system
 from repro.jube.steps import Step
 
 
@@ -31,6 +38,28 @@ class TestFingerprints:
     def test_calibration_fingerprint_is_stable(self):
         assert calibration_fingerprint() == calibration_fingerprint()
         assert len(calibration_fingerprint()) == KEY_LENGTH
+
+    def test_calibration_fingerprint_memo_follows_the_entries(self):
+        def uncached() -> str:
+            kept = list(hashing._fingerprint_memo)
+            hashing._fingerprint_memo[:] = [None, ""]
+            try:
+                return calibration_fingerprint()
+            finally:
+                hashing._fingerprint_memo[:] = kept
+
+        base = calibration_fingerprint()
+        assert base == uncached()
+        node = replace(get_system("A100"), name="A100-custom", jube_tag="A100X")
+        calibration = SystemCalibration(mfu_llm=0.3, mfu_cnn=0.1, cnn_batch_half=4.0)
+        with temporary_system(node, calibration):
+            registered = calibration_fingerprint()
+            assert registered == uncached() != base
+        assert calibration_fingerprint() == uncached() == base
+        with perturbed_calibration("A100", "mfu_llm", 0.9):
+            perturbed = calibration_fingerprint()
+            assert perturbed == uncached() not in (base, registered)
+        assert calibration_fingerprint() == uncached() == base
 
 
 class TestResultKey:

@@ -6,7 +6,8 @@ that row again at later phase edges.  The oracle is the same run under
 an active empty fault plan: an active injection scope turns reuse off,
 so every sample reads every sensor, and nothing fires.  A run of
 phases (``PhaseRunner.run_phases``) is compared with the same phases
-run one at a time.
+run one at a time, and a fused run of optimizer steps
+(``PhaseRunner.run_steps``) with the same steps run one at a time.
 
 Exact: sample frames, result rows, per-request energies and the energy
 counters of the devices the runner drives.  Approximate (1e-12
@@ -18,6 +19,7 @@ result reads them.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +35,8 @@ from repro.hardware.systems import SYSTEM_TAGS, get_system
 from repro.jpwr.ctxmgr import MeasuredScope, get_power
 from repro.jpwr.methods.pynvml import PynvmlMethod
 from repro.models.transformer import get_gpt_preset
+from repro.obs.sinks import InMemorySink
+from repro.obs.trace import Tracer, activate
 from repro.power.sensors import DeviceRegistry, SimulatedDevice
 from repro.serve import FixedArrivals, PoissonArrivals, ServingSimulator
 from repro.simcluster.clock import VirtualClock
@@ -154,31 +158,32 @@ def reads(monkeypatch):
     return calls
 
 
+def drive(reads, tag, run, *, noise_fraction=0.0, injected=False):
+    """Drive ``run`` after a first phase; returns the end time, the
+    snapshot, the sensor reads in the scope and those of one sample."""
+    node = get_system(tag)
+    clock = VirtualClock()
+    registry = DeviceRegistry.for_node(
+        node, clock=clock, noise_fraction=noise_fraction
+    )
+    active = [registry.get(i) for i in range(min(2, len(registry)))]
+    reads.clear()
+    with full_reads() if injected else nullcontext():
+        with get_power(
+            jpwr_methods_for_node(node, registry), 100, clock=clock, manual=True
+        ) as scope:
+            per_sample = len(reads)  # the scope-entry sample
+            runner = PhaseRunner(clock, scope, active)
+            runner.run_phase(0.25, 0.8)
+            run(runner)
+    in_scope = len(reads)
+    return clock.now(), snapshot(runner), in_scope, per_sample
+
+
 class TestRunPhases:
-    """``run_phases(d, u, k)`` against ``k`` calls of ``run_phase(d, u)``."""
+    """``run_phases(((d, u),), k)`` against ``k`` calls of ``run_phase(d, u)``."""
 
     DURATION_S, PHASES = 0.0371, 40
-
-    def _drive(self, reads, tag, run, *, noise_fraction=0.0, injected=False):
-        """Drive ``run`` after a first phase; returns the end time, the
-        snapshot, the sensor reads in the scope and those of one sample."""
-        node = get_system(tag)
-        clock = VirtualClock()
-        registry = DeviceRegistry.for_node(
-            node, clock=clock, noise_fraction=noise_fraction
-        )
-        active = [registry.get(i) for i in range(min(2, len(registry)))]
-        reads.clear()
-        with full_reads() if injected else nullcontext():
-            with get_power(
-                jpwr_methods_for_node(node, registry), 100, clock=clock, manual=True
-            ) as scope:
-                per_sample = len(reads)  # the scope-entry sample
-                runner = PhaseRunner(clock, scope, active)
-                runner.run_phase(0.25, 0.8)
-                run(runner)
-        in_scope = len(reads)
-        return clock.now(), snapshot(runner), in_scope, per_sample
 
     @pytest.mark.parametrize("tag", SYSTEM_TAGS)
     @pytest.mark.parametrize(
@@ -197,15 +202,15 @@ class TestRunPhases:
         bounds = []
 
         def fused(runner):
-            bounds.extend(runner.run_phases(d, utilisation, k))
+            bounds.extend(runner.run_phases(((d, utilisation),), k))
 
         def stepped(runner):
             for _ in range(k):
                 runner.run_phase(d, utilisation)
 
         kw = dict(noise_fraction=noise_fraction, injected=injected)
-        end, snap, fused_reads, per_sample = self._drive(reads, tag, fused, **kw)
-        end_stepped, snap_stepped, stepped_reads, _ = self._drive(
+        end, snap, fused_reads, per_sample = drive(reads, tag, fused, **kw)
+        end_stepped, snap_stepped, stepped_reads, _ = drive(
             reads, tag, stepped, **kw
         )
         assert end == end_stepped  # bit-equal clocks
@@ -222,9 +227,77 @@ class TestRunPhases:
         registry = DeviceRegistry.for_node(get_system("A100"), clock=clock)
         with get_power([PynvmlMethod(registry)], 100, clock=clock, manual=True) as scope:
             runner = PhaseRunner(clock, scope, [registry.get(0)])
-            assert runner.run_phases(0.0, 0.8, 3) == [5.0] * 4
+            assert runner.run_phases(((0.0, 0.8),), 3) == [5.0] * 4
             assert len(scope.df) == 1
         assert clock.now() == 5.0
+
+
+ZERO_TAIL = StepBreakdown(
+    compute_s=0.3, comm_exposed_s=0.0, host_s=0.0,
+    overhead_s=0.0, bubble_s=0.0, utilisation=0.8,
+)
+
+
+class TestRunSteps:
+    """``run_steps(step, n)`` against ``n`` calls of ``run_step(step)``."""
+
+    STEPS = 40
+
+    @pytest.mark.parametrize("tag", SYSTEM_TAGS)
+    @pytest.mark.parametrize(
+        "case,step,count,warm,noise_fraction,injected",
+        [
+            # Both utilisations kept by a step before the run.
+            ("reused", STEP, STEPS, True, 0.0, False),
+            # Busy 0.3 and tail 0.25 are first read inside the run.
+            ("first-read", replace(STEP, utilisation=0.3), STEPS, False, 0.0, False),
+            ("noisy", STEP, STEPS, True, 0.02, False),
+            ("injected", STEP, STEPS, True, 0.0, True),
+            ("zero-tail", ZERO_TAIL, STEPS, False, 0.0, False),
+            ("one-step", STEP, 1, False, 0.0, False),
+        ],
+    )
+    def test_equals_single_steps(
+        self, reads, tag, case, step, count, warm, noise_fraction, injected
+    ):
+        steps_run = []
+
+        def fused(runner):
+            if warm:
+                runner.run_step(step)
+            runner.run_steps(step, count)
+            steps_run.append(runner.steps_run)
+
+        def stepped(runner):
+            for _ in range(count + warm):
+                runner.run_step(step)
+            steps_run.append(runner.steps_run)
+
+        kw = dict(noise_fraction=noise_fraction, injected=injected)
+        end, snap, fused_reads, per_sample = drive(reads, tag, fused, **kw)
+        end_stepped, snap_stepped, stepped_reads, _ = drive(
+            reads, tag, stepped, **kw
+        )
+        assert end == end_stepped  # bit-equal clocks
+        assert_equivalent(snap, snap_stepped)
+        assert steps_run == [count + warm] * 2
+        assert fused_reads == stepped_reads
+        rows = len(next(iter(snap[0].values())))
+        phases = 1 if case == "zero-tail" else 2
+        assert rows == 2 + 2 + 2 * phases * (count + warm)
+        if case in ("noisy", "injected"):
+            assert fused_reads == per_sample * rows  # every sample read
+
+    def test_traced_run_keeps_one_span_per_step(self):
+        sink = InMemorySink()
+        with activate(Tracer(clock=VirtualClock(), sinks=[sink])):
+            result = run_resnet_benchmark(
+                ResNetBenchmarkConfig(system="A100", iterations=7)
+            )
+        spans = [r["name"] for r in sink.records if r["type"] == "span"]
+        assert result.iterations == 7
+        assert spans.count("engine/step") == 7
+        assert spans.count("engine/phase") == 2 * 7
 
 
 class TestReadCounts:

@@ -42,20 +42,25 @@ class TestSimulatedDevice:
         with pytest.raises(ValueError):
             device.set_utilisation(1.1)
         with pytest.raises(ValueError):
-            device.set_utilisation_at(-0.1, [1.0])
+            device.set_utilisation_at([0.5, -0.1], [1.0, 2.0])
 
     def test_set_utilisation_at_equals_one_call_per_instant(self, clock):
         spec = get_accelerator("A100-SXM4")
         stepped = SimulatedDevice(0, spec, clock=clock)
         jumped = SimulatedDevice(1, spec, clock=clock)
+        stepped.set_utilisation(0.3)
+        jumped.set_utilisation(0.3)
+        # Alternating utilisations, and one instant given twice (dt = 0).
+        utilisations = [0.6, 0.25, 0.6, 0.25, 0.9, 0.6, 0.25]
+        advances = [0.37, 0.11, 0.37, 0.0, 0.37, 0.11, 0.37]
         times = []
-        for _ in range(5):
-            clock.advance(0.37)
+        for utilisation, dt in zip(utilisations, advances):
+            clock.advance(dt)
             times.append(clock.now())
-            stepped.set_utilisation(0.6)
-        jumped.set_utilisation_at(0.6, times)
+            stepped.set_utilisation(utilisation)
+        jumped.set_utilisation_at(utilisations, times)
         clock.advance(0.37)
-        assert jumped.utilisation() == 0.6
+        assert jumped.utilisation() == 0.25
         assert jumped.read_energy_j() == stepped.read_energy_j()
 
     def test_failure_injection(self, device):
