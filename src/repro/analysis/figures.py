@@ -24,7 +24,7 @@ from repro.hardware.systems import get_system
 from repro.models.parallelism import ParallelLayout
 from repro.models.resnet import get_cnn_preset
 from repro.models.transformer import get_gpt_preset
-from repro.power.sensors import DeviceRegistry
+from repro.power.model import power_model_for_node
 from repro.units import per_wh
 
 #: Global batch sizes of Figure 2 (16 to 4096).
@@ -81,9 +81,7 @@ class Fig3Point:
 
 def _idle_sibling_power_w(tag: str) -> float:
     """Idle power of the unused GCD in a single-GCD MI250 run."""
-    node = get_system(tag)
-    model = DeviceRegistry.for_node(node).get(0).model
-    return model.power(0.0)
+    return power_model_for_node(get_system(tag)).power(0.0)
 
 
 def fig2_llm_series(

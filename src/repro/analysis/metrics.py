@@ -12,7 +12,7 @@ from repro.engine.perf import StepBreakdown
 from repro.engine.trainer import LOW_PHASE_UTILISATION
 from repro.errors import ConfigError
 from repro.hardware.node import NodeSpec
-from repro.power.sensors import DeviceRegistry
+from repro.power.model import power_model_for_node
 
 
 def mean_step_power_w(node: NodeSpec, step: StepBreakdown) -> float:
@@ -22,7 +22,7 @@ def mean_step_power_w(node: NodeSpec, step: StepBreakdown) -> float:
     (communication, optimizer, host waits) at the low-phase level --
     the same profile the engines drive through the sensors.
     """
-    model = DeviceRegistry.for_node(node).get(0).model
+    model = power_model_for_node(node)
     busy = step.busy_s
     tail = step.total_s - busy
     if step.total_s <= 0:

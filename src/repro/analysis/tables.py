@@ -19,7 +19,7 @@ from repro.engine.poplar import (
     PoplarResNetEngine,
 )
 from repro.hardware.systems import get_system
-from repro.power.sensors import DeviceRegistry
+from repro.power.model import power_model_for_node
 
 #: Batch sizes of Table II.
 TABLE2_BATCH_SIZES = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)
@@ -69,7 +69,7 @@ def table2_ipu_gpt(
     """Table II: 117M GPT, one epoch per batch size, IPU-POD4."""
     node = get_system("GC200")
     engine = PoplarGPTEngine(node)
-    power_model = DeviceRegistry.for_node(node).get(0).model
+    power_model = power_model_for_node(node)
     rows = []
     for b in batch_sizes:
         throughput = engine.tokens_per_second(b)
@@ -94,7 +94,7 @@ def table3_ipu_resnet() -> list[IPUTableRow]:
     """Table III: ResNet50 on a single GC200, one ImageNet epoch."""
     node = get_system("GC200")
     engine = PoplarResNetEngine(node)
-    power_model = DeviceRegistry.for_node(node).get(0).model
+    power_model = power_model_for_node(node)
     rows = []
     for b in TABLE3_BATCH_SIZES:
         rate = engine.images_per_second(b)

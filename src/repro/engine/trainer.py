@@ -169,12 +169,15 @@ class PhaseRunner:
         left fold ``t += duration`` from the current time; a phase of
         non-positive duration runs nothing and ends where it starts.
 
-        The first cycle is sampled edge by edge, so each utilisation's
-        first read sees the device state per-phase calls give it.  While
-        rows are reused, the later cycles are appended at once: each
-        phase's start and end row, from the row kept under its
-        utilisation (:meth:`~repro.jpwr.ctxmgr.MeasuredScope.repeat_row`).
-        The devices accrue at each of those phase starts
+        While rows are reused, a phase is sampled edge by edge only
+        until every utilisation of the cycle has a kept row: when all
+        have one at the call, every phase is appended at once, and
+        otherwise the first cycle is sampled, so each utilisation's
+        first read sees the device state per-phase calls give it, and
+        the later cycles are appended.  An appended phase gains its
+        start and end row, from the row kept under its utilisation
+        (:meth:`~repro.jpwr.ctxmgr.MeasuredScope.repeat_row`); the
+        devices accrue at each phase start
         (:meth:`~repro.power.sensors.SimulatedDevice.set_utilisation_at`)
         and the clock jumps once to the last boundary.  Otherwise every
         edge is sampled as :meth:`run_phase` does.  The whole call is one
@@ -190,28 +193,42 @@ class PhaseRunner:
             bounds = list(
                 accumulate([max(d, 0.0) for d, _ in cycle] * count, initial=start)
             )
-        n = len(durations)
+        phases = len(edges) - 1
         reuse = self._reuse_rows and not get_injector().enabled
         attrs = {
             "utilisation": cycle[0][1] if len(cycle) == 1 else [u for _, u in cycle]
         }
         with get_tracer().span("engine/phase", attrs=attrs):
-            done = n * min(count, 1)  # the first cycle
-            self._sample_phases(utilisations, edges, 0, done, reuse)
-            if reuse and done < n * count:
-                starts = edges[n:-1]
-                times = [0.0] * (2 * len(starts))
-                times[0::2] = starts
-                times[1::2] = edges[n + 1:]
-                keys = [u for u in utilisations for _ in (0, 1)] * (count - 1)
-                if self.scope.repeat_row(keys, times):
-                    later = utilisations * (count - 1)
-                    for dev in self.devices:
-                        dev.set_utilisation_at(later, starts)
-                    self.clock.advance_to(edges[-1])
-                    done = n * count
-            self._sample_phases(utilisations, edges, done, n * count, reuse)
+            if not (reuse and self._append_phases(utilisations, edges, 0)):
+                sampled = min(len(durations), phases)  # the first cycle
+                self._sample_phases(utilisations, edges, 0, sampled, reuse)
+                if not (reuse and self._append_phases(utilisations, edges, sampled)):
+                    self._sample_phases(utilisations, edges, sampled, phases, reuse)
         return bounds
+
+    def _append_phases(
+        self, utilisations: list[float], edges: list[float], first: int
+    ) -> bool:
+        """Phases ``first`` onward of a cycle fold, appended from kept rows.
+
+        ``first`` is a whole number of cycles.  Returns False, changing
+        nothing, when a phase is left and a utilisation of the cycle
+        has no kept row.
+        """
+        starts = edges[first:-1]
+        if not starts:
+            return True
+        times = [0.0] * (2 * len(starts))
+        times[0::2] = starts
+        times[1::2] = edges[first + 1:]
+        keys = [u for u in utilisations for _ in (0, 1)]
+        if not self.scope.repeat_row(keys, times):
+            return False
+        later = utilisations * (len(starts) // len(utilisations))
+        for dev in self.devices:
+            dev.set_utilisation_at(later, starts)
+        self.clock.advance_to(edges[-1])
+        return True
 
     def _sample_phases(
         self,

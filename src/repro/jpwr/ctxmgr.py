@@ -180,8 +180,11 @@ class MeasuredScope:
     def repeat_row(
         self, keys: Sequence[Hashable], times: Sequence[float]
     ) -> bool:
-        """Append the row kept under ``keys[i]`` at ``times[i]``, for each i.
+        """Append the rows kept under one period of ``keys``, cycled over
+        ``times``.
 
+        Row ``i`` is the one kept under ``keys[i % len(keys)]``, at
+        ``times[i]``; ``len(times)`` is a multiple of ``len(keys)``.
         The frame gains the rows that :meth:`sample` under each key at
         its clock time would append, in one bulk append and without
         reading a sensor.  Returns False, appending nothing, when any
@@ -189,12 +192,15 @@ class MeasuredScope:
         dropped).
         """
         try:
-            rows = list(map(self._rows.__getitem__, keys))
+            rows = [self._rows[key] for key in keys]
         except KeyError:
             return False
-        if rows:
+        if times:
+            periods = len(times) // len(rows)
             with self._lock:
-                self.df.extend_columns([times, *zip(*rows)])
+                self.df.extend_columns(
+                    [times, *(column * periods for column in zip(*rows))]
+                )
         return True
 
     # -- results ---------------------------------------------------------------

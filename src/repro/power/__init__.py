@@ -9,6 +9,7 @@ from repro.power.model import (
     DEFAULT_IDLE_FRACTION,
     PowerModel,
     power_model_for_device,
+    power_model_for_node,
 )
 from repro.power.dvfs import (
     FrequencyModel,
@@ -23,6 +24,7 @@ __all__ = [
     "DEFAULT_IDLE_FRACTION",
     "PowerModel",
     "power_model_for_device",
+    "power_model_for_node",
     "FrequencyModel",
     "apply_power_cap",
     "frequency_model_for_device",

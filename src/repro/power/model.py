@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.hardware.accelerator import AcceleratorSpec, AcceleratorKind, Vendor
+from repro.hardware.node import NodeSpec
 
 
 @dataclass(frozen=True)
@@ -172,3 +173,25 @@ def power_model_for_device(
     idle_w = min(idle_w, max_w)
     gamma = 0.85 if spec.kind is AcceleratorKind.IPU else 0.9
     return PowerModel(idle_watts=idle_w, max_watts=max_w, gamma=gamma)
+
+
+def power_model_for_node(node: NodeSpec) -> PowerModel:
+    """Build the power model every logical device of ``node`` shares.
+
+    Superchip devices get the Grace host share folded into their model,
+    because the paper's GH200 package counter includes the CPU.  A node
+    carrying ``power_cap_watts`` (built via
+    :func:`repro.power.dvfs.apply_power_cap`) gets a model that
+    saturates at the cap instead of the calibrated max.
+    """
+    host_share = 0.0
+    if node.accelerator.form_factor == "superchip":
+        # The GH200 hwmon CPU rail reads ~60-90 W under load;
+        # attribute 30 % of the Grace TDP as measurable host share.
+        host_share = node.cpu.tdp_watts * 0.3 / node.accelerator.logical_devices
+    return power_model_for_device(
+        node.accelerator,
+        package_tdp_watts=node.package_tdp_watts,
+        host_share_watts=host_share,
+        cap_watts=getattr(node, "power_cap_watts", None),
+    )

@@ -24,7 +24,11 @@ import numpy as np
 from repro.errors import MeasurementError
 from repro.faults.injector import get_injector
 from repro.hardware.accelerator import AcceleratorSpec
-from repro.power.model import PowerModel, power_model_for_device
+from repro.power.model import (
+    PowerModel,
+    power_model_for_device,
+    power_model_for_node,
+)
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,8 @@ class SimulatedDevice:
         self._lock = threading.Lock()
         self._util = 0.0
         self._energy_j = 0.0
+        #: Power per utilisation, filled by :meth:`set_utilisation_at`.
+        self._power: dict[float, float] = {}
         self._last_update_s = self.clock()
         self.healthy = True
 
@@ -108,17 +114,18 @@ class SimulatedDevice:
         at each of those clock times would make it, so a driver that
         advanced the clock past them in one jump keeps it exact: the
         first interval accrues at the current utilisation, and each
-        interval's energy is ``power(u) * dt`` added in the same order,
-        with the power computed once per distinct utilisation.
+        interval's energy is ``power(u) * dt`` added in the same order.
+        The device's model never changes, so it computes the power of
+        each distinct utilisation once and keeps it.
         """
-        power = {}
-        for utilisation in set(utilisations):
+        power = self._power
+        for utilisation in set(utilisations).difference(power):
             if not 0.0 <= utilisation <= 1.0:
                 raise ValueError(f"utilisation must be in [0,1], got {utilisation}")
             power[utilisation] = self.model.power(float(utilisation))
         with self._lock:
             util = self._util
-            p = self.model.power(util)
+            p = power[util] if util in power else self.model.power(util)
             energy = self._energy_j
             last = self._last_update_s
             for util, now in zip(utilisations, times):
@@ -245,25 +252,12 @@ class DeviceRegistry:
         """Build the registry of one Table I node.
 
         Logical devices are enumerated the way the OS would (8 for the
-        MI250 node); GH200 devices get the Grace host share folded into
-        their power model because the paper's package counter includes
-        the CPU.  A node carrying ``power_cap_watts`` (built via
-        :func:`repro.power.dvfs.apply_power_cap`) gets models that
-        saturate at the cap instead of the calibrated max.
+        MI250 node) and share the node's power model
+        (:func:`~repro.power.model.power_model_for_node`).
         """
         registry = cls()
-        host_share = 0.0
-        if node.accelerator.form_factor == "superchip":
-            # The GH200 hwmon CPU rail reads ~60-90 W under load;
-            # attribute 30 % of the Grace TDP as measurable host share.
-            host_share = node.cpu.tdp_watts * 0.3 / node.accelerator.logical_devices
+        model = power_model_for_node(node)
         for i in range(node.logical_devices_per_node):
-            model = power_model_for_device(
-                node.accelerator,
-                package_tdp_watts=node.package_tdp_watts,
-                host_share_watts=host_share,
-                cap_watts=getattr(node, "power_cap_watts", None),
-            )
             registry.add(
                 SimulatedDevice(
                     i,

@@ -67,7 +67,7 @@ from repro.serve.constants import (
     TS_REPLICAS_ON,
     TS_TTFT_ROLLING_P95,
 )
-from repro.serve.events import EventHeap
+from repro.serve.events import EventHeap, stalled
 from repro.serve.fastsim import _observe_completion, _steps_to_arrival
 from repro.serve.result import RequestRecord
 
@@ -245,6 +245,24 @@ class _ClusterLoop:
             )
         )
 
+    def _only_evaluations_left(self, now: float) -> bool:
+        """Whether nothing but autoscaler evaluations can move the work.
+
+        No arrival is pending, no transfer is in flight, no replica is
+        busy and none is starting with its ready time ahead or due.
+        Queued work never moves to another replica, so a replica an
+        evaluation starts then could take none of it.
+        """
+        return not (
+            self.pending
+            or self.transfers
+            or any(
+                r.busy_until_s is not None
+                or (r.state is ReplicaState.STARTING and r.ready_at_s >= now)
+                for r in self.replicas
+            )
+        )
+
     def run(self) -> None:
         """Drive the cluster until every admitted request drains."""
         self._observe_replicas()
@@ -256,6 +274,9 @@ class _ClusterLoop:
             self.sampler.tick(now)
         self._arm(now)
         while self._work_remaining():
+            if self.autoscaler is not None and self._only_evaluations_left(now):
+                # Evaluations alone would re-arm each other for ever.
+                raise stalled()
             target = self.events.pop_due()
             now = self.clock.now()
             if target > now:

@@ -81,7 +81,17 @@ class EventHeap:
                 entries += 1
             if t not in self._withdrawn or self._withdrawn.pop(t) < entries:
                 return t
-        raise MeasurementError(
-            "serve fast path stalled: work remains but no event is "
-            "scheduled (event-heap underflow)"
-        )
+        raise stalled()
+
+
+def stalled() -> MeasurementError:
+    """The error of a loop whose remaining work no event can advance.
+
+    A producer failed to schedule an event (a fast-engine bug, not a
+    user error): the heap ran dry, or only events that cannot move the
+    work, such as autoscaler evaluations, are left.
+    """
+    return MeasurementError(
+        "serve fast path stalled: work remains but no event is "
+        "scheduled (event-heap underflow)"
+    )

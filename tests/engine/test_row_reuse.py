@@ -8,6 +8,9 @@ so every sample reads every sensor, and nothing fires.  A run of
 phases (``PhaseRunner.run_phases``) is compared with the same phases
 run one at a time, and a fused run of optimizer steps
 (``PhaseRunner.run_steps``) with the same steps run one at a time.
+One-at-a-time calls whose utilisations are all kept take the same bulk
+path as the run, so runs on kept rows are also compared with full
+reads.
 
 Exact: sample frames, result rows, per-request energies and the energy
 counters of the devices the runner drives.  Approximate (1e-12
@@ -181,9 +184,10 @@ def drive(reads, tag, run, *, noise_fraction=0.0, injected=False):
 
 
 class TestRunPhases:
-    """``run_phases(((d, u),), k)`` against ``k`` calls of ``run_phase(d, u)``."""
+    """``run_phases(cycle, k)`` against one ``run_phase`` call per phase,
+    and on kept rows against full reads."""
 
-    DURATION_S, PHASES = 0.0371, 40
+    DURATION_S, TAIL_S, PHASES = 0.0371, 0.0113, 40
 
     @pytest.mark.parametrize("tag", SYSTEM_TAGS)
     @pytest.mark.parametrize(
@@ -221,6 +225,55 @@ class TestRunPhases:
             rows = len(next(iter(snap[0].values())))
             assert rows == 2 + 2 + 2 * k
             assert fused_reads == per_sample * rows  # every sample read
+
+    @pytest.mark.parametrize("tag", SYSTEM_TAGS)
+    @pytest.mark.parametrize(
+        "case,cycle,count,kept",
+        [
+            # Every utilisation has a kept row before the call (0.8 from
+            # the first phase, 0.25 from ``kept``).
+            ("one-phase", ((DURATION_S, 0.8),), 1, ()),
+            ("one-phase-runs", ((DURATION_S, 0.8),), PHASES, ()),
+            ("cycle", ((DURATION_S, 0.8), (TAIL_S, 0.25)), PHASES, (0.25,)),
+            # 0.3 is first read inside the call.
+            ("one-new", ((DURATION_S, 0.8), (TAIL_S, 0.3)), PHASES, ()),
+        ],
+    )
+    def test_kept_rows_equal_full_reads(self, reads, tag, case, cycle, count, kept):
+        bounds, in_call = [], []
+
+        def after_kept(phases):
+            def run(runner):
+                for utilisation in kept:
+                    runner.run_phase(0.013, utilisation)
+                before = len(reads)
+                phases(runner)
+                in_call.append(len(reads) - before)
+
+            return run
+
+        def fused(runner):
+            bounds.append(runner.run_phases(cycle, count))
+
+        def stepped(runner):
+            for _ in range(count):
+                for d, u in cycle:
+                    runner.run_phase(d, u)
+
+        end, snap, _, per_sample = drive(reads, tag, after_kept(fused))
+        end_read, snap_read, _, _ = drive(
+            reads, tag, after_kept(fused), injected=True
+        )
+        end_stepped, snap_stepped, _, _ = drive(reads, tag, after_kept(stepped))
+        assert end == end_read == end_stepped  # bit-equal clocks
+        assert_equivalent(snap, snap_read)
+        assert_equivalent(snap, snap_stepped)
+        shipped, read, stepped_reads = in_call
+        new = 1 if case == "one-new" else 0
+        assert shipped == stepped_reads == new * per_sample
+        assert read > shipped
+        assert bounds[0] == bounds[1]
+        assert len(bounds[0]) == count * len(cycle) + 1 and bounds[0][-1] == end
 
     def test_non_positive_duration_runs_nothing(self):
         clock = VirtualClock(5.0)

@@ -67,6 +67,43 @@ class TestManualSampling:
         assert scope.total_energy_wh() == pytest.approx(sum(edf.row(0).values()))
 
 
+class TestRepeatRow:
+    """``repeat_row`` against one keyed :meth:`MeasuredScope.sample` per row."""
+
+    @staticmethod
+    def scope_with_rows(keys):
+        """A manual scope that kept one row per key, at utilisations 0.1, 0.2, ..."""
+        clock = VirtualClock()
+        registry = DeviceRegistry.for_node(get_system("GH200"), clock=clock)
+        methods = [PynvmlMethod(registry), GraceHopperMethod(registry)]
+        scope = MeasuredScope(methods, 100, clock, manual=True)
+        scope.start()
+        for i, key in enumerate(keys):
+            registry.get(0).set_utilisation(0.1 * (i + 1))
+            clock.advance(0.5)
+            scope.sample(key)
+        return clock, scope
+
+    def test_cycles_one_period_over_several(self):
+        period = ["busy", "busy", "tail", "tail"]
+        times = [10.0 + 0.25 * i for i in range(3 * len(period))]
+        _, bulk = self.scope_with_rows(["busy", "tail"])
+        clock, sampled = self.scope_with_rows(["busy", "tail"])
+        assert bulk.repeat_row(period, times)
+        for i, t in enumerate(times):
+            clock.advance_to(t)
+            sampled.sample(period[i % len(period)])
+        frame = {c: list(bulk.df[c]) for c in bulk.df.columns}
+        assert frame == {c: list(sampled.df[c]) for c in sampled.df.columns}
+        assert len(bulk.df) == 1 + 2 + len(times)
+
+    def test_missing_key_appends_nothing(self):
+        _, scope = self.scope_with_rows(["busy"])
+        before = {c: list(scope.df[c]) for c in scope.df.columns}
+        assert not scope.repeat_row(["busy", "tail"], [1.0, 2.0, 3.0, 4.0])
+        assert {c: list(scope.df[c]) for c in scope.df.columns} == before
+
+
 class TestFailureHandling:
     def test_sensor_dropout_skips_sample(self, setup):
         clock, registry = setup

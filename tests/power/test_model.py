@@ -3,7 +3,10 @@
 import pytest
 
 from repro.hardware.accelerator import get_accelerator
-from repro.power.model import PowerModel, power_model_for_device
+from repro.hardware.systems import SYSTEM_TAGS, get_system
+from repro.power.dvfs import apply_power_cap
+from repro.power.model import PowerModel, power_model_for_device, power_model_for_node
+from repro.power.sensors import DeviceRegistry
 
 
 class TestPowerModel:
@@ -80,3 +83,33 @@ class TestCalibratedModels:
             spec = get_accelerator(name)
             m = power_model_for_device(spec)
             assert m.max_watts <= spec.tdp_watts / spec.logical_devices
+
+
+class TestNodeModel:
+    """``power_model_for_node`` is the model every device of a node gets."""
+
+    @staticmethod
+    def spelled_out(node):
+        # The per-node rule: superchips carry 30 % of the Grace TDP per
+        # logical device as host share; a capped node saturates at its cap.
+        host_share = 0.0
+        if node.accelerator.form_factor == "superchip":
+            host_share = node.cpu.tdp_watts * 0.3 / node.accelerator.logical_devices
+        return power_model_for_device(
+            node.accelerator,
+            package_tdp_watts=node.package_tdp_watts,
+            host_share_watts=host_share,
+            cap_watts=node.power_cap_watts,
+        )
+
+    @pytest.mark.parametrize(
+        "node",
+        [pytest.param(get_system(tag), id=tag) for tag in SYSTEM_TAGS]
+        + [pytest.param(apply_power_cap(get_system("JEDI"), 450.0), id="JEDI-450W")],
+    )
+    def test_equals_every_registry_device(self, node):
+        model = power_model_for_node(node)
+        assert model == self.spelled_out(node)
+        devices = list(DeviceRegistry.for_node(node))
+        assert len(devices) == node.logical_devices_per_node
+        assert all(dev.model == model for dev in devices)

@@ -48,19 +48,27 @@ class TestSimulatedDevice:
         spec = get_accelerator("A100-SXM4")
         stepped = SimulatedDevice(0, spec, clock=clock)
         jumped = SimulatedDevice(1, spec, clock=clock)
-        stepped.set_utilisation(0.3)
-        jumped.set_utilisation(0.3)
-        # Alternating utilisations, and one instant given twice (dt = 0).
-        utilisations = [0.6, 0.25, 0.6, 0.25, 0.9, 0.6, 0.25]
-        advances = [0.37, 0.11, 0.37, 0.0, 0.37, 0.11, 0.37]
-        times = []
-        for utilisation, dt in zip(utilisations, advances):
-            clock.advance(dt)
-            times.append(clock.now())
-            stepped.set_utilisation(utilisation)
-        jumped.set_utilisation_at(utilisations, times)
+        calls = [
+            # Set before the call: 0.3, new to the device.  Alternating
+            # utilisations, and one instant given twice (dt = 0).
+            (0.3, [0.6, 0.25, 0.6, 0.25, 0.9, 0.6, 0.25],
+             [0.37, 0.11, 0.37, 0.0, 0.37, 0.11, 0.37]),
+            # Set before the call: 0.6, which the first call kept.  A
+            # call of one instant.
+            (0.6, [0.3], [0.29]),
+        ]
+        for before, utilisations, advances in calls:
+            clock.advance(0.13)
+            stepped.set_utilisation(before)
+            jumped.set_utilisation(before)
+            times = []
+            for utilisation, dt in zip(utilisations, advances):
+                clock.advance(dt)
+                times.append(clock.now())
+                stepped.set_utilisation(utilisation)
+            jumped.set_utilisation_at(utilisations, times)
+            assert jumped.utilisation() == utilisations[-1]
         clock.advance(0.37)
-        assert jumped.utilisation() == 0.25
         assert jumped.read_energy_j() == stepped.read_energy_j()
 
     def test_failure_injection(self, device):

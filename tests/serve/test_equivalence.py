@@ -14,6 +14,11 @@ in the shipped loop, never tolerance-worthy.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -441,6 +446,64 @@ class TestClusterEquivalence:
         assert json.loads(ref["summary"])["cluster_spinups"] >= 1
         assert {r["decode_replica"] for r in json.loads(ref["records"])} != {0}
         assert_identical(ref, run_cluster(ENGINE_FAST, tmp_path, **kw))
+
+    def test_autoscaled_zero_spinup_delay(self, tmp_path):
+        # A replica started with no delay is ready at the evaluation
+        # that starts it: its ready event is due at that same instant.
+        kw = dict(
+            arrivals=SCALE_UP,
+            replicas=4,
+            autoscale=AutoscalePolicy(min_replicas=1, spinup_delay_s=0.0),
+            telemetry=True,
+        )
+        ref = run_cluster(ENGINE_REFERENCE, tmp_path, **kw)
+        assert json.loads(ref["summary"])["cluster_spinups"] >= 1
+        assert_identical(ref, run_cluster(ENGINE_FAST, tmp_path, **kw))
+
+    def test_autoscaled_stall_raises(self):
+        # Replicas the autoscaler starts never turn RUNNING, so the work
+        # routed to them waits for ever and only evaluations are left.
+        # The loop must raise the event-heap underflow instead of
+        # re-arming evaluations without end; a subprocess bounds the
+        # wall time of a loop that does not.
+        script = textwrap.dedent(
+            """
+            from repro.errors import MeasurementError
+            from repro.obs.telemetry import SLOMonitor, TelemetrySampler
+            from repro.serve.cluster import AutoscalePolicy, ClusterSimulator
+            from repro.serve.cluster.fastsim import _ClusterLoop
+            from test_equivalence import SCALE_UP, _engine
+
+            _ClusterLoop._replica_transitions = lambda self, now: None
+            sim = ClusterSimulator(
+                _engine(),
+                replicas=4,
+                batch_cap=8,
+                autoscale=AutoscalePolicy(min_replicas=1, spinup_delay_s=1.5),
+                telemetry=TelemetrySampler(),
+                slo_monitor=SLOMonitor(),
+            )
+            try:
+                sim.run(SCALE_UP)
+            except MeasurementError as error:
+                print(error)
+            """
+        )
+        here = Path(__file__).resolve().parent
+        src = here.parents[1] / "src"
+        path = os.pathsep.join(str(p) for p in (src, here.parent, here))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": path},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("the stalled cluster run did not raise within 60 s")
+        assert done.returncode == 0, done.stderr
+        assert "event-heap underflow" in done.stdout
 
     @pytest.mark.parametrize("steps", [1, 5])
     @TRACED
