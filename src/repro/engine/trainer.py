@@ -124,12 +124,12 @@ class PhaseRunner:
     are read once per utilisation level and later phase edges reuse
     that row.  That holds when every sensor the scope's methods read is
     noise-free and healthy (checked once, here) and no fault-injection
-    scope is active (checked per :meth:`run_phases` call); otherwise
-    every sample reads.  It also assumes that only this runner changes
-    the utilisation of those sensors while it runs, as in
-    :func:`measure_run`, which gives each run a fresh registry.  A
-    skipped read leaves a driven device's energy counter exact: the
-    device accrues the interval at its next
+    scope is active (checked per :meth:`run_phases` or :meth:`replay`
+    call); otherwise every sample reads.  It also assumes that only
+    this runner changes the utilisation of those sensors while it
+    runs, as in :func:`measure_run`, which gives each run a fresh
+    registry.  A skipped read leaves a driven device's energy counter
+    exact: the device accrues the interval at its next
     :meth:`~repro.power.sensors.SimulatedDevice.set_utilisation`, at
     the same instant and with the same ``dt``.
     """
@@ -168,20 +168,8 @@ class PhaseRunner:
         Returns the ``count * len(cycle) + 1`` phase boundaries, the
         left fold ``t += duration`` from the current time; a phase of
         non-positive duration runs nothing and ends where it starts.
-
-        While rows are reused, a phase is sampled edge by edge only
-        until every utilisation of the cycle has a kept row: when all
-        have one at the call, every phase is appended at once, and
-        otherwise the first cycle is sampled, so each utilisation's
-        first read sees the device state per-phase calls give it, and
-        the later cycles are appended.  An appended phase gains its
-        start and end row, from the row kept under its utilisation
-        (:meth:`~repro.jpwr.ctxmgr.MeasuredScope.repeat_row`); the
-        devices accrue at each phase start
-        (:meth:`~repro.power.sensors.SimulatedDevice.set_utilisation_at`)
-        and the clock jumps once to the last boundary.  Otherwise every
-        edge is sampled as :meth:`run_phase` does.  The whole call is one
-        ``engine/phase`` span.
+        The phases are sampled or appended by the rule of
+        :meth:`replay`.  The whole call is one ``engine/phase`` span.
         """
         start = self.clock.now()
         durations = [d for d, _ in cycle if d > 0]
@@ -193,65 +181,124 @@ class PhaseRunner:
             bounds = list(
                 accumulate([max(d, 0.0) for d, _ in cycle] * count, initial=start)
             )
-        phases = len(edges) - 1
-        reuse = self._reuse_rows and not get_injector().enabled
-        attrs = {
-            "utilisation": cycle[0][1] if len(cycle) == 1 else [u for _, u in cycle]
-        }
-        with get_tracer().span("engine/phase", attrs=attrs):
-            if not (reuse and self._append_phases(utilisations, edges, 0)):
-                sampled = min(len(durations), phases)  # the first cycle
-                self._sample_phases(utilisations, edges, 0, sampled, reuse)
-                if not (reuse and self._append_phases(utilisations, edges, sampled)):
-                    self._sample_phases(utilisations, edges, sampled, phases, reuse)
+        tracer = get_tracer()
+        attrs = None
+        if tracer.enabled:
+            attrs = {
+                "utilisation": (
+                    cycle[0][1] if len(cycle) == 1 else [u for _, u in cycle]
+                )
+            }
+        with tracer.span("engine/phase", attrs=attrs):
+            self.replay(edges, utilisations, [1] * len(utilisations))
         return bounds
 
-    def _append_phases(
-        self, utilisations: list[float], edges: list[float], first: int
-    ) -> bool:
-        """Phases ``first`` onward of a cycle fold, appended from kept rows.
-
-        ``first`` is a whole number of cycles.  Returns False, changing
-        nothing, when a phase is left and a utilisation of the cycle
-        has no kept row.
-        """
-        starts = edges[first:-1]
-        if not starts:
-            return True
-        times = [0.0] * (2 * len(starts))
-        times[0::2] = starts
-        times[1::2] = edges[first + 1:]
-        keys = [u for u in utilisations for _ in (0, 1)]
-        if not self.scope.repeat_row(keys, times):
-            return False
-        later = utilisations * (len(starts) // len(utilisations))
-        for dev in self.devices:
-            dev.set_utilisation_at(later, starts)
-        self.clock.advance_to(edges[-1])
-        return True
-
-    def _sample_phases(
+    def replay(
         self,
-        utilisations: list[float],
-        edges: list[float],
+        edges: Sequence[float],
+        utilisations: Sequence[float],
+        runs: Sequence[int],
+    ) -> None:
+        """The phases ending at ``edges[1:]``: ``runs[j]`` phases at
+        ``utilisations[j]`` for each j in turn, that period repeated.
+
+        ``edges`` is the left fold of the phases' positive durations
+        from the current time: a :meth:`run_phases` cycle fold, or a
+        whole run scheduled ahead of the clock.  Gives what one
+        :meth:`run_phase` call per phase gives, by one rule: while rows
+        are reused, a phase is sampled edge by edge only when its
+        utilisation has no kept row, so each utilisation's first read
+        sees the device state per-phase calls give it; the clock then
+        stands at that phase's start, with the stretch before it
+        already appended.  Every other phase is appended from kept
+        rows: it gains its start and end row
+        (:meth:`~repro.jpwr.ctxmgr.MeasuredScope.repeat_row`), the
+        devices accrue at each phase start
+        (:meth:`~repro.power.sensors.SimulatedDevice.set_utilisation_at`)
+        and the clock jumps to the stretch's last edge.  Once every
+        utilisation of the period has a kept row, all phases left go in
+        one append.  Without reuse every edge is sampled.  Opens no
+        span.
+        """
+        stop = len(edges) - 1
+        reuse = self._reuse_rows and not get_injector().enabled
+        phase = 0
+        while phase < stop:
+            if reuse and all(map(self.scope.has_row, utilisations)):
+                self._append(edges, utilisations, runs, phase, stop)
+                return
+            phase = self._walk(edges, utilisations, runs, phase, reuse)
+
+    def _walk(
+        self,
+        edges: Sequence[float],
+        utilisations: Sequence[float],
+        runs: Sequence[int],
+        phase: int,
+        reuse: bool,
+    ) -> int:
+        """One period of a replay from ``phase``; returns the phase after it.
+
+        A phase whose utilisation has no kept row (any phase, without
+        reuse) is sampled edge by edge once the stretch before it is
+        appended; the stretch after the last such phase is appended
+        too.
+        """
+        first = phase  # the stretch is phases first..phase - 1
+        keys: list[float] = []
+        lengths: list[int] = []
+        for utilisation, run in zip(utilisations, runs):
+            while run and not (reuse and self.scope.has_row(utilisation)):
+                if keys:
+                    self._append(edges, keys, lengths, first, phase)
+                    keys, lengths = [], []
+                self._sample(edges, phase, utilisation, reuse)
+                phase += 1
+                run -= 1
+                first = phase
+            if run:
+                keys.append(utilisation)
+                lengths.append(run)
+                phase += run
+        if keys:
+            self._append(edges, keys, lengths, first, phase)
+        return phase
+
+    def _append(
+        self,
+        edges: Sequence[float],
+        utilisations: Sequence[float],
+        runs: Sequence[int],
         first: int,
         stop: int,
-        reuse: bool,
     ) -> None:
-        """Phases ``first`` to ``stop - 1`` of a cycle fold, edge by edge.
+        """Phases ``first`` to ``stop - 1`` from kept rows: ``runs[j]``
+        at ``utilisations[j]`` for each j in turn, that period repeated."""
+        starts = edges[first:stop]
+        times = [0.0] * (2 * len(starts))
+        times[0::2] = starts
+        times[1::2] = edges[first + 1:stop + 1]
+        self.scope.repeat_row(utilisations, [2 * run for run in runs], times)
+        period: list[float] = []
+        for utilisation, run in zip(utilisations, runs):
+            period += [utilisation] * run
+        period *= len(starts) // len(period)
+        for dev in self.devices:
+            dev.set_utilisation_at(period, starts)
+        self.clock.advance_to(edges[stop])
 
-        Phase ``j`` runs at ``utilisations[j % len(utilisations)]`` and
-        ends at ``edges[j + 1]``: the devices switch to it, then the
-        scope samples its start and its end.
-        """
-        for j in range(first, stop):
-            utilisation = utilisations[j % len(utilisations)]
-            key = utilisation if reuse else None
-            for dev in self.devices:
-                dev.set_utilisation(utilisation)
-            self.scope.sample(key)
-            self.clock.advance_to(edges[j + 1])
-            self.scope.sample(key)
+    def _sample(
+        self, edges: Sequence[float], phase: int, utilisation: float, reuse: bool
+    ) -> None:
+        """Phase ``phase``, ending at ``edges[phase + 1]``, edge by edge:
+        the devices switch to ``utilisation``, then the scope samples its
+        start and its end, keyed by the utilisation while rows are reused."""
+        key = utilisation if reuse else None
+        for dev in self.devices:
+            dev.set_utilisation(utilisation)
+        self.scope.sample(key)
+        self.clock.advance_to(edges[phase + 1])
+        self.scope.sample(key)
 
     def run_step(self, step: StepBreakdown) -> None:
         """One optimizer step: a busy phase plus a low-utilisation tail.

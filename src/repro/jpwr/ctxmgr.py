@@ -177,31 +177,39 @@ class MeasuredScope:
                 appended = self.df.row(-1)
                 self._rows[key] = tuple(appended[label] for label in self._labels)
 
-    def repeat_row(
-        self, keys: Sequence[Hashable], times: Sequence[float]
-    ) -> bool:
-        """Append the rows kept under one period of ``keys``, cycled over
-        ``times``.
+    def has_row(self, key: Hashable) -> bool:
+        """Whether a sample under ``key`` kept its row (see :meth:`sample`)."""
+        return key in self._rows
 
-        Row ``i`` is the one kept under ``keys[i % len(keys)]``, at
-        ``times[i]``; ``len(times)`` is a multiple of ``len(keys)``.
-        The frame gains the rows that :meth:`sample` under each key at
-        its clock time would append, in one bulk append and without
-        reading a sensor.  Returns False, appending nothing, when any
-        key has no kept row (none was read yet, or the first read was
-        dropped).
+    def repeat_row(
+        self,
+        keys: Sequence[Hashable],
+        runs: Sequence[int],
+        times: Sequence[float],
+    ) -> None:
+        """Append ``runs[j]`` rows kept under ``keys[j]``, for each j in
+        turn, that period cycled over ``times``.
+
+        ``len(times)`` is a multiple of ``sum(runs)``, and every key has
+        a kept row (:meth:`has_row`); a key without one raises
+        ``KeyError`` and appends nothing.  The frame gains the rows that
+        :meth:`sample` under each key at its clock time would append, in
+        one bulk append and without reading a sensor.  Each column is
+        built run by run by list multiplication.
         """
-        try:
-            rows = [self._rows[key] for key in keys]
-        except KeyError:
-            return False
-        if times:
-            periods = len(times) // len(rows)
-            with self._lock:
-                self.df.extend_columns(
-                    [times, *(column * periods for column in zip(*rows))]
-                )
-        return True
+        rows = [self._rows[key] for key in keys]
+        if not times:
+            return
+        periods = len(times) // sum(runs)
+        columns = []
+        for values in zip(*rows):
+            column: list[float] = []
+            for value, run in zip(values, runs):
+                column += [value] * run
+            column *= periods
+            columns.append(column)
+        with self._lock:
+            self.df.extend_columns([times, *columns])
 
     # -- results ---------------------------------------------------------------
 

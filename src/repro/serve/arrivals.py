@@ -28,7 +28,7 @@ Five processes cover the evaluation regimes:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
 
@@ -68,6 +68,21 @@ class Request:
     def context_tokens(self) -> int:
         """Maximum KV-cache footprint of the request, in tokens."""
         return self.prompt_tokens + self.generate_tokens
+
+
+def shift_arrivals(
+    requests: tuple[Request, ...], start_s: float
+) -> tuple[Request, ...]:
+    """``requests`` served from ``start_s``: each arrives that much later.
+
+    A simulator serves its stream relative to the clock time at which
+    its run starts.  Every run after the first in a traced scope starts
+    mid-clock, since the scope's runs share one clock.  A run from zero
+    gets ``requests`` itself, so its results stay bit-identical.
+    """
+    if not start_s:
+        return requests
+    return tuple(replace(r, arrival_s=r.arrival_s + start_s) for r in requests)
 
 
 def _jittered(rng: random.Random, mean: int, spread: float) -> int:

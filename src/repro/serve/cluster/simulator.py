@@ -38,7 +38,7 @@ from repro.obs.metrics import get_metrics
 from repro.obs.telemetry.sampler import TelemetrySampler
 from repro.obs.telemetry.slo import SLOMonitor
 from repro.obs.trace import get_tracer
-from repro.serve.arrivals import Request
+from repro.serve.arrivals import Request, shift_arrivals
 from repro.serve.cluster.autoscaler import AutoscalePolicy
 from repro.serve.cluster.disagg import DisaggregationSpec
 from repro.serve.cluster.fastsim import _ClusterLoop
@@ -219,6 +219,7 @@ class ClusterSimulator:
             if tracer.virtual_clock is not None
             else VirtualClock()
         )
+        requests = shift_arrivals(requests, clock.now())
         self.requests_by_index = {r.index: r for r in requests}
         if self.telemetry is not None and not self.telemetry.attached:
             self.telemetry.attach_registry(get_metrics())

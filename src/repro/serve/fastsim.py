@@ -26,6 +26,12 @@ dominate a million-request run are gone:
   outcomes per-step offers give.  A run is one step long while the
   tracer, a telemetry sampler or a fault-injection scope is active:
   each acts between steps,
+* **scheduled, then measured once** — when none of those is active,
+  nothing reads the measurement clock or the frame before the run
+  ends, so the loop schedules the whole run against a
+  :class:`_Recorder` and the phase runner replays the recording once
+  (:meth:`~repro.engine.trainer.PhaseRunner.replay`), appending each
+  segment of one utilisation in bulk,
 * **memoized phase times** — prefill times keyed by (prompt, generate)
   and decode-step times keyed by batch size are computed once per
   distinct key instead of once per phase,
@@ -51,6 +57,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from collections.abc import Iterator
+from itertools import accumulate, repeat
 
 from repro.engine.inference import DECODE_UTILISATION_FRACTION, InferenceWorkload
 from repro.engine.trainer import primary_energy_labels
@@ -59,7 +66,7 @@ from repro.faults.injector import get_injector
 from repro.jpwr.energy import cumulative_energy_wh
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
-from repro.serve.arrivals import Request
+from repro.serve.arrivals import Request, shift_arrivals
 from repro.serve.constants import (
     ALERT_CLEARED_EVENT,
     ALERT_FIRED_EVENT,
@@ -124,11 +131,65 @@ def _emit_alert_transitions(transitions) -> None:
         )
 
 
+class _Recorder:
+    """The phases of a run scheduled ahead of the measurement clock.
+
+    Takes the loop's :class:`~repro.engine.trainer.PhaseRunner` calls
+    (:meth:`run_phase`, :meth:`run_phases` over a one-phase cycle,
+    :meth:`idle`) and stands in for its clock (:meth:`now`, the last
+    boundary).  It records the phase boundaries, the left fold
+    ``t += d`` those calls make from the same start, and one
+    ``(utilisation, run)`` per segment, a run of consecutive phases of
+    one utilisation; phases of non-positive duration run nothing.
+    """
+
+    def __init__(self, start_s: float) -> None:
+        self.edges = [start_s]
+        self.utilisations: list[float] = []
+        self.runs: list[int] = []
+
+    def now(self) -> float:
+        """The scheduled time: the last phase boundary."""
+        return self.edges[-1]
+
+    def _segment(self, utilisation: float, count: int) -> None:
+        if self.utilisations and self.utilisations[-1] == utilisation:
+            self.runs[-1] += count
+        else:
+            self.utilisations.append(utilisation)
+            self.runs.append(count)
+
+    def run_phase(self, duration_s: float, utilisation: float) -> None:
+        """One phase."""
+        if duration_s > 0:
+            self.edges.append(self.edges[-1] + duration_s)
+            self._segment(utilisation, 1)
+
+    def run_phases(
+        self, cycle: tuple[tuple[float, float]], count: int
+    ) -> list[float]:
+        """``count`` phases of a one-phase cycle; returns their
+        ``count + 1`` boundaries."""
+        ((duration_s, utilisation),) = cycle
+        bounds = list(
+            accumulate(repeat(max(duration_s, 0.0), count), initial=self.edges[-1])
+        )
+        if duration_s > 0:
+            self.edges += bounds[1:]
+            self._segment(utilisation, count)
+        return bounds
+
+    def idle(self, duration_s: float) -> None:
+        """An idle phase."""
+        self.run_phase(duration_s, 0.0)
+
+
 class _ServeLoop:
     """One single-engine run's mutable state; the body measure_run runs."""
 
     def __init__(self, sim, requests: tuple[Request, ...]) -> None:
         self.sim = sim
+        self.clock = None  # the run's clock, set by begin()
         self.pending = deque(requests)
         self.queue = AdmissionQueue(sim.queue_capacity)
         self.scheduler = ContinuousBatchScheduler(sim.engine, batch_cap=sim.batch_cap)
@@ -181,16 +242,47 @@ class _ServeLoop:
         self.finished.append((seq, now))
         _observe_completion(self, seq, now)
 
+    def begin(self, clock) -> None:
+        """Serve the stream from ``clock``'s current time, the run's start.
+
+        A run that starts mid-clock — every run after the first in a
+        traced scope, whose runs share one clock — shifts its arrivals
+        by the start and skips the telemetry boundaries before it.
+        """
+        self.clock = clock
+        start = clock.now()
+        if start:
+            self.pending = deque(shift_arrivals(tuple(self.pending), start))
+        if self.sampler is not None:
+            self.sampler.align(start)
+
     def run(self, runner, clock) -> None:
-        """The scheduler loop: idle, admit+prefill, decode, evict."""
+        """The scheduler loop: idle, admit+prefill, decode, evict.
+
+        A run nothing observes between steps — no tracer, telemetry
+        sampler or fault-injection scope — is scheduled whole against a
+        :class:`_Recorder` from the clock's current time, and
+        ``runner`` replays the recording once at the end
+        (:meth:`~repro.engine.trainer.PhaseRunner.replay`); ``clock``
+        stays at the run's start until then.  Otherwise each phase runs
+        on ``runner`` at the current clock.
+        """
+        observed = self.sampler is not None or get_tracer().enabled
+        if observed or get_injector().enabled:
+            self._schedule(runner, clock, observed, stepwise=True)
+            return
+        recorder = _Recorder(clock.now())
+        self._schedule(recorder, recorder, observed=False, stepwise=False)
+        runner.replay(recorder.edges, recorder.utilisations, recorder.runs)
+
+    def _schedule(self, runner, clock, observed: bool, stepwise: bool) -> None:
+        """The loop body: phases go to ``runner``, times come from ``clock``."""
         sim = self.sim
         engine = sim.engine
         injector = get_injector()
         tag = engine.node.jube_tag
         util_prefill = engine.cal.util_full_llm
         util_decode = engine.cal.util_full_llm * DECODE_UTILISATION_FRACTION
-        observed = self.sampler is not None or get_tracer().enabled
-        stepwise = observed or injector.enabled
         scheduler = self.scheduler
         queue = self.queue
         pending = self.pending

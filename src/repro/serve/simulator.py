@@ -139,6 +139,7 @@ class ServingSimulator:
         completed: list[RequestRecord] = []
 
         def body(runner, clock):
+            loop.begin(clock)
             loop.run(runner, clock)
             loop.attribute_energy(runner)
             if not exact:
@@ -172,7 +173,7 @@ class ServingSimulator:
             },
         )
         if self.telemetry is not None:
-            self.telemetry.finish(elapsed)
+            self.telemetry.finish(loop.clock.now())
         summary, records = summarize_completions(
             completed if exact else loop.records(),
             percentile_mode=self.percentile_mode,

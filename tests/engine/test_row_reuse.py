@@ -10,7 +10,10 @@ run one at a time, and a fused run of optimizer steps
 (``PhaseRunner.run_steps``) with the same steps run one at a time.
 One-at-a-time calls whose utilisations are all kept take the same bulk
 path as the run, so runs on kept rows are also compared with full
-reads.
+reads.  A single-engine serving run that nothing observes between steps
+is scheduled whole and replayed once (``PhaseRunner.replay``); it is
+compared with full reads and with the same run made stepwise by an
+enabled tracer.
 
 Exact: sample frames, result rows, per-request energies and the energy
 counters of the devices the runner drives.  Approximate (1e-12
@@ -41,7 +44,12 @@ from repro.models.transformer import get_gpt_preset
 from repro.obs.sinks import InMemorySink
 from repro.obs.trace import Tracer, activate
 from repro.power.sensors import DeviceRegistry, SimulatedDevice
-from repro.serve import FixedArrivals, PoissonArrivals, ServingSimulator
+from repro.serve import (
+    FixedArrivals,
+    PoissonArrivals,
+    ServingSimulator,
+    TraceArrivals,
+)
 from repro.simcluster.clock import VirtualClock
 
 STEP = StepBreakdown(
@@ -129,22 +137,94 @@ def test_resnet_training(runners, tag):
     assert_equivalent(reused, read)
 
 
-@pytest.mark.serve
-@pytest.mark.parametrize("tag", ["A100", "GH200", "MI250"])
-def test_single_engine_serving(runners, tag):
+GPU_TAGS = [tag for tag in SYSTEM_TAGS if not get_system(tag).is_ipu_pod]
+
+SERVE_POISSON = PoissonArrivals(
+    rate_per_s=4.0, requests=24, prompt_tokens=256, generate_tokens=32,
+    length_spread=0.25, seed=3,
+)
+
+#: Streams in which a utilisation first occurs right after phases
+#: appended in bulk.
+SERVE_STREAMS = {
+    # Two prefills, then decode: the second prefill is appended before
+    # the decode's first read.  Idle first occurs after the decode runs.
+    "no-leading-idle-gap-later": TraceArrivals(
+        entries=((0.0, 256, 24), (0.0, 128, 16), (6.0, 256, 8))
+    ),
+    # Idle first, then a prefill first occurring after it.
+    "prefill-after-idle": TraceArrivals(
+        entries=((1.5, 256, 24), (1.5, 192, 12), (2.0, 64, 8))
+    ),
+    # Arrivals during decode runs: prefills interrupt them, idle last.
+    "arrivals-mid-run": TraceArrivals(
+        entries=((0.0, 256, 40), (0.01, 128, 20), (0.3, 64, 30), (9.0, 64, 4))
+    ),
+}
+
+
+def serve(tag, arrivals):
     engine = InferenceEngine(get_system(tag), get_gpt_preset("800M"))
-    arrivals = PoissonArrivals(
-        rate_per_s=4.0, requests=24, prompt_tokens=256, generate_tokens=32,
-        length_spread=0.25, seed=3,
-    )
-    shipped, oracle, reused, read = run_twice(
-        runners, lambda: ServingSimulator(engine, batch_cap=4).run(arrivals)
-    )
-    assert shipped.train.row() == oracle.train.row()
+    return lambda: ServingSimulator(engine, batch_cap=4).run(arrivals)
+
+
+def assert_same_serving(shipped, other) -> None:
+    assert shipped.train.row() == other.train.row()
     assert [r.energy_wh for r in shipped.records] == [
-        r.energy_wh for r in oracle.records
+        r.energy_wh for r in other.records
     ]
+
+
+@pytest.mark.serve
+@pytest.mark.parametrize("tag", GPU_TAGS)
+def test_single_engine_serving(runners, tag):
+    shipped, oracle, reused, read = run_twice(runners, serve(tag, SERVE_POISSON))
+    assert_same_serving(shipped, oracle)
     assert_equivalent(reused, read)
+
+
+def run_traced(runners, run):
+    """``run()`` as shipped and made stepwise by an enabled tracer, with
+    their snapshots and end times."""
+    shipped = run()
+    (recorded,) = runners
+    runners.clear()
+    with activate(Tracer(clock=VirtualClock())):
+        stepped = run()
+    (stepwise,) = runners
+    return (
+        shipped, stepped, snapshot(recorded), snapshot(stepwise),
+        recorded.clock.now(), stepwise.clock.now(),
+    )
+
+
+@pytest.mark.serve
+class TestRecordedServing:
+    """A recorded single-engine run against the same run stepwise."""
+
+    @pytest.mark.parametrize("tag", GPU_TAGS)
+    def test_equals_traced_stepwise_run(self, runners, tag):
+        shipped, stepped, recorded, stepwise, end, end_stepwise = run_traced(
+            runners, serve(tag, SERVE_POISSON)
+        )
+        assert end == end_stepwise  # bit-equal clocks
+        assert recorded[0] == stepwise[0]  # list-equal frames
+        assert recorded[1] == stepwise[1]  # driven counters
+        assert_same_serving(shipped, stepped)
+
+    @pytest.mark.parametrize("name", sorted(SERVE_STREAMS))
+    def test_first_read_after_a_bulk_stretch(self, runners, name):
+        run = serve("GH200", SERVE_STREAMS[name])
+        shipped, oracle, reused, read = run_twice(runners, run)
+        assert_same_serving(shipped, oracle)
+        assert_equivalent(reused, read)
+        runners.clear()
+        shipped, stepped, recorded, stepwise, end, end_stepwise = run_traced(
+            runners, run
+        )
+        assert end == end_stepwise
+        assert recorded[:2] == stepwise[:2]
+        assert_same_serving(shipped, stepped)
 
 
 @pytest.fixture
@@ -237,18 +317,43 @@ class TestRunPhases:
             ("cycle", ((DURATION_S, 0.8), (TAIL_S, 0.25)), PHASES, (0.25,)),
             # 0.3 is first read inside the call.
             ("one-new", ((DURATION_S, 0.8), (TAIL_S, 0.3)), PHASES, ()),
+            # Kept 0.8 and 0.25 precede the new 0.3 inside the cycle.
+            (
+                "kept-before-new",
+                ((DURATION_S, 0.8), (TAIL_S, 0.25), (DURATION_S, 0.3), (TAIL_S, 0.25)),
+                PHASES,
+                (0.25,),
+            ),
+            # 0.3 and 0.5 first read in a single cycle, after kept 0.8.
+            (
+                "two-new-once",
+                ((DURATION_S, 0.8), (TAIL_S, 0.3), (DURATION_S, 0.8), (TAIL_S, 0.5)),
+                1,
+                (),
+            ),
         ],
     )
-    def test_kept_rows_equal_full_reads(self, reads, tag, case, cycle, count, kept):
-        bounds, in_call = [], []
+    def test_kept_rows_equal_full_reads(
+        self, reads, monkeypatch, tag, case, cycle, count, kept
+    ):
+        bounds, in_call, samples = [], [], []
+        sample = MeasuredScope.sample
+
+        def counted(scope, key=None):
+            samples.append(key)
+            return sample(scope, key)
+
+        monkeypatch.setattr(MeasuredScope, "sample", counted)
 
         def after_kept(phases):
             def run(runner):
                 for utilisation in kept:
                     runner.run_phase(0.013, utilisation)
-                before = len(reads)
+                before = len(reads), len(samples)
                 phases(runner)
-                in_call.append(len(reads) - before)
+                in_call.append(
+                    (len(reads) - before[0], len(samples) - before[1])
+                )
 
             return run
 
@@ -268,10 +373,12 @@ class TestRunPhases:
         assert end == end_read == end_stepped  # bit-equal clocks
         assert_equivalent(snap, snap_read)
         assert_equivalent(snap, snap_stepped)
-        shipped, read, stepped_reads = in_call
-        new = 1 if case == "one-new" else 0
+        (shipped, shipped_samples), (read, _), (stepped_reads, _) = in_call
+        new = {"one-new": 1, "kept-before-new": 1, "two-new-once": 2}.get(case, 0)
         assert shipped == stepped_reads == new * per_sample
         assert read > shipped
+        # Only the first phase of each new utilisation is sampled.
+        assert shipped_samples == 2 * new
         assert bounds[0] == bounds[1]
         assert len(bounds[0]) == count * len(cycle) + 1 and bounds[0][-1] == end
 

@@ -84,23 +84,34 @@ class TestRepeatRow:
             scope.sample(key)
         return clock, scope
 
-    def test_cycles_one_period_over_several(self):
-        period = ["busy", "busy", "tail", "tail"]
-        times = [10.0 + 0.25 * i for i in range(3 * len(period))]
-        _, bulk = self.scope_with_rows(["busy", "tail"])
-        clock, sampled = self.scope_with_rows(["busy", "tail"])
-        assert bulk.repeat_row(period, times)
+    def assert_equals_samples(self, keys, runs, periods):
+        period = [key for key, run in zip(keys, runs) for _ in range(run)]
+        times = [10.0 + 0.25 * i for i in range(periods * len(period))]
+        _, bulk = self.scope_with_rows(sorted(set(keys)))
+        clock, sampled = self.scope_with_rows(sorted(set(keys)))
+        bulk.repeat_row(keys, runs, times)
         for i, t in enumerate(times):
             clock.advance_to(t)
             sampled.sample(period[i % len(period)])
         frame = {c: list(bulk.df[c]) for c in bulk.df.columns}
         assert frame == {c: list(sampled.df[c]) for c in sampled.df.columns}
-        assert len(bulk.df) == 1 + 2 + len(times)
+        assert len(bulk.df) == 1 + len(set(keys)) + len(times)
+
+    def test_cycles_one_period_over_several(self):
+        self.assert_equals_samples(["busy", "tail"], [2, 2], periods=3)
+
+    def test_runs_of_unequal_length(self):
+        # A recorded serving run: one period, a key recurring after others.
+        self.assert_equals_samples(
+            ["busy", "tail", "idle", "busy"], [6, 2, 2, 4], periods=1
+        )
 
     def test_missing_key_appends_nothing(self):
         _, scope = self.scope_with_rows(["busy"])
         before = {c: list(scope.df[c]) for c in scope.df.columns}
-        assert not scope.repeat_row(["busy", "tail"], [1.0, 2.0, 3.0, 4.0])
+        assert scope.has_row("busy") and not scope.has_row("tail")
+        with pytest.raises(KeyError):
+            scope.repeat_row(["busy", "tail"], [2, 2], [1.0, 2.0, 3.0, 4.0])
         assert {c: list(scope.df[c]) for c in scope.df.columns} == before
 
 

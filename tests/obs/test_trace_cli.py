@@ -13,8 +13,13 @@ import json
 import pytest
 import yaml
 
+from repro.campaign import CampaignRunner, IsolatingExecutor
+from repro.campaign.spec import CampaignSpec, WorkloadSpec
+from repro.campaign.store import JsonlStore
 from repro.core.cli import run as cli_run
 from repro.obs.summary import load_trace, summarize
+from repro.obs.trace import Tracer, activate
+from repro.simcluster.clock import VirtualClock
 
 
 def invoke(*argv) -> tuple[int, str]:
@@ -83,6 +88,14 @@ class TestTracedRun:
         )
         assert result_table(untraced) == result_table(traced)
 
+    @pytest.mark.parametrize("replicas", ["1", "2"])
+    def test_tracing_does_not_change_the_serve_table(self, tmp_path, replicas):
+        argv = ("serve", "--system", "GH200", "--requests", "32",
+                "--replicas", replicas)
+        _, untraced = invoke(*argv)
+        _, traced = invoke(*argv, "--trace", str(tmp_path / "serve.json"))
+        assert result_table(untraced) == result_table(traced)
+
     def test_reruns_are_byte_identical(self, tmp_path):
         for name in ("one.json", "two.json"):
             code, _ = invoke(
@@ -116,6 +129,36 @@ class TestTracedCampaign:
         summary = summarize(load_trace(trace))
         assert {"campaign/step", "jube/workpackage", "llm/train"} <= summary.spans.keys()
         assert summary.total_energy_wh() > 0.0
+
+    def test_serving_rows_equal_untraced_rows(self, tmp_path):
+        # A traced campaign runs every workpackage on the tracer's one
+        # clock, so each serving run after the first starts mid-clock
+        # and must serve its stream from its own start.
+        fixed = {"requests": "64", "prompt_tokens": "16", "generate_tokens": "16"}
+        spec = CampaignSpec(
+            name="traced-serve",
+            systems=("GH200",),
+            workloads=(
+                WorkloadSpec.of_kind("serve", axes={"batch_cap": (4, 8)}, fixed=fixed),
+                WorkloadSpec.of_kind(
+                    "serve_cluster", axes={"replicas": (1, 2)}, fixed=fixed
+                ),
+            ),
+        )
+        untraced = CampaignRunner(
+            JsonlStore(tmp_path / "untraced.jsonl"), IsolatingExecutor()
+        ).run(spec)
+        clock = VirtualClock()
+        with activate(Tracer(clock=clock)):
+            traced = CampaignRunner(
+                JsonlStore(tmp_path / "traced.jsonl"),
+                IsolatingExecutor(sleep=clock.advance),
+            ).run(spec)
+        assert clock.now() > 3 * untraced.rows[0].outputs["elapsed_s"]
+        assert len(traced.rows) == 4
+        assert [r.canonical() for r in traced.rows] == [
+            r.canonical() for r in untraced.rows
+        ]
 
     def test_second_run_traces_cache_hits(self, spec_path, tmp_path):
         store = str(tmp_path / "rows.jsonl")

@@ -34,6 +34,7 @@ from repro.serve import (
     SLOPolicy,
 )
 from repro.serve.constants import ALERT_FIRED_EVENT
+from repro.simcluster.clock import VirtualClock
 
 pytestmark = pytest.mark.telemetry
 
@@ -101,6 +102,25 @@ class TestServeSimulator:
         fired = [r for r in sink.records if r.get("name") == ALERT_FIRED_EVENT]
         assert fired
         assert fired[0]["attrs"]["rule"] == monitor.alerts[0].rule
+
+    def test_run_starting_mid_clock_samples_from_its_start(self, engine):
+        # Runs in a traced scope share its clock: the second starts where
+        # the first ended and serves its stream from there.
+        clock = VirtualClock()
+        previous = set_tracer(Tracer(clock=clock))
+        try:
+            ServingSimulator(engine, batch_cap=8).run(ARRIVALS)
+            start = clock.now()
+            served, sampler, _ = serve_with_telemetry(engine)
+        finally:
+            set_tracer(previous)
+        plain, from_zero, _ = serve_with_telemetry(engine)
+        assert start > 0
+        times = [t for series in sampler.all_series() for t in series.times()]
+        assert min(times) >= start
+        assert max(times) <= clock.now()
+        assert abs(sampler.samples_taken - from_zero.samples_taken) <= 1
+        assert served.train.row() == plain.train.row()
 
     def test_exports_byte_identical_across_runs(self, engine, tmp_path):
         payloads = []
