@@ -10,18 +10,26 @@ request.
 Two mechanisms, each provably output-preserving:
 
 * **Heap-based event scheduling** (:class:`~repro.serve.events.EventHeap`):
-  producers push candidate event times (phase ends, arrivals, transfer
-  completions, autoscaler evaluations, spin-up readiness) and the loop
-  pops the earliest, running one *fixed handler order* per event — so
-  same-time ties break deterministically; duplicate entries drain in
-  one pop, and an end time a cut supersedes is withdrawn.
+  producers push candidate event times where they schedule them — a
+  phase end when a prefill or run begins or a run is cut, a transfer
+  completion when the transfer starts, spin-up readiness when an
+  evaluation starts replicas, the arrival head and the next evaluation
+  when they change — and the loop pops the earliest, running one *fixed
+  handler order* per event, so same-time ties break deterministically;
+  duplicate entries drain in one pop.  A cut always withdraws the end
+  it supersedes, so each phase end is armed exactly once.
 * **Fused decode runs**, under the single engine's run rule: a
   replica's batch changes only at its own completions and at
   admissions, which happen only in ``_dispatch`` on a free replica, so
   the decode steps up to the batch's next completion form one
-  scheduled run.  A run ends earlier only when a request is offered to
-  that replica while its queue is empty and its batch is below the
-  cap: it then ends at the first step boundary at or after the offer
+  scheduled run.  Each replica keeps the single engine's min-heap of
+  (completion step, admission order) over its batch, which gives each
+  run's length and its completions; ``generated`` is set once, at
+  completion, and the sequences admitted since the replica's last run
+  join the heap, and get their first token, when the next run begins.
+  A run ends earlier only when a request is offered to that replica
+  while its queue is empty and its batch is below the cap: it then
+  ends at the first step boundary at or after the offer
   (:func:`repro.serve.fastsim._steps_to_arrival`), where per-step
   stepping would admit the request.  No other offer can change what
   per-step stepping admits before the run ends — a waiting queue head
@@ -30,6 +38,15 @@ Two mechanisms, each provably output-preserving:
   boundaries as the ``t += step_s`` chain per-step stepping makes, and
   folds the busy time, busy energy and per-member energy share of each
   step into the replica's counters in the same order.
+
+The loop keeps the current time itself.  Only a traced run's counters
+and spans read the run's :class:`~repro.simcluster.clock.VirtualClock`
+(a traced scope shares it), so the loop advances that clock at each
+event only while the tracer is enabled, and otherwise once, to the last
+event, when the run ends; the telemetry sampler, the SLO monitor and the
+autoscaler take the time as an argument.  Prefill times are memoised by
+the prompt tokens a prefill processes, the single engine's rule
+(:class:`repro.serve.fastsim._PrefillTimes`).
 
 Telemetry equivalence: samples are taken at heap events instead of at
 every step boundary, but every probed quantity is piecewise-constant
@@ -45,8 +62,9 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
+from heapq import heappop, heappush
 
-from repro.engine.inference import DECODE_UTILISATION_FRACTION, InferenceWorkload
+from repro.engine.inference import DECODE_UTILISATION_FRACTION
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.serve.arrivals import Request
@@ -68,7 +86,11 @@ from repro.serve.constants import (
     TS_TTFT_ROLLING_P95,
 )
 from repro.serve.events import EventHeap, stalled
-from repro.serve.fastsim import _observe_completion, _steps_to_arrival
+from repro.serve.fastsim import (
+    _observe_completion,
+    _PrefillTimes,
+    _steps_to_arrival,
+)
 from repro.serve.result import RequestRecord
 
 #: Phase kind of a prefill.
@@ -112,15 +134,34 @@ class _ClusterLoop:
         self.transfer_s_total = 0.0
         self.transfer_count = 0
         self.events = EventHeap()
+        #: Whether the tracer records this run: its counters and spans
+        #: read the clock, which the loop then advances at every event.
+        self.traced = get_tracer().enabled
+        #: The replicas the router chooses among (the prefill pool if
+        #: split) and the decode pool KV handoffs go to.
+        self.route_pool = (
+            self.replicas
+            if sim.disaggregation is None
+            else [r for r in self.replicas if r.role is ReplicaRole.PREFILL]
+        )
+        self.decode_pool = [r for r in self.replicas if r.role is ReplicaRole.DECODE]
+        self._prefill_times = _PrefillTimes(sim.engine)
         self._decode_cache: dict[int, float] = {}
         #: (steps, step time, batch) of each in-flight fused run, by
         #: replica index.
         self._runs: dict[int, tuple[int, float, int]] = {}
+        #: Per replica, a min-heap of (completion step, admission order,
+        #: sequence) over its batch: a sequence that joins at decode
+        #: step s finishes at s + generate_tokens, and ties resolve in
+        #: admission order, the scheduler's eviction order.
+        self._completions: list[list[tuple[int, int, object]]] = [
+            [] for _ in self.replicas
+        ]
+        self._joined = 0  # sequences pushed on any completion heap
         self._decode_power = self.replicas[0].power_model.power(self.util_decode)
         # Last armed time per event source, to avoid duplicate pushes.
         self._armed_arrival: float | None = None
         self._armed_eval: float | None = None
-        self._armed_busy: list[float | None] = [None] * len(self.replicas)
         self._armed_ready: list[float | None] = [None] * len(self.replicas)
         self.sampler = sim.telemetry
         self.monitor = sim.slo_monitor
@@ -174,24 +215,12 @@ class _ClusterLoop:
         self.finished.append((seq, now))
         _observe_completion(self, seq, now)
 
-    # -- routing pools -------------------------------------------------------
-
-    def _route_pool(self) -> list[Replica]:
-        """Replicas the router chooses among (prefill pool if split)."""
-        if self.sim.disaggregation is None:
-            return self.replicas
-        return [r for r in self.replicas if r.role is ReplicaRole.PREFILL]
-
-    def _decode_pool(self) -> list[Replica]:
-        return [r for r in self.replicas if r.role is ReplicaRole.DECODE]
-
     # -- observability -------------------------------------------------------
 
     def _observe_depth(self) -> None:
-        tracer = get_tracer()
-        if tracer.enabled:
+        if self.traced:
             waiting = sum(len(r.queue) for r in self.replicas)
-            tracer.counter(CLUSTER_QUEUE_DEPTH_COUNTER, waiting)
+            get_tracer().counter(CLUSTER_QUEUE_DEPTH_COUNTER, waiting)
 
     def _observe_replicas(self) -> None:
         on = sum(
@@ -200,38 +229,36 @@ class _ClusterLoop:
         get_metrics().gauge(
             CLUSTER_REPLICAS_GAUGE, CLUSTER_REPLICAS_GAUGE_HELP
         ).set(on, system=self.sim.engine.node.jube_tag)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.counter(CLUSTER_REPLICAS_COUNTER, on)
+        if self.traced:
+            get_tracer().counter(CLUSTER_REPLICAS_COUNTER, on)
 
     # -- event arming --------------------------------------------------------
 
     def _arm(self, now: float) -> None:
-        """Push every pending event source's next time (if it changed)."""
-        events = self.events
+        """Push the arrival head's and the next evaluation's time if new.
+
+        Phase ends, transfer completions and spin-up readiness are
+        pushed where they are scheduled.
+        """
         if self.pending:
             t = self.pending[0].arrival_s
             if t != self._armed_arrival:
-                events.push_at_or_after(t, now)
+                self.events.push_at_or_after(t, now)
                 self._armed_arrival = t
-        # Only the autoscaler spins replicas up: without one no replica
-        # is ever STARTING.
-        autoscaling = self.autoscaler is not None
+        autoscaler = self.autoscaler
+        if autoscaler is not None and autoscaler.next_eval_s != self._armed_eval:
+            self.events.push(autoscaler.next_eval_s)
+            self._armed_eval = autoscaler.next_eval_s
+
+    def _arm_spinups(self) -> None:
+        """Push the ready time of each replica an evaluation spun up."""
         for replica in self.replicas:
-            busy = replica.busy_until_s
-            if busy is not None and busy != self._armed_busy[replica.index]:
-                events.push(busy)
-                self._armed_busy[replica.index] = busy
             if (
-                autoscaling
-                and replica.state is ReplicaState.STARTING
+                replica.state is ReplicaState.STARTING
                 and replica.ready_at_s != self._armed_ready[replica.index]
             ):
-                events.push(replica.ready_at_s)
+                self.events.push(replica.ready_at_s)
                 self._armed_ready[replica.index] = replica.ready_at_s
-        if autoscaling and self.autoscaler.next_eval_s != self._armed_eval:
-            events.push(self.autoscaler.next_eval_s)
-            self._armed_eval = self.autoscaler.next_eval_s
 
     # -- event loop ----------------------------------------------------------
 
@@ -264,49 +291,62 @@ class _ClusterLoop:
         )
 
     def run(self) -> None:
-        """Drive the cluster until every admitted request drains."""
+        """Drive the cluster until every admitted request drains.
+
+        The loop keeps the current time itself.  A traced run advances
+        the clock to each event, since its counters and spans read it;
+        otherwise nothing reads the clock before the run ends, and it is
+        advanced once, to the last event.
+        """
         self._observe_replicas()
+        clock = self.clock
+        traced = self.traced
+        sampler = self.sampler
+        autoscaler = self.autoscaler
         # Route anything already due at t0, then iterate events.
-        now = self.clock.now()
+        now = clock.now()
         self._ingest(now)
         self._dispatch(now)
-        if self.sampler is not None:
-            self.sampler.tick(now)
+        if sampler is not None:
+            sampler.tick(now)
         self._arm(now)
         while self._work_remaining():
-            if self.autoscaler is not None and self._only_evaluations_left(now):
+            if autoscaler is not None and self._only_evaluations_left(now):
                 # Evaluations alone would re-arm each other for ever.
                 raise stalled()
             target = self.events.pop_due()
-            now = self.clock.now()
             if target > now:
-                self.clock.advance_to(target)
                 now = target
+                if traced:
+                    clock.advance_to(now)
             # Sample boundaries crossed by the advance see the
             # piecewise-constant state of the interval just ended.
-            if self.sampler is not None:
-                self.sampler.tick(now)
-            if self.autoscaler is not None:  # the only one to start replicas
+            if sampler is not None:
+                sampler.tick(now)
+            if autoscaler is not None:  # the only one to start replicas
                 self._replica_transitions(now)
             self._phase_completions(now)
             self._ingest(now)
             self._transfer_completions(now)
-            if self.autoscaler is not None and self.autoscaler.due(now):
-                started, stopped = self.autoscaler.evaluate(now)
+            if autoscaler is not None and autoscaler.due(now):
+                started, stopped = autoscaler.evaluate(now)
                 if started or stopped:
                     self._observe_replicas()
+                if started:
+                    self._arm_spinups()
             self._dispatch(now)
             self._arm(now)
+        if not traced:
+            clock.advance_to(now)
         # Close every powered-on replica's idle accounting at end of run.
-        end = self.clock.now()
         for replica in self.replicas:
-            replica.account_to(max(end, replica.ready_at_s))
+            replica.account_to(max(now, replica.ready_at_s))
 
     def _ingest(self, now: float) -> None:
         routed = False
         while self.pending and self.pending[0].arrival_s <= now:
             request = self.pending.popleft()
-            target = self.router.route(request, self._route_pool())
+            target = self.router.route(request, self.route_pool)
             self._offer(target, request, now)
             routed = True
         if routed:
@@ -346,8 +386,7 @@ class _ClusterLoop:
         link = self.sim.link
         duration = transfer_time_s(kv_bytes, link)
         energy = transfer_energy_wh(kv_bytes)
-        decode_pool = self._decode_pool()
-        target = min(decode_pool, key=lambda r: (r.load, r.index))
+        target = min(self.decode_pool, key=lambda r: (r.load, r.index))
         self.transfers.append(
             KVTransfer(
                 request_index=index,
@@ -409,6 +448,9 @@ class _ClusterLoop:
             ):
                 continue
             self._next_action(replica, now)
+            if replica.busy_until_s is not None:
+                # The phase the action began: armed once, here.
+                self.events.push(replica.busy_until_s)
 
     def _next_action(self, replica: Replica, now: float) -> None:
         """Give one free running replica its next phase, if any."""
@@ -440,13 +482,7 @@ class _ClusterLoop:
             tokens = request.prompt_tokens
             if hit and request.prefix_tokens > 0:
                 tokens = max(1, tokens - request.prefix_tokens)
-            t_prefill = self.sim.engine.prefill_time_s(
-                InferenceWorkload(
-                    prompt_tokens=tokens,
-                    generate_tokens=request.generate_tokens,
-                    batch_size=1,
-                )
-            )
+            t_prefill = self._prefill_times[tokens]
             if role is ReplicaRole.UNIFIED:
                 replica.scheduler.admit(request, now)
                 self.cursor_snap[request.index] = replica.decode_cursor_wh
@@ -464,52 +500,60 @@ class _ClusterLoop:
     # -- fused decode runs ---------------------------------------------------
 
     def _begin_decode(self, replica: Replica, now: float) -> None:
-        """Schedule one fused decode run to the batch's next completion."""
+        """Schedule one fused decode run to the batch's next completion.
+
+        The batch is the heap's members, in admission order, followed
+        by the sequences admitted since the replica's last run: they
+        join the heap here, and their first token lands at the end of
+        this run's first step.
+        """
         active = replica.scheduler.active
         batch = len(active)
         step_s = self._decode_cache.get(batch)
         if step_s is None:
             step_s = self.sim.engine.decode_step_time_s(batch)
             self._decode_cache[batch] = step_s
-        steps = min(seq.request.generate_tokens - seq.generated for seq in active)
+        completions = self._completions[replica.index]
+        step = replica.decode_steps
+        first_t = now + step_s
+        for seq in active[len(completions):]:
+            heappush(
+                completions, (step + seq.request.generate_tokens, self._joined, seq)
+            )
+            self._joined += 1
+            seq.first_token_s = first_t
+        steps = completions[0][0] - step
         replica.account_to(now)
         t_end = _run_end(now, step_s, steps)
         replica.busy_until_s = t_end
         replica.phase = (now, t_end, self.util_decode, _FUSED_DECODE, ())
         self._runs[replica.index] = (steps, step_s, batch)
-        first_t = now + step_s
-        for seq in active:
-            if seq.first_token_s is None:
-                # First decode step these sequences participate in:
-                # their first token lands at its end.
-                seq.first_token_s = first_t
 
     def _cut_run(self, replica: Replica, now: float) -> None:
         """End the replica's run at the first step boundary at or after ``now``.
 
         A boundary at ``now`` itself is where per-step stepping has
         just finished a step, so the run finishes here, before
-        ``_dispatch`` admits the request.
+        ``_dispatch`` admits the request.  The run's old end is
+        withdrawn, and a cut end after ``now`` is armed in its place.
         """
         steps, step_s, batch = self._runs[replica.index]
         t0, t_end = replica.phase[0], replica.phase[1]
         taken = _steps_to_arrival(t0, step_s, steps, now)
         if taken == steps:
             return
-        if self._armed_busy[replica.index] == t_end:
-            # Withdraw the superseded end, and forget it was armed so a
-            # later phase ending at that same time is pushed anew.
-            self.events.cancel(t_end)
-            self._armed_busy[replica.index] = None
+        self.events.cancel(t_end)  # the superseded end
         t_cut = _run_end(t0, step_s, taken)
         replica.busy_until_s = t_cut
         replica.phase = (t0, t_cut, self.util_decode, _FUSED_DECODE, ())
         self._runs[replica.index] = (taken, step_s, batch)
         if t_cut == now:
             self._finish_run(replica)
+        else:
+            self.events.push(t_cut)
 
     def _finish_run(self, replica: Replica) -> None:
-        """Close one fused run: fold its steps, then bulk tokens, evictions."""
+        """Close one fused run: fold its steps, then pop its completions."""
         t0, t1 = replica.phase[0], replica.phase[1]
         steps, step_s, batch = self._runs.pop(replica.index)
         power = self._decode_power
@@ -528,13 +572,17 @@ class _ClusterLoop:
         replica.busy_s = busy_s
         replica.busy_energy_j = busy_j
         replica.decode_cursor_wh = cursor
-        replica.decode_steps += steps
+        replica.decode_steps = step = replica.decode_steps + steps
         replica.last_active_s = t1
         replica._accounted_until_s = t1  # the fold closed the gap
         replica.busy_until_s = None
         replica.phase = None
-        for seq in replica.scheduler.active:
-            seq.generated += steps
+        completions = self._completions[replica.index]
+        if completions[0][0] != step:
+            return  # a cut run completes nothing
+        while completions and completions[0][0] == step:
+            seq = heappop(completions)[2]
+            seq.generated = seq.request.generate_tokens
         for seq in replica.scheduler.evict_done():
             self._complete(seq, t1, replica)
 
@@ -572,9 +620,8 @@ class _ClusterLoop:
             prefix_hit=self.prefix_hit.get(index, False),
             transfer_s=self.transfer_s.get(index, 0.0),
         )
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.complete_span(
+        if self.traced:
+            get_tracer().complete_span(
                 "cluster/request",
                 record.arrival_s,
                 record.completed_s,

@@ -32,9 +32,10 @@ dominate a million-request run are gone:
   :class:`_Recorder` and the phase runner replays the recording once
   (:meth:`~repro.engine.trainer.PhaseRunner.replay`), appending each
   segment of one utilisation in bulk,
-* **memoized phase times** — prefill times keyed by (prompt, generate)
-  and decode-step times keyed by batch size are computed once per
-  distinct key instead of once per phase,
+* **memoized phase times** — prefill times keyed by prompt tokens
+  (:class:`_PrefillTimes`, shared with the cluster loop) and
+  decode-step times keyed by batch size are computed once per distinct
+  key instead of once per phase,
 * **heap-scheduled completions** — a min-heap of (completion step,
   admission order) replaces a per-step O(batch) scan for finished
   sequences; ``generated`` is set once, at completion,
@@ -100,6 +101,26 @@ def _steps_to_arrival(
         if now >= arrival_s:
             return taken
     return steps
+
+
+class _PrefillTimes(dict):
+    """One engine's prefill time per prompt length, computed on first use.
+
+    :meth:`~repro.engine.inference.InferenceEngine.prefill_time_s`
+    reads only batch size x prompt tokens, so the prompt tokens a
+    prefill processes are the whole key; a request's generation length
+    is no part of it.  Both serving loops index one per run.
+    """
+
+    def __init__(self, engine) -> None:
+        super().__init__()
+        self.engine = engine
+
+    def __missing__(self, prompt_tokens: int) -> float:
+        t = self[prompt_tokens] = self.engine.prefill_time_s(
+            InferenceWorkload(prompt_tokens=prompt_tokens, batch_size=1)
+        )
+        return t
 
 
 def _observe_completion(loop, seq, now: float) -> None:
@@ -286,7 +307,7 @@ class _ServeLoop:
         scheduler = self.scheduler
         queue = self.queue
         pending = self.pending
-        prefill_cache: dict[tuple[int, int], float] = {}
+        prefill_times = _PrefillTimes(engine)
         decode_cache: dict[int, float] = {}
         # (completion step, admission order, sequence): a sequence
         # admitted with the step counter at s finishes when the counter
@@ -319,17 +340,7 @@ class _ServeLoop:
             while len(queue) and scheduler.fits(queue.peek()):
                 request = queue.pop()
                 seq = scheduler.admit(request, clock.now())
-                key = (request.prompt_tokens, request.generate_tokens)
-                t_prefill = prefill_cache.get(key)
-                if t_prefill is None:
-                    t_prefill = engine.prefill_time_s(
-                        InferenceWorkload(
-                            prompt_tokens=request.prompt_tokens,
-                            generate_tokens=request.generate_tokens,
-                            batch_size=1,
-                        )
-                    )
-                    prefill_cache[key] = t_prefill
+                t_prefill = prefill_times[request.prompt_tokens]
                 factor = (
                     injector.straggler_factor(clock.now(), self.decode_steps)
                     if injector.enabled

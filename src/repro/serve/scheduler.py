@@ -32,9 +32,13 @@ DEFAULT_BATCH_CAP = 16
 BYTES_PER_GB = 1e9
 
 
-@dataclass
+@dataclass(eq=False)
 class Sequence:
-    """One request while it is resident in the running batch."""
+    """One request while it is resident in the running batch.
+
+    Sequences compare by identity, so evicting one from the batch
+    (``list.remove``) compares no fields of the members ahead of it.
+    """
 
     request: Request
     admitted_s: float

@@ -18,6 +18,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from repro.obs.telemetry import (
     render_openmetrics,
     write_timeseries_jsonl,
 )
-from repro.obs.trace import Tracer, activate
+from repro.obs.trace import Tracer, activate, get_tracer
 from repro.serve import (
     BurstArrivals,
     PoissonArrivals,
@@ -42,11 +43,15 @@ from repro.serve import (
     SLOPolicy,
     TraceArrivals,
 )
-from repro.serve.cluster import AutoscalePolicy, DisaggregationSpec
+from repro.serve.cluster import AutoscalePolicy, ClusterSimulator, DisaggregationSpec
+from repro.serve.cluster.replica import ReplicaState
+from repro.serve.events import EventHeap
 from repro.simcluster.clock import VirtualClock
 from serve_oracle import CLUSTER_SIMULATORS, SERVING_SIMULATORS
 
 ENGINE_REFERENCE, ENGINE_FAST = "reference", "fast"
+#: The shipped cluster simulator with its event heap and clock checked.
+ENGINE_RECORDED = "recorded"
 
 pytestmark = [pytest.mark.serve]
 
@@ -80,6 +85,17 @@ LONG = BurstArrivals(bursts=((0.0, 6), (30.0, 4)), generate_tokens=300)
 #: autoscaler to start another, and a second burst that the started
 #: replica serves once ready.
 SCALE_UP = BurstArrivals(bursts=((0.0, 24), (3.5, 24)), generate_tokens=600)
+#: Two bursts of equal lengths, the second arriving while the first
+#: decodes: sequences admitted before one run complete on one step.
+EQUAL_LENGTHS = BurstArrivals(bursts=((0.0, 6), (0.03, 6)), generate_tokens=32)
+#: More traffic than two replicas with one queue slot each can hold.
+SATURATING = PoissonArrivals(
+    rate_per_s=500.0,
+    requests=48,
+    prompt_tokens=256,
+    generate_tokens=96,
+    seed=3,
+)
 ARRIVALS = {"poisson": POISSON, "bursts": BURSTS, "sessions": SESSIONS}
 TRACED = pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
 
@@ -115,15 +131,13 @@ def _kv_bound(rate_per_s):
     )
 
 
-def _arrival_on_step_boundary(steps):
-    """Two requests; the second arrives exactly at the end of decode step
-    ``steps`` of the first, which runs alone from t=0.
+def _decode_boundary(steps, prompt, generate):
+    """The end of decode step ``steps`` of a lone request from t=0.
 
-    The boundary is the loop's own fold: ``t += prefill``, then
-    ``t += step`` once per decode step, starting from zero.
+    The loop's own fold: ``t += prefill``, then ``t += step`` once per
+    decode step of a batch of one, starting from zero.
     """
     engine = _engine()
-    prompt, generate = 256, 4 * steps
     t = 0.0
     t += engine.prefill_time_s(
         InferenceWorkload(
@@ -133,7 +147,50 @@ def _arrival_on_step_boundary(steps):
     step_s = engine.decode_step_time_s(1)
     for _ in range(steps):
         t += step_s
+    return t
+
+
+def _arrival_on_step_boundary(steps):
+    """Two requests; the second arrives exactly at the end of decode step
+    ``steps`` of the first, which runs alone from t=0."""
+    prompt, generate = 256, 4 * steps
+    t = _decode_boundary(steps, prompt, generate)
     return TraceArrivals(entries=((0.0, prompt, generate), (t, prompt, generate)))
+
+
+def _offer_before_completion(replicas, where):
+    """A request that reaches a running replica one step before its
+    batch's completion.
+
+    ``replicas`` requests arrive at t=0, one per least-loaded replica,
+    each generating 12 tokens alone; the last arrives during step 11 of
+    those runs (``"mid-step"``) or exactly at its end
+    (``"on-boundary"``), and ties to replica 0, whose run it cuts at
+    the end of step 11.
+    """
+    prompt, generate = 256, 12
+    if where == "on-boundary":
+        t = _decode_boundary(generate - 1, prompt, generate)
+    else:
+        before = _decode_boundary(generate - 2, prompt, generate)
+        t = before + _engine().decode_step_time_s(1) / 2
+    entries = [(0.0, prompt, generate)] * replicas + [(t, prompt, 40)]
+    return TraceArrivals(entries=tuple(entries))
+
+
+def _joined_running_batch(records):
+    """Whether a request joined a decode replica's batch while a request
+    already there was decoding (its first token fell inside that
+    request's decode)."""
+    by_replica: dict[int, list[dict]] = {}
+    for r in records:
+        by_replica.setdefault(r["decode_replica"], []).append(r)
+    return any(
+        a["first_token_s"] < b["first_token_s"] < a["completed_s"]
+        for batch in by_replica.values()
+        for a in batch
+        for b in batch
+    )
 
 
 def _fault_scope(*faults):
@@ -198,6 +255,110 @@ def run_single(
     return _payload(result, sink, sampler, tmp_path, mode)
 
 
+class RecordingHeap(EventHeap):
+    """An event heap that checks the loop's arming as it runs.
+
+    Every :meth:`cancel` must withdraw a time pushed and not yet
+    popped.  At every pop, the popped time must be the earliest time the
+    loop holds any event source at (a phase end, transfer completion,
+    arrival head, evaluation or spin-up readiness), and the entries it
+    drains must be one per source due then: each is pushed exactly once,
+    and none is missed or left behind.
+    """
+
+    def __init__(self, loop) -> None:
+        super().__init__()
+        self.loop = loop
+        #: Time -> entries pushed there, neither popped nor withdrawn.
+        self.live: Counter = Counter()
+        self.popped: list[float] = []
+
+    def push(self, time_s):
+        super().push(time_s)
+        self.live[time_s] += 1
+
+    def push_at_or_after(self, time_s, now_s):
+        super().push_at_or_after(time_s, now_s)
+        self.live[max(time_s, now_s)] += 1
+
+    def cancel(self, time_s):
+        assert self.live[time_s] > 0, f"cancel({time_s!r}) withdraws nothing"
+        self.live[time_s] -= 1
+        super().cancel(time_s)
+
+    def _sources(self) -> list[float]:
+        loop = self.loop
+        times = [r.busy_until_s for r in loop.replicas if r.busy_until_s is not None]
+        times += [tr.done_at_s for tr in loop.transfers]
+        times += [
+            r.ready_at_s for r in loop.replicas if r.state is ReplicaState.STARTING
+        ]
+        if loop.pending:
+            times.append(loop.pending[0].arrival_s)
+        if loop.autoscaler is not None:
+            times.append(loop.autoscaler.next_eval_s)
+        return times
+
+    def pop_due(self):
+        t = super().pop_due()
+        sources = self._sources()
+        assert min(sources) == t, f"popped {t!r}, earliest source {min(sources)!r}"
+        assert self.live.pop(t) == sources.count(t), f"entries at {t!r}"
+        for k in [k for k in self.live if k < t]:
+            assert self.live.pop(k) == 0, f"live entries left at {k!r}"
+        self.popped.append(t)
+        return t
+
+
+class CountingClock(VirtualClock):
+    """A clock that records every advance and passes it on to ``inner``,
+    the clock its simulator reads."""
+
+    def __init__(self, inner: VirtualClock) -> None:
+        super().__init__(inner.now())
+        self.inner = inner
+        self.advances: list[float] = []
+
+    def advance_to(self, time_s):
+        self.advances.append(time_s)
+        self.inner.advance_to(time_s)
+        return super().advance_to(time_s)
+
+    def advance(self, duration_s):
+        raise AssertionError("the cluster loop advances to event times")
+
+
+class RecordingClusterSimulator(ClusterSimulator):
+    """The shipped simulator, its loop on a :class:`RecordingHeap` and a
+    :class:`CountingClock`.
+
+    After each run the clock must have advanced to every later event
+    time in turn when the tracer records the run, and otherwise once,
+    to the last event.
+    """
+
+    def _make_loop(self, requests, clock):
+        loop = super()._make_loop(requests, CountingClock(clock))
+        loop.events = RecordingHeap(loop)
+        self.loop = loop
+        return loop
+
+    def run(self, arrivals):
+        result = super().run(arrivals)
+        loop = self.loop
+        times = loop.events.popped
+        if get_tracer().enabled:
+            starts = [loop.start_s] + times
+            expected = [t for prev, t in zip(starts, times) if t > prev]
+        else:
+            expected = [times[-1] if times else loop.start_s]
+        assert loop.clock.advances == expected
+        return result
+
+
+CLUSTER_RUNS = {**CLUSTER_SIMULATORS, ENGINE_RECORDED: RecordingClusterSimulator}
+
+
 def run_cluster(
     mode,
     tmp_path,
@@ -218,7 +379,7 @@ def run_cluster(
     set_metrics(MetricsRegistry())
     sampler = TelemetrySampler() if telemetry else None
     monitor = SLOMonitor() if telemetry else None
-    sim = CLUSTER_SIMULATORS[mode](
+    sim = CLUSTER_RUNS[mode](
         engine or _engine(),
         replicas=replicas,
         router=router,
@@ -574,14 +735,7 @@ class TestClusterEquivalence:
         )
 
     def test_saturated_cluster_sheds_identically(self, tmp_path):
-        flood = PoissonArrivals(
-            rate_per_s=500.0,
-            requests=48,
-            prompt_tokens=256,
-            generate_tokens=96,
-            seed=3,
-        )
-        kw = dict(arrivals=flood, replicas=2, queue_capacity=1)
+        kw = dict(arrivals=SATURATING, replicas=2, queue_capacity=1)
         ref = run_cluster(ENGINE_REFERENCE, tmp_path, **kw)
         assert ref["rejected"], "flood must shed load for this test to bite"
         assert_identical(ref, run_cluster(ENGINE_FAST, tmp_path, **kw))
@@ -599,3 +753,171 @@ class TestClusterEquivalence:
             run_cluster(ENGINE_REFERENCE, tmp_path, **kw),
             run_cluster(ENGINE_FAST, tmp_path, **kw),
         )
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    @TRACED
+    def test_equal_lengths_complete_on_one_step(self, tmp_path, replicas, traced):
+        # Sequences admitted before one run finish on one step, and the
+        # second burst's join batches still decoding.
+        kw = dict(
+            arrivals=EQUAL_LENGTHS,
+            replicas=replicas,
+            router="least-loaded",
+            traced=traced,
+        )
+        ref = run_cluster(ENGINE_REFERENCE, tmp_path, **kw)
+        records = json.loads(ref["records"])
+        assert max(Counter(r["completed_s"] for r in records).values()) >= 3
+        assert _joined_running_batch(records)
+        assert_identical(ref, run_cluster(ENGINE_FAST, tmp_path, **kw))
+
+    @pytest.mark.parametrize("where", ["on-boundary", "mid-step"])
+    @pytest.mark.parametrize("replicas", [1, 2])
+    @TRACED
+    def test_offer_cuts_a_run_one_step_before_completion(
+        self, tmp_path, where, replicas, traced
+    ):
+        # The cut run ends one step short of its completion; the
+        # completion comes from the next run, after the offered
+        # request's prefill.
+        kw = dict(
+            arrivals=_offer_before_completion(replicas, where),
+            replicas=replicas,
+            router="least-loaded",
+            traced=traced,
+        )
+        ref = run_cluster(ENGINE_REFERENCE, tmp_path, **kw)
+        records = {r["index"]: r for r in json.loads(ref["records"])}
+        first, late = records[0], records[replicas]
+        assert late["decode_replica"] == 0
+        assert late["arrival_s"] <= late["admitted_s"] < first["completed_s"]
+        assert_identical(ref, run_cluster(ENGINE_FAST, tmp_path, **kw))
+
+    @TRACED
+    def test_disaggregated_transfers_join_running_batches(self, tmp_path, traced):
+        # KV transfers land on 2 decode replicas while their runs are in
+        # flight; each delivered request joins at a step boundary.
+        kw = dict(
+            arrivals=BURSTS,
+            replicas=3,
+            router="least-loaded",
+            disaggregation=DisaggregationSpec(prefill_replicas=1, decode_replicas=2),
+            traced=traced,
+        )
+        ref = run_cluster(ENGINE_REFERENCE, tmp_path, **kw)
+        assert _joined_running_batch(json.loads(ref["records"]))
+        assert_identical(ref, run_cluster(ENGINE_FAST, tmp_path, **kw))
+
+
+def _pools(prefill, decode):
+    return dict(
+        replicas=prefill + decode,
+        disaggregation=DisaggregationSpec(
+            prefill_replicas=prefill, decode_replicas=decode
+        ),
+    )
+
+
+#: One configuration of each cluster case above, by name.
+CLUSTER_CASES = {
+    **{
+        f"{router}-{name}": dict(arrivals=ARRIVALS[name], replicas=3, router=router)
+        for router, name in [
+            ("round-robin", "poisson"),
+            ("least-loaded", "poisson"),
+            ("least-loaded", "bursts"),
+            ("session-affinity", "sessions"),
+        ]
+    },
+    "disaggregated-1+2": _pools(1, 2),
+    "disaggregated-2+2": _pools(2, 2),
+    "disaggregated-burst-1+2": dict(arrivals=BURSTS, **_pools(1, 2)),
+    "disaggregated-burst-2+2": dict(arrivals=BURSTS, **_pools(2, 2)),
+    "long-runs": dict(arrivals=LONG, replicas=2, telemetry=True),
+    **{
+        f"autoscaled-{name}": dict(
+            arrivals=ARRIVALS[name],
+            replicas=4,
+            autoscale=AutoscalePolicy(min_replicas=1),
+        )
+        for name in ["poisson", "bursts"]
+    },
+    **{
+        f"scale-up-{delay}s": dict(
+            arrivals=SCALE_UP,
+            replicas=4,
+            autoscale=AutoscalePolicy(min_replicas=1, spinup_delay_s=delay),
+            telemetry=True,
+        )
+        for delay in [1.5, 0.0]
+    },
+    **{
+        f"step-boundary-{steps}": dict(
+            arrivals=_arrival_on_step_boundary(steps), replicas=1
+        )
+        for steps in [1, 5]
+    },
+    **{
+        f"kv-bound-{rate}-{capacity}-x{replicas}": dict(
+            arrivals=_kv_bound(rate),
+            queue_capacity=capacity,
+            engine=_engine("A100", "13B"),
+            replicas=replicas,
+            router="least-loaded",
+        )
+        for rate, capacity in [(2.0, 256), (6.0, 256), (20.0, 4)]
+        for replicas in [1, 2]
+    },
+    "autoscaled-session-affinity": dict(
+        arrivals=SESSIONS,
+        replicas=4,
+        router="session-affinity",
+        autoscale=AutoscalePolicy(min_replicas=2),
+    ),
+    "disaggregated-sessions": dict(
+        arrivals=SESSIONS, router="session-affinity", **_pools(1, 3)
+    ),
+    "saturated": dict(arrivals=SATURATING, replicas=2, queue_capacity=1),
+    "telemetry-alerts": dict(
+        arrivals=BURSTS,
+        replicas=2,
+        slo=SLOPolicy(ttft_s=0.02, e2e_s=0.3),
+        telemetry=True,
+    ),
+    **{
+        f"equal-lengths-x{replicas}": dict(
+            arrivals=EQUAL_LENGTHS,
+            replicas=replicas,
+            router="least-loaded",
+        )
+        for replicas in [1, 2]
+    },
+    **{
+        f"cut-before-completion-{where}-x{replicas}": dict(
+            arrivals=_offer_before_completion(replicas, where),
+            replicas=replicas,
+            router="least-loaded",
+        )
+        for where in ["on-boundary", "mid-step"]
+        for replicas in [1, 2]
+    },
+}
+
+
+class TestClusterLoopContracts:
+    """What the shipped cluster loop arms, withdraws and advances.
+
+    :class:`RecordingClusterSimulator` checks every withdrawal and pop
+    against the loop's event sources, and the clock's advances: one per
+    later event when traced, a single one to the last event otherwise.
+    """
+
+    @pytest.mark.parametrize("case", sorted(CLUSTER_CASES))
+    def test_arming_and_clock(self, tmp_path, case):
+        kw = CLUSTER_CASES[case]
+        traced = run_cluster(ENGINE_RECORDED, tmp_path, traced=True, **kw)
+        untraced = run_cluster(ENGINE_RECORDED, tmp_path, traced=False, **kw)
+        for key in ("elapsed_s", "summary", "records", "rejected", "alerts"):
+            assert traced[key] == untraced[key], key
+        fast = run_cluster(ENGINE_FAST, tmp_path, traced=False, **kw)
+        assert_identical(untraced, fast)

@@ -109,6 +109,17 @@ class TestScheduler:
         assert sched.batch_size == 0
         assert sched.kv_reserved_bytes == 0.0
 
+    def test_sequences_compare_by_identity(self, engine):
+        # Two residents made of one request at one time are still two
+        # sequences: eviction removes the one that finished.
+        sched = ContinuousBatchScheduler(engine, batch_cap=4)
+        r = request(0, generate=2)
+        first, second = sched.admit(r, 0.0), sched.admit(r, 0.0)
+        assert first != second
+        first.generated = r.generate_tokens
+        assert sched.evict_done() == [first]
+        assert sched.active == [second] and sched.active[0] is second
+
     def test_no_budget_rejected_at_construction(self, engine):
         with pytest.raises(ConfigError, match="KV-cache budget"):
             ContinuousBatchScheduler(engine, batch_cap=4, kv_budget_bytes=0.0)
