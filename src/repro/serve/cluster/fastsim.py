@@ -20,7 +20,7 @@ Two mechanisms, each provably output-preserving:
   it supersedes, so each phase end is armed exactly once.
 * **Fused decode runs**, under the single engine's run rule: a
   replica's batch changes only at its own completions and at
-  admissions, which happen only in ``_dispatch`` on a free replica, so
+  admissions, which happen only when a free replica is dispatched, so
   the decode steps up to the batch's next completion form one
   scheduled run.  Each replica keeps the single engine's min-heap of
   (completion step, admission order) over its batch, which gives each
@@ -39,6 +39,18 @@ Two mechanisms, each provably output-preserving:
   folds the busy time, busy energy and per-member energy share of each
   step into the replica's counters in the same order.
 
+The handler order lives in :meth:`_ClusterLoop.run`: one body over
+locals makes, at each event, replica transitions, phase completions,
+ingest, transfer completions, the autoscaler's evaluation, dispatch and
+arming, and calls a handler only when it has work (ingest when the
+arrival head is due, transfer completions while a transfer is in
+flight).  A run's completions are popped from the replica's heap in
+admission order and evicted directly
+(:meth:`~repro.serve.scheduler.ContinuousBatchScheduler.evict`).  In
+p2 mode each completion's record is folded into the run's
+:class:`~repro.serve.result.StreamingSummarizer` when the request
+completes, and the request's entries are dropped.
+
 The loop keeps the current time itself.  Only a traced run's counters
 and spans read the run's :class:`~repro.simcluster.clock.VirtualClock`
 (a traced scope shares it), so the loop advances that clock at each
@@ -53,7 +65,11 @@ every step boundary, but every probed quantity is piecewise-constant
 between heap events (a fused run presents one synthetic busy phase
 with the same utilisation), so each sample point reads the value
 per-step stepping gives it.  The per-step loop is kept as a test-side
-differential oracle (``tests/serve_oracle.py``), and
+differential oracle (``tests/serve_oracle.py``) that subclasses
+:class:`_ClusterLoop`, shares its handlers (``_ingest``,
+``_transfer_completions``, ``_finish_prefill``, ``_next_action``,
+``_complete``, ``_replica_transitions``, ``_work_remaining``,
+``_observe_replicas``) and steps with its own; and
 ``tests/serve/test_equivalence.py`` asserts byte-identical outputs
 across the full configuration grid.
 """
@@ -72,6 +88,7 @@ from repro.serve.cluster.autoscaler import Autoscaler
 from repro.serve.cluster.disagg import KVTransfer, transfer_energy_wh, transfer_time_s
 from repro.serve.cluster.replica import JOULES_PER_WH, Replica, ReplicaRole, ReplicaState
 from repro.serve.cluster.result import ClusterRecord
+from repro.serve.cluster.router import _least_loaded
 from repro.serve.constants import (
     CLUSTER_QUEUE_DEPTH_COUNTER,
     CLUSTER_REPLICAS_COUNTER,
@@ -91,7 +108,15 @@ from repro.serve.fastsim import (
     _PrefillTimes,
     _steps_to_arrival,
 )
-from repro.serve.result import RequestRecord
+from repro.serve.result import (
+    _FOLD_CHUNK,
+    PERCENTILE_MODE_EXACT,
+    PERCENTILE_MODE_SKETCH,
+    RequestRecord,
+    ServeSummary,
+    StreamingSummarizer,
+    summarize_completions,
+)
 
 #: Phase kind of a prefill.
 _PREFILL = "prefill"
@@ -159,10 +184,18 @@ class _ClusterLoop:
         ]
         self._joined = 0  # sequences pushed on any completion heap
         self._decode_power = self.replicas[0].power_model.power(self.util_decode)
-        # Last armed time per event source, to avoid duplicate pushes.
-        self._armed_arrival: float | None = None
-        self._armed_eval: float | None = None
+        # Last armed ready time per replica, to avoid duplicate pushes.
         self._armed_ready: list[float | None] = [None] * len(self.replicas)
+        #: A p2 run's summary, fed each record at completion, in
+        #: completion order and chunks of ``_FOLD_CHUNK`` records
+        #: (``_chunk``); None in exact mode, which keeps every
+        #: completion for :meth:`records`.
+        self.streamer = (
+            StreamingSummarizer(slo=sim.slo)
+            if sim.percentile_mode == PERCENTILE_MODE_SKETCH
+            else None
+        )
+        self._chunk: list[RequestRecord] = []
         self.sampler = sim.telemetry
         self.monitor = sim.slo_monitor
         self._ttft_window = None
@@ -202,25 +235,44 @@ class _ClusterLoop:
         )
 
     def _complete(self, seq, now: float, replica: Replica) -> None:
-        """Book one finished sequence: energy, SLO monitor, telemetry.
+        """Book one finished sequence: energy, record, SLO monitor, telemetry.
 
         The request is charged its prefill plus the difference of its
-        decode replica's share cursor since admission.
+        decode replica's share cursor since admission.  An exact-mode
+        run keeps the completion for :meth:`records`; a p2 run folds
+        its record into :attr:`streamer` and drops the request's
+        entries, so it holds nothing per completed request.
         """
         replica.completed += 1
         index = seq.request.index
-        self.energy_wh[index] = self.prefill_wh.pop(index, 0.0) + (
+        energy_wh = self.prefill_wh.pop(index, 0.0) + (
             replica.decode_cursor_wh - self.cursor_snap.pop(index)
         )
-        self.finished.append((seq, now))
-        _observe_completion(self, seq, now)
+        if self.streamer is None:
+            self.energy_wh[index] = energy_wh
+            self.finished.append((seq, now))
+        else:
+            chunk = self._chunk
+            chunk.append(_record(seq, self.admitted_at.pop(index), now, energy_wh))
+            if len(chunk) == _FOLD_CHUNK:
+                self.streamer.observe_records(chunk)
+                chunk.clear()
+            for entries in (
+                self.prefill_replica,
+                self.decode_replica,
+                self.prefix_hit,
+                self.transfer_s,
+            ):
+                entries.pop(index, None)
+        if self.monitor is not None or self._ttft_window is not None:
+            _observe_completion(self, seq, now)
 
     # -- observability -------------------------------------------------------
 
     def _observe_depth(self) -> None:
-        if self.traced:
-            waiting = sum(len(r.queue) for r in self.replicas)
-            get_tracer().counter(CLUSTER_QUEUE_DEPTH_COUNTER, waiting)
+        """Trace the fleet's queue depth; callers check :attr:`traced`."""
+        waiting = sum(len(r.queue) for r in self.replicas)
+        get_tracer().counter(CLUSTER_QUEUE_DEPTH_COUNTER, waiting)
 
     def _observe_replicas(self) -> None:
         on = sum(
@@ -233,22 +285,6 @@ class _ClusterLoop:
             get_tracer().counter(CLUSTER_REPLICAS_COUNTER, on)
 
     # -- event arming --------------------------------------------------------
-
-    def _arm(self, now: float) -> None:
-        """Push the arrival head's and the next evaluation's time if new.
-
-        Phase ends, transfer completions and spin-up readiness are
-        pushed where they are scheduled.
-        """
-        if self.pending:
-            t = self.pending[0].arrival_s
-            if t != self._armed_arrival:
-                self.events.push_at_or_after(t, now)
-                self._armed_arrival = t
-        autoscaler = self.autoscaler
-        if autoscaler is not None and autoscaler.next_eval_s != self._armed_eval:
-            self.events.push(autoscaler.next_eval_s)
-            self._armed_eval = autoscaler.next_eval_s
 
     def _arm_spinups(self) -> None:
         """Push the ready time of each replica an evaluation spun up."""
@@ -267,7 +303,7 @@ class _ClusterLoop:
             self.pending
             or self.transfers
             or any(
-                len(r.queue) or r.scheduler.active or r.busy_until_s is not None
+                r.queue.waiting or r.scheduler.active or r.busy_until_s is not None
                 for r in self.replicas
             )
         )
@@ -293,6 +329,14 @@ class _ClusterLoop:
     def run(self) -> None:
         """Drive the cluster until every admitted request drains.
 
+        Each event runs one fixed handler order, in this one body over
+        locals: replica transitions (with an autoscaler), phase
+        completions, ingest (when the arrival head is due), transfer
+        completions (while a transfer is in flight), the autoscaler's
+        evaluation, dispatch, and the arming of the arrival head and of
+        the next evaluation.  The run's start is the same pass without
+        the event: ingest, dispatch, the first telemetry sample, arming.
+
         The loop keeps the current time itself.  A traced run advances
         the clock to each event, since its counters and spans read it;
         otherwise nothing reads the clock before the run ends, and it is
@@ -303,18 +347,56 @@ class _ClusterLoop:
         traced = self.traced
         sampler = self.sampler
         autoscaler = self.autoscaler
-        # Route anything already due at t0, then iterate events.
+        replicas = self.replicas
+        pending = self.pending
+        events = self.events
+        push = events.push
+        pop_due = events.pop_due
+        ingest = self._ingest
+        next_action = self._next_action
+        finish_run = self._finish_run
+        finish_prefill = self._finish_prefill
+        running = ReplicaState.RUNNING
+        armed_arrival = armed_eval = None
         now = clock.now()
-        self._ingest(now)
-        self._dispatch(now)
-        if sampler is not None:
-            sampler.tick(now)
-        self._arm(now)
-        while self._work_remaining():
+        if pending and pending[0].arrival_s <= now:
+            ingest(now)
+        start = True
+        while True:
+            # Dispatch: a free running replica with work begins its next
+            # phase, whose end is armed here, once.  One with an empty
+            # queue and batch is skipped: ``_next_action`` does nothing
+            # for it in any role.
+            for replica in replicas:
+                if (
+                    replica.busy_until_s is None
+                    and replica.state is running
+                    and (replica.queue.waiting or replica.scheduler.active)
+                ):
+                    next_action(replica, now)
+                    if replica.busy_until_s is not None:
+                        push(replica.busy_until_s)
+            if start:  # the run's first sample sees t0's dispatch
+                start = False
+                if sampler is not None:
+                    sampler.tick(now)
+            # Arm the arrival head and the next evaluation if new; phase
+            # ends, transfer completions and spin-up readiness are armed
+            # where they are scheduled.
+            if pending:
+                t = pending[0].arrival_s
+                if t != armed_arrival:
+                    events.push_at_or_after(t, now)
+                    armed_arrival = t
+            if autoscaler is not None and autoscaler.next_eval_s != armed_eval:
+                armed_eval = autoscaler.next_eval_s
+                push(armed_eval)
+            if not self._work_remaining():
+                break
             if autoscaler is not None and self._only_evaluations_left(now):
                 # Evaluations alone would re-arm each other for ever.
                 raise stalled()
-            target = self.events.pop_due()
+            target = pop_due()
             if target > now:
                 now = target
                 if traced:
@@ -325,31 +407,41 @@ class _ClusterLoop:
                 sampler.tick(now)
             if autoscaler is not None:  # the only one to start replicas
                 self._replica_transitions(now)
-            self._phase_completions(now)
-            self._ingest(now)
-            self._transfer_completions(now)
+            # Phase completions: every fused run and prefill due by now.
+            for replica in replicas:
+                busy_until = replica.busy_until_s
+                if busy_until is not None and busy_until <= now:
+                    if replica.phase[3] == _FUSED_DECODE:
+                        finish_run(replica)
+                    else:
+                        finish_prefill(replica)
+            if pending and pending[0].arrival_s <= now:
+                ingest(now)
+            if self.transfers:
+                self._transfer_completions(now)
             if autoscaler is not None and autoscaler.due(now):
                 started, stopped = autoscaler.evaluate(now)
                 if started or stopped:
                     self._observe_replicas()
                 if started:
                     self._arm_spinups()
-            self._dispatch(now)
-            self._arm(now)
         if not traced:
             clock.advance_to(now)
         # Close every powered-on replica's idle accounting at end of run.
-        for replica in self.replicas:
+        for replica in replicas:
             replica.account_to(max(now, replica.ready_at_s))
 
     def _ingest(self, now: float) -> None:
+        """Route every arrival due by ``now`` to its replica."""
+        pending = self.pending
+        route = self.router.route
+        pool = self.route_pool
         routed = False
-        while self.pending and self.pending[0].arrival_s <= now:
-            request = self.pending.popleft()
-            target = self.router.route(request, self.route_pool)
-            self._offer(target, request, now)
+        while pending and pending[0].arrival_s <= now:
+            request = pending.popleft()
+            self._offer(route(request, pool), request, now)
             routed = True
-        if routed:
+        if routed and self.traced:
             self._observe_depth()
 
     def _replica_transitions(self, now: float) -> None:
@@ -359,16 +451,6 @@ class _ClusterLoop:
                 and replica.ready_at_s <= now
             ):
                 replica.set_running(now)
-
-    def _phase_completions(self, now: float) -> None:
-        """Finish every phase due by ``now``: fused runs and prefills."""
-        for replica in self.replicas:
-            if replica.busy_until_s is None or replica.busy_until_s > now:
-                continue
-            if replica.phase[3] == _FUSED_DECODE:
-                self._finish_run(replica)
-            else:
-                self._finish_prefill(replica)
 
     def _finish_prefill(self, replica: Replica) -> None:
         """Book a finished prefill's energy; hand off its KV if split."""
@@ -386,7 +468,7 @@ class _ClusterLoop:
         link = self.sim.link
         duration = transfer_time_s(kv_bytes, link)
         energy = transfer_energy_wh(kv_bytes)
-        target = min(self.decode_pool, key=lambda r: (r.load, r.index))
+        target = _least_loaded(self.decode_pool)
         self.transfers.append(
             KVTransfer(
                 request_index=index,
@@ -425,76 +507,56 @@ class _ClusterLoop:
         slot, is one per-step stepping may admit before the run ends.
         """
         queue = replica.queue
-        was_empty = not len(queue)
+        was_empty = not queue.waiting
         if (
             queue.offer(request)
             and was_empty
             and replica.index in self._runs
-            and replica.scheduler.batch_size < replica.scheduler.batch_cap
+            and len(replica.scheduler.active) < replica.scheduler.batch_cap
         ):
             self._cut_run(replica, now)
-
-    def _dispatch(self, now: float) -> None:
-        """Give every free running replica with work its next action.
-
-        A replica with an empty queue and an empty batch is skipped:
-        :meth:`_next_action` does nothing for it in any role.
-        """
-        for replica in self.replicas:
-            if (
-                replica.busy_until_s is not None
-                or replica.state is not ReplicaState.RUNNING
-                or not (len(replica.queue) or replica.scheduler.active)
-            ):
-                continue
-            self._next_action(replica, now)
-            if replica.busy_until_s is not None:
-                # The phase the action began: armed once, here.
-                self.events.push(replica.busy_until_s)
 
     def _next_action(self, replica: Replica, now: float) -> None:
         """Give one free running replica its next phase, if any."""
         role = replica.role
+        queue = replica.queue
+        waiting = queue.waiting
+        scheduler = replica.scheduler
         if role is ReplicaRole.DECODE:
             # Admission is free (prefill already paid); batch everything
             # that fits, then run decode.
-            while len(replica.queue) and replica.scheduler.fits(
-                replica.queue.peek()
-            ):
-                request = replica.queue.pop()
-                replica.scheduler.admit(request, now)
+            while waiting and scheduler.fits(waiting[0]):
+                request = queue.pop()
+                scheduler.admit(request, now)
                 self.cursor_snap[request.index] = replica.decode_cursor_wh
-            if replica.scheduler.active:
+            if scheduler.active:
                 self._begin_decode(replica, now)
             return
-        if len(replica.queue) and (
-            role is ReplicaRole.PREFILL
-            or replica.scheduler.fits(replica.queue.peek())
-        ):
-            request = replica.queue.pop()
-            self.admitted_at.setdefault(request.index, now)
-            self.prefill_replica[request.index] = replica.index
+        if waiting and (role is ReplicaRole.PREFILL or scheduler.fits(waiting[0])):
+            request = queue.pop()
+            index = request.index
+            self.admitted_at.setdefault(index, now)
+            self.prefill_replica[index] = replica.index
             hit = replica.note_prefill(request.session)
             replica.prefills += 1
             if hit:
                 replica.prefix_hits += 1
-            self.prefix_hit[request.index] = hit
+            self.prefix_hit[index] = hit
             tokens = request.prompt_tokens
             if hit and request.prefix_tokens > 0:
                 tokens = max(1, tokens - request.prefix_tokens)
             t_prefill = self._prefill_times[tokens]
             if role is ReplicaRole.UNIFIED:
-                replica.scheduler.admit(request, now)
-                self.cursor_snap[request.index] = replica.decode_cursor_wh
-                self.decode_replica[request.index] = replica.index
+                scheduler.admit(request, now)
+                self.cursor_snap[index] = replica.decode_cursor_wh
+                self.decode_replica[index] = replica.index
             else:
-                replica.handoff[request.index] = request
-            replica.begin_phase(
-                now, t_prefill, self.util_prefill, _PREFILL, (request.index,)
-            )
-            self._observe_depth()
+                replica.handoff[index] = request
+            replica.begin_phase(now, t_prefill, self.util_prefill, _PREFILL, (index,))
+            if self.traced:
+                self._observe_depth()
             return
-        if role is ReplicaRole.UNIFIED and replica.scheduler.active:
+        if role is ReplicaRole.UNIFIED and scheduler.active:
             self._begin_decode(replica, now)
 
     # -- fused decode runs ---------------------------------------------------
@@ -534,7 +596,7 @@ class _ClusterLoop:
 
         A boundary at ``now`` itself is where per-step stepping has
         just finished a step, so the run finishes here, before
-        ``_dispatch`` admits the request.  The run's old end is
+        dispatch admits the request.  The run's old end is
         withdrawn, and a cut end after ``now`` is armed in its place.
         """
         steps, step_s, batch = self._runs[replica.index]
@@ -580,10 +642,14 @@ class _ClusterLoop:
         completions = self._completions[replica.index]
         if completions[0][0] != step:
             return  # a cut run completes nothing
+        # Popped in admission order, the order eviction releases KV in.
+        finished = []
         while completions and completions[0][0] == step:
             seq = heappop(completions)[2]
             seq.generated = seq.request.generate_tokens
-        for seq in replica.scheduler.evict_done():
+            finished.append(seq)
+        replica.scheduler.evict(finished)
+        for seq in finished:
             self._complete(seq, t1, replica)
 
     # -- results -------------------------------------------------------------
@@ -596,19 +662,42 @@ class _ClusterLoop:
         return tuple(sorted(shed, key=lambda r: r.index))
 
     def records(self) -> Iterator[RequestRecord]:
-        """One record per completed request, in completion order."""
+        """One record per completed request, in completion order.
+
+        Exact mode only: a p2 run folds its records at completion.
+        """
         for seq, completed_s in self.finished:
-            request = seq.request
-            yield RequestRecord(
-                index=request.index,
-                arrival_s=request.arrival_s,
-                admitted_s=self.admitted_at[request.index],
-                first_token_s=seq.first_token_s,
-                completed_s=completed_s,
-                prompt_tokens=request.prompt_tokens,
-                generate_tokens=request.generate_tokens,
-                energy_wh=self.energy_wh.get(request.index, 0.0),
+            index = seq.request.index
+            yield _record(
+                seq, self.admitted_at[index], completed_s, self.energy_wh[index]
             )
+
+    def summary(
+        self, *, offered: int, rejected: int, elapsed_s: float
+    ) -> tuple[ServeSummary, tuple | None]:
+        """The run's serving summary, and the routed records it keeps.
+
+        Exact mode summarises :meth:`records` through
+        :func:`~repro.serve.result.summarize_completions`; a p2 run
+        folds its last partial chunk and keeps no records.
+        """
+        streamer = self.streamer
+        if streamer is None:
+            return summarize_completions(
+                self.records(),
+                percentile_mode=PERCENTILE_MODE_EXACT,
+                slo=self.sim.slo,
+                offered=offered,
+                rejected=rejected,
+                elapsed_s=elapsed_s,
+                keep=self.routed_record,
+            )
+        streamer.observe_records(self._chunk)
+        self._chunk.clear()
+        summary = streamer.summary(
+            offered=offered, rejected=rejected, elapsed_s=elapsed_s
+        )
+        return summary, None
 
     def routed_record(self, record: RequestRecord) -> ClusterRecord:
         """``record`` with its routing detail, traced as a request span."""
@@ -634,6 +723,23 @@ class _ClusterLoop:
                 track=CLUSTER_TRACK,
             )
         return routed
+
+
+def _record(
+    seq, admitted_s: float, completed_s: float, energy_wh: float
+) -> RequestRecord:
+    """The record of one completed sequence."""
+    request = seq.request
+    return RequestRecord(
+        index=request.index,
+        arrival_s=request.arrival_s,
+        admitted_s=admitted_s,
+        first_token_s=seq.first_token_s,
+        completed_s=completed_s,
+        prompt_tokens=request.prompt_tokens,
+        generate_tokens=request.generate_tokens,
+        energy_wh=energy_wh,
+    )
 
 
 def _run_end(t: float, step_s: float, steps: int) -> float:

@@ -115,6 +115,23 @@ class ReplicaStats:
         }
 
 
+class _Watts(dict):
+    """One power model's watts per utilisation, computed on first use.
+
+    ``watts[u] * dt`` is :meth:`~repro.power.model.PowerModel.energy`
+    ``(u, dt)`` bit for bit: that method multiplies the same power by
+    the duration.
+    """
+
+    def __init__(self, power_model) -> None:
+        super().__init__()
+        self.power_model = power_model
+
+    def __missing__(self, utilisation: float) -> float:
+        watts = self[utilisation] = self.power_model.power(utilisation)
+        return watts
+
+
 class Replica:
     """Mutable state of one cluster replica, driven by the simulator.
 
@@ -159,6 +176,10 @@ class Replica:
             engine.node.accelerator,
             cap_watts=engine.node.power_cap_watts,
         )
+        #: Watts per phase utilisation, and at idle: each computed once,
+        #: since the replica's power model is fixed.
+        self._watts = _Watts(self.power_model)
+        self._idle_watts = self.power_model.power(0.0)
         self.queue = AdmissionQueue(queue_capacity)
         self.scheduler = ContinuousBatchScheduler(engine, batch_cap=batch_cap)
         self.state = ReplicaState.RUNNING if started else ReplicaState.STOPPED
@@ -202,7 +223,7 @@ class Replica:
     @property
     def load(self) -> int:
         """Requests queued plus currently decoding (router load metric)."""
-        return len(self.queue) + self.scheduler.batch_size
+        return len(self.queue.waiting) + len(self.scheduler.active)
 
     @property
     def drained(self) -> bool:
@@ -250,7 +271,7 @@ class Replica:
             return
         if self.state is not ReplicaState.STOPPED:
             self.idle_s += dt
-            self.idle_energy_j += self.power_model.energy(0.0, dt)
+            self.idle_energy_j += self._idle_watts * dt
         self._accounted_until_s = now_s
 
     def begin_phase(
@@ -277,7 +298,7 @@ class Replica:
         t0, t1, util, kind, members = self.phase
         dt = t1 - t0
         self.busy_s += dt
-        self.busy_energy_j += self.power_model.energy(util, dt)
+        self.busy_energy_j += self._watts[util] * dt
         self._accounted_until_s = t1
         self.last_active_s = t1
         self.busy_until_s = None
@@ -286,7 +307,7 @@ class Replica:
 
     def phase_energy_wh(self, utilisation: float, duration_s: float) -> float:
         """Energy of one constant-utilisation phase, in Wh."""
-        return self.power_model.energy(utilisation, duration_s) / JOULES_PER_WH
+        return self._watts[utilisation] * duration_s / JOULES_PER_WH
 
     def current_watts(self, now_s: float) -> float:
         """Instantaneous electrical power draw at ``now_s``, in watts.

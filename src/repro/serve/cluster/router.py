@@ -99,9 +99,21 @@ class Router:
         raise NotImplementedError
 
 
-def _least_loaded(candidates: list[Replica]) -> Replica:
-    """The candidate with the smallest load, ties to the lowest index."""
-    return min(candidates, key=lambda r: (r.load, r.index))
+def _least_loaded(candidates: Sequence[Replica]) -> Replica:
+    """The candidate with the smallest load, ties to the lowest index.
+
+    ``min`` over ``(load, index)`` keys, scanned in a plain loop that
+    reads each candidate's load once.
+    """
+    replicas = iter(candidates)
+    best = next(replicas)
+    best_load = best.load
+    for replica in replicas:
+        load = replica.load
+        if load < best_load or (load == best_load and replica.index < best.index):
+            best = replica
+            best_load = load
+    return best
 
 
 @register_router("round-robin")

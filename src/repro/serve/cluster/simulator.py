@@ -51,7 +51,6 @@ from repro.serve.result import (
     PERCENTILE_MODES,
     ServeResult,
     SLOPolicy,
-    summarize_completions,
 )
 from repro.serve.scheduler import DEFAULT_BATCH_CAP
 from repro.serve.streams import shared_requests
@@ -112,10 +111,10 @@ class ClusterSimulator:
     percentile_mode:
         ``"exact"`` (default) or ``"p2"`` — see
         :class:`~repro.serve.simulator.ServingSimulator`.  ``"p2"``
-        streams completions in completion order and stores no
-        per-request records; it bounds the summary's memory, while the
-        loop's completion list and per-request routing and energy maps
-        still grow with the run.
+        folds each completion's record into the summary when the
+        request completes and stores no per-request records: the
+        loop's per-request routing and energy entries live only while
+        the request is in flight.
     """
 
     def __init__(
@@ -241,14 +240,8 @@ class ClusterSimulator:
             self.telemetry.finish(clock.now())
         elapsed = clock.now() - loop.start_s
         rejected = loop.rejected()
-        serve_summary, records = summarize_completions(
-            loop.records(),
-            percentile_mode=self.percentile_mode,
-            slo=self.slo,
-            offered=len(requests),
-            rejected=len(rejected),
-            elapsed_s=elapsed,
-            keep=loop.routed_record,
+        serve_summary, records = loop.summary(
+            offered=len(requests), rejected=len(rejected), elapsed_s=elapsed
         )
         summary = ClusterSummary(
             serve=serve_summary,

@@ -38,7 +38,8 @@ dominate a million-request run are gone:
   key instead of once per phase,
 * **heap-scheduled completions** — a min-heap of (completion step,
   admission order) replaces a per-step O(batch) scan for finished
-  sequences; ``generated`` is set once, at completion,
+  sequences, and the popped ones are evicted directly; ``generated``
+  is set once, at completion,
 * **compact attribution bookkeeping** — O(1) per step (bounds + batch
   size) instead of an O(batch) membership tuple, feeding the
   incremental energy cursor
@@ -306,6 +307,7 @@ class _ServeLoop:
         util_decode = engine.cal.util_full_llm * DECODE_UTILISATION_FRACTION
         scheduler = self.scheduler
         queue = self.queue
+        waiting = queue.waiting
         pending = self.pending
         prefill_times = _PrefillTimes(engine)
         decode_cache: dict[int, float] = {}
@@ -320,9 +322,9 @@ class _ServeLoop:
         if observed:
             self._gauge_queue(tag)
         self._tick(clock.now())
-        while pending or len(queue) or scheduler.active:
+        while pending or waiting or scheduler.active:
             now = clock.now()
-            if not scheduler.active and not len(queue):
+            if not scheduler.active and not waiting:
                 # Batch idle and nothing queued: sleep to the next
                 # arrival, then force it in (guards against float
                 # residue leaving `now` a hair before the arrival).
@@ -337,7 +339,7 @@ class _ServeLoop:
                     self._gauge_queue(tag)
                 continue
             # Iteration boundary: admit whatever fits, paying prefill.
-            while len(queue) and scheduler.fits(queue.peek()):
+            while waiting and scheduler.fits(waiting[0]):
                 request = queue.pop()
                 seq = scheduler.admit(request, clock.now())
                 t_prefill = prefill_times[request.prompt_tokens]
@@ -381,7 +383,7 @@ class _ServeLoop:
             steps = 1
             if not stepwise:
                 steps = completions[0][0] - self.decode_steps
-                if batch < scheduler.batch_cap and not len(queue) and pending:
+                if batch < scheduler.batch_cap and not waiting and pending:
                     steps = _steps_to_arrival(
                         now, step_s, steps, pending[0].arrival_s
                     )
@@ -399,10 +401,15 @@ class _ServeLoop:
                     seq.first_token_s = bounds[1]
                 fresh.clear()
             if completions and completions[0][0] == self.decode_steps:
+                # Popped in admission order, the order eviction
+                # releases KV in.
+                finished = []
                 while completions and completions[0][0] == self.decode_steps:
                     seq = heapq.heappop(completions)[2]
                     seq.generated = seq.request.generate_tokens
-                for seq in scheduler.evict_done():
+                    finished.append(seq)
+                scheduler.evict(finished)
+                for seq in finished:
                     index = seq.request.index
                     self.spans.append(
                         (index, self._first_step.pop(index), self.decode_steps - 1)

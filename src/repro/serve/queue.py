@@ -18,18 +18,24 @@ DEFAULT_QUEUE_CAPACITY = 256
 
 
 class AdmissionQueue:
-    """FIFO queue with a hard capacity; overflow rejects the request."""
+    """FIFO queue with a hard capacity; overflow rejects the request.
+
+    The serving loops test and read the head of :attr:`waiting`
+    directly, on every event; requests enter it only through
+    :meth:`offer` and leave it through :meth:`pop`.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ConfigError("queue capacity must be >= 1")
         self.capacity = int(capacity)
-        self._waiting: deque[Request] = deque()
+        #: The waiting requests, head first.
+        self.waiting: deque[Request] = deque()
         self._rejected: list[Request] = []
 
     def __len__(self) -> int:
         """Requests currently waiting."""
-        return len(self._waiting)
+        return len(self.waiting)
 
     @property
     def rejected(self) -> tuple[Request, ...]:
@@ -48,18 +54,14 @@ class AdmissionQueue:
 
     def offer(self, request: Request) -> bool:
         """Enqueue ``request``; ``False`` (and recorded) when full."""
-        if len(self._waiting) >= self.capacity:
+        if len(self.waiting) >= self.capacity:
             self._rejected.append(request)
             return False
-        self._waiting.append(request)
+        self.waiting.append(request)
         return True
-
-    def peek(self) -> Request | None:
-        """The request at the head of the queue, without removing it."""
-        return self._waiting[0] if self._waiting else None
 
     def pop(self) -> Request:
         """Remove and return the head request."""
-        if not self._waiting:
+        if not self.waiting:
             raise ConfigError("pop from an empty admission queue")
-        return self._waiting.popleft()
+        return self.waiting.popleft()

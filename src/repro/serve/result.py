@@ -409,7 +409,8 @@ class StreamingSummarizer:
                 self.good_tokens += record.generate_tokens
             if len(ttft) == _FOLD_CHUNK:
                 fold()
-        fold()
+        if ttft:
+            fold()
 
     def summary(
         self, *, offered: int, rejected: int, elapsed_s: float
@@ -490,8 +491,11 @@ class ServeResult:
     from (:class:`RequestRecord`, or
     :class:`~repro.serve.cluster.result.ClusterRecord` with routing
     detail) — available in ``percentile_mode="exact"`` only.  In
-    ``"p2"`` mode the run never stores them (O(1) record emission) and
-    reading ``records`` raises :class:`~repro.errors.ConfigError`.
+    ``"p2"`` mode the result stores none and reading ``records`` raises
+    :class:`~repro.errors.ConfigError`; the cluster folds each record
+    into the summary when its request completes (O(1) record emission),
+    while the single engine builds them after the run, for the energy
+    it attributes from the measured frame.
     ``alerts`` is the burn-rate monitor's summary when one was attached
     (``None`` otherwise — telemetry off).
     """

@@ -114,27 +114,35 @@ class ContinuousBatchScheduler:
             )
 
     def admit(self, request: Request, now_s: float) -> Sequence:
-        """Add a fitting request to the batch; returns its sequence."""
-        if not self.fits(request):
+        """Add a fitting request to the batch; returns its sequence.
+
+        The request's KV reservation is computed once, for the
+        :meth:`fits` test and the reservation alike.
+        """
+        need = self.kv_bytes_for(request)
+        if (
+            len(self.active) >= self.batch_cap
+            or self._kv_reserved + need > self.kv_budget_bytes
+        ):
             raise ConfigError(f"request {request.index} does not fit the batch")
         seq = Sequence(request=request, admitted_s=now_s)
         self.active.append(seq)
-        self._kv_reserved += self.kv_bytes_for(request)
+        self._kv_reserved += need
         return seq
 
-    def evict_done(self) -> list[Sequence]:
-        """Evict every finished sequence, in admission order.
+    def evict(self, finished: list[Sequence]) -> None:
+        """Evict the finished sequences ``finished``, in the given order.
 
-        The serving loops advance ``generated`` and stamp first-token
-        times themselves, then call this once the step that completes
-        a sequence ends.  KV is released in admission order and reset
+        The serving loops pop a step's completions from their heaps in
+        admission order, advance ``generated`` and stamp first-token
+        times themselves, and pass them here once the step that
+        completes them ends.  KV is released in that order and reset
         to exactly zero when the batch empties, so the reserved bytes
         do not depend on how many steps a loop fuses.
         """
-        finished = [seq for seq in self.active if seq.done]
+        active = self.active
         for seq in finished:
-            self.active.remove(seq)
+            active.remove(seq)
             self._kv_reserved -= self.kv_bytes_for(seq.request)
-        if not self.active:
+        if not active:
             self._kv_reserved = 0.0  # absorb float drift at empty batch
-        return finished

@@ -10,6 +10,8 @@ the ones the cluster's accounting leans on:
   KV-transfer energy sums exactly to the cluster total,
 * **routing safety** — no policy ever places a request on a replica
   that is not accepting (e.g. despawned by the autoscaler),
+* **least-loaded tie-break** — every router that picks the least-loaded
+  candidate picks the minimum over (load, index),
 * **determinism** — identical seeds and configuration reproduce the
   per-request records byte for byte.
 """
@@ -32,6 +34,7 @@ from repro.serve.cluster import (
     ROUTER_POLICIES,
     make_router,
 )
+from repro.serve.cluster.router import PREFIX_HIT_LOAD_SLACK, _least_loaded
 
 pytestmark = [pytest.mark.serve, pytest.mark.cluster]
 
@@ -226,6 +229,54 @@ class TestRoutingSafety:
         for record in result.records:
             assert record.prefill_replica in active
             assert record.decode_replica in active
+
+
+def _min_load_then_index(candidates):
+    """The least-loaded pick by its definition: min over (load, index)."""
+    return min(candidates, key=lambda r: (r.load, r.index))
+
+
+class TestLeastLoadedTieBreak:
+    def test_scan_picks_the_min_over_load_then_index(self):
+        # Replica lists in any index order, with load ties and with
+        # replicas that are not accepting: the plain scan must pick what
+        # min over (load, index) picks, alone and inside every router
+        # that falls back to it.
+        rng = random.Random(0x71EB8EA4)
+        routers = {
+            name: make_router(name)
+            for name in ("least-loaded", "session-affinity", "prefix-cache-aware")
+        }
+        for _ in range(CASES * 25):
+            indices = list(range(rng.randint(1, 8)))
+            rng.shuffle(indices)
+            replicas = [
+                _FakeReplica(
+                    i,
+                    accepting=rng.random() < 0.75,
+                    load=rng.randint(0, 3),
+                    prefixes=[s for s in range(3) if rng.random() < 0.4],
+                )
+                for i in indices
+            ]
+            candidates = [r for r in replicas if r.accepting]
+            if not candidates:
+                continue
+            coldest = _min_load_then_index(candidates)
+            assert _least_loaded(candidates) is coldest
+            for name in ("least-loaded", "session-affinity"):
+                assert routers[name].route(_FakeRequest(None), replicas) is coldest
+            session = rng.choice((None, 0, 1, 2))
+            request = _FakeRequest(session, prefix_tokens=rng.choice((0, 128)))
+            hits = [
+                r for r in candidates if session is not None and r.has_prefix(session)
+            ]
+            expected = coldest
+            if hits and request.prefix_tokens > 0:
+                best_hit = _min_load_then_index(hits)
+                if best_hit.load - coldest.load <= PREFIX_HIT_LOAD_SLACK:
+                    expected = best_hit
+            assert routers["prefix-cache-aware"].route(request, replicas) is expected
 
 
 class TestDeterminism:

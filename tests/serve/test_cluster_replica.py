@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.engine.inference import InferenceEngine
+from repro.engine.inference import DECODE_UTILISATION_FRACTION, InferenceEngine
 from repro.errors import ConfigError
-from repro.hardware.systems import get_system
+from repro.hardware.accelerator import AcceleratorKind
+from repro.hardware.systems import SYSTEM_TAGS, get_system
 from repro.models.transformer import get_gpt_preset
 from repro.serve.cluster.autoscaler import AutoscalePolicy, Autoscaler
 from repro.serve.cluster.replica import (
@@ -17,6 +20,13 @@ from repro.serve.cluster.replica import (
 )
 
 pytestmark = [pytest.mark.serve, pytest.mark.cluster]
+
+#: The Table I systems a serving replica runs on (every GPU system).
+SERVING_TAGS = tuple(
+    tag
+    for tag in SYSTEM_TAGS
+    if get_system(tag).accelerator.kind is not AcceleratorKind.IPU
+)
 
 
 @pytest.fixture
@@ -128,6 +138,32 @@ class TestAccounting:
         stats = replica.stats()
         assert stats.idle_s == 2.0 and stats.busy_s == 3.0
         assert stats.busy_energy_wh > stats.idle_energy_wh
+
+    @pytest.mark.parametrize("tag", SERVING_TAGS)
+    def test_energies_equal_the_power_model_bit_for_bit(self, tag):
+        # A replica computes its idle watts and each phase utilisation's
+        # watts once; energy(u, dt) is power(u) * dt, so the idle,
+        # prefill and decode energies of any duration are the power
+        # model's, bit for bit.
+        engine = InferenceEngine(get_system(tag), get_gpt_preset("800M"))
+        model = make_replica(engine).power_model
+        prefill = engine.cal.util_full_llm
+        decode = prefill * DECODE_UTILISATION_FRACTION
+        rng = random.Random(tag)
+        for _ in range(40):
+            dt = rng.choice((rng.uniform(1e-4, 0.05), rng.uniform(0.05, 30.0)))
+            idle = make_replica(engine)
+            idle.account_to(dt)
+            assert idle.idle_energy_j.hex() == model.energy(0.0, dt).hex()
+            for util in (prefill, decode):
+                busy = make_replica(engine)
+                busy.begin_phase(0.0, dt, util, "prefill", (0,))
+                busy.finish_phase()
+                assert busy.busy_energy_j.hex() == model.energy(util, dt).hex()
+                assert (
+                    busy.phase_energy_wh(util, dt).hex()
+                    == (model.energy(util, dt) / JOULES_PER_WH).hex()
+                )
 
     def test_stats_dict_round_trips_totals(self, engine):
         replica = make_replica(engine)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.engine.inference import InferenceEngine
@@ -28,9 +33,9 @@ class TestQueue:
         q = AdmissionQueue(capacity=4)
         for i in range(3):
             assert q.offer(request(i))
-        assert q.peek().index == 0
+        assert q.waiting[0].index == 0
         assert [q.pop().index for _ in range(3)] == [0, 1, 2]
-        assert q.peek() is None
+        assert not q.waiting and len(q) == 0
 
     def test_overflow_rejects_and_records(self):
         q = AdmissionQueue(capacity=2)
@@ -116,9 +121,68 @@ class TestScheduler:
         r = request(0, generate=2)
         first, second = sched.admit(r, 0.0), sched.admit(r, 0.0)
         assert first != second
-        first.generated = r.generate_tokens
-        assert sched.evict_done() == [first]
+        sched.evict([first])
         assert sched.active == [second] and sched.active[0] is second
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_evicting_popped_completions_equals_the_walk(
+        self, engine, seed, fractional
+    ):
+        # The serving loops pop each step's completions from a heap of
+        # (completion step, admission order) and evict them directly.
+        # The walk over the batch (the oracle's ``step_completed``) must
+        # find the same sequences in the same order, and both must leave
+        # the reserved bytes of a ledger that releases each step's
+        # finished sequences in admission order, bit for bit.  A model
+        # reserves whole bytes per token, where every release order
+        # gives the same sum; a fractional per-token size makes the
+        # order show in the bits.
+        if fractional:
+            engine = SimpleNamespace(
+                model=SimpleNamespace(kv_cache_bytes_per_token=lambda: 1e5 / 3),
+                kv_budget_bytes=lambda: 1e12,
+            )
+        rng = random.Random(seed)
+        walked = ContinuousBatchScheduler(engine, batch_cap=16)
+        popped = ContinuousBatchScheduler(engine, batch_cap=16)
+        pending = [
+            request(i, prompt=rng.choice((64, 128, 512)), generate=rng.randint(1, 6))
+            for i in range(rng.randint(6, 14))
+        ]
+        heap: list[tuple[int, int, object]] = []
+        order = itertools.count()
+        ledger, resident = 0.0, []
+        step = 0
+        while pending or walked.active:
+            # Admissions between steps make sequences admitted at
+            # different steps complete at the same one.
+            for r in pending[: rng.randint(0, 3)]:
+                walked.admit(r, float(step))
+                seq = popped.admit(r, float(step))
+                heapq.heappush(heap, (step + r.generate_tokens, next(order), seq))
+                ledger += popped.kv_bytes_for(r)
+                resident.append(r)
+                pending.remove(r)
+            if not walked.active:
+                continue
+            step += 1
+            expected = step_completed(walked, float(step))
+            finished = []
+            while heap and heap[0][0] == step:
+                finished.append(heapq.heappop(heap)[2])
+            popped.evict(finished)
+            indices = [s.request.index for s in finished]
+            assert indices == [s.request.index for s in expected]
+            for r in [r for r in resident if r.index in indices]:
+                resident.remove(r)
+                ledger -= popped.kv_bytes_for(r)
+            if not resident:
+                ledger = 0.0
+            assert popped.kv_reserved_bytes.hex() == ledger.hex()
+            assert walked.kv_reserved_bytes.hex() == ledger.hex()
+            assert [s.request for s in popped.active] == resident
+        assert popped.kv_reserved_bytes == 0.0 and not popped.active
 
     def test_no_budget_rejected_at_construction(self, engine):
         with pytest.raises(ConfigError, match="KV-cache budget"):

@@ -39,14 +39,16 @@ def step_completed(scheduler: ContinuousBatchScheduler, now_s: float) -> list[Se
     """Account one finished decode step across the whole batch.
 
     Every active sequence gains one token (stamping its first-token
-    time on the first); finished sequences are evicted and returned in
-    admission order.
+    time on the first); finished sequences are found by walking the
+    batch, evicted and returned in admission order.
     """
     for seq in scheduler.active:
         seq.generated += 1
         if seq.first_token_s is None:
             seq.first_token_s = now_s
-    return scheduler.evict_done()
+    finished = [seq for seq in scheduler.active if seq.done]
+    scheduler.evict(finished)
+    return finished
 
 
 class ReferenceServeLoop(_ServeLoop):
@@ -80,7 +82,7 @@ class ReferenceServeLoop(_ServeLoop):
                     self.queue.offer(self.pending.popleft())
                 self._gauge_queue(tag)
                 continue
-            while len(self.queue) and self.scheduler.fits(self.queue.peek()):
+            while len(self.queue) and self.scheduler.fits(self.queue.waiting[0]):
                 request = self.queue.pop()
                 self.scheduler.admit(request, clock.now())
                 t_prefill = engine.prefill_time_s(
