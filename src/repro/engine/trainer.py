@@ -20,7 +20,7 @@ from repro.faults.injector import get_injector
 from repro.hardware.accelerator import Vendor
 from repro.hardware.node import NodeSpec
 from repro.jpwr.ctxmgr import MeasuredScope, get_power
-from repro.jpwr.energy import TIME_COLUMN, energy_frame
+from repro.jpwr.energy import TIME_COLUMN, integrate_energy_wh
 from repro.jpwr.methods.base import PowerMethod
 from repro.jpwr.methods.gcipuinfo import GcIpuInfoMethod
 from repro.jpwr.methods.gh import GraceHopperMethod
@@ -421,16 +421,16 @@ def measure_run(
             result = body(runner, clock)
     elapsed = clock.now() - start
     # Energy per active device from the primary method's columns, which
-    # are named f"{prefix}{device_index}" (gpu0, gcd3, ipu1, ...).  The
-    # frame alone is integrated: the methods' additional data would
-    # re-read sensors that a fault may still hold down.
-    energy_df = energy_frame(scope.df)
-    prefix_labels = primary_energy_labels(energy_df.columns, active)
+    # are named f"{prefix}{device_index}" (gpu0, gcd3, ipu1, ...).  Only
+    # those columns are integrated: the idle devices and the auxiliary
+    # rails lie outside the result.  The frame alone is read: the
+    # methods' additional data would re-read sensors that a fault may
+    # still hold down.
+    prefix_labels = primary_energy_labels(scope.df.columns, active)
+    energies = integrate_energy_wh(scope.df, prefix_labels)
     if not prefix_labels:
         raise ConfigError("no energy columns matched the active devices")
-    per_device_wh = sum(energy_df.row(0)[lbl] for lbl in prefix_labels) / len(
-        prefix_labels
-    )
+    per_device_wh = sum(energies[lbl] for lbl in prefix_labels) / len(prefix_labels)
     mean_power = per_device_wh * 3600.0 / elapsed if elapsed > 0 else 0.0
     if tracer.enabled:
         # Replay the sample frame as counter tracks aligned with the

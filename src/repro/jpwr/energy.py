@@ -8,6 +8,8 @@ in watt-hours (the paper's unit).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.errors import MeasurementError
@@ -17,8 +19,24 @@ from repro.units import JOULES_PER_WH, joules_to_wh
 TIME_COLUMN = "time_s"
 
 
-def integrate_energy_wh(df: DataFrame) -> dict[str, float]:
-    """Integrate each power column of a sample frame to energy (Wh).
+def _times(df: DataFrame) -> np.ndarray:
+    """The frame's time column as an array, checked for integration."""
+    if TIME_COLUMN not in df:
+        raise MeasurementError(f"frame lacks time column {TIME_COLUMN!r}")
+    t = df.array(TIME_COLUMN)
+    if len(t) < 2:
+        raise MeasurementError(
+            f"need at least 2 samples to integrate energy, got {len(t)}"
+        )
+    if np.any(np.diff(t) < 0):
+        raise MeasurementError("timestamps are not monotonically non-decreasing")
+    return t
+
+
+def integrate_energy_wh(
+    df: DataFrame, columns: Sequence[str] | None = None
+) -> dict[str, float]:
+    """Integrate power columns of a sample frame to energy (Wh).
 
     Parameters
     ----------
@@ -26,33 +44,29 @@ def integrate_energy_wh(df: DataFrame) -> dict[str, float]:
         Sample frame with a monotonically non-decreasing
         :data:`TIME_COLUMN` (seconds) and one or more power columns
         (watts).
+    columns:
+        The power columns to integrate, in the order given; every power
+        column, in frame order, when omitted.  Each column's energy is
+        the same float whichever others are integrated with it.
 
     Returns
     -------
-    dict mapping each power column name to its integrated energy in Wh.
+    dict mapping each integrated column name to its energy in Wh.
 
     Raises
     ------
     MeasurementError
-        On a missing time column, non-monotonic timestamps, or a frame
-        with fewer than two samples (no interval to integrate).
+        On a missing time column, non-monotonic timestamps, a frame
+        with fewer than two samples (no interval to integrate), or an
+        unknown column.
     """
-    if TIME_COLUMN not in df:
-        raise MeasurementError(f"frame lacks time column {TIME_COLUMN!r}")
-    t = np.asarray(df[TIME_COLUMN], dtype=float)
-    if len(t) < 2:
-        raise MeasurementError(
-            f"need at least 2 samples to integrate energy, got {len(t)}"
-        )
-    if np.any(np.diff(t) < 0):
-        raise MeasurementError("timestamps are not monotonically non-decreasing")
-    energies: dict[str, float] = {}
-    for column in df.columns:
-        if column == TIME_COLUMN:
-            continue
-        p = np.asarray(df[column], dtype=float)
-        energies[column] = joules_to_wh(float(np.trapezoid(p, t)))
-    return energies
+    t = _times(df)
+    if columns is None:
+        columns = [c for c in df.columns if c != TIME_COLUMN]
+    return {
+        column: joules_to_wh(float(np.trapezoid(df.array(column), t)))
+        for column in columns
+    }
 
 
 def cumulative_energy_wh(
@@ -74,15 +88,7 @@ def cumulative_energy_wh(
     conditions as :func:`integrate_energy_wh`, plus on an unknown or
     empty column selection.
     """
-    if TIME_COLUMN not in df:
-        raise MeasurementError(f"frame lacks time column {TIME_COLUMN!r}")
-    t = np.asarray(df[TIME_COLUMN], dtype=float)
-    if len(t) < 2:
-        raise MeasurementError(
-            f"need at least 2 samples to integrate energy, got {len(t)}"
-        )
-    if np.any(np.diff(t) < 0):
-        raise MeasurementError("timestamps are not monotonically non-decreasing")
+    t = _times(df)
     if columns is None:
         columns = [c for c in df.columns if c != TIME_COLUMN]
     if not columns:
@@ -92,7 +98,7 @@ def cumulative_energy_wh(
         raise MeasurementError(f"frame lacks power columns {missing}")
     total = np.zeros(len(t), dtype=float)
     for column in columns:
-        total += np.asarray(df[column], dtype=float)
+        total += df.array(column)
     increments = 0.5 * (total[1:] + total[:-1]) * np.diff(t)
     cumulative_j = np.concatenate(([0.0], np.cumsum(increments)))
     return t, cumulative_j / JOULES_PER_WH

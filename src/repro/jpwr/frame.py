@@ -3,7 +3,8 @@
 The real jpwr stores measurements as pandas DataFrames; pandas is not
 available in this environment, so this module provides the small subset
 jpwr needs: named float columns plus a time column, row append, column
-statistics, CSV/JSON round trips and a readable string form.
+statistics, numpy arrays for integration, CSV/JSON round trips and a
+readable string form.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import io
 import json
 import math
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import MeasurementError
 
@@ -25,6 +28,8 @@ class DataFrame:
         self._columns: dict[str, list[float]] = {c: [] for c in names}
         if len(self._columns) != len(names):
             raise MeasurementError("duplicate column names")
+        #: Each column's values converted so far (see :meth:`array`).
+        self._arrays: dict[str, np.ndarray] = {}
 
     # -- shape ------------------------------------------------------------
 
@@ -53,6 +58,27 @@ class DataFrame:
 
     def __contains__(self, column: str) -> bool:
         return column in self._columns
+
+    def array(self, column: str) -> np.ndarray:
+        """A column as a read-only float64 array.
+
+        Each value is converted once: the frame keeps the array, and a
+        later call converts only the rows appended since.  Rows are only
+        ever appended, so the kept array is always a prefix of the
+        column.
+        """
+        values = self[column]
+        kept = self._arrays.get(column)
+        if kept is None:
+            out = np.asarray(values, dtype=float)
+        elif len(kept) == len(values):
+            return kept
+        else:
+            tail = np.asarray(values[len(kept):], dtype=float)
+            out = np.concatenate((kept, tail))
+        out.flags.writeable = False
+        self._arrays[column] = out
+        return out
 
     def row(self, index: int) -> dict[str, float]:
         """One row as a dict."""

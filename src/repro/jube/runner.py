@@ -27,13 +27,32 @@ logger = get_logger(__name__)
 Operation = Callable[[dict[str, str], Workpackage], dict | None]
 
 
+def _tokens(command: str) -> list[str]:
+    """:func:`shlex.split`'s tokens of ``command``.
+
+    A command of printable ASCII without a quote or a backslash has
+    nothing for shlex to resolve and no whitespace but spaces, so it is
+    split on spaces directly; any other command goes through shlex.
+    """
+    if (
+        command.isascii()
+        and command.isprintable()
+        and "'" not in command
+        and '"' not in command
+        and "\\" not in command
+    ):
+        return command.split()
+    return shlex.split(command)
+
+
 def parse_operation(command: str) -> tuple[str, dict[str, str]]:
     """Split a substituted ``opname --key value [--flag] ...`` command.
 
     Returns the operation name and its raw arguments; a bare ``--flag``
     becomes ``"true"``.  Positional tokens are a :class:`JubeError`.
+    The tokens are :func:`shlex.split`'s (see :func:`_tokens`).
     """
-    tokens = shlex.split(command)
+    tokens = _tokens(command)
     if not tokens:
         raise JubeError("empty operation command")
     name, *rest = tokens

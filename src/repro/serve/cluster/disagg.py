@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.hardware.interconnect import LinkSpec
+from repro.serve.arrivals import Request
 
 #: Energy to move one bit across the cluster fabric, in picojoules.
 #: Published SerDes + switch figures for NVLink/InfiniBand-class links
@@ -84,7 +85,9 @@ def transfer_energy_wh(kv_bytes: float) -> float:
 class KVTransfer:
     """One in-flight KV handoff from a prefill to a decode replica."""
 
-    request_index: int
+    #: The prefilled request whose KV state moves; it queues at the
+    #: decode replica when the transfer completes.
+    request: Request
     source: int
     target: int
     kv_bytes: float

@@ -471,7 +471,7 @@ class _ClusterLoop:
         target = _least_loaded(self.decode_pool)
         self.transfers.append(
             KVTransfer(
-                request_index=index,
+                request=request,
                 source=source.index,
                 target=target.index,
                 kv_bytes=kv_bytes,
@@ -491,10 +491,10 @@ class _ClusterLoop:
         if not done:
             return
         self.transfers = [tr for tr in self.transfers if tr.done_at_s > now]
-        for tr in sorted(done, key=lambda t: (t.done_at_s, t.request_index)):
+        for tr in sorted(done, key=lambda t: (t.done_at_s, t.request.index)):
             target = self.replicas[tr.target]
-            request = self.sim.requests_by_index[tr.request_index]
-            self.decode_replica[tr.request_index] = tr.target
+            request = tr.request
+            self.decode_replica[request.index] = tr.target
             # ``offer`` records the shed in the decode replica's queue
             # when full, so conservation (completed + rejected ==
             # offered) holds without a second ledger here.

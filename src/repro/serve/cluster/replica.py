@@ -183,6 +183,9 @@ class Replica:
         self.queue = AdmissionQueue(queue_capacity)
         self.scheduler = ContinuousBatchScheduler(engine, batch_cap=batch_cap)
         self.state = ReplicaState.RUNNING if started else ReplicaState.STOPPED
+        #: Whether the router may place new requests here: the state is
+        #: ``RUNNING`` or ``STARTING``.  Set with every ``state``.
+        self.accepting = self.state is ReplicaState.RUNNING
         self.ready_at_s = start_s
         #: End of the current busy phase, or None when free.
         self.busy_until_s: float | None = None
@@ -214,11 +217,6 @@ class Replica:
         self.spinup_energy_j = 0.0
 
     # -- routing surface -----------------------------------------------------
-
-    @property
-    def accepting(self) -> bool:
-        """Whether the router may place new requests here."""
-        return self.state in (ReplicaState.RUNNING, ReplicaState.STARTING)
 
     @property
     def load(self) -> int:
@@ -340,6 +338,7 @@ class Replica:
             raise ConfigError(f"replica {self.index} is not stopped")
         self.account_to(now_s)
         self.state = ReplicaState.STARTING
+        self.accepting = True
         self._spinup_util = utilisation
         self.ready_at_s = now_s + delay_s
         self.spinups += 1
@@ -353,6 +352,7 @@ class Replica:
         if self.state is not ReplicaState.STARTING:
             raise ConfigError(f"replica {self.index} is not starting")
         self.state = ReplicaState.RUNNING
+        self.accepting = True
 
     def spin_down(self, now_s: float) -> None:
         """``RUNNING -> STOPPED``: stop drawing idle power.
@@ -366,6 +366,7 @@ class Replica:
             raise ConfigError(f"replica {self.index} still has work")
         self.account_to(now_s)
         self.state = ReplicaState.STOPPED
+        self.accepting = False
 
     # -- reporting -----------------------------------------------------------
 

@@ -164,7 +164,6 @@ class ClusterSimulator:
             raise ConfigError(
                 "autoscale min_replicas exceeds the cluster size"
             )
-        self.requests_by_index: dict[int, Request] = {}
 
     def make_router(self) -> Router:
         """A fresh router instance for one run."""
@@ -219,7 +218,6 @@ class ClusterSimulator:
             else VirtualClock()
         )
         requests = shift_arrivals(requests, clock.now())
-        self.requests_by_index = {r.index: r for r in requests}
         if self.telemetry is not None and not self.telemetry.attached:
             self.telemetry.attach_registry(get_metrics())
         loop = self._make_loop(requests, clock)

@@ -32,6 +32,24 @@ class TestIntegration:
         assert energies["gpu0"] == pytest.approx(100.0)
         assert energies["gpu1"] == pytest.approx(200.0)
 
+    def test_selected_columns_in_the_given_order(self):
+        df = DataFrame(["time_s", "gpu0", "gpu1", "gh-module0"])
+        for t, p in ((0.0, 98.3), (0.7, 311.9), (0.7, 127.1), (2.9, 401.3)):
+            df.add_row({"time_s": t, "gpu0": p, "gpu1": p / 3, "gh-module0": p + 1})
+        every = integrate_energy_wh(df.copy())
+        chosen = integrate_energy_wh(df, ["gh-module0", "gpu0"])
+        assert list(chosen) == ["gh-module0", "gpu0"]
+        assert chosen == {c: every[c] for c in chosen}  # bit for bit
+        assert integrate_energy_wh(df, []) == {}
+
+    def test_selection_keeps_the_time_checks(self):
+        with pytest.raises(MeasurementError, match="2 samples"):
+            integrate_energy_wh(make_frame([0], [100]), ["gpu0"])
+        with pytest.raises(MeasurementError, match="time"):
+            integrate_energy_wh(DataFrame(["gpu0"]), ["gpu0"])
+        with pytest.raises(MeasurementError, match="no column"):
+            integrate_energy_wh(make_frame([0, 1], [100, 100]), ["gpu1"])
+
     def test_requires_two_samples(self):
         with pytest.raises(MeasurementError, match="2 samples"):
             integrate_energy_wh(make_frame([0], [100]))

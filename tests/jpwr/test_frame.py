@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import MeasurementError
@@ -81,6 +82,38 @@ class TestMutation:
         with pytest.raises(MeasurementError, match="unequal"):
             df.extend_columns([[2.0, 3.0], [300.0]])
         assert len(df) == 2
+
+
+class TestArray:
+    def test_array_is_the_column_as_read_only_floats(self, df):
+        values = df.array("gpu0")
+        assert values.dtype == np.float64
+        assert values.tolist() == [100.0, 200.0]
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+        assert df.array("gpu0") is values  # nothing appended: kept
+
+    def test_rows_appended_later_are_converted_on_the_next_call(self, df):
+        df.array("time_s")
+        df.add_row({"time_s": 2.0, "gpu0": 300.0})
+        df.add_values((3.0, 0.1))
+        df.extend_columns([[4.0, 5.0], [1e-300, 7.25]])
+        for column in df.columns:
+            values = df.array(column)
+            assert values.tolist() == df[column]
+            assert np.array_equal(values, np.asarray(df[column], dtype=float))
+            assert not values.flags.writeable
+
+    def test_unknown_column(self, df):
+        with pytest.raises(MeasurementError, match="no column"):
+            df.array("gpu9")
+
+    def test_copy_keeps_no_arrays(self, df):
+        df.array("gpu0")
+        clone = df.copy()
+        clone.add_row({"time_s": 2.0, "gpu0": 300.0})
+        assert clone.array("gpu0").tolist() == [100.0, 200.0, 300.0]
+        assert df.array("gpu0").tolist() == [100.0, 200.0]
 
 
 class TestStatistics:

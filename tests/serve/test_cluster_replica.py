@@ -56,6 +56,32 @@ class TestLifecycle:
         replica.set_running(3.0)
         assert replica.state is ReplicaState.RUNNING
 
+    def test_accepting_follows_every_state_transition(self, engine):
+        replica = make_replica(engine, started=False)
+
+        def check(state, accepting):
+            assert replica.state is state
+            assert replica.accepting is accepting
+            assert accepting is (
+                state in (ReplicaState.RUNNING, ReplicaState.STARTING)
+            )
+
+        check(ReplicaState.STOPPED, False)
+        for t in (0.0, 10.0):
+            replica.spin_up(t, delay_s=2.0, utilisation=0.5)
+            check(ReplicaState.STARTING, True)
+            with pytest.raises(ConfigError):
+                replica.spin_down(t + 1.0)  # refused: the state stands
+            check(ReplicaState.STARTING, True)
+            replica.set_running(t + 2.0)
+            check(ReplicaState.RUNNING, True)
+            replica.spin_down(t + 3.0)
+            check(ReplicaState.STOPPED, False)
+            with pytest.raises(ConfigError):
+                replica.set_running(t + 4.0)
+            check(ReplicaState.STOPPED, False)
+        assert make_replica(engine).accepting is True
+
     def test_spin_up_requires_stopped(self, engine):
         replica = make_replica(engine)
         with pytest.raises(ConfigError, match="not stopped"):
